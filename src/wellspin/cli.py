@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from .harness import SCENARIOS, run, validate_config
+from .harness import EXIT_INTERNAL, EXIT_OK, SCENARIOS, load_config, run, validate_config
 
 
 def build_parser():
@@ -31,12 +30,6 @@ def build_parser():
         help="run even when the mesh fails the twin-incompatibility check",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="cap on process-level parallelism",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="output directory (default: $WELLSPIN_OUT/<scenario> or runs/<scenario>)",
@@ -45,27 +38,25 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 on a usage error, which is the incompatible-mesh code
+        return EXIT_OK if err.code == 0 else EXIT_INTERNAL
+    problems = validate_config(args.config)
     if args.command == "validate":
-        problems = validate_config(args.config)
-        if problems:
-            for p in problems:
-                print(p)
-            return 4
-        print("config ok")
-        return 0
-
+        print("\n".join(problems) or "config ok")
+        return EXIT_INTERNAL if problems else EXIT_OK
+    # run() reports the problems of an invalid config itself
+    scenario = None if problems else load_config(args.config)["scenario"]
+    if scenario not in (None, args.command):
+        mismatch = f"config says {scenario!r}, command line says {args.command!r}"
+        print(f"config error: scenario: {mismatch}")
+        return EXIT_INTERNAL
     out = args.out
     if out is None and "WELLSPIN_OUT" in os.environ:
         out = str(Path(os.environ["WELLSPIN_OUT"]) / args.command)
-    cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if cfg.get("scenario") != args.command:
-        print(
-            f"config error: scenario: config says {cfg.get('scenario')!r}, "
-            f"command line says {args.command!r}"
-        )
-        return 4
-    return run(cfg, force=args.force, workers=args.workers, out_dir=out)
+    return run(args.config, force=args.force, out_dir=out)
 
 
 if __name__ == "__main__":

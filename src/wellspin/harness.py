@@ -2,23 +2,25 @@
 reproducible artifact emission.
 
 Every scenario writes one directory: summary.json, tables/*.csv and a
-human-readable digest.txt. All randomness flows through labeled
-substreams of one counter-based generator, so re-running a config with
-the same seed reproduces every CSV byte for byte, and adding a scenario
-never perturbs another one's draws.
+digest.txt with one PASS/FAIL line per gate. All randomness flows through
+labeled substreams of one counter-based generator, so re-running a config
+with the same seed reproduces every CSV byte for byte, and adding a
+scenario never perturbs another one's draws.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fields import PWAffineField, build_laminate, evaluate_energy
+from .fields import PWAffineField, build_laminate, evaluate_energy, laminate_profile
 from .lattice import (
     EnergyBoundError,
     antiferro_chain,
@@ -44,7 +46,7 @@ from .rigidity import (
     fitted_rotation,
 )
 from .spin import classify, count_bad_cells, discrete_perimeter, extract_partition, verify_spin_lemma
-from .wells import WellSet, compute_dbar, random_rotation, solve_all_connections
+from .wells import WellSet, compute_dbar, random_rotation, rotation_2d, solve_all_connections
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
@@ -52,21 +54,7 @@ EXIT_INCOMPATIBLE_MESH = 2
 EXIT_ENERGY_BOUND = 3
 EXIT_INTERNAL = 4
 
-SCENARIOS = (
-    "wellset-analysis",
-    "laminate-sweep",
-    "spin-lemma-suite",
-    "rigidity-family",
-    "antiferro-sweep",
-    "lattice-sweep",
-)
-_SLOPE_SCENARIOS = {"laminate-sweep", "antiferro-sweep", "lattice-sweep"}
-
-DEFAULT_WELLS = {
-    "dim": 2,
-    "wells": [[[2.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 2.0]]],
-    "delta0": 0.05,
-}
+LATTICE_SYSTEMS = ("antiferro-raw", "antiferro-remapped", "synthetic-twin")
 
 
 def substream(seed, label):
@@ -100,12 +88,36 @@ def write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _show(v):
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(map(_show, v)) + "]"
+    return f"{v:.6g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
+@dataclass
+class Gate:
+    """One pass/fail check of a run: the value measured and its bound.
+
+    A dotted name such as "scaling.energy" is one part of the summary gate
+    named before the dot, which passes when all of its parts pass.
+    """
+
+    name: str
+    passed: bool
+    measured: object
+    bound: object
+
+    def line(self):
+        status = "PASS" if self.passed else "FAIL"
+        return f"{status} {self.name}: {_show(self.measured)} (bound {_show(self.bound)})"
+
+
 @dataclass
 class ScalingReport:
     """Log-log slope of one quantity over an m-sweep with a pass gate."""
 
     name: str
-    m_values: list
+    m: list
     values: list
     slope: float
     intercept: float
@@ -116,260 +128,284 @@ class ScalingReport:
     @classmethod
     def fit(cls, name, m_values, values, expected, tolerance):
         slope, intercept = loglog_slope(m_values, values)
-        return cls(
-            name=name,
-            m_values=[int(m) for m in m_values],
-            values=[float(v) for v in values],
-            slope=slope,
-            intercept=intercept,
-            expected=float(expected),
-            tolerance=float(tolerance),
-            passed=abs(slope - expected) <= tolerance,
-        )
+        passed = abs(slope - expected) <= tolerance
+        m, values = [int(m) for m in m_values], [float(v) for v in values]
+        return cls(name, m, values, slope, intercept, float(expected), float(tolerance), passed)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "m": self.m_values,
-            "values": self.values,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
-    def digest_line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name}: slope {self.slope:+.3f} "
-            f"(expected {self.expected:+.2f} +- {self.tolerance:.2f})"
-        )
+    def gate(self, name):
+        bound = f"{self.expected:+.2f} +- {self.tolerance:.2f}"
+        return Gate(name, self.passed, f"slope {self.slope:+.3f}", bound)
 
 
-class ConfigError(ValueError):
-    pass
+# -- config schema -----------------------------------------------------
+#
+# One table per scenario maps each allowed key to (default, check), or to
+# the nested table of an object-valued key. A check returns None for a
+# good value and the problem otherwise. validate_config walks the table;
+# run hands each runner the config with every default filled in.
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    # the abs() bound also rejects nan, inf and ints too large for a float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < 1e300
+
+
+def _rule(ok, text):
+    return lambda v: None if ok(v) else f"must be {text}"
+
+
+def _at_least(lo):
+    return _rule(lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}")
+
+
+def _scales(count):
+    return _rule(
+        lambda v: isinstance(v, list)
+        and len(v) >= count
+        and all(_is_int(m) and m >= 2 for m in v)
+        and all(a < b for a, b in zip(v, v[1:])),
+        f"a strictly increasing list of at least {count} integers >= 2",
+    )
+
+
+_FRACTION = _rule(lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
+_POSITIVE = _rule(lambda v: _is_number(v) and v > 0, "a positive number")
+_STRING = _rule(lambda v: isinstance(v, str), "a string")
+_EPS_VALUES = _rule(
+    lambda v: isinstance(v, list) and len(v) >= 2 and all(_is_number(e) and e > 0 for e in v),
+    "a list of at least 2 positive numbers",
+)
+
+_COMMON = {
+    "scenario": (None, _STRING),  # _resolve picks the table by it
+    "seed": (0, _rule(lambda v: _is_int(v) and 0 <= v < 2**63, "a nonnegative 63-bit integer")),
+    "out": (None, _STRING),
+}
+_WELLS = {
+    "wells": {
+        "dim": (2, _rule(lambda v: _is_int(v) and v == 2, "2: the scenarios run in the plane")),
+        "wells": (
+            [[[2.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 2.0]]],
+            _rule(lambda v: isinstance(v, list) and len(v) > 0, "a nonempty list of matrices"),
+        ),
+        "delta0": (None, _FRACTION),
+    },
+    "wells_file": (None, _STRING),
+    "delta0": (0.05, _FRACTION),
+}
+
+
+def _lattice_table(system):
+    names = ", ".join(LATTICE_SYSTEMS)
+    systems = _rule(lambda v: isinstance(v, str) and v in LATTICE_SYSTEMS, f"one of {names}")
+    return {
+        **_COMMON,
+        "m_list": (None, _scales(3)),
+        "lattice": {
+            "system": (system, systems),
+            "interfaces": (3, _at_least(0)),
+            "m_list": (None, _scales(3)),
+            "energy_constant": (None, _POSITIVE),
+        },
+    }
+
+
+SCHEMA = {
+    "wellset-analysis": {**_COMMON, **_WELLS},
+    "laminate-sweep": {
+        **_COMMON,
+        **_WELLS,
+        "m_list": ([8, 16, 32, 64], _scales(3)),
+        "c1": (1.0, _POSITIVE),
+        "slope_tolerance": (0.3, _POSITIVE),
+        "perimeter_tolerance": (0.15, _POSITIVE),
+        "laminate": {
+            "volume_fraction": (0.5, _rule(lambda v: _is_number(v) and 0 < v <= 1, "in (0, 1]")),
+            "connection": (0, _at_least(0)),
+            "period": (None, _POSITIVE),
+            "offset_frac": (0.0, _rule(_is_number, "a finite number")),
+            "ripple": (0.004, _rule(lambda v: _is_number(v) and v >= 0, "a number >= 0")),
+        },
+    },
+    "spin-lemma-suite": {
+        **_COMMON,
+        **_WELLS,
+        "m": (16, _at_least(2)),
+        "field_count": (1000, _at_least(1)),
+    },
+    "rigidity-family": {
+        **_COMMON,
+        "m_list": ([16, 32], _scales(1)),
+        "family_size": (200, _at_least(1)),
+        "p": (2.0, _rule(lambda v: _is_number(v) and v >= 1, "a number >= 1")),
+        "block_grid": (4, _at_least(1)),
+        "eps_values": ([1e-3, 5e-4, 2.5e-4, 1e-4], _EPS_VALUES),
+    },
+    # the scenario name only picks the default lattice.system
+    "antiferro-sweep": _lattice_table("antiferro-raw"),
+    "lattice-sweep": _lattice_table("synthetic-twin"),
+}
+SCENARIOS = tuple(SCHEMA)
+
+
+def _walk(table, given, prefix, problems):
+    """Check one config object against its table, appending to problems;
+    returns the object with defaults filled in."""
+    problems += [f"{prefix}{key}: unknown key" for key in given if key not in table]
+    filled = {}
+    for key, spec in table.items():
+        value = given.get(key)
+        if isinstance(spec, dict):
+            if not isinstance(value, (dict, type(None))):
+                problems.append(f"{prefix}{key}: must be an object")
+                value = None
+            filled[key] = _walk(spec, value or {}, f"{prefix}{key}.", problems)
+            continue
+        default, check = spec
+        if value is None and (key not in given or default is None):
+            value = copy.deepcopy(default)
+        else:
+            problem = check(value)
+            if problem:
+                problems.append(f"{prefix}{key}: {problem}")
+        filled[key] = value
+    return filled
 
 
 def load_config(source):
-    if isinstance(source, dict):
-        return dict(source)
-    return json.loads(Path(source).read_text(encoding="utf-8"))
+    """A config from the path of a JSON file, or a copy of one given as a dict."""
+    if isinstance(source, (str, os.PathLike)):
+        return json.loads(Path(source).read_text(encoding="utf-8"))
+    return dict(source) if isinstance(source, dict) else source
+
+
+def _well_set(cfg):
+    """The configured WellSet: inline wells, or the document at wells_file."""
+    doc = cfg["wells"]
+    if cfg["wells_file"] is not None:
+        doc = json.loads(Path(cfg["wells_file"]).read_text(encoding="utf-8"))
+    return WellSet(doc["wells"], delta0=doc.get("delta0") or cfg["delta0"])
+
+
+def _check_wells(raw, cfg):
+    """Build the well set, so that a bad one fails validation and not a run;
+    laminate-sweep also needs its twin index in range."""
+    name = "wells" if cfg["wells_file"] is None else "wells_file"
+    if name == "wells_file" and raw.get("wells") is not None:
+        return ["wells: give either inline wells or wells_file, not both"]
+    laminate = cfg["scenario"] == "laminate-sweep"
+    try:
+        ws = _well_set(cfg)
+        if laminate:
+            solve_all_connections(ws)
+    except (OSError, ValueError, LookupError, TypeError) as err:
+        return [f"{name}: {err}"]
+    if ws.dim != 2 or _FRACTION(ws.delta0):
+        return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"]
+    if laminate and cfg["laminate"]["connection"] >= len(ws.connections):
+        return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"]
+    return []
+
+
+def _resolve(source):
+    """(problems, config with defaults filled in, or None if problems)."""
+    try:
+        raw = load_config(source)
+    except (OSError, ValueError) as err:
+        return [f"config: unreadable ({err})"], None
+    scenario = raw.get("scenario") if isinstance(raw, dict) else None
+    if not isinstance(scenario, str) or scenario not in SCHEMA:
+        return [f"scenario: must be one of {', '.join(SCENARIOS)} in a JSON object"], None
+    problems = []
+    cfg = _walk(SCHEMA[scenario], raw, "", problems)
+    if not problems and "wells" in cfg:
+        problems = _check_wells(raw, cfg)
+    return problems, None if problems else cfg
 
 
 def validate_config(source):
-    """Field-level diagnostics for a config; empty list means valid."""
-    try:
-        cfg = load_config(source)
-    except (OSError, json.JSONDecodeError) as err:
-        return [f"config: unreadable ({err})"]
-    problems = []
-    scenario = cfg.get("scenario")
-    if scenario not in SCENARIOS:
-        problems.append(f"scenario: must be one of {', '.join(SCENARIOS)}")
-        return problems
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**63:
-        problems.append("seed: must be a nonnegative 63-bit integer")
-    for field_name, m_list in (
-        ("m_list", cfg.get("m_list")),
-        ("lattice.m_list", cfg.get("lattice", {}).get("m_list")),
-    ):
-        if m_list is None:
-            continue
-        if not (
-            isinstance(m_list, list)
-            and all(isinstance(m, int) and m >= 2 for m in m_list)
-            and all(a < b for a, b in zip(m_list, m_list[1:]))
-        ):
-            problems.append(
-                f"{field_name}: must be a strictly increasing list of ints >= 2"
-            )
-        elif scenario in _SLOPE_SCENARIOS and len(m_list) < 3:
-            problems.append(f"{field_name}: slope regressions need at least 3 scales")
-    wells = cfg.get("wells")
-    if wells is not None:
-        if "wells_file" in cfg:
-            problems.append("wells: give either inline wells or wells_file, not both")
-        mats = wells.get("wells")
-        dim = wells.get("dim")
-        if not isinstance(mats, list) or not mats:
-            problems.append("wells.wells: must be a nonempty list of matrices")
-        else:
-            for k, mat in enumerate(mats):
-                arr = np.asarray(mat, dtype=float)
-                if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                    problems.append(f"wells.wells[{k}]: not a square matrix")
-                elif dim is not None and arr.shape[0] != dim:
-                    problems.append(f"wells.wells[{k}]: does not match dim {dim}")
-        delta0 = wells.get("delta0")
-        if delta0 is not None and not 0.0 < delta0 < 1.0:
-            problems.append("wells.delta0: must lie in (0, 1)")
-    elif "wells_file" in cfg and not Path(cfg["wells_file"]).exists():
-        problems.append(f"wells_file: {cfg['wells_file']} does not exist")
-    delta0 = cfg.get("delta0")
-    if delta0 is not None and not 0.0 < delta0 < 1.0:
-        problems.append("delta0: must lie in (0, 1)")
-    lam = cfg.get("laminate", {})
-    vf = lam.get("volume_fraction")
-    if vf is not None and not 0.0 < vf <= 1.0:
-        problems.append("laminate.volume_fraction: must lie in (0, 1]")
-    for name, lower in (("field_count", 1), ("family_size", 1), ("m", 2)):
-        value = cfg.get(name)
-        if value is not None and (not isinstance(value, int) or value < lower):
-            problems.append(f"{name}: must be an integer >= {lower}")
-    p = cfg.get("p")
-    if p is not None and not p >= 1.0:
-        problems.append("p: must be at least 1")
-    lattice = cfg.get("lattice", {})
-    system = lattice.get("system")
-    if system is not None and system not in (
-        "antiferro-raw",
-        "antiferro-remapped",
-        "synthetic-twin",
-    ):
-        problems.append(f"lattice.system: unknown system {system!r}")
-    interfaces = lattice.get("interfaces")
-    if interfaces is not None and (not isinstance(interfaces, int) or interfaces < 0):
-        problems.append("lattice.interfaces: must be a nonnegative integer")
-    return problems
+    """Field-level diagnostics for a config; empty list means valid.
+
+    Unknown keys are reported, and a config that cannot be read or is not
+    a JSON object is a problem too; this never raises.
+    """
+    return _resolve(source)[0]
 
 
 def _load_wells(cfg):
-    if "wells_file" in cfg:
-        doc = json.loads(Path(cfg["wells_file"]).read_text(encoding="utf-8"))
-    else:
-        doc = cfg.get("wells", DEFAULT_WELLS)
-    ws = WellSet(doc["wells"], delta0=doc.get("delta0", cfg.get("delta0", 0.05)))
+    ws = _well_set(cfg)
     solve_all_connections(ws)
     compute_dbar(ws, ws.delta0)
     return ws
 
 
-def _auto_laminate(mesh, wells, lam_cfg):
-    conn = wells.connections[lam_cfg.get("connection", 0)]
-    vf = lam_cfg.get("volume_fraction", 0.5)
-    ripple = lam_cfg.get("ripple", 0.004)
-    corners = np.array(
-        [
-            [mesh.domain[0][0], mesh.domain[0][1]],
-            [mesh.domain[0][0], mesh.domain[1][1]],
-            [mesh.domain[1][0], mesh.domain[0][1]],
-            [mesh.domain[1][0], mesh.domain[1][1]],
-        ]
-    )
-    proj = corners @ conn.b
-    # default: one full period across the domain span, i.e. two layers and
-    # a single interior interface; coarse meshes resolve that fastest
-    period = lam_cfg.get("period") or (proj.max() - proj.min())
-    offset = proj.min() + lam_cfg.get("offset_frac", 0.0) * period
-    return build_laminate(mesh, wells, conn, vf, period, offset=offset, ripple=ripple)
-
-
-@dataclass
-class ScenarioResult:
-    exit_code: int
-    summary: dict
-    tables: dict = field(default_factory=dict)
-    digest: list = field(default_factory=list)
+class IncompatibleMeshError(Exception):
+    """The sweep's mesh fails the twin-incompatibility check; the argument
+    is the IncompatibilityReport."""
 
 
 # -- scenarios ---------------------------------------------------------
+#
+# Each runner takes the config with defaults filled in and the --force flag
+# and returns (summary, {table name: (header, rows)}, [Gate]).
 
 
 def _run_wellset_analysis(cfg, force):
     ws = _load_wells(cfg)
     rot = find_admissible_rotation(ws)
-    rows = []
-    for c in ws.connections:
-        rows.append(
-            (
-                c.i,
-                c.j,
-                *(float(v) for v in c.rotation.reshape(-1)),
-                *(float(v) for v in c.a),
-                *(float(v) for v in c.b),
-                c.residual(ws),
-                c.multiplicity,
-            )
-        )
-    header = [
-        "i",
-        "j",
-        "q00",
-        "q01",
-        "q10",
-        "q11",
-        "a0",
-        "a1",
-        "b0",
-        "b1",
-        "residual",
-        "multiplicity",
+    rows = [
+        (c.i, c.j, *c.rotation.reshape(-1), *c.a, *c.b, c.residual(ws), c.multiplicity)
+        for c in ws.connections
     ]
-    summary = {
-        "wells": ws.to_json(),
-        "admissible_rotation": {
-            "angle": rot.angle,
-            "margin": rot.margin,
-        },
-        "gates": {"ok": True},
-    }
-    digest = [
-        f"wells: k={ws.k} d={ws.separation_d:.6f} dbar={ws.incompat_dbar:.6f} "
-        f"c0={ws.c0:.6f} (delta0={ws.delta0})",
-        f"connections: {len(ws.connections)}",
-        f"admissible rotation: {math.degrees(rot.angle):.3f} deg, "
-        f"margin {rot.margin:.4f}",
-    ]
-    return ScenarioResult(
-        exit_code=EXIT_OK,
-        summary=summary,
-        tables={"connections": (header, rows)},
-        digest=digest,
+    header = "i j q00 q01 q10 q11 a0 a1 b0 b1 residual multiplicity".split()
+    admissible = {"angle": rot.angle, "margin": rot.margin}
+    summary = {"wells": ws.to_json(), "admissible_rotation": admissible}
+    measured = (
+        f"k={ws.k} d={ws.separation_d:.6f} dbar={ws.incompat_dbar:.6f} c0={ws.c0:.6f} "
+        f"(delta0={ws.delta0}), {len(ws.connections)} connections, admissible rotation "
+        f"{math.degrees(rot.angle):.3f} deg with margin {rot.margin:.4f}"
     )
+    gates = [Gate("ok", rot.margin > 0.0, measured, "margin > 0")]
+    return summary, {"connections": (header, rows)}, gates
 
 
 def _run_laminate_sweep(cfg, force):
     ws = _load_wells(cfg)
-    m_list = cfg.get("m_list", [8, 16, 32, 64])
-    tol = cfg.get("slope_tolerance", 0.3)
-    perim_tol = cfg.get("perimeter_tolerance", 0.15)
-    c1 = cfg.get("c1", 1.0)
-    lam_cfg = cfg.get("laminate", {})
+    m_list, c1, lam = cfg["m_list"], cfg["c1"], cfg["laminate"]
     rot = find_admissible_rotation(ws)
 
     mesh0 = build_kuhn_mesh(2, m_list[0], lattice_rotation=rot.rotation)
     incompat = check_incompatibility(mesh0, ws, ws.delta0)
     if not incompat.ok and not force:
-        return ScenarioResult(
-            exit_code=EXIT_INCOMPATIBLE_MESH,
-            summary={
-                "incompatibility": {
-                    "ok": False,
-                    "worst_alignment": incompat.worst_alignment,
-                    "offenders": incompat.offenders,
-                }
-            },
-            digest=["FAIL mesh incompatibility check (use --force to override)"],
-        )
+        raise IncompatibleMeshError(incompat)
 
-    rows = []
-    energies, bad_counts, bad_vols = [], [], []
-    perims = {0: [], 1: []}
-    comp_counts, max_residuals = [], []
-    curl_ratios, dv_ratios = [], []
-    chebyshev_ok = True
+    conn = ws.connections[lam["connection"]]
+    pair = (conn.i, conn.j)  # the two wells the laminate alternates
+    (x0, y0), (x1, y1) = mesh0.domain
+    proj = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]]) @ conn.b
+    # default: one full period across the domain span, i.e. two layers and
+    # a single interior interface; coarse meshes resolve that fastest
+    period = lam["period"] or (proj.max() - proj.min())
+    offset = proj.min() + lam["offset_frac"] * period
+    vf, ripple = lam["volume_fraction"], lam["ripple"]
+    rows, chebyshev = [], []
     for m in m_list:
         mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
-        fld = _auto_laminate(mesh, ws, lam_cfg)
+        fld = build_laminate(mesh, ws, conn, vf, period, offset=offset, ripple=ripple)
         rep = evaluate_energy(fld, ws, c1=c1)
         lab = classify(fld, ws)
         part = extract_partition(fld, lab, ws)
         macro = part.macroscopic(0.01 * mesh.effective_volume)
         n_bad = count_bad_cells(lab)
         lhs = n_bad * (ws.c0 / 100.0) ** 2 * c1 * float(mesh.volumes.min())
-        chebyshev_ok &= lhs <= rep.total
+        chebyshev.append((lhs, rep.total))
         fitted = [c.residual for c in macro if c.residual is not None]
         row = {
             "m": m,
@@ -379,69 +415,55 @@ def _run_laminate_sweep(cfg, force):
             "components": len(macro),
             "max_residual": max(fitted, default=0.0),
         }
-        energies.append(rep.total)
-        bad_counts.append(n_bad)
-        bad_vols.append(lab.bad_volume)
-        comp_counts.append(len(macro))
-        max_residuals.append(row["max_residual"])
-        for j in (0, 1):
-            p_all = discrete_perimeter(lab, j)
-            row[f"perimeter_w{j}"] = p_all
+        for j in pair:
+            row[f"perimeter_w{j}"] = discrete_perimeter(lab, j)
             row[f"perimeter_interior_w{j}"] = discrete_perimeter(
                 lab, j, include_boundary=False
             )
-            perims[j].append(p_all)
             reduced = build_reduced_field(fld, lab, j, ws)
-            curl = curl_total_variation(reduced).total
-            row[f"curl_w{j}"] = curl
-            curl_ratios.append(curl / p_all)
-            bv = bv_structure_check(reduced)
-            row[f"dv_curl_ratio_w{j}"] = bv.ratio
-            dv_ratios.append(bv.ratio)
+            row[f"curl_w{j}"] = curl_total_variation(reduced).total
+            row[f"dv_curl_ratio_w{j}"] = bv_structure_check(reduced).ratio
         rows.append(row)
 
+    def column(key):
+        return [r[key] for r in rows]
+
+    tol, perim_tol = cfg["slope_tolerance"], cfg["perimeter_tolerance"]
     reports = [
-        ScalingReport.fit("energy", m_list, energies, -1.0, tol),
-        ScalingReport.fit("bad_cell_count", m_list, bad_counts, 1.0, tol),
-        ScalingReport.fit("bad_volume", m_list, bad_vols, -1.0, tol),
-        ScalingReport.fit("perimeter_w0", m_list, perims[0], 0.0, perim_tol),
-        ScalingReport.fit("perimeter_w1", m_list, perims[1], 0.0, perim_tol),
+        ScalingReport.fit("energy", m_list, column("energy"), -1.0, tol),
+        ScalingReport.fit("bad_cell_count", m_list, column("bad_count"), 1.0, tol),
+        ScalingReport.fit("bad_volume", m_list, column("bad_volume"), -1.0, tol),
+    ] + [
+        ScalingReport.fit(f"perimeter_w{j}", m_list, column(f"perimeter_w{j}"), 0.0, perim_tol)
+        for j in pair
     ]
-    gates = {
-        "scaling": all(r.passed for r in reports),
-        "chebyshev_identity": bool(chebyshev_ok),
-        "components_stable": len(set(comp_counts)) == 1,
-        "residuals_decreasing": all(
-            a > b for a, b in zip(max_residuals, max_residuals[1:])
-        ),
-        "curl_vs_perimeter_stable": max(curl_ratios) / min(curl_ratios) <= 2.0,
-        "dv_vs_curl_stable": max(dv_ratios) / min(dv_ratios) <= 2.0,
-    }
-    ok = all(gates.values())
+    curl_ratios = [r[f"curl_w{j}"] / r[f"perimeter_w{j}"] for r in rows for j in pair]
+    dv_ratios = [r[f"dv_curl_ratio_w{j}"] for r in rows for j in pair]
+    comps, residuals = column("components"), column("max_residual")
+    excess = max(lhs - energy for lhs, energy in chebyshev)
+    bounded = all(lhs <= energy for lhs, energy in chebyshev)
+    curl_spread = max(curl_ratios) / min(curl_ratios)
+    dv_spread = max(dv_ratios) / min(dv_ratios)
+    decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
+    gates = [r.gate(f"scaling.{r.name}") for r in reports] + [
+        Gate("chebyshev_identity", bounded, f"count bound - energy = {excess:.3g}", "<= 0"),
+        Gate("components_stable", len(set(comps)) == 1, comps, "equal at every m"),
+        Gate("residuals_decreasing", decreasing, residuals, "strictly decreasing in m"),
+        Gate("curl_vs_perimeter_stable", curl_spread <= 2.0, curl_spread, "max/min <= 2"),
+        Gate("dv_vs_curl_stable", dv_spread <= 2.0, dv_spread, "max/min <= 2"),
+    ]
 
     header = list(rows[0].keys())
     table_rows = [tuple(r[k] for k in header) for r in rows]
-    scaling_rows = [
-        (r.name, m, v) for r in reports for m, v in zip(r.m_values, r.values)
-    ]
-    digest = [r.digest_line() for r in reports] + [
-        f"{'PASS' if v else 'FAIL'} {k}" for k, v in gates.items() if k != "scaling"
-    ]
-    return ScenarioResult(
-        exit_code=EXIT_OK if ok else EXIT_GATE_FAILED,
-        summary={
-            "m_list": m_list,
-            "scaling_reports": [r.to_dict() for r in reports],
-            "gates": gates,
-            "curl_ratios": curl_ratios,
-            "dv_ratios": dv_ratios,
-        },
-        tables={
-            "sweep": (header, table_rows),
-            "scaling": (["quantity", "m", "value"], scaling_rows),
-        },
-        digest=digest,
-    )
+    scaling_rows = [(r.name, m, v) for r in reports for m, v in zip(r.m, r.values)]
+    summary = {
+        "m_list": m_list,
+        "scaling_reports": [r.to_dict() for r in reports],
+        "curl_ratios": curl_ratios,
+        "dv_ratios": dv_ratios,
+    }
+    tables = {"sweep": (header, table_rows), "scaling": (["quantity", "m", "value"], scaling_rows)}
+    return summary, tables, gates
 
 
 def _random_spin_field(mesh, ws, rng):
@@ -461,8 +483,6 @@ def _random_spin_field(mesh, ws, rng):
     b, a_vec, ui = conn.b, conn.a, ws.matrices[conn.i]
 
     def fn(x):
-        from .fields import laminate_profile
-
         g = laminate_profile(x @ b, vf, period, offset)
         vals = x @ ui.T + np.outer(g, a_vec)
         vals = vals @ rot.T
@@ -478,9 +498,9 @@ def _random_spin_field(mesh, ws, rng):
 
 def _run_spin_lemma_suite(cfg, force):
     ws = _load_wells(cfg)
-    m = cfg.get("m", 16)
-    count = cfg.get("field_count", 1000)
-    rng = substream(cfg.get("seed", 0), "spin-lemma-suite")
+    m = cfg["m"]
+    count = cfg["field_count"]
+    rng = substream(cfg["seed"], "spin-lemma-suite")
     rot = find_admissible_rotation(ws)
     mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
 
@@ -503,53 +523,28 @@ def _run_spin_lemma_suite(cfg, force):
     adv_lab = classify(adv, ws)
     adv_violations = verify_spin_lemma(adv, adv_lab, ws)
 
-    gates = {
-        "no_violations_on_admissible": total_violations == 0,
-        "violations_on_aligned": len(adv_violations) >= 1,
+    summary = {
+        "field_count": count,
+        "m": m,
+        "total_violations": total_violations,
+        "aligned_violations": len(adv_violations),
     }
-    ok = all(gates.values())
-    digest = [
-        f"{'PASS' if gates['no_violations_on_admissible'] else 'FAIL'} "
-        f"{count} admissible-mesh fields, {total_violations} violations",
-        f"{'PASS' if gates['violations_on_aligned'] else 'FAIL'} aligned mesh: "
-        f"{len(adv_violations)} violations found",
+    header = ["field_id", "kind", "volume_fraction", "period", "offset", "violations", "bad_cells"]
+    gates = [
+        Gate("no_violations_on_admissible", total_violations == 0, total_violations, "0"),
+        Gate("violations_on_aligned", len(adv_violations) >= 1, len(adv_violations), ">= 1"),
     ]
-    return ScenarioResult(
-        exit_code=EXIT_OK if ok else EXIT_GATE_FAILED,
-        summary={
-            "field_count": count,
-            "m": m,
-            "total_violations": total_violations,
-            "aligned_violations": len(adv_violations),
-            "gates": gates,
-        },
-        tables={
-            "fields": (
-                [
-                    "field_id",
-                    "kind",
-                    "volume_fraction",
-                    "period",
-                    "offset",
-                    "violations",
-                    "bad_cells",
-                ],
-                rows,
-            )
-        },
-        digest=digest,
-    )
+    return summary, {"fields": (header, rows)}, gates
 
 
 def _run_rigidity_family(cfg, force):
-    m_list = cfg.get("m_list", [16, 32])
-    size = cfg.get("family_size", 200)
-    p = cfg.get("p", 2.0)
-    blocks = cfg.get("block_grid", 4)
-    rng = substream(cfg.get("seed", 0), "rigidity-family")
+    m_list = cfg["m_list"]
+    size = cfg["family_size"]
+    p = cfg["p"]
+    rng = substream(cfg["seed"], "rigidity-family")
     meshes = {m: build_kuhn_mesh(2, m) for m in m_list}
 
-    draws = [random_block_values(rng, blocks) for _ in range(size)]
+    draws = [random_block_values(rng, cfg["block_grid"]) for _ in range(size)]
     rows = []
     max_ratio = {m: 0.0 for m in m_list}
     for fid, blocks_values in enumerate(draws):
@@ -560,12 +555,12 @@ def _run_rigidity_family(cfg, force):
 
     # epsilon sweep around a fixed rotation
     mesh = meshes[m_list[0]]
-    noise_rng = substream(cfg.get("seed", 0), "rigidity-eps")
+    noise_rng = substream(cfg["seed"], "rigidity-eps")
     noise = noise_rng.uniform(-1.0, 1.0, (mesh.n_cells, 2, 2))
     noise /= np.linalg.norm(noise, axis=(1, 2), keepdims=True)
     r0 = random_rotation(noise_rng, 2)
     eps_rows = []
-    eps_values = cfg.get("eps_values", [1e-3, 5e-4, 2.5e-4, 1e-4])
+    eps_values = cfg["eps_values"]
     lhs_values = []
     for eps in eps_values:
         fld = IncompatibleField(mesh=mesh, values=r0[None] + eps * noise)
@@ -583,219 +578,106 @@ def _run_rigidity_family(cfg, force):
     weak = weak_rigidity_ratio(fld0)
 
     ratios_sorted = [max_ratio[m] for m in m_list]
-    gates = {
-        "ratios_finite": all(math.isfinite(r) for _, _, _, _, _, r in rows),
-        "max_ratio_scale_stable": max(ratios_sorted) / min(ratios_sorted) <= 2.0,
-        # lhs ~ eps^p near a rotation; at p = 2 this is the [1.8, 2.2] gate
-        "eps_slope_power_p": abs(eps_slope - p) <= 0.1 * p,
-        "weak_surrogate_stable": abs(fine - coarse) <= 0.05 * max(fine, 1e-300),
-        "weak_ratio_finite": math.isfinite(weak["ratio"]),
+    spread = max(ratios_sorted) / min(ratios_sorted)
+    n_infinite = sum(not math.isfinite(row[-1]) for row in rows)
+    # lhs ~ eps^p near a rotation; at p = 2 this is the [1.8, 2.2] gate
+    power_p = abs(eps_slope - p) <= 0.1 * p
+    weak_stable = abs(fine - coarse) <= 0.05 * max(fine, 1e-300)
+    gates = [
+        Gate("ratios_finite", n_infinite == 0, f"{n_infinite} not finite", "0"),
+        Gate("max_ratio_scale_stable", spread <= 2.0, ratios_sorted, "max/min <= 2"),
+        Gate("eps_slope_power_p", power_p, eps_slope, f"{p:g} +- {0.1 * p:g}"),
+        Gate("weak_surrogate_stable", weak_stable, [coarse, fine], "64 -> 256 levels within 5%"),
+        Gate("weak_ratio_finite", math.isfinite(weak["ratio"]), weak["ratio"], "finite"),
+    ]
+    summary = {
+        "family_size": size,
+        "p": p,
+        "max_ratio": {str(m): max_ratio[m] for m in m_list},
+        "eps_slope": eps_slope,
+        "weak_ratio": weak["ratio"],
     }
-    ok = all(gates.values())
-    digest = [
-        f"{'PASS' if gates['max_ratio_scale_stable'] else 'FAIL'} max ratio per m: "
-        + ", ".join(f"m={m}: {max_ratio[m]:.4f}" for m in m_list),
-        f"{'PASS' if gates['eps_slope_power_p'] else 'FAIL'} eps-sweep lhs slope "
-        f"{eps_slope:.3f}",
-        f"{'PASS' if gates['weak_surrogate_stable'] else 'FAIL'} weak surrogate "
-        f"64->256 levels: {coarse:.6g} -> {fine:.6g}",
-    ]
-    return ScenarioResult(
-        exit_code=EXIT_OK if ok else EXIT_GATE_FAILED,
-        summary={
-            "family_size": size,
-            "p": p,
-            "max_ratio": {str(m): max_ratio[m] for m in m_list},
-            "eps_slope": eps_slope,
-            "weak_ratio": weak["ratio"],
-            "gates": gates,
-        },
-        tables={
-            "rigidity": (
-                ["field_id", "m", "p", "lhs", "rhs", "ratio"],
-                rows,
-            ),
-            "eps_sweep": (["eps", "lhs", "rhs", "ratio"], eps_rows),
-        },
-        digest=digest,
-    )
-
-
-def _run_antiferro_sweep(cfg, force):
-    lattice_cfg = cfg.get("lattice", {})
-    variant = lattice_cfg.get("system", "antiferro-raw").replace("antiferro-", "")
-    system = antiferro_system(variant)
-    m_list = lattice_cfg.get("m_list", cfg.get("m_list", [64, 256, 1024]))
-    k = lattice_cfg.get("interfaces", 3)
-    fracs = [float(i + 1) / (k + 1) for i in range(k)]
-    energy_constant = lattice_cfg.get("energy_constant", 2.0 * k + 2.0)
-
-    ground = antiferro_chain(system, m=m_list[0])
-    ground_energy = evaluate_hamiltonian(ground, system).total
-    h2 = verify_h2(system)
-    single = antiferro_chain(system, m=m_list[0], interfaces=(0.5,))
-    defect_total = evaluate_hamiltonian(single, system).total
-
-    chains = {m: antiferro_chain(system, m=m, interfaces=fracs) for m in m_list}
-    try:
-        records = lattice_partition_diagnostics(
-            chains, system, energy_constant=energy_constant
-        )
-    except EnergyBoundError as err:
-        return ScenarioResult(
-            exit_code=EXIT_ENERGY_BOUND,
-            summary={"energy_bound": {"m": err.m, "total": err.total, "allowed": err.allowed}},
-            digest=[f"FAIL energy bound: {err}"],
-        )
-
-    rows = [
-        (
-            rec["m"],
-            rec["energy"],
-            rec["bad_volume"],
-            rec["boundary_volume"],
-            rec["n_components"],
-            sum(rec["perimeters"].values()),
-            len(rec["adjacency_violations"]),
-        )
-        for rec in records
-    ]
-    boundary_report = ScalingReport.fit(
-        "boundary_volume",
-        [r["m"] for r in records],
-        [r["boundary_volume"] for r in records],
-        -1.0,
-        0.2,
-    )
-    gates = {
-        "ground_energy_zero": ground_energy == 0.0,
-        "h2_ok": h2.ok,
-        "single_defect_energy": defect_total == 2.0 / m_list[0],
-        "components_k_plus_1": all(r["n_components"] == k + 1 for r in records),
-        "boundary_volume_slope": boundary_report.passed,
-        "no_adjacency_violations": all(
-            not r["adjacency_violations"] for r in records
-        ),
+    tables = {
+        "rigidity": (["field_id", "m", "p", "lhs", "rhs", "ratio"], rows),
+        "eps_sweep": (["eps", "lhs", "rhs", "ratio"], eps_rows),
     }
-    ok = all(gates.values())
-    digest = [
-        f"{'PASS' if gates['ground_energy_zero'] else 'FAIL'} ground energy exactly 0",
-        f"{'PASS' if gates['h2_ok'] else 'FAIL'} growth condition: c = {h2.c:.4f} "
-        f"over {h2.n_windows} windows (exhaustive={h2.exhaustive})",
-        f"{'PASS' if gates['single_defect_energy'] else 'FAIL'} one defect costs "
-        f"2/m exactly",
-        f"{'PASS' if gates['components_k_plus_1'] else 'FAIL'} {k} interfaces -> "
-        f"{k + 1} components at every m",
-        boundary_report.digest_line(),
-    ]
-    return ScenarioResult(
-        exit_code=EXIT_OK if ok else EXIT_GATE_FAILED,
-        summary={
+    return summary, tables, gates
+
+
+def _run_lattice(cfg, force):
+    """antiferro-sweep and lattice-sweep: lattice.system picks the model."""
+    lat = cfg["lattice"]
+    twin = lat["system"] == "synthetic-twin"
+    m_list = lat["m_list"] or cfg["m_list"] or ([8, 12, 16] if twin else [64, 256, 1024])
+    energy_constant = lat["energy_constant"]
+    if twin:
+        system = synthetic_twin_system()
+        # the twin model draws from this stream under either scenario name
+        angle = float(substream(cfg["seed"], "lattice-sweep").uniform(0.0, 2.0 * np.pi))
+        rot = rotation_2d(angle)
+        samples = {
+            m: ground_state_deformation(system, 0, (m + 1, m + 1), m=m, rotation=rot)
+            for m in m_list
+        }
+        components, summary, gates = 1, {"system": system.name, "rotation_angle": angle}, []
+    else:
+        variant = lat["system"].replace("antiferro-", "")
+        system = antiferro_system(variant)
+        k = lat["interfaces"]
+        fracs = [float(i + 1) / (k + 1) for i in range(k)]
+        if energy_constant is None:
+            energy_constant = 2.0 * k + 2.0
+        components = k + 1
+        ground = antiferro_chain(system, m=m_list[0])
+        ground_energy = evaluate_hamiltonian(ground, system).total
+        h2 = verify_h2(system)
+        single = antiferro_chain(system, m=m_list[0], interfaces=(0.5,))
+        defect_total = evaluate_hamiltonian(single, system).total
+        samples = {m: antiferro_chain(system, m=m, interfaces=fracs) for m in m_list}
+        h2_keys = ("c", "p", "n_windows", "exhaustive", "violations")
+        summary = {
             "variant": variant,
             "interfaces": fracs,
-            "h2": {
-                "c": h2.c,
-                "p": h2.p,
-                "n_windows": h2.n_windows,
-                "exhaustive": h2.exhaustive,
-                "violations": h2.violations,
-            },
-            "boundary_volume": boundary_report.to_dict(),
-            "gates": gates,
-        },
-        tables={
-            "sweep": (
-                [
-                    "m",
-                    "energy",
-                    "bad_volume",
-                    "boundary_volume",
-                    "components",
-                    "perimeter_total",
-                    "adjacency_violations",
-                ],
-                rows,
-            )
-        },
-        digest=digest,
-    )
+            "h2": {key: getattr(h2, key) for key in h2_keys},
+        }
+        h2_measured = f"c = {h2.c:.4f} over {h2.n_windows} windows (exhaustive={h2.exhaustive})"
+        gates = [
+            Gate("ground_energy_zero", ground_energy == 0.0, ground_energy, "== 0"),
+            Gate("h2_ok", h2.ok, h2_measured, "c > 0 and no violating window"),
+            Gate("single_defect_energy", defect_total == 2.0 / m_list[0], defect_total, "== 2/m"),
+        ]
 
-
-def _run_lattice_sweep(cfg, force):
-    lattice_cfg = cfg.get("lattice", {})
-    name = lattice_cfg.get("system", "synthetic-twin")
-    if name.startswith("antiferro"):
-        return _run_antiferro_sweep(cfg, force)
-    system = synthetic_twin_system()
-    m_list = lattice_cfg.get("m_list", cfg.get("m_list", [8, 12, 16]))
-    rng = substream(cfg.get("seed", 0), "lattice-sweep")
-    angle = float(rng.uniform(0.0, 2.0 * np.pi))
-    from .wells import rotation_2d
-
-    rot = rotation_2d(angle)
-    deformations = {
-        m: ground_state_deformation(system, 0, (m + 1, m + 1), m=m, rotation=rot)
-        for m in m_list
-    }
-    try:
-        records = lattice_partition_diagnostics(
-            deformations, system, energy_constant=lattice_cfg.get("energy_constant")
-        )
-    except EnergyBoundError as err:
-        return ScenarioResult(
-            exit_code=EXIT_ENERGY_BOUND,
-            summary={"energy_bound": {"m": err.m, "total": err.total, "allowed": err.allowed}},
-            digest=[f"FAIL energy bound: {err}"],
-        )
-    rows = [
-        (
-            rec["m"],
-            rec["energy"],
-            rec["bad_volume"],
-            rec["boundary_volume"],
-            rec["n_components"],
-            len(rec["adjacency_violations"]),
-        )
-        for rec in records
+    records = lattice_partition_diagnostics(samples, system, energy_constant=energy_constant)
+    volumes = [r["boundary_volume"] for r in records]
+    tol = 0.3 if twin else 0.2
+    boundary = ScalingReport.fit("boundary_volume", [r["m"] for r in records], volumes, -1.0, tol)
+    counts = [r["n_components"] for r in records]
+    adjacency = [len(r["adjacency_violations"]) for r in records]
+    no_adjacency = all(not r["adjacency_violations"] for r in records)
+    name = "single_component" if twin else "components_k_plus_1"
+    gates += [
+        Gate(name, all(c == components for c in counts), counts, f"{components} at every m"),
+        boundary.gate("boundary_volume_slope"),
+        Gate("no_adjacency_violations", no_adjacency, adjacency, "0"),
     ]
-    boundary_report = ScalingReport.fit(
-        "boundary_volume",
-        [r["m"] for r in records],
-        [r["boundary_volume"] for r in records],
-        -1.0,
-        0.3,
-    )
-    residual_ok = True
-    for rec in records:
-        for comp in rec["components"]:
-            if comp.rotation is not None and comp.residual > 1e-9:
-                residual_ok = False
-    gates = {
-        "single_component": all(r["n_components"] == 1 for r in records),
-        "ground_residual_zero": residual_ok,
-        "boundary_volume_slope": boundary_report.passed,
-        "no_adjacency_violations": all(not r["adjacency_violations"] for r in records),
-    }
-    ok = all(gates.values())
-    digest = [
-        f"{'PASS' if v else 'FAIL'} {kname}" for kname, v in gates.items()
-    ] + [boundary_report.digest_line()]
-    return ScenarioResult(
-        exit_code=EXIT_OK if ok else EXIT_GATE_FAILED,
-        summary={
-            "system": system.name,
-            "rotation_angle": angle,
-            "boundary_volume": boundary_report.to_dict(),
-            "gates": gates,
-        },
-        tables={
-            "sweep": (
-                ["m", "energy", "bad_volume", "boundary_volume", "components", "adjacency_violations"],
-                rows,
-            )
-        },
-        digest=digest,
-    )
+    if twin:
+        residuals = [
+            c.residual for r in records for c in r["components"] if c.rotation is not None
+        ]
+        grounded = not any(x > 1e-9 for x in residuals)
+        gates.append(Gate("ground_residual_zero", grounded, max(residuals, default=0.0), "<= 1e-9"))
+
+    # the 2-D twin sweep records no perimeter total
+    columns = ["m", "energy", "bad_volume", "boundary_volume", "components"]
+    columns += ["adjacency_violations"] if twin else ["perimeter_total", "adjacency_violations"]
+    rows = [
+        (r["m"], r["energy"], r["bad_volume"], r["boundary_volume"], r["n_components"])
+        + (() if twin else (sum(r["perimeters"].values()),))
+        + (len(r["adjacency_violations"]),)
+        for r in records
+    ]
+    summary["boundary_volume"] = boundary.to_dict()
+    return summary, {"sweep": (columns, rows)}, gates
 
 
 _RUNNERS = {
@@ -803,59 +685,53 @@ _RUNNERS = {
     "laminate-sweep": _run_laminate_sweep,
     "spin-lemma-suite": _run_spin_lemma_suite,
     "rigidity-family": _run_rigidity_family,
-    "antiferro-sweep": _run_antiferro_sweep,
-    "lattice-sweep": _run_lattice_sweep,
+    "antiferro-sweep": _run_lattice,
+    "lattice-sweep": _run_lattice,
 }
 
 
-def run(source, force=False, workers=1, out_dir=None):
+def run(source, force=False, out_dir=None):
     """Execute a scenario config and write its artifacts.
 
     Returns the exit code: 0 all gates passed, 1 a quantitative gate
     failed, 2 incompatible mesh without --force, 3 surface-energy bound
-    violated, 4 invalid config or internal failure. workers caps
-    process-level parallelism; the current scenarios are vectorized
-    single-process, so it is accepted for interface stability.
+    violated, 4 invalid config or internal failure.
     """
-    problems = validate_config(source)
+    problems, cfg = _resolve(source)
     if problems:
-        for p in problems:
-            print(f"config error: {p}")
+        print("\n".join(f"config error: {p}" for p in problems))
         return EXIT_INTERNAL
-    cfg = load_config(source)
     scenario = cfg["scenario"]
-    out = Path(out_dir or cfg.get("out") or Path("runs") / scenario)
+    out = Path(out_dir or cfg["out"] or Path("runs") / scenario)
     try:
-        result = _RUNNERS[scenario](cfg, force)
+        summary, tables, gates = _RUNNERS[scenario](cfg, force)
+        code = EXIT_OK if all(g.passed for g in gates) else EXIT_GATE_FAILED
+    except IncompatibleMeshError as err:
+        rep, code, tables = err.args[0], EXIT_INCOMPATIBLE_MESH, {}
+        incompat = {"ok": False, "worst_alignment": rep.worst_alignment, "offenders": rep.offenders}
+        summary = {"incompatibility": incompat}
+        bound = f"<= 1 - delta0 = {1.0 - rep.delta0:.6g}; --force runs anyway"
+        gates = [Gate("incompatible_mesh", False, rep.worst_alignment, bound)]
+    except EnergyBoundError as err:
+        code, tables = EXIT_ENERGY_BOUND, {}
+        summary = {"energy_bound": {"m": err.m, "total": err.total, "allowed": err.allowed}}
+        measured = f"H_m = {err.total:.6g} at m = {err.m}"
+        gates = [Gate("energy_bound", False, measured, f"<= {err.allowed:.6g}")]
     except Exception as err:  # pragma: no cover - defensive
         out.mkdir(parents=True, exist_ok=True)
         (out / "digest.txt").write_text(f"INTERNAL ERROR: {err}\n", encoding="utf-8")
         return EXIT_INTERNAL
 
     out.mkdir(parents=True, exist_ok=True)
-    summary = dict(result.summary)
-    summary["scenario"] = scenario
-    summary["seed"] = cfg.get("seed", 0)
-    summary["exit_code"] = result.exit_code
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
-    for name, (header, rows) in result.tables.items():
+    verdicts = {}
+    for g in gates:
+        key = g.name.partition(".")[0]
+        verdicts[key] = verdicts.get(key, True) and g.passed
+    summary.update(scenario=scenario, seed=cfg["seed"], exit_code=code, gates=verdicts)
+    # numpy scalars and arrays all convert through tolist()
+    text = json.dumps(summary, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
+    for name, (header, rows) in tables.items():
         write_csv(out / "tables" / f"{name}.csv", header, rows)
-    (out / "digest.txt").write_text(
-        "\n".join(result.digest) + "\n", encoding="utf-8"
-    )
-    return result.exit_code
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    (out / "digest.txt").write_text("\n".join(g.line() for g in gates) + "\n", encoding="utf-8")
+    return code

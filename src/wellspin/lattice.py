@@ -308,7 +308,6 @@ def ground_state_deformation(system, l, value_shape, m, rotation=None, shift=Non
 class HamiltonianReport:
     total: float
     per_site: np.ndarray
-    base_sites: np.ndarray
     empty: bool = False
 
 
@@ -328,7 +327,6 @@ def evaluate_hamiltonian(x, system):
         return HamiltonianReport(
             total=0.0,
             per_site=np.zeros(0),
-            base_sites=np.zeros((0, system.dim), dtype=int),
             empty=True,
         )
     base_ranges = [np.arange(lo[a], hi[a]) for a in range(system.dim)]
@@ -343,7 +341,6 @@ def evaluate_hamiltonian(x, system):
     return HamiltonianReport(
         total=float(per_site.sum()),
         per_site=per_site,
-        base_sites=base_flat,
         empty=False,
     )
 

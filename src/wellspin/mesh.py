@@ -57,7 +57,6 @@ class AdmissibleRotation:
     rotation: np.ndarray
     angle: float
     margin: float
-    sufficient: bool | None = None  # margin > delta0, when delta0 was given
 
 
 def _batched_det(a):
@@ -430,7 +429,7 @@ def check_incompatibility(mesh, wells, delta0):
     )
 
 
-def find_admissible_rotation(wells, delta0=None, angle_grid_size=4096):
+def find_admissible_rotation(wells, angle_grid_size=4096):
     """Search lattice rotations (n = 2) maximizing the incompatibility
     margin min over (facet normal, twin normal) pairs of 1 - |b . b_twin|.
 
@@ -447,7 +446,6 @@ def find_admissible_rotation(wells, delta0=None, angle_grid_size=4096):
             rotation=np.eye(2),
             angle=0.0,
             margin=1.0,
-            sufficient=None if delta0 is None else True,
         )
     ref = kuhn_reference_normals(2)
 
@@ -477,5 +475,4 @@ def find_admissible_rotation(wells, delta0=None, angle_grid_size=4096):
         rotation=rotation_2d(phi_star),
         angle=float(phi_star),
         margin=float(margin),
-        sufficient=None if delta0 is None else bool(margin > delta0),
     )

@@ -39,7 +39,6 @@ class IncompatibleField:
     values: np.ndarray
     map_matrix: np.ndarray | None = None
     well: int | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -60,12 +59,6 @@ class CurlMeasure:
     per_facet: np.ndarray
     total: float
 
-    def total_in(self, centers, lo, hi):
-        """Mass carried by facets whose (unmapped) barycenter lies in the
-        box [lo, hi)."""
-        sel = np.all(centers >= lo, axis=1) & np.all(centers < hi, axis=1)
-        return float(self.per_facet[sel].sum())
-
 
 def _as_field(field_or_values, mesh=None):
     if isinstance(field_or_values, IncompatibleField):
@@ -74,7 +67,6 @@ def _as_field(field_or_values, mesh=None):
         return IncompatibleField(
             mesh=field_or_values.mesh,
             values=field_or_values.gradients,
-            provenance="gradient",
         )
     if mesh is None:
         raise RigidityError("raw value arrays need an explicit mesh")
@@ -152,7 +144,6 @@ def build_reduced_field(field, labeling, well_index, wells):
         values=values,
         map_matrix=uj,
         well=well_index,
-        provenance=f"reduced well {well_index}",
     )
 
 
@@ -307,11 +298,11 @@ def random_block_values(rng, n_blocks, angle_spread=0.6, defect=0.05):
     return rots @ (np.eye(2) + perturb)
 
 
-def field_from_blocks(mesh, block_values, provenance="block field"):
+def field_from_blocks(mesh, block_values):
     """Assign each cell the value of the block containing its barycenter."""
     n_blocks = block_values.shape[0]
     lo, hi = mesh.domain
     rel = (mesh.barycenters - lo) / (hi - lo)
     idx = np.clip((rel * n_blocks).astype(int), 0, n_blocks - 1)
     values = block_values[idx[:, 0], idx[:, 1]]
-    return IncompatibleField(mesh=mesh, values=values, provenance=provenance)
+    return IncompatibleField(mesh=mesh, values=values)

@@ -170,9 +170,6 @@ class CaccioppoliPartition:
     total_perimeter: float
     bad_volume: float
 
-    def components_of(self, well):
-        return [c for c in self.components if c.well == well]
-
     def macroscopic(self, min_volume):
         """Components with volume at least min_volume.
 

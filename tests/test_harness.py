@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellspin.harness import (
     EXIT_ENERGY_BOUND,
@@ -12,6 +14,8 @@ from wellspin.harness import (
     EXIT_INCOMPATIBLE_MESH,
     EXIT_INTERNAL,
     EXIT_OK,
+    SCENARIOS,
+    SCHEMA,
     ScalingReport,
     format_float,
     run,
@@ -20,7 +24,28 @@ from wellspin.harness import (
     write_csv,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+
+
+def schema_keys(table):
+    """Every key of a schema table, nested tables included."""
+    keys = set()
+    for key, spec in table.items():
+        keys.add(key)
+        if isinstance(spec, dict):
+            keys |= schema_keys(spec)
+    return keys
+
+
+ALL_KEYS = sorted(set().union(*(schema_keys(t) for t in SCHEMA.values())))
+# config keys: the schema's own, so that nested tables get walked, or typos
+KEYS = st.sampled_from(ALL_KEYS) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=20,
+)
 
 
 def small_wells():
@@ -68,6 +93,44 @@ class TestValidate:
 
     def test_minimal_valid(self):
         assert validate_config({"scenario": "antiferro-sweep", "seed": 7}) == []
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"scenario": "laminate-sweep", "wells": [1]}, "wells"),
+            ({"scenario": "antiferro-sweep", "lattice": [1]}, "lattice"),
+            ({"scenario": "wellset-analysis", "delta0": "x"}, "delta0"),
+            ({"scenario": "laminate-sweep", "m_lst": [8, 16, 32]}, "m_lst"),
+            ({"scenario": "laminate-sweep", "laminate": {"connection": 2}}, "laminate.connection"),
+            (
+                {"scenario": "spin-lemma-suite", "wells": {"wells": [[[1.0, 0.0], [0.0, np.nan]]]}},
+                "wells",
+            ),
+            ({"scenario": "rigidity-family", "c1": 1.0}, "c1"),
+        ],
+    )
+    def test_defect_reported_not_raised(self, cfg, key):
+        problems = validate_config(cfg)
+        assert problems and all(isinstance(p, str) for p in problems)
+        assert any(p.startswith(f"{key}:") for p in problems), problems
+
+    def test_not_a_json_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert validate_config(path)
+        assert validate_config(tmp_path / "missing.json")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SCENARIOS), st.dictionaries(KEYS, JSON_VALUES, max_size=6))
+    def test_fuzz_never_raises(self, scenario, body):
+        problems = validate_config({**body, "scenario": scenario})
+        assert isinstance(problems, list)
+        assert all(isinstance(p, str) for p in problems)
+
+    def test_schema_keys_documented(self):
+        doc = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+        missing = [key for key in ALL_KEYS if f"`{key}`" not in doc]
+        assert not missing
 
 
 class TestScalingReport:
@@ -146,6 +209,41 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["gates"]["single_component"]
         assert summary["gates"]["ground_residual_zero"]
+
+    def test_antiferro_scenario_runs_twin_system(self, tmp_path):
+        lattice = {"system": "synthetic-twin", "m_list": [8, 10, 12]}
+        codes = [
+            run({"scenario": scenario, "seed": 5, "lattice": lattice}, out_dir=tmp_path / d)
+            for scenario, d in (("antiferro-sweep", "a"), ("lattice-sweep", "b"))
+        ]
+        assert codes == [EXIT_OK, EXIT_OK]
+        sweep = [(tmp_path / d / "tables" / "sweep.csv").read_bytes() for d in "ab"]
+        assert sweep[0] == sweep[1]
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["gates"]["single_component"]
+
+    def test_laminate_connection_beyond_wells_0_1(self, tmp_path):
+        # twin 2 of this set joins wells 0 and 2; well 1 gets no cells
+        wells = small_wells()
+        wells["wells"].append([[1.0, 0.0], [0.0, 1.0]])
+        cfg = {
+            "scenario": "laminate-sweep",
+            "seed": 1,
+            "wells": wells,
+            "m_list": [8, 16, 32],
+            "laminate": {"connection": 2},
+        }
+        assert validate_config(cfg) == []
+        code = run(cfg, force=True, out_dir=tmp_path / "out")
+        assert code in (EXIT_OK, EXIT_GATE_FAILED)
+        header = (tmp_path / "out" / "tables" / "sweep.csv").read_text().splitlines()[0]
+        assert "perimeter_w0" in header and "perimeter_w2" in header
+        assert "perimeter_w1" not in header
+        digest = (tmp_path / "out" / "digest.txt").read_text().splitlines()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(digest) == 10
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in digest)
+        assert summary["exit_code"] == code
 
     def test_invalid_config_exit_code(self, tmp_path):
         assert run({"scenario": "nope"}, out_dir=tmp_path) == EXIT_INTERNAL
@@ -251,6 +349,27 @@ class TestCli:
         )
         assert main(["wellset-analysis", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "wellset-analysis" / "summary.json").exists()
+
+    def test_missing_config_exit_4(self, tmp_path, capsys):
+        from wellspin.cli import main
+
+        missing = str(tmp_path / "missing.json")
+        assert main(["laminate-sweep", "--config", missing]) == EXIT_INTERNAL
+        assert "config error:" in capsys.readouterr().out
+
+    def test_malformed_json_exit_4(self, tmp_path, capsys):
+        from wellspin.cli import main
+
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"scenario": "laminate-sweep",')
+        assert main(["laminate-sweep", "--config", str(cfg_path)]) == EXIT_INTERNAL
+        assert "config error:" in capsys.readouterr().out
+
+    def test_usage_error_exit_4(self):
+        from wellspin.cli import main
+
+        config = str(CONFIG_DIR / "antiferro.json")
+        assert main(["antiferro-sweep", "--config", config, "--workers", "2"]) == EXIT_INTERNAL
 
     def test_run_via_cli(self, tmp_path):
         from wellspin.cli import main
