@@ -327,6 +327,11 @@ def _resolve(source):
     cfg = _walk(SCHEMA[scenario], raw, "", problems)
     if not problems and "wells" in cfg:
         problems = _check_wells(raw, cfg)
+    # the schema fills in interfaces, so only the raw config tells whether
+    # one was given to a model that plants none
+    if not problems and "lattice" in cfg and cfg["lattice"]["system"] == "synthetic-twin":
+        if "interfaces" in (raw.get("lattice") or {}):
+            problems = ["lattice.interfaces: the synthetic-twin system plants no interfaces"]
     return problems, None if problems else cfg
 
 
@@ -397,7 +402,7 @@ def _run_laminate_sweep(cfg, force):
     vf, ripple = lam["volume_fraction"], lam["ripple"]
     rows, chebyshev = [], []
     for m in m_list:
-        mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
+        mesh = mesh0 if m == mesh0.m else build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
         fld = build_laminate(mesh, ws, conn, vf, period, offset=offset, ripple=ripple)
         rep = evaluate_energy(fld, ws, c1=c1)
         lab = classify(fld, ws)

@@ -7,6 +7,15 @@ The reference lattice may be rotated before clipping to the domain; cells
 that straddle the boundary are dropped, so the effective domain is the
 union of kept cells. Optional vertex jitter (interior vertices only)
 exercises non-uniform but still conforming meshes.
+
+Order contract (every CSV derived from a mesh depends on it): lattice cubes
+are visited in row-major index order (last axis fastest), and within each
+cube the n! simplices in itertools.permutations order of their step axes.
+Cells are numbered in that visit order, cube-major then by permutation.
+Vertices are numbered in the order of their first visit over all visits,
+including visits of cells later dropped by the clip, with unused vertices
+then removed. Facets are numbered in first-visit order over (cell, omitted
+vertex) pairs; facet_cells[:, 0] is the first cell to visit a facet.
 """
 
 from __future__ import annotations
@@ -123,8 +132,7 @@ class SimplicialMesh:
         self.vertices = vertices
         self.cells = cells
         self._compute_cell_geometry()
-        self._build_facets()
-        self._compute_facet_geometry()
+        self._compute_facet_geometry(self._build_facets())
         self._constants = None
 
     # -- construction helpers -------------------------------------------
@@ -139,30 +147,26 @@ class SimplicialMesh:
         self.barycenters = verts.mean(axis=1)
 
     def _build_facets(self):
+        """Facet arrays in first-visit order; returns the vertex opposite
+        each facet in its first cell."""
         n = self.dim
-        facet_map = {}
-        order = []
-        for ci, cell in enumerate(self.cells):
-            for omit in range(n + 1):
-                fverts = tuple(sorted(np.delete(cell, omit)))
-                if fverts in facet_map:
-                    facet_map[fverts].append(ci)
-                else:
-                    facet_map[fverts] = [ci]
-                    order.append(fverts)
-        fv = np.array(order, dtype=np.int64)
-        fc = np.full((len(order), 2), -1, dtype=np.int64)
-        for fi, key in enumerate(order):
-            owners = facet_map[key]
-            if len(owners) > 2:
-                raise MeshError("facet shared by more than two cells")
-            fc[fi, : len(owners)] = owners
-        self.facet_vertices = fv
+        visits, first, inverse, counts = _facet_visits(self.cells, len(self.vertices))
+        if np.any(counts > 2):
+            raise MeshError("facet shared by more than two cells")
+        fc = np.full((len(first), 2), -1, dtype=np.int64)
+        fc[:, 0] = first // (n + 1)
+        # with at most two visits per facet, a visit that is not its
+        # facet's first is the only second one
+        second = np.nonzero(first[inverse] != np.arange(len(visits)))[0]
+        fc[inverse[second], 1] = second // (n + 1)
+        self.facet_vertices = visits[first]
         self.facet_cells = fc
         self.interior = np.nonzero(fc[:, 1] >= 0)[0]
         self.boundary = np.nonzero(fc[:, 1] < 0)[0]
+        # visit c*(n+1) + omit leaves out vertex cells[c, omit]
+        return self.cells.reshape(-1)[first]
 
-    def _compute_facet_geometry(self):
+    def _compute_facet_geometry(self, opposite):
         n = self.dim
         pts = self.vertices[self.facet_vertices]  # (F, n, n)
         edges = pts[:, 1:, :] - pts[:, :1, :]  # (F, n-1, n)
@@ -173,15 +177,7 @@ class SimplicialMesh:
         tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
         # orient away from the opposite vertex of the first adjacent cell
         fbary = pts.mean(axis=1)
-        opp = np.empty((len(normals), n))
-        for fi in range(len(normals)):
-            cell = self.cells[self.facet_cells[fi, 0]]
-            fset = set(self.facet_vertices[fi].tolist())
-            for v in cell:
-                if int(v) not in fset:
-                    opp[fi] = self.vertices[v]
-                    break
-        flip = np.einsum("fi,fi->f", normals, fbary - opp) < 0
+        flip = np.einsum("fi,fi->f", normals, fbary - self.vertices[opposite]) < 0
         normals[flip] = -normals[flip]
         self.facet_normal = normals
         self.facet_tangent = tangents
@@ -209,11 +205,14 @@ class SimplicialMesh:
                 (verts[:, :, None, :] - verts[:, None, :, :]) ** 2
             ).sum(-1)
             diam = np.sqrt(d2.max(axis=(1, 2)))
-            surf = np.zeros(self.n_cells)
-            for fi in range(len(self.facet_area)):
-                surf[self.facet_cells[fi, 0]] += self.facet_area[fi]
-                if self.facet_cells[fi, 1] >= 0:
-                    surf[self.facet_cells[fi, 1]] += self.facet_area[fi]
+            # each cell's n+1 facet areas, added in increasing facet id as a
+            # loop over facets adds them, which fixes the rounding
+            owner = np.concatenate([self.facet_cells[:, 0], self.facet_cells[self.interior, 1]])
+            fid = np.concatenate([np.arange(len(self.facet_area)), self.interior])
+            areas = self.facet_area[fid[np.lexsort((fid, owner))]].reshape(self.n_cells, n + 1)
+            surf = areas[:, 0].copy()
+            for k in range(1, n + 1):
+                surf += areas[:, k]
             inradius = n * self.volumes / surf
             self._constants = MeshConstants(
                 vol_lower=float(self.volumes.min() * self.m**n),
@@ -329,42 +328,29 @@ def build_kuhn_mesh(
             f"estimated {est_cells} cells exceeds budget {max_cells}"
         )
 
-    perms = list(itertools.permutations(range(n)))
-    paths = []
-    for perm in perms:
-        steps = np.zeros((n + 1, n), dtype=int)
-        for k, axis in enumerate(perm):
-            steps[k + 1] = steps[k]
-            steps[k + 1, axis] += 1
-        paths.append(steps)
+    # a lattice point is one int64 in mixed radix over the keys lat_lo ..
+    # lat_hi, so a step from a cube's low corner adds a fixed code
+    size = lat_hi - lat_lo + 1
+    radix = np.array([np.prod(size[a + 1 :]) for a in range(n)], dtype=np.int64)
+    grids = np.meshgrid(*[np.arange(s - 1) for s in size], indexing="ij")
+    cube_codes = sum(g.reshape(-1) * r for g, r in zip(grids, radix))
+    perms = np.array(list(itertools.permutations(range(n))))
+    steps = np.cumsum(radix[perms], axis=1)  # along each permutation's path
+    path_codes = np.hstack([np.zeros((len(perms), 1), dtype=np.int64), steps])
+    visits = (cube_codes[:, None] + path_codes.reshape(-1)).reshape(-1)
 
-    vertex_ids = {}
-    coords = []
+    # vertices numbered by first visit, visits of clipped cells included
+    first, inverse, _ = _first_visit_groups(visits)
+    keys = visits[first][:, None] // radix % size + lat_lo
+    vertices = (rot[None] @ (keys / m)[:, :, None])[:, :, 0]
+    cells = inverse.reshape(-1, n + 1)
+
     tol = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
-
-    def vid(key):
-        out = vertex_ids.get(key)
-        if out is None:
-            out = len(coords)
-            vertex_ids[key] = out
-            coords.append(rot @ (np.array(key, dtype=float) / m))
-        return out
-
-    cells = []
-    ranges = [range(lat_lo[a], lat_hi[a]) for a in range(n)]
-    for cube in itertools.product(*ranges):
-        base = np.array(cube, dtype=int)
-        for steps in paths:
-            keys = [tuple(base + s) for s in steps]
-            pts = np.array([coords[vid(k)] for k in keys])
-            if np.all(pts >= lo - tol) and np.all(pts <= hi + tol):
-                cells.append([vertex_ids[k] for k in keys])
-
-    if not cells:
+    pts = vertices[cells]
+    cells = cells[np.all((pts >= lo - tol) & (pts <= hi + tol), axis=(1, 2))]
+    if not len(cells):
         raise MeshError("no cells inside the domain (domain too small for m)")
 
-    vertices = np.array(coords)
-    cells = np.array(cells, dtype=np.int64)
     used = np.unique(cells)
     remap = -np.ones(len(vertices), dtype=np.int64)
     remap[used] = np.arange(len(used))
@@ -374,26 +360,43 @@ def build_kuhn_mesh(
     if jitter > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        boundary_verts = _boundary_vertices(cells, n)
+        # boundary vertices lie on facets that only one cell visits
+        visits, first, _, counts = _facet_visits(cells, len(vertices))
         mask = np.ones(len(vertices), dtype=bool)
-        mask[list(boundary_verts)] = False
+        mask[visits[first[counts == 1]]] = False
         disp = rng.uniform(-jitter / m, jitter / m, size=vertices.shape)
         vertices = vertices + disp * mask[:, None]
 
     return SimplicialMesh(n, m, (lo, hi), rot, vertices, cells)
 
 
-def _boundary_vertices(cells, n):
-    counts = {}
-    for cell in cells:
-        for omit in range(n + 1):
-            key = tuple(sorted(np.delete(cell, omit)))
-            counts[key] = counts.get(key, 0) + 1
-    out = set()
-    for key, c in counts.items():
-        if c == 1:
-            out.update(key)
-    return out
+def _first_visit_groups(keys):
+    """Group equal int64 keys, numbering the groups in first-visit order:
+    (first visit of each group, group of each key, visits per group)."""
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)], counts[order]
+
+
+def _facet_visits(cells, n_vertices):
+    """Every (cell, omitted vertex) facet visit, grouped into facets.
+
+    Visit c*(n+1) + omit is cell c without its vertex omit; visits holds
+    each visit's vertex ids in increasing order. Facets are numbered in
+    first-visit order: first[f] is the first visit of facet f, inverse the
+    facet of each visit and counts[f] its number of visits.
+    """
+    k = cells.shape[1]
+    if n_vertices ** (k - 1) >= 2**63:
+        raise MeshResourceError(f"{n_vertices} vertices overflow the int64 facet keys")
+    keep = np.array([[j for j in range(k) if j != omit] for omit in range(k)])
+    visits = np.sort(cells[:, keep], axis=2).reshape(-1, k - 1)
+    keys = visits @ n_vertices ** np.arange(k - 2, -1, -1, dtype=np.int64)
+    return (visits, *_first_visit_groups(keys))
 
 
 def check_incompatibility(mesh, wells, delta0):

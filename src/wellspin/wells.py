@@ -523,10 +523,11 @@ def compute_dbar(
                 tau = np.array([-math.sin(phi), math.cos(phi)])
                 return float(np.linalg.norm(m @ tau))
 
-            # coarse grid, chunked over theta to bound memory
-            grid_best = math.inf
+            # coarse grid of squared values, chunked over theta to bound
+            # memory; the strict < keeps the first grid minimum
+            grid_best2 = math.inf
             grid_arg = (0.0, 0.0)
-            chunk = max(1, 4_000_000 // max(len(phis), 1))
+            chunk = max(1, 2**18 // max(len(phis), 1))
             for s in range(0, q_grid, chunk):
                 vals = (
                     g11[s : s + chunk, None] * sin2[None, :]
@@ -535,9 +536,10 @@ def compute_dbar(
                 )
                 flat = np.argmin(vals)
                 ci, pi = np.unravel_index(flat, vals.shape)
-                if vals[ci, pi] < grid_best**2:
-                    grid_best = float(math.sqrt(max(vals[ci, pi], 0.0)))
+                if vals[ci, pi] < grid_best2:
+                    grid_best2 = float(vals[ci, pi])
                     grid_arg = (float(thetas[s + ci]), float(phis[pi]))
+            grid_best = math.sqrt(max(grid_best2, 0.0))
 
             # alternate golden refinements in theta and phi, phi clamped to
             # its admissible interval

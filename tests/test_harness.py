@@ -114,6 +114,18 @@ class TestValidate:
         assert problems and all(isinstance(p, str) for p in problems)
         assert any(p.startswith(f"{key}:") for p in problems), problems
 
+    def test_interfaces_rejected_for_twin_system(self):
+        # the twin model plants no interfaces, so a given count would be ignored
+        for cfg in (
+            {"scenario": "lattice-sweep", "lattice": {"interfaces": 7}},
+            {"scenario": "antiferro-sweep", "lattice": {"system": "synthetic-twin", "interfaces": 3}},
+        ):
+            problems = validate_config(cfg)
+            assert any(p.startswith("lattice.interfaces:") for p in problems), problems
+        # the system decides, not the scenario name
+        antiferro = {"system": "antiferro-raw", "interfaces": 2, "m_list": [32, 64, 128]}
+        assert validate_config({"scenario": "lattice-sweep", "lattice": antiferro}) == []
+
     def test_not_a_json_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kuhn_reference import ReferenceMesh, reference_build_kuhn_mesh
 
 from wellspin.mesh import (
     MeshError,
     MeshResourceError,
+    SimplicialMesh,
+    _facet_visits,
     build_kuhn_mesh,
     check_incompatibility,
     find_admissible_rotation,
     kuhn_reference_normals,
 )
-from wellspin.wells import WellSet, rotation_2d, solve_all_connections
+from wellspin.wells import WellSet, random_rotation, rotation_2d, solve_all_connections
 
 U1 = np.diag([2.0, 0.5])
 U2 = np.diag([0.5, 2.0])
@@ -206,3 +211,101 @@ class TestAdmissibleRotation:
         res = find_admissible_rotation(ws)
         assert res.margin == 1.0
         assert np.allclose(res.rotation, np.eye(2))
+
+
+MESH_ARRAYS = (
+    "vertices",
+    "cells",
+    "volumes",
+    "barycenters",
+    "facet_vertices",
+    "facet_cells",
+    "facet_area",
+    "facet_normal",
+    "facet_tangent",
+    "interior",
+    "boundary",
+)
+
+
+@st.composite
+def mesh_inputs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 10 if n == 2 else 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["lattice_rotation"] = random_rotation(rng, n)
+    if draw(st.booleans()):
+        lo = rng.uniform(-1.0, 1.0, n)
+        kwargs["domain"] = (lo, lo + rng.uniform(0.3, 2.0 if n == 2 else 1.3, n))
+    if draw(st.booleans()):
+        kwargs["jitter"] = draw(st.floats(0.01, 0.2))
+    return n, m, seed, kwargs
+
+
+def build_both(n, m, seed, kwargs):
+    """(new mesh, reference mesh), each jittered from its own generator of
+    the same seed, or the MeshError messages if construction fails."""
+    out = []
+    for build in (build_kuhn_mesh, reference_build_kuhn_mesh):
+        try:
+            out.append(build(n, m, rng=np.random.default_rng(seed), **kwargs))
+        except MeshError as err:
+            out.append(str(err))
+    return out
+
+
+class TestReferenceOracle:
+    """The array builder against the loop builder it replaced, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh_inputs())
+    def test_byte_identical_to_loop_builder(self, inputs):
+        new, ref = build_both(*inputs)
+        if isinstance(ref, str):
+            assert new == ref
+            return
+        assert isinstance(ref, ReferenceMesh) and type(new) is SimplicialMesh
+        for name in MESH_ARRAYS:
+            a, b = getattr(new, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert new.constants == ref.constants
+        assert new.normal_directions().tobytes() == ref.normal_directions().tobytes()
+
+    @pytest.mark.parametrize(
+        "n, m, kwargs",
+        [
+            (2, 128, {"lattice_rotation": rotation_2d(0.3927)}),
+            (3, 4, {"jitter": 0.1, "domain": (np.zeros(3), np.array([2.0, 1.0, 0.5]))}),
+        ],
+    )
+    def test_byte_identical_fixed_cases(self, n, m, kwargs):
+        new, ref = build_both(n, m, 7, kwargs)
+        for name in MESH_ARRAYS:
+            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert new.constants == ref.constants
+
+    def test_resource_budget_matches(self):
+        for build in (build_kuhn_mesh, reference_build_kuhn_mesh):
+            with pytest.raises(MeshResourceError, match="exceeds budget 1000"):
+                build(3, 200, max_cells=1000)
+
+    def test_no_cells_inside_domain(self):
+        tiny = (np.zeros(2), np.full(2, 0.1))
+        for build in (build_kuhn_mesh, reference_build_kuhn_mesh):
+            with pytest.raises(MeshError, match="no cells inside the domain"):
+                build(2, 2, domain=tiny)
+
+    def test_facet_of_three_cells_rejected(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 2.0]])
+        cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+        for cls in (SimplicialMesh, ReferenceMesh):
+            with pytest.raises(MeshError, match="more than two cells"):
+                cls(2, 2, (np.zeros(2), np.ones(2)), np.eye(2), vertices, cells)
+
+    def test_facet_keys_overflow_rejected(self):
+        with pytest.raises(MeshResourceError, match="overflow"):
+            _facet_visits(np.arange(5)[None, :], 2**16)
