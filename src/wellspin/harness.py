@@ -14,6 +14,7 @@ import copy
 import json
 import math
 import os
+import traceback
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -46,7 +47,14 @@ from .rigidity import (
     fitted_rotation,
 )
 from .spin import classify, count_bad_cells, discrete_perimeter, extract_partition, verify_spin_lemma
-from .wells import WellSet, compute_dbar, random_rotation, rotation_2d, solve_all_connections
+from .wells import (
+    WellSet,
+    admissible_normal_intervals,
+    compute_dbar,
+    random_rotation,
+    rotation_2d,
+    solve_all_connections,
+)
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
@@ -295,21 +303,23 @@ def _well_set(cfg):
 
 
 def _check_wells(raw, cfg):
-    """Build the well set, so that a bad one fails validation and not a run;
-    laminate-sweep also needs its twin index in range."""
+    """Build the well set and solve its twins, so that a bad one fails
+    validation and not a run: delta0 must leave an admissible facet normal,
+    and laminate-sweep needs its twin index in range."""
     name = "wells" if cfg["wells_file"] is None else "wells_file"
     if name == "wells_file" and raw.get("wells") is not None:
         return ["wells: give either inline wells or wells_file, not both"]
-    laminate = cfg["scenario"] == "laminate-sweep"
     try:
         ws = _well_set(cfg)
-        if laminate:
-            solve_all_connections(ws)
+        if ws.dim != 2 or _FRACTION(ws.delta0):
+            return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"]
+        solve_all_connections(ws)
     except (OSError, ValueError, LookupError, TypeError) as err:
         return [f"{name}: {err}"]
-    if ws.dim != 2 or _FRACTION(ws.delta0):
-        return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"]
-    if laminate and cfg["laminate"]["connection"] >= len(ws.connections):
+    if not admissible_normal_intervals(ws.twin_normals(), ws.delta0):
+        bound = "|b . t| <= 1 - delta0 for every twin normal t"
+        return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
+    if cfg["scenario"] == "laminate-sweep" and cfg["laminate"]["connection"] >= len(ws.connections):
         return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"]
     return []
 
@@ -708,6 +718,7 @@ def run(source, force=False, out_dir=None):
         return EXIT_INTERNAL
     scenario = cfg["scenario"]
     out = Path(out_dir or cfg["out"] or Path("runs") / scenario)
+    failure = None
     try:
         summary, tables, gates = _RUNNERS[scenario](cfg, force)
         code = EXIT_OK if all(g.passed for g in gates) else EXIT_GATE_FAILED
@@ -722,12 +733,17 @@ def run(source, force=False, out_dir=None):
         summary = {"energy_bound": {"m": err.m, "total": err.total, "allowed": err.allowed}}
         measured = f"H_m = {err.total:.6g} at m = {err.m}"
         gates = [Gate("energy_bound", False, measured, f"<= {err.allowed:.6g}")]
-    except Exception as err:  # pragma: no cover - defensive
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "digest.txt").write_text(f"INTERNAL ERROR: {err}\n", encoding="utf-8")
-        return EXIT_INTERNAL
+    except Exception as err:  # any other failure is reported, with its traceback
+        code, tables, gates = EXIT_INTERNAL, {}, []
+        summary = {"error": f"{type(err).__name__}: {err}"}
+        failure = traceback.format_exc()
 
     out.mkdir(parents=True, exist_ok=True)
+    # out may be a user directory such as ".": delete only what a run writes
+    for name in ("summary.json", "digest.txt", "error.txt"):
+        (out / name).unlink(missing_ok=True)
+    for table in (out / "tables").glob("*.csv"):
+        table.unlink()
     verdicts = {}
     for g in gates:
         key = g.name.partition(".")[0]
@@ -738,5 +754,8 @@ def run(source, force=False, out_dir=None):
     (out / "summary.json").write_text(text + "\n", encoding="utf-8")
     for name, (header, rows) in tables.items():
         write_csv(out / "tables" / f"{name}.csv", header, rows)
-    (out / "digest.txt").write_text("\n".join(g.line() for g in gates) + "\n", encoding="utf-8")
+    if failure:
+        (out / "error.txt").write_text(failure, encoding="utf-8")
+    digest = [f"INTERNAL ERROR: {summary['error']}"] if failure else [g.line() for g in gates]
+    (out / "digest.txt").write_text("\n".join(digest) + "\n", encoding="utf-8")
     return code

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import UnionFind, golden_min
-from .wells import _procrustes_rotation_batch, dist_to_single_well, polar_rotation
+from .numerics import golden_min, label_components
+from .wells import _procrustes_rotation_batch, dist_to_single_well, polar_rotation, rotation_2d
 
 BAD_SITE = -1
 BOUNDARY_SITE = -2
@@ -373,26 +373,47 @@ class LatticeClassification:
     def label_perimeter(self, label):
         """Coarse interface measure of one label: axis-adjacent site pairs
         with exactly one side labeled `label`, weighted by m^-(n-1)."""
-        labs = self.labels
-        count = 0
-        for axis in range(self.dim):
-            a = labs[tuple(slice(0, -1) if ax == axis else slice(None) for ax in range(self.dim))]
-            b = labs[tuple(slice(1, None) if ax == axis else slice(None) for ax in range(self.dim))]
-            count += int(((a == label) ^ (b == label)).sum())
+        labs = self.labels.reshape(-1)
+        a, b = _axis_pairs(self.labels.shape)
+        count = int(((labs[a] == label) ^ (labs[b] == label)).sum())
         return count * float(self.m) ** (-(self.dim - 1))
 
     def adjacency_violations(self):
         """Pairs of directly adjacent sites carrying two different well
-        labels with no BAD or boundary site in between."""
-        labs = self.labels
-        out = []
-        for axis in range(self.dim):
-            a = labs[tuple(slice(0, -1) if ax == axis else slice(None) for ax in range(self.dim))]
-            b = labs[tuple(slice(1, None) if ax == axis else slice(None) for ax in range(self.dim))]
-            bad = (a >= 0) & (b >= 0) & (a != b)
-            for idx in np.argwhere(bad):
-                out.append((axis, tuple(idx), int(a[tuple(idx)]), int(b[tuple(idx)])))
-        return out
+        labels with no BAD or boundary site in between, as
+        (axis, site index, label, neighbour label)."""
+        shape = self.labels.shape
+        labs = self.labels.reshape(-1)
+        a, b = _axis_pairs(shape)
+        bad = (labs[a] >= 0) & (labs[b] >= 0) & (labs[a] != labs[b])
+        a, b = a[bad], b[bad]
+        sites = np.unravel_index(a, shape)
+        axes = (np.array(np.unravel_index(b, shape)) - sites).argmax(axis=0)
+        return [
+            (int(axis), site, int(labs[i]), int(labs[j]))
+            for axis, site, i, j in zip(axes, zip(*sites), a, b)
+        ]
+
+
+def _axis_pairs(shape):
+    """Flat C-order indices (a, b) of the axis-adjacent sites of a grid,
+    b one step past a along an axis; axis-major, C order within an axis."""
+    size = math.prod(shape)
+    counts = [size - size // s if s else 0 for s in shape]
+    a = np.empty(sum(counts), dtype=np.int64)
+    b = np.empty_like(a)
+    start = 0
+    for axis, (s, count) in enumerate(zip(shape, counts)):
+        if not count:
+            continue
+        step = math.prod(shape[axis + 1 :])
+        # broadcast over (index before the axis, position on it but the last, index after it)
+        heads = np.arange(0, size, s * step)[:, None, None]
+        along = np.arange(0, (s - 1) * step, step)[:, None]
+        a[start : start + count] = (heads + along + np.arange(step)).reshape(-1)
+        b[start : start + count] = a[start : start + count] + step
+        start += count
+    return a, b
 
 
 def _rotation_grid_match(patch, ground_patch, grid=1024):
@@ -402,13 +423,7 @@ def _rotation_grid_match(patch, ground_patch, grid=1024):
     golden-section to about 1e-6.
     """
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    c, s = np.cos(thetas), np.sin(thetas)
-    rots = np.empty((grid, 2, 2))
-    rots[:, 0, 0] = c
-    rots[:, 0, 1] = -s
-    rots[:, 1, 0] = s
-    rots[:, 1, 1] = c
-    diffs = patch[None] - rots[:, None] @ ground_patch[None]
+    diffs = patch[None] - rotation_2d(thetas)[:, None] @ ground_patch[None]
     vals = np.linalg.norm(diffs, axis=(-2, -1)).max(axis=1)
     k = int(np.argmin(vals))
     step = 2.0 * np.pi / grid
@@ -615,29 +630,6 @@ class LatticeComponent:
     residual: float | None
 
 
-def _lattice_components(classification):
-    labs = classification.labels
-    shape = labs.shape
-    flat = labs.reshape(-1)
-    uf = UnionFind(flat.size)
-    idx = np.arange(flat.size).reshape(shape)
-    for axis in range(labs.ndim):
-        a = idx[tuple(slice(0, -1) if ax == axis else slice(None) for ax in range(labs.ndim))]
-        b = idx[tuple(slice(1, None) if ax == axis else slice(None) for ax in range(labs.ndim))]
-        same = (flat[a.reshape(-1)] == flat[b.reshape(-1)]) & (flat[a.reshape(-1)] >= 0)
-        for i, j in zip(a.reshape(-1)[same], b.reshape(-1)[same]):
-            uf.union(int(i), int(j))
-    comps = {}
-    for i in range(flat.size):
-        if flat[i] < 0:
-            continue
-        comps.setdefault(uf.find(i), []).append(i)
-    return [
-        (int(flat[members[0]]), np.array(members, dtype=np.int64))
-        for members in comps.values()
-    ]
-
-
 def lattice_partition_diagnostics(
     deformations, system, energy_constant=None, threshold=None
 ):
@@ -657,7 +649,7 @@ def lattice_partition_diagnostics(
             raise EnergyBoundError(m, ham.total, energy_constant / m)
         cls = classify_lattice(x, system, threshold=threshold)
         comps = []
-        for label, members in _lattice_components(cls):
+        for label, members in label_components(cls.labels, *_axis_pairs(cls.labels.shape)):
             g = system.ground_states[label]
             avg, _ = averaged_gradient_field(x, system, label)
             coords = np.array(

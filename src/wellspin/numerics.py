@@ -1,5 +1,6 @@
 """Small shared numerical utilities: 1-D golden-section refinement,
-union-find for component labeling, and log-log slope fits."""
+connected-component labelling of labelled items, and log-log slope
+fits."""
 
 from __future__ import annotations
 
@@ -42,38 +43,46 @@ def golden_min(f, a, b, tol=1e-12, max_iter=200):
     return d, fd
 
 
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
+def label_components(labels, a, b):
+    """Connected components of the items whose label is >= 0.
 
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
+    Pair k joins items a[k] and b[k] when both carry the same label.
+    Returns [(label, members)]: members ascending, components ordered by
+    their smallest member.
+    """
+    labels = np.asarray(labels).reshape(-1)
+    root = _smallest_members(labels, np.asarray(a), np.asarray(b))
+    items = np.flatnonzero(labels >= 0)
+    if not items.size:
+        return []
+    root = root[items]
+    order = np.argsort(root, kind="stable")
+    items, root = items[order], root[order]
+    groups = np.split(items, np.flatnonzero(root[1:] != root[:-1]) + 1)
+    return [(int(labels[g[0]]), g) for g in groups]
 
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return ri
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        return ri
-
-    def groups(self):
-        """Map root id -> sorted array of member indices."""
-        roots = np.array([self.find(i) for i in range(len(self.parent))])
-        out = {}
-        for idx in np.argsort(roots, kind="stable"):
-            out.setdefault(int(roots[idx]), []).append(int(idx))
-        return {r: np.array(m, dtype=np.int64) for r, m in out.items()}
+def _smallest_members(labels, a, b):
+    """For every item, the smallest item of its component under the joining
+    pairs of label_components (a function of its own, so that its pair
+    arrays are freed before the grouping allocates)."""
+    joined = (labels[a] == labels[b]) & (labels[a] >= 0)
+    a, b = a[joined], b[joined]
+    # every item points at itself or at a smaller item of its component.
+    # A round hooks each root onto the smallest root it is paired with and
+    # jumps pointers until every item points at a root; rounds repeat until
+    # no pair joins two roots
+    root = np.arange(labels.size)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return root
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        del ra, rb  # keep the peak down while jumping
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def loglog_slope(x, y):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PWAffineField
-from .wells import dist_to_son_batch, polar_rotation
+from .wells import dist_to_son_batch, polar_rotation, rotation_2d
 
 
 class RigidityError(ValueError):
@@ -289,13 +289,7 @@ def random_block_values(rng, n_blocks, angle_spread=0.6, defect=0.05):
     perturb = perturb / np.maximum(scale, 1e-12) * rng.uniform(
         0.0, defect, (n_blocks, n_blocks, 1, 1)
     )
-    c, s = np.cos(thetas), np.sin(thetas)
-    rots = np.empty((n_blocks, n_blocks, 2, 2))
-    rots[..., 0, 0] = c
-    rots[..., 0, 1] = -s
-    rots[..., 1, 0] = s
-    rots[..., 1, 1] = c
-    return rots @ (np.eye(2) + perturb)
+    return rotation_2d(thetas) @ (np.eye(2) + perturb)
 
 
 def field_from_blocks(mesh, block_values):

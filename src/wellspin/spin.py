@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import UnionFind
+from .numerics import label_components
 from .wells import dist_to_single_well_batch, dist_to_wells_batch, polar_rotation
 
 BAD_LABEL = -1
@@ -197,24 +197,8 @@ def extract_partition(field, labeling, wells):
     nonpositive determinant are flagged degenerate and left unfitted.
     """
     mesh = labeling.mesh
-    labs = labeling.labels
-    uf = UnionFind(mesh.n_cells)
-    a = mesh.facet_cells[mesh.interior, 0]
-    b = mesh.facet_cells[mesh.interior, 1]
-    same = (labs[a] == labs[b]) & (labs[a] >= 0)
-    for i, j in zip(a[same], b[same]):
-        uf.union(int(i), int(j))
-
-    groups = {}
-    for cell in range(mesh.n_cells):
-        if labs[cell] < 0:
-            continue
-        groups.setdefault(uf.find(cell), []).append(cell)
-
     components = []
-    for cells in groups.values():
-        cells = np.array(cells, dtype=np.int64)
-        well = int(labs[cells[0]])
+    for well, cells in label_components(labeling.labels, *mesh.facet_cells[mesh.interior].T):
         vols = mesh.volumes[cells]
         volume = float(vols.sum())
         uinv = np.linalg.inv(wells.matrices[well])

@@ -28,9 +28,10 @@ class WellSetError(ValueError):
 
 
 def rotation_2d(theta):
-    """Counterclockwise rotation matrix for angle theta (radians)."""
+    """Counterclockwise rotation matrices for an angle or an array of
+    angles (radians), shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def random_rotation(rng, n):
@@ -492,11 +493,7 @@ def compute_dbar(
     if b_grid is None:
         b_grid = max(q_grid // 16, 512)
     thetas = np.linspace(0.0, 2.0 * np.pi, q_grid, endpoint=False)
-    rots = np.empty((q_grid, 2, 2))
-    rots[:, 0, 0] = np.cos(thetas)
-    rots[:, 0, 1] = -np.sin(thetas)
-    rots[:, 1, 0] = np.sin(thetas)
-    rots[:, 1, 1] = np.cos(thetas)
+    rots = rotation_2d(thetas)
 
     phis_parts = []
     total_len = sum(hi - lo for lo, hi in intervals)

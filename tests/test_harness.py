@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wellspin import harness
 from wellspin.harness import (
     EXIT_ENERGY_BOUND,
     EXIT_GATE_FAILED,
@@ -107,6 +108,11 @@ class TestValidate:
                 "wells",
             ),
             ({"scenario": "rigidity-family", "c1": 1.0}, "c1"),
+            # the twin normals of the default wells leave no admissible
+            # facet normal once delta0 exceeds 1 - 1/sqrt(2)
+            ({"scenario": "wellset-analysis", "wells": {"delta0": 0.9}}, "delta0"),
+            ({"scenario": "spin-lemma-suite", "delta0": 0.3}, "delta0"),
+            ({"scenario": "laminate-sweep", "wells": {"delta0": 0.5}}, "delta0"),
         ],
     )
     def test_defect_reported_not_raised(self, cfg, key):
@@ -295,6 +301,39 @@ class TestRun:
         assert code == EXIT_ENERGY_BOUND
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["energy_bound"]["total"] > summary["energy_bound"]["allowed"]
+
+    def test_internal_error_replaces_earlier_artifacts(self, tmp_path, monkeypatch):
+        cfg = {"scenario": "antiferro-sweep", "seed": 1, "lattice": {"m_list": [32, 64, 128]}}
+        (tmp_path / "notes.txt").write_text("kept")
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+
+        def broken(cfg, force):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(harness._RUNNERS, "antiferro-sweep", broken)
+        assert run(cfg, out_dir=tmp_path) == EXIT_INTERNAL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["exit_code"] == EXIT_INTERNAL
+        assert summary["error"] == "RuntimeError: boom"
+        assert (tmp_path / "digest.txt").read_text() == "INTERNAL ERROR: RuntimeError: boom\n"
+        trace = (tmp_path / "error.txt").read_text()
+        assert trace.startswith("Traceback") and "in broken" in trace
+        assert not list((tmp_path / "tables").glob("*.csv"))
+        monkeypatch.undo()
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert not (tmp_path / "error.txt").exists()
+        assert (tmp_path / "notes.txt").read_text() == "kept"
+
+    def test_energy_bound_drops_earlier_tables(self, tmp_path):
+        lattice = {"interfaces": 3, "m_list": [32, 64, 128]}
+        cfg = {"scenario": "antiferro-sweep", "seed": 1, "lattice": lattice}
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert (tmp_path / "tables" / "sweep.csv").exists()
+        lattice["energy_constant"] = 1e-6
+        assert run(cfg, out_dir=tmp_path) == EXIT_ENERGY_BOUND
+        assert not list((tmp_path / "tables").glob("*.csv"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["exit_code"] == EXIT_ENERGY_BOUND
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {
