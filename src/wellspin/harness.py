@@ -24,15 +24,24 @@ import numpy as np
 from .fields import PWAffineField, build_laminate, evaluate_energy, laminate_profile
 from .lattice import (
     EnergyBoundError,
+    LatticeError,
     antiferro_chain,
     antiferro_system,
     evaluate_hamiltonian,
     ground_state_deformation,
     lattice_partition_diagnostics,
+    slip_sites,
     synthetic_twin_system,
     verify_h2,
 )
-from .mesh import build_kuhn_mesh, check_incompatibility, find_admissible_rotation
+from .mesh import (
+    MAX_CELLS,
+    MeshError,
+    build_kuhn_mesh,
+    check_incompatibility,
+    find_admissible_rotation,
+    kuhn_cell_estimate,
+)
 from .numerics import loglog_slope
 from .rigidity import (
     IncompatibleField,
@@ -321,6 +330,59 @@ def _check_wells(raw, cfg):
         return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
     if cfg["scenario"] == "laminate-sweep" and cfg["laminate"]["connection"] >= len(ws.connections):
         return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"]
+    if cfg["scenario"] == "wellset-analysis":
+        return []
+    try:
+        rot = find_admissible_rotation(ws)
+    except MeshError as err:
+        return [f"{name}: {err}"]
+    return _check_mesh_budget(cfg, rot.rotation)
+
+
+def _check_mesh_budget(cfg, rotation=None):
+    """The first scale whose mesh, as build_kuhn_mesh estimates it, has
+    more cells than its budget."""
+    key = "m" if "m" in cfg else "m_list"
+    for m in [cfg[key]] if key == "m" else cfg[key]:
+        # past the budget m alone rules the mesh out (it has over m^2
+        # cells), and the float estimate would overflow for huge m
+        cells = None if m > MAX_CELLS else kuhn_cell_estimate(2, m, lattice_rotation=rotation)
+        if cells is None or cells > MAX_CELLS:
+            need = f"over {MAX_CELLS}" if cells is None else f"an estimated {cells}"
+            return [f"{key}: the mesh at m = {m} needs {need} cells, the budget is {MAX_CELLS}"]
+    return []
+
+
+def _lattice_scales(cfg):
+    """lattice.m_list, else the top-level m_list, else the system's default."""
+    lat = cfg["lattice"]
+    default = [8, 12, 16] if lat["system"] == "synthetic-twin" else [64, 256, 1024]
+    return lat["m_list"] or cfg["m_list"] or default
+
+
+def _interface_fractions(k):
+    """k antiphase boundaries evenly spaced along the chain."""
+    return [float(i + 1) / (k + 1) for i in range(k)]
+
+
+def _check_interfaces(raw, cfg):
+    """The twin system plants no interfaces; an antiferro chain needs its
+    interfaces on distinct sites at every scale."""
+    lat = cfg["lattice"]
+    if lat["system"] == "synthetic-twin":
+        # the schema fills in interfaces, so only the raw config tells
+        # whether one was given to a model that plants none
+        if "interfaces" in (raw.get("lattice") or {}):
+            return ["lattice.interfaces: the synthetic-twin system plants no interfaces"]
+        return []
+    k = lat["interfaces"]
+    for m in _lattice_scales(cfg):
+        if k > m:  # checked first: k may be too large to list
+            return [f"lattice.interfaces: at m = {m}, {k} interfaces cannot take distinct sites"]
+        try:
+            slip_sites(m, _interface_fractions(k))
+        except LatticeError as err:
+            return [f"lattice.interfaces: at m = {m}, {err}"]
     return []
 
 
@@ -337,11 +399,10 @@ def _resolve(source):
     cfg = _walk(SCHEMA[scenario], raw, "", problems)
     if not problems and "wells" in cfg:
         problems = _check_wells(raw, cfg)
-    # the schema fills in interfaces, so only the raw config tells whether
-    # one was given to a model that plants none
-    if not problems and "lattice" in cfg and cfg["lattice"]["system"] == "synthetic-twin":
-        if "interfaces" in (raw.get("lattice") or {}):
-            problems = ["lattice.interfaces: the synthetic-twin system plants no interfaces"]
+    if not problems and "lattice" in cfg:
+        problems = _check_interfaces(raw, cfg)
+    if not problems and scenario == "rigidity-family":
+        problems = _check_mesh_budget(cfg)
     return problems, None if problems else cfg
 
 
@@ -623,7 +684,7 @@ def _run_lattice(cfg, force):
     """antiferro-sweep and lattice-sweep: lattice.system picks the model."""
     lat = cfg["lattice"]
     twin = lat["system"] == "synthetic-twin"
-    m_list = lat["m_list"] or cfg["m_list"] or ([8, 12, 16] if twin else [64, 256, 1024])
+    m_list = _lattice_scales(cfg)
     energy_constant = lat["energy_constant"]
     if twin:
         system = synthetic_twin_system()
@@ -639,7 +700,7 @@ def _run_lattice(cfg, force):
         variant = lat["system"].replace("antiferro-", "")
         system = antiferro_system(variant)
         k = lat["interfaces"]
-        fracs = [float(i + 1) / (k + 1) for i in range(k)]
+        fracs = _interface_fractions(k)
         if energy_constant is None:
             energy_constant = 2.0 * k + 2.0
         components = k + 1
@@ -705,16 +766,58 @@ _RUNNERS = {
 }
 
 
+def _rejected_out(source, out_dir):
+    """Where a rejected config's run would have written, if that can be
+    told: out_dir, else the config's own out, else runs/<scenario>."""
+    if out_dir:
+        return Path(out_dir)
+    try:
+        raw = load_config(source)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(raw, dict):
+        return None
+    if isinstance(raw.get("out"), str):
+        return Path(raw["out"])
+    scenario = raw.get("scenario")
+    return Path("runs") / scenario if isinstance(scenario, str) and scenario in SCHEMA else None
+
+
+def _write_run(out, summary, tables, digest, failure=None):
+    """Replace a run's files in out: summary.json, digest.txt, error.txt
+    and tables/*.csv, and nothing else."""
+    out.mkdir(parents=True, exist_ok=True)
+    # out may be a user directory such as ".": delete only what a run writes
+    for name in ("summary.json", "digest.txt", "error.txt"):
+        (out / name).unlink(missing_ok=True)
+    for table in (out / "tables").glob("*.csv"):
+        table.unlink()
+    # numpy scalars and arrays all convert through tolist()
+    text = json.dumps(summary, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
+    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
+    for name, (header, rows) in tables.items():
+        write_csv(out / "tables" / f"{name}.csv", header, rows)
+    if failure:
+        (out / "error.txt").write_text(failure, encoding="utf-8")
+    (out / "digest.txt").write_text("\n".join(digest) + "\n", encoding="utf-8")
+
+
 def run(source, force=False, out_dir=None):
     """Execute a scenario config and write its artifacts.
 
     Returns the exit code: 0 all gates passed, 1 a quantitative gate
     failed, 2 incompatible mesh without --force, 3 surface-energy bound
-    violated, 4 invalid config or internal failure.
+    violated, 4 invalid config or internal failure. A rejected config
+    still replaces the files of an earlier run in its output directory,
+    when that is known, with a summary of the problems.
     """
     problems, cfg = _resolve(source)
     if problems:
         print("\n".join(f"config error: {p}" for p in problems))
+        out = _rejected_out(source, out_dir)
+        if out is not None:
+            summary = {"exit_code": EXIT_INTERNAL, "gates": {}, "problems": problems}
+            _write_run(out, summary, {}, [f"CONFIG ERROR: {p}" for p in problems])
         return EXIT_INTERNAL
     scenario = cfg["scenario"]
     out = Path(out_dir or cfg["out"] or Path("runs") / scenario)
@@ -738,24 +841,11 @@ def run(source, force=False, out_dir=None):
         summary = {"error": f"{type(err).__name__}: {err}"}
         failure = traceback.format_exc()
 
-    out.mkdir(parents=True, exist_ok=True)
-    # out may be a user directory such as ".": delete only what a run writes
-    for name in ("summary.json", "digest.txt", "error.txt"):
-        (out / name).unlink(missing_ok=True)
-    for table in (out / "tables").glob("*.csv"):
-        table.unlink()
     verdicts = {}
     for g in gates:
         key = g.name.partition(".")[0]
         verdicts[key] = verdicts.get(key, True) and g.passed
     summary.update(scenario=scenario, seed=cfg["seed"], exit_code=code, gates=verdicts)
-    # numpy scalars and arrays all convert through tolist()
-    text = json.dumps(summary, indent=2, sort_keys=True, default=lambda obj: obj.tolist())
-    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
-    for name, (header, rows) in tables.items():
-        write_csv(out / "tables" / f"{name}.csv", header, rows)
-    if failure:
-        (out / "error.txt").write_text(failure, encoding="utf-8")
     digest = [f"INTERNAL ERROR: {summary['error']}"] if failure else [g.line() for g in gates]
-    (out / "digest.txt").write_text("\n".join(digest) + "\n", encoding="utf-8")
+    _write_run(out, summary, tables, digest, failure)
     return code

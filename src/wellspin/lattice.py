@@ -9,6 +9,13 @@ phase/antiphase structure is represented. The rescaled energy weights
 every window by m^-n, and classification happens per coarse site by
 matching the local gradient patch against rotated ground patterns.
 
+In two dimensions the match is exact: the distance of a patch P to the
+rotated ground patch G is min over the angle of max over the entries k of
+|P_k - R G_k|. Each squared entry residual is a sinusoid in the angle,
+so the minimum of their maximum lies at some entry's own minimiser or
+where two entries cross; _rotation_match evaluates those closed-form
+candidate angles for all sites at once, in chunks of bounded size.
+
 The one-dimensional anti-ferromagnetic pair Hamiltonian is built in, in
 its raw form (gradients in {0, +-1}, non-invertible averages) and in a
 remapped form on the alphabet {1, 3/2, 2} whose averaged gradients are
@@ -24,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import golden_min, label_components
-from .wells import _procrustes_rotation_batch, dist_to_single_well, polar_rotation, rotation_2d
+from .numerics import label_components
+from .wells import _procrustes_rotation_batch, dist_to_single_well, polar_rotation
 
 BAD_SITE = -1
 BOUNDARY_SITE = -2
@@ -416,62 +423,106 @@ def _axis_pairs(shape):
     return a, b
 
 
-def _rotation_grid_match(patch, ground_patch, grid=1024):
-    """min over rotations of the sup-norm patch distance, for n = 2.
+# float64 elements in one candidate residual block of _rotation_match
+_MATCH_BLOCK = 2**18
 
-    Scans a uniform angle grid and polishes the best angle by
-    golden-section to about 1e-6.
+
+def _rotation_match(patches, gpatches):
+    """min over rotations R of max over k of |P_k - R G_k|_F, for n = 2.
+
+    patches and gpatches have shape (..., Q, 2, 2) and broadcast over the
+    leading axes; the result has the broadcast leading shape. With
+    M = P_k G_k^T, |P_k - R(t) G_k|^2 = A_k - 2 (alpha_k cos t + beta_k sin t)
+    for A_k = |P_k|^2 + |G_k|^2, alpha_k = M00 + M11, beta_k = M10 - M01.
+    The minimum of the maximum of these sinusoids lies at some entry's
+    minimiser atan2(beta_k, alpha_k) or at a crossing of two entries,
+    cos t da + sin t db = dA / 2, which has 0 or 2 roots. Every candidate
+    is evaluated with the direct residual, not the expanded form, which
+    cancels near zero. Sites are taken in chunks so that the residual
+    block, chunk * Q^2 candidates * Q entries * 4 values, stays within
+    _MATCH_BLOCK.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    diffs = patch[None] - rotation_2d(thetas)[:, None] @ ground_patch[None]
-    vals = np.linalg.norm(diffs, axis=(-2, -1)).max(axis=1)
-    k = int(np.argmin(vals))
-    step = 2.0 * np.pi / grid
-
-    def f(theta):
-        cc, ss = math.cos(theta), math.sin(theta)
-        rot = np.array([[cc, -ss], [ss, cc]])
-        return float(
-            np.linalg.norm(patch - rot @ ground_patch, axis=(-2, -1)).max()
-        )
-
-    _, best = golden_min(f, thetas[k] - step, thetas[k] + step, tol=1e-6)
-    return min(best, float(vals[k]))
+    patches = np.asarray(patches, dtype=float)
+    gpatches = np.asarray(gpatches, dtype=float)
+    lead = np.broadcast_shapes(patches.shape[:-3], gpatches.shape[:-3])
+    shape = lead or (1,)
+    q = patches.shape[-3]
+    p_all = np.broadcast_to(patches, shape + patches.shape[-3:])
+    g_all = np.broadcast_to(gpatches, shape + gpatches.shape[-3:])
+    j, k = np.triu_indices(q, 1)
+    out = np.empty(math.prod(lead))
+    chunk = max(1, _MATCH_BLOCK // (4 * q**3))
+    for start in range(0, out.size, chunk):
+        stop = min(start + chunk, out.size)
+        idx = np.unravel_index(np.arange(start, stop), shape)
+        p, g = p_all[idx], g_all[idx]  # (s, Q, 2, 2)
+        mm = p @ np.swapaxes(g, -1, -2)
+        alpha = mm[..., 0, 0] + mm[..., 1, 1]
+        beta = mm[..., 1, 0] - mm[..., 0, 1]
+        half = 0.5 * ((p**2).sum(axis=(-2, -1)) + (g**2).sum(axis=(-2, -1)))
+        da, db, dh = alpha[:, j] - alpha[:, k], beta[:, j] - beta[:, k], half[:, j] - half[:, k]
+        r = np.hypot(da, db)
+        crosses = (r > 0.0) & (np.abs(dh) <= r)
+        phi = np.arctan2(db, da)
+        spread = np.arccos(np.clip(dh / np.where(crosses, r, 1.0), -1.0, 1.0))
+        thetas = np.concatenate([np.arctan2(beta, alpha), phi - spread, phi + spread], axis=1)
+        live = np.concatenate([np.ones(alpha.shape, bool), crosses, crosses], axis=1)
+        # R(t) G = cos t G + sin t J G, J the quarter turn; entries flattened
+        # to 4 values, the residual block has shape (s, Q^2, Q, 4)
+        turned = np.stack([-g[..., 1, :], g[..., 0, :]], axis=-2)
+        resid = np.cos(thetas)[..., None, None] * g.reshape(-1, 1, q, 4)
+        resid += np.sin(thetas)[..., None, None] * turned.reshape(-1, 1, q, 4)
+        np.subtract(p.reshape(-1, 1, q, 4), resid, out=resid)
+        worst2 = np.einsum("...i,...i->...", resid, resid).max(axis=-1)  # (s, Q^2)
+        out[start:stop] = np.sqrt(np.where(live, worst2, np.inf).min(axis=1))
+    return out.reshape(lead)
 
 
 def classify_lattice(x, system, threshold=None):
     """Label every coarse site by the matching ground state within the
     comparison window, BAD when no rotation of any pattern fits, or
-    BOUNDARY when the window leaves the domain."""
+    BOUNDARY when the window leaves the domain.
+
+    A site's distance to ground state l is the largest entry distance over
+    the window at the site, minimised over rotations in two dimensions; a
+    site takes the first nearest state when that distance is at most the
+    threshold.
+    """
     if threshold is None:
         threshold = system.separation_d / 100.0
     grad = x.gradient()
-    gshape = np.array(grad.shape[: system.dim])
+    gshape = grad.shape[: system.dim]
     offsets = system.q0_offsets
-    labels = np.full(tuple(gshape), BOUNDARY_SITE, dtype=np.int64)
-    hi = gshape - offsets.max(axis=0)
-    if np.all(hi > 0):
-        base_ranges = [np.arange(0, hi[a]) for a in range(system.dim)]
-        base = np.stack(np.meshgrid(*base_ranges, indexing="ij"), axis=-1)
-        base_flat = base.reshape(-1, system.dim)
-        patches = np.stack(
-            [grad[tuple((base_flat + off).T)] for off in offsets], axis=1
-        )  # (sites, Q, n, n)
-        dists = np.empty((len(base_flat), len(system.ground_states)))
+    labels = np.full(gshape, BOUNDARY_SITE, dtype=np.int64)
+    hi = tuple(int(h) for h in np.array(gshape) - offsets.max(axis=0))
+    if min(hi) > 0:
+
+        def window(values, off):
+            return values[tuple(slice(o, o + h) for o, h in zip(off, hi))]
+
+        sites = np.moveaxis(np.indices(gshape), 0, -1)
+        if system.dim > 1:
+            patches = np.stack([window(grad, off) for off in offsets], axis=-3)
+        # the labels of the sites with a full window, a view written in place
+        nearest = labels[tuple(slice(0, h) for h in hi)]
+        nearest[...] = 0
+        best = np.full(hi, np.inf)
         for l, g in enumerate(system.ground_states):
-            gpatches = np.stack(
-                [g.gradient_at(base_flat + off) for off in offsets], axis=1
-            )
             if system.dim == 1:
-                diffs = np.abs(patches[..., 0, 0] - gpatches[..., 0, 0])
-                dists[:, l] = diffs.max(axis=-1)
+                # one entry distance per site, then its sliding max
+                err = g.gradient_at(sites)[..., 0, 0]
+                np.abs(np.subtract(grad[..., 0, 0], err, out=err), out=err)
+                dist = np.zeros(hi)
+                for off in offsets:
+                    np.maximum(dist, window(err, off), out=dist)
+                del err
             else:
-                for i in range(len(base_flat)):
-                    dists[i, l] = _rotation_grid_match(patches[i], gpatches[i])
-        nearest = np.argmin(dists, axis=1)
-        best = dists[np.arange(len(base_flat)), nearest]
-        site_labels = np.where(best <= threshold, nearest, BAD_SITE)
-        labels[tuple(base_flat.T)] = site_labels
+                pattern = g.gradient_at(sites)
+                gpatches = np.stack([window(pattern, off) for off in offsets], axis=-3)
+                dist = _rotation_match(patches, gpatches)
+            nearest[dist < best] = l
+            np.minimum(best, dist, out=best)
+        nearest[~(best <= threshold)] = BAD_SITE  # NaN distances too
     return LatticeClassification(
         labels=labels, threshold=float(threshold), m=x.m, dim=system.dim
     )
@@ -541,11 +592,7 @@ def verify_h2(system, sample_budget=500_000, rng=None, sampler=None):
         ).max(axis=-1)
         kappas = diffs.min(axis=1)
     else:
-        kappas = np.empty(len(windows))
-        for i, w in enumerate(windows):
-            kappas[i] = min(
-                _rotation_grid_match(w, gp) for gp in bank
-            )
+        kappas = _rotation_match(windows[:, None], bank[None]).min(axis=1)
 
     # local energy: sum of density over every interaction window inside
     inner = []
@@ -799,26 +846,45 @@ def antiferro_system(variant="raw"):
     raise LatticeError(f"unknown antiferro variant {variant!r}")
 
 
+def slip_sites(length, interfaces):
+    """Sorted chain sites of fractional interface positions.
+
+    A position f lands on site round(f * length); the sites must be
+    distinct and inside [0, length), else LatticeError names the ones
+    that are not.
+    """
+    sites = sorted(int(round(f * length)) for f in interfaces)
+    repeated = sorted({a for a, b in zip(sites, sites[1:]) if a == b})
+    outside = sorted({a for a in sites if not 0 <= a < length})
+    if repeated or outside:
+        found = [f"repeated {repeated}"] if repeated else []
+        found += [f"outside {outside}"] if outside else []
+        raise LatticeError(
+            f"interface sites {sites} on a chain of {length} sites must be "
+            f"distinct and in [0, {length}): " + ", ".join(found)
+        )
+    return sites
+
+
 def alternating_chain(system, length, interfaces=()):
     """Gradient chain in the first ground state with optional phase slips.
 
-    interfaces lists fractional positions in (0, 1); at each one a single
-    gradient is repeated, which flips the parity (an antiphase boundary)
-    and costs one defect window of energy.
+    interfaces lists fractional positions in (0, 1), each on its own site
+    (see slip_sites); at each one the previous gradient is repeated (the
+    first site repeats the pattern at site 0), which flips the parity (an
+    antiphase boundary) and costs one defect window of energy.
     """
     g0 = system.ground_states[0]
-    positions = sorted(int(round(f * length)) for f in interfaces)
-    grads = []
-    parity = 0
-    next_pos = list(positions)
-    for i in range(length):
-        if next_pos and i == next_pos[0]:
-            grads.append(grads[-1] if grads else float(g0.gradient_at([0])[0, 0]))
-            next_pos.pop(0)
-            parity ^= 1
-            continue
-        grads.append(float(g0.gradient_at([i + parity])[0, 0]))
-    return LatticeDeformation.from_gradient_sequence(grads, m=1)
+    slip = np.zeros(length, dtype=bool)
+    slip[slip_sites(length, interfaces)] = True
+    index = np.arange(length)
+    # parity: the number of slips before a site, mod 2
+    parity = (np.cumsum(slip) - slip) % 2
+    pattern = g0.gradient_at((index + parity)[:, None])[:, 0, 0]
+    # a slip copies the last site before it that is no slip; a leading run
+    # of slips copies site 0, where the parity is still 0
+    last = np.maximum.accumulate(np.where(slip, -1, index))
+    return LatticeDeformation.from_gradient_sequence(pattern[np.maximum(last, 0)], m=1)
 
 
 def antiferro_chain(system, m, domain_length=1.0, interfaces=()):

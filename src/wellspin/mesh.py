@@ -282,6 +282,29 @@ class SimplicialMesh:
             fh.write(self.cells.astype("<i8").tobytes())
 
 
+# default cell budget of build_kuhn_mesh
+MAX_CELLS = 4_000_000
+
+
+def _lattice_box(m, lo, hi, rot):
+    """Integer lattice box around the domain box in rotated lattice
+    coordinates at scale m, one cube wider on every side, and the cell
+    count of its Kuhn cubes."""
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    lat_corners = corners @ rot * m  # R^T c * m, rowwise
+    lat_lo = np.floor(lat_corners.min(axis=0)).astype(int) - 1
+    lat_hi = np.ceil(lat_corners.max(axis=0)).astype(int) + 1
+    cells = math.prod(int(s) for s in lat_hi - lat_lo) * math.factorial(len(lo))
+    return lat_lo, lat_hi, cells
+
+
+def kuhn_cell_estimate(n, m, lattice_rotation=None):
+    """The cell estimate that build_kuhn_mesh checks against its budget,
+    for the unit box."""
+    rot = np.eye(n) if lattice_rotation is None else np.asarray(lattice_rotation, dtype=float)
+    return _lattice_box(m, np.zeros(n), np.ones(n), rot)[2]
+
+
 def build_kuhn_mesh(
     n,
     m,
@@ -289,7 +312,7 @@ def build_kuhn_mesh(
     lattice_rotation=None,
     jitter=0.0,
     rng=None,
-    max_cells=4_000_000,
+    max_cells=MAX_CELLS,
 ):
     """Build the Kuhn mesh of a box at scale 1/m.
 
@@ -316,13 +339,7 @@ def build_kuhn_mesh(
     if jitter < 0 or jitter > 0.2:
         raise MeshError("jitter must lie in [0, 0.2] (units of 1/m)")
 
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
-    lat_corners = corners @ rot * m  # R^T c * m, rowwise
-    lat_lo = np.floor(lat_corners.min(axis=0)).astype(int) - 1
-    lat_hi = np.ceil(lat_corners.max(axis=0)).astype(int) + 1
-
-    n_cubes = int(np.prod(lat_hi - lat_lo))
-    est_cells = n_cubes * math.factorial(n)
+    lat_lo, lat_hi, est_cells = _lattice_box(m, lo, hi, rot)
     if est_cells > max_cells:
         raise MeshResourceError(
             f"estimated {est_cells} cells exceeds budget {max_cells}"

@@ -1,6 +1,9 @@
 """Tests for the experiment harness: configs, scenarios, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +134,47 @@ class TestValidate:
         # the system decides, not the scenario name
         antiferro = {"system": "antiferro-raw", "interfaces": 2, "m_list": [32, 64, 128]}
         assert validate_config({"scenario": "lattice-sweep", "lattice": antiferro}) == []
+
+    def test_interfaces_on_shared_sites_rejected(self):
+        # at m = 3 the 3 interfaces round to sites 1, 2, 2
+        cfg = {"scenario": "antiferro-sweep", "lattice": {"interfaces": 3, "m_list": [3, 8, 16]}}
+        problems = validate_config(cfg)
+        assert len(problems) == 1
+        assert problems[0].startswith("lattice.interfaces: at m = 3,")
+        assert "repeated [2]" in problems[0]
+        cfg["lattice"]["m_list"] = [4, 8, 16]
+        assert validate_config(cfg) == []
+        # 7 interfaces at m = 4 land on sites 0, 1, 2, 2, 2, 3, 4
+        cfg["lattice"]["interfaces"] = 7
+        problems = validate_config(cfg)
+        assert len(problems) == 1 and problems[0].startswith("lattice.interfaces: at m = 4,")
+        cfg["lattice"]["interfaces"] = 10**12
+        assert validate_config(cfg)[0].startswith("lattice.interfaces: at m = 4,")
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"scenario": "laminate-sweep", "m_list": [8, 16, 100000]}, "m_list"),
+            ({"scenario": "laminate-sweep", "m_list": [8, 16, 10**400]}, "m_list"),
+            ({"scenario": "rigidity-family", "m_list": [16, 1500]}, "m_list"),
+            ({"scenario": "spin-lemma-suite", "m": 2000}, "m"),
+        ],
+    )
+    def test_mesh_budget(self, cfg, key):
+        problems = validate_config(cfg)
+        assert len(problems) == 1 and problems[0].startswith(f"{key}: the mesh at m = ")
+        assert problems[0].endswith("the budget is 4000000")
+
+    def test_mesh_budget_uses_build_estimate(self):
+        from wellspin.mesh import MAX_CELLS, MeshResourceError, build_kuhn_mesh, kuhn_cell_estimate
+
+        # rigidity-family meshes are unrotated: the largest m that fits
+        m = 1412
+        assert kuhn_cell_estimate(2, m) <= MAX_CELLS < kuhn_cell_estimate(2, m + 1)
+        assert validate_config({"scenario": "rigidity-family", "m_list": [m]}) == []
+        assert validate_config({"scenario": "rigidity-family", "m_list": [m + 1]})
+        with pytest.raises(MeshResourceError, match=str(kuhn_cell_estimate(2, m + 1))):
+            build_kuhn_mesh(2, m + 1)
 
     def test_not_a_json_object(self, tmp_path):
         path = tmp_path / "list.json"
@@ -335,6 +379,22 @@ class TestRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["exit_code"] == EXIT_ENERGY_BOUND
 
+    def test_rejected_config_replaces_earlier_artifacts(self, tmp_path):
+        cfg = {"scenario": "antiferro-sweep", "seed": 1, "lattice": {"m_list": [32, 64, 128]}}
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert (tmp_path / "tables" / "sweep.csv").exists()
+        assert run({**cfg, "m_lst": [8, 16, 32]}, out_dir=tmp_path) == EXIT_INTERNAL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == {"exit_code": EXIT_INTERNAL, "gates": {}, "problems": ["m_lst: unknown key"]}
+        assert (tmp_path / "digest.txt").read_text() == "CONFIG ERROR: m_lst: unknown key\n"
+        assert not list((tmp_path / "tables").glob("*.csv"))
+        # the config's own out is used when no directory is passed
+        assert run({"scenario": "nope", "out": str(tmp_path / "own")}) == EXIT_INTERNAL
+        own = json.loads((tmp_path / "own" / "summary.json").read_text())
+        assert own["exit_code"] == EXIT_INTERNAL
+        # an unreadable config names no directory, so nothing is written
+        assert run(tmp_path / "missing.json") == EXIT_INTERNAL
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {
             "scenario": "rigidity-family",
@@ -440,3 +500,42 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "o" / "summary.json").exists()
+
+
+class TestCliExitCodes:
+    """The exit-code contract of `python -m wellspin.cli`, one process per code."""
+
+    CASES = {
+        EXIT_OK: {"scenario": "antiferro-sweep", "lattice": {"interfaces": 1, "m_list": [32, 64, 128]}},
+        EXIT_GATE_FAILED: {
+            "scenario": "laminate-sweep",
+            "m_list": [8, 16, 32],
+            "slope_tolerance": 1e-9,
+        },
+        # delta0 = 0.09 exceeds the best margin of the canonical pair
+        EXIT_INCOMPATIBLE_MESH: {
+            "scenario": "laminate-sweep",
+            "wells": {**small_wells(), "delta0": 0.09},
+            "m_list": [8, 16, 32],
+        },
+        EXIT_ENERGY_BOUND: {
+            "scenario": "antiferro-sweep",
+            "lattice": {"interfaces": 3, "m_list": [32, 64, 128], "energy_constant": 1e-9},
+        },
+        EXIT_INTERNAL: {"scenario": "antiferro-sweep", "m_lst": [32, 64, 128]},
+    }
+
+    @pytest.mark.parametrize("code", sorted(CASES))
+    def test_exit_code(self, tmp_path, code):
+        cfg = {"seed": 3, **self.CASES[code]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "wellspin.cli", cfg["scenario"], "--config", str(path)]
+        proc = subprocess.run(
+            argv + ["--out", str(tmp_path / "out")], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stdout + proc.stderr
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["exit_code"] == code

@@ -1,5 +1,7 @@
 """Tests for lattice Hamiltonians, classification and sweep diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,20 @@ class TestClassify:
         assert interior.size > 0
         assert set(np.unique(interior)) == {0}
         assert cls.count(BAD_SITE) == 0
+
+    def test_peak_memory_bounded(self, raw, twin2d):
+        # the chain takes a sliding max, the twin match goes in fixed chunks
+        chain = antiferro_chain(raw, m=2**18, interfaces=(0.25, 0.5, 0.75))
+        twin = ground_state_deformation(twin2d, 0, (65, 65), m=64, rotation=rotation_2d(0.7))
+        for x, system, limit in ((chain, raw, 20e6), (twin, twin2d, 32e6)):
+            x.gradient()
+            tracemalloc.start()
+            try:
+                classify_lattice(x, system)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit
 
 
 class TestH2:

@@ -1,0 +1,207 @@
+"""The exact rotation match and the array chain builder against the
+per-site code they replaced (tests/lattice_reference.py)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lattice_reference as ref
+from wellspin import lattice
+from wellspin.lattice import (
+    LatticeDeformation,
+    LatticeError,
+    _ground_patch_bank,
+    _rotation_match,
+    alternating_chain,
+    antiferro_system,
+    classify_lattice,
+    ground_state_deformation,
+    synthetic_twin_system,
+    verify_h2,
+)
+from wellspin.wells import rotation_2d
+
+SCAN = rotation_2d(np.linspace(0.0, 2.0 * np.pi, 2**16, endpoint=False))
+KINDS = ("random", "near-rotated", "repeated", "zero", "reflected")
+
+
+def make_pair(kind, q, seed):
+    """A patch and a ground patch of q entries, shape (q, 2, 2)."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(q, 2, 2))
+    p = rng.normal(size=(q, 2, 2))
+    if kind == "near-rotated":
+        p = rotation_2d(rng.uniform(0.0, 2.0 * np.pi)) @ g + 1e-9 * rng.normal(size=(q, 2, 2))
+    elif kind == "repeated":
+        g[1:] = g[0]
+        p[1:] = p[0]
+    elif kind == "zero":
+        (p if seed % 2 else g)[:] = 0.0
+    elif kind == "reflected":
+        # mirrored ground entries: det < 0 against det > 0, no rotation fits
+        g[..., 1, :] *= np.sign(np.linalg.det(g))[:, None]
+        p = g * np.array([-1.0, 1.0])
+    return p, g
+
+
+def dense_scan(p, g):
+    """max over entries, min over 2^16 equally spaced angles."""
+    resid = p[None] - SCAN[:, None] @ g[None]
+    return float(np.linalg.norm(resid, axis=(-2, -1)).max(axis=1).min())
+
+
+class TestRotationMatch:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_exact_below_oracle_and_scan(self, kind, q, seed):
+        p, g = make_pair(kind, q, seed)
+        exact = float(_rotation_match(p, g))
+        scan = dense_scan(p, g)
+        assert exact <= ref._rotation_grid_match(p, g) + 1e-12
+        assert exact <= scan + 1e-12
+        # the scan is within half a grid step of the optimum, and a residual
+        # moves by at most |G_k| per radian
+        step = 2.0 * np.pi / 2**16
+        lipschitz = np.linalg.norm(g, axis=(-2, -1)).max()
+        assert scan - exact <= 0.5 * step * lipschitz + 1e-12
+
+    def test_rotated_ground_patch_is_zero(self):
+        p, g = make_pair("random", 9, 5)
+        exact = _rotation_match(rotation_2d(1.234) @ g, g)
+        assert exact <= 1e-14
+        # the old grid-and-polish value stops at its angle tolerance
+        assert ref._rotation_grid_match(rotation_2d(1.234) @ g, g) > exact
+
+    def test_zero_inputs(self):
+        zero = np.zeros((4, 2, 2))
+        assert _rotation_match(zero, zero) == 0.0
+        p, _ = make_pair("random", 4, 1)
+        # nothing to rotate: the largest entry norm of the patch
+        assert _rotation_match(p, zero) == np.linalg.norm(p, axis=(-2, -1)).max()
+
+    def test_batch_beyond_one_chunk_matches_single_calls(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n, q = 300, 9
+        assert n > lattice._MATCH_BLOCK // (4 * q**3)
+        pairs = [make_pair(KINDS[i % len(KINDS)], q, int(rng.integers(2**32))) for i in range(n)]
+        p = np.array([a for a, _ in pairs])
+        g = np.array([b for _, b in pairs])
+        batch = _rotation_match(p, g)
+        assert batch.shape == (n,)
+        single = np.array([_rotation_match(a, b) for a, b in pairs])
+        np.testing.assert_allclose(batch, single, rtol=0.0, atol=1e-14)
+        # chunk boundaries do not change a site's value
+        monkeypatch.setattr(lattice, "_MATCH_BLOCK", 3 * 4 * q**3)
+        assert np.array_equal(_rotation_match(p, g), batch)
+        for i in range(0, n, 37):
+            assert batch[i] <= ref._rotation_grid_match(p[i], g[i]) + 1e-12
+
+    def test_broadcast_over_leading_axes(self):
+        rng = np.random.default_rng(3)
+        windows = rng.normal(size=(5, 6, 2, 2))
+        bank = rng.normal(size=(3, 6, 2, 2))
+        table = _rotation_match(windows[:, None], bank[None])
+        assert table.shape == (5, 3)
+        for i in range(5):
+            for b in range(3):
+                assert table[i, b] == _rotation_match(windows[i], bank[b])
+
+
+class TestClassifyLabels:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["raw", "remapped"]),
+        st.integers(1, 80),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.6),
+    )
+    def test_chain_labels_match_stacks(self, variant, length, seed, flips):
+        system = antiferro_system(variant)
+        rng = np.random.default_rng(seed)
+        grads = system.ground_states[0].gradient_at(np.arange(length)[:, None])[:, 0, 0]
+        # flip some sites to random letters, off by a little or by a letter
+        flip = rng.random(length) < flips
+        grads = np.where(flip, rng.choice(system.alphabet, length), grads)
+        grads = grads + np.where(rng.random(length) < 0.2, rng.normal(0.0, 0.02, length), 0.0)
+        x = LatticeDeformation.from_gradient_sequence(grads, m=length)
+        labels = classify_lattice(x, system).labels
+        assert labels.tobytes() == ref.classify_labels(x, system).tobytes()
+
+    @pytest.mark.parametrize("state, angle", [(0, 0.4), (3, 2.9), (1, 5.0)])
+    def test_twin_labels_match_grid_match(self, state, angle):
+        twin = synthetic_twin_system()
+        x = ground_state_deformation(twin, state, (9, 9), m=8, rotation=rotation_2d(angle))
+        rng = np.random.default_rng(state)
+        # small noise everywhere and a defect in one corner
+        values = x.values + 2e-4 * rng.normal(size=x.values.shape)
+        values[:3, :3] += 0.05 * rng.normal(size=(3, 3, 2))
+        x = LatticeDeformation(values, 8)
+        labels = classify_lattice(x, twin).labels
+        assert labels.tobytes() == ref.classify_labels(x, twin).tobytes()
+        assert set(np.unique(labels)) == {-2, -1, state}
+
+
+class TestChainBuilder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["raw", "remapped"]),
+        st.integers(0, 120),
+        st.data(),
+    )
+    def test_gradients_match_loop_builder(self, variant, length, data):
+        system = antiferro_system(variant)
+        sites = data.draw(
+            st.lists(st.integers(0, max(length - 1, 0)), unique=True, max_size=min(length, 8))
+        )
+        fracs = [s / length for s in sites]
+        new = alternating_chain(system, length, fracs)
+        old = ref.alternating_chain(system, length, fracs)
+        assert new.values.tobytes() == old.values.tobytes()
+        assert new.gradient().tobytes() == old.gradient().tobytes()
+
+    def test_slip_at_first_sites(self):
+        system = antiferro_system("raw")
+        for fracs in ([0.0], [0.0, 0.1], [0.0, 0.1, 0.2, 0.5]):
+            new = alternating_chain(system, 10, fracs)
+            old = ref.alternating_chain(system, 10, fracs)
+            assert new.values.tobytes() == old.values.tobytes()
+
+    def test_repeated_position_rejected(self):
+        system = antiferro_system("raw")
+        # the loop builder planted one slip here instead of two
+        old = ref.alternating_chain(system, 10, [0.1, 0.1, 0.5]).gradient()[:, 0, 0]
+        assert int((old[1:] == old[:-1]).sum()) == 1
+        with pytest.raises(LatticeError, match=r"repeated \[1\]"):
+            alternating_chain(system, 10, [0.1, 0.1, 0.5])
+
+    def test_out_of_range_position_rejected(self):
+        system = antiferro_system("raw")
+        with pytest.raises(LatticeError, match=r"outside \[4\]"):
+            alternating_chain(system, 4, [0.25, 0.9])
+        fracs = [(i + 1) / 8 for i in range(7)]
+        with pytest.raises(LatticeError, match=r"repeated \[2\], outside \[4\]"):
+            alternating_chain(system, 4, fracs)
+
+
+class TestVerifyH2Planar:
+    def test_twin_sampler(self):
+        twin = synthetic_twin_system()
+        bank = _ground_patch_bank(twin, twin.window_tilde)
+
+        def sampler(rng, count):
+            picks = bank[rng.integers(0, len(bank), count)]
+            rots = rotation_2d(rng.uniform(0.0, 2.0 * np.pi, count))[:, None]
+            scale = np.where(np.arange(count) % 3 == 0, 0.0, rng.uniform(0.01, 0.5, count))
+            noise = scale[:, None, None, None] * rng.normal(size=picks.shape)
+            return rots @ picks + noise
+
+        rep = verify_h2(twin, sample_budget=24, rng=np.random.default_rng(4), sampler=sampler)
+        assert rep.n_windows == 24 and not rep.exhaustive
+        assert rep.ok and rep.c > 0.0 and rep.violations == []
+        # the exact match puts the rotated ground windows on their orbit
+        # (kappa <= 1e-12), so the worst ratio comes from a perturbed one
+        assert rep.worst_kappa > 1e-3
+        oracle = min(ref._rotation_grid_match(rep.worst_window, gp) for gp in bank)
+        assert rep.worst_kappa <= oracle + 1e-12
+        assert oracle - rep.worst_kappa <= 1e-5
