@@ -25,7 +25,9 @@ def tangential_jump_residual(mesh, gradients):
 
     For each interior facet with orthonormal tangent basis T this is the
     spectral norm of (G_a - G_b) T; it vanishes exactly when the per-cell
-    gradients come from one continuous piecewise-affine deformation.
+    gradients come from one continuous piecewise-affine deformation. For
+    n = 2 the tangent space is a line and that norm is the length of the
+    single column.
     """
     interior = mesh.interior
     if len(interior) == 0:
@@ -34,6 +36,8 @@ def tangential_jump_residual(mesh, gradients):
     b = mesh.facet_cells[interior, 1]
     jumps = gradients[a] - gradients[b]  # (F, n, n)
     tangential = jumps @ mesh.facet_tangent[interior]  # (F, n, n-1)
+    if tangential.shape[-1] == 1:
+        return float(np.linalg.norm(tangential[..., 0], axis=-1).max())
     return float(np.linalg.svd(tangential, compute_uv=False)[:, 0].max())
 
 
@@ -67,15 +71,12 @@ class PWAffineField:
         if values.shape != mesh.vertices.shape:
             raise FieldError("vertex function must map (V, n) to (V, n)")
         cell_vals = values[mesh.cells]  # (C, n+1, n)
-        verts = mesh.vertices[mesh.cells]
-        dv = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)  # (C, n, n)
         du = np.swapaxes(cell_vals[:, 1:, :] - cell_vals[:, :1, :], 1, 2)
-        grads = du @ np.linalg.inv(dv)
-        return cls(mesh, grads)
+        return cls(mesh, du @ mesh.inverse_edges)
 
     @classmethod
-    def from_linear(cls, mesh, matrix, shift=None):
-        """The affine deformation x -> M x + b, with exact gradients."""
+    def from_linear(cls, mesh, matrix):
+        """The linear deformation x -> M x, with exact gradients."""
         matrix = np.asarray(matrix, dtype=float)
         grads = np.broadcast_to(matrix, (mesh.n_cells, mesh.dim, mesh.dim)).copy()
         return cls(mesh, grads)

@@ -47,7 +47,6 @@ from .rigidity import (
     IncompatibleField,
     build_reduced_field,
     bv_structure_check,
-    curl_total_variation,
     field_from_blocks,
     random_block_values,
     rigidity_ratio,
@@ -497,8 +496,9 @@ def _run_laminate_sweep(cfg, force):
                 lab, j, include_boundary=False
             )
             reduced = build_reduced_field(fld, lab, j, ws)
-            row[f"curl_w{j}"] = curl_total_variation(reduced).total
-            row[f"dv_curl_ratio_w{j}"] = bv_structure_check(reduced).ratio
+            bv = bv_structure_check(reduced)
+            row[f"curl_w{j}"] = bv.curl_total
+            row[f"dv_curl_ratio_w{j}"] = bv.ratio
         rows.append(row)
 
     def column(key):

@@ -134,6 +134,7 @@ class SimplicialMesh:
         self._compute_cell_geometry()
         self._compute_facet_geometry(self._build_facets())
         self._constants = None
+        self._inverse_edges = None
 
     # -- construction helpers -------------------------------------------
 
@@ -197,14 +198,27 @@ class SimplicialMesh:
         return float(self.volumes.sum())
 
     @property
+    def inverse_edges(self):
+        """(C, n, n) inverses of the edge matrices whose columns are
+        v_k - v_0, k = 1..n; a vertex field's differences times these give
+        its cell gradients."""
+        if self._inverse_edges is None:
+            verts = self.vertices[self.cells]
+            dv = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)
+            self._inverse_edges = np.linalg.inv(dv)
+        return self._inverse_edges
+
+    @property
     def constants(self):
         if self._constants is None:
             n = self.dim
-            verts = self.vertices[self.cells]
-            d2 = (
-                (verts[:, :, None, :] - verts[:, None, :, :]) ** 2
-            ).sum(-1)
-            diam = np.sqrt(d2.max(axis=(1, 2)))
+            # the largest squared edge length over the n(n+1)/2 vertex
+            # pairs of each cell, one pair at a time to bound memory
+            d2 = np.zeros(self.n_cells)
+            for i, j in itertools.combinations(range(n + 1), 2):
+                edge = self.vertices[self.cells[:, i]] - self.vertices[self.cells[:, j]]
+                d2 = np.maximum(d2, (edge**2).sum(-1))
+            diam = np.sqrt(d2)
             # each cell's n+1 facet areas, added in increasing facet id as a
             # loop over facets adds them, which fixes the rounding
             owner = np.concatenate([self.facet_cells[:, 0], self.facet_cells[self.interior, 1]])

@@ -78,7 +78,8 @@ def _measure_geometry(field):
     field's map when present.
 
     A hyperplane element with unit normal nu and area s maps to one with
-    normal U^-T nu (normalized) and area s * det(U) * |U^-T nu|.
+    normal U^-T nu (normalized) and area s * det(U) * |U^-T nu|. For
+    n = 2 the mapped tangent is the mapped normal turned by 90 degrees.
     """
     mesh = field.mesh
     ids = mesh.interior
@@ -93,6 +94,9 @@ def _measure_geometry(field):
     stretch = np.linalg.norm(conormals, axis=1)
     mapped_normals = conormals / stretch[:, None]
     mapped_areas = areas * det * stretch
+    if mesh.dim == 2:
+        mapped_tangents = np.stack([-mapped_normals[:, 1], mapped_normals[:, 0]], axis=1)
+        return ids, mapped_areas, mapped_tangents[:, :, None]
     _, _, vt = np.linalg.svd(mapped_normals[:, None, :])
     mapped_tangents = np.swapaxes(vt[:, 1:, :], 1, 2)
     return ids, mapped_areas, mapped_tangents

@@ -46,17 +46,12 @@ def random_rotation(rng, n):
 def polar_rotation(m):
     """Frobenius-nearest rotation to a square matrix (special orthogonal).
 
-    Uses the SVD; if det(m) < 0 the smallest singular direction is flipped
-    so the result always has determinant +1.
+    The single-matrix case of _procrustes_rotation_batch: for n = 2 the
+    closed form (cos, sin) proportional to (m00 + m11, m10 - m01), for
+    larger n the SVD with its smallest singular direction flipped when
+    needed. The result always has determinant +1.
     """
-    m = np.asarray(m, dtype=float)
-    u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    if d == 0:
-        d = 1.0
-    flip = np.ones(m.shape[0])
-    flip[-1] = d
-    return (u * flip) @ vt
+    return _procrustes_rotation_batch(np.asarray(m, dtype=float)[None])[0]
 
 
 def _check_finite(f):
@@ -69,9 +64,10 @@ def _check_finite(f):
 def dist_to_son(f):
     """Frobenius distance of a square matrix to the rotation group SO(n).
 
-    Computed from the singular values: if det(f) >= 0 the distance is
-    ||sigma - 1||_2, otherwise the smallest singular value is sign-flipped
-    before differencing.
+    For n = 2 this is the residual |f - R| at the closed-form nearest
+    rotation R (see _procrustes_rotation_batch). For larger n it comes
+    from the singular values: ||sigma - 1||_2, with the smallest singular
+    value sign-flipped first if det(f) < 0.
     """
     f = _check_finite(f)
     return float(dist_to_son_batch(f[None])[0])
@@ -80,20 +76,37 @@ def dist_to_son(f):
 def dist_to_son_batch(fs):
     """Vectorized dist_to_son over an array of shape (..., n, n)."""
     fs = np.asarray(fs, dtype=float)
+    if fs.shape[-1] == 2:
+        return dist_to_single_well_batch(fs, np.eye(2))
     sigma = np.linalg.svd(fs, compute_uv=False)
     neg = np.linalg.det(fs) < 0
-    sigma = sigma.copy()
     # svd returns singular values in descending order; flip the smallest
     sigma[neg, -1] = -sigma[neg, -1]
     return np.linalg.norm(sigma - 1.0, axis=-1)
 
 
 def _procrustes_rotation_batch(ms):
-    """argmax over Q in SO(n) of tr(Q^T M), batched over (..., n, n)."""
+    """argmax over Q in SO(n) of tr(Q^T M), batched over (..., n, n).
+
+    For n = 2, tr(Q(theta)^T M) = cos(theta) (M00 + M11) + sin(theta)
+    (M10 - M01), so the maximiser has (cos, sin) proportional to
+    (M00 + M11, M10 - M01), whatever the sign of det M; when both vanish
+    every rotation ties and the identity is returned. For larger n it is
+    U V^T from the SVD M = U S V^T, with the last column of U flipped when
+    det(U V^T) < 0.
+    """
+    if ms.shape[-1] == 2:
+        a = ms[..., 0, 0] + ms[..., 1, 1]
+        b = ms[..., 1, 0] - ms[..., 0, 1]
+        r = np.hypot(a, b)
+        tie = r == 0.0
+        r = np.where(tie, 1.0, r)
+        c = np.where(tie, 1.0, a / r)
+        s = b / r
+        return np.stack([c, -s, s, c], axis=-1).reshape(ms.shape)
     u, _, vt = np.linalg.svd(ms)
-    sign = np.where(np.linalg.det(ms) < 0, -1.0, 1.0)
-    u = u.copy()
-    u[..., :, -1] *= sign[..., None]
+    flip = np.linalg.det(u @ vt) < 0
+    u[flip, :, -1] = -u[flip, :, -1]
     return u @ vt
 
 

@@ -41,7 +41,7 @@ class TestPWAffineField:
     def test_linear_field_gradient(self, admissible_meshes):
         mesh = admissible_meshes[8]
         f = np.array([[1.0, 0.3], [0.0, 2.0]])
-        field = PWAffineField.from_linear(mesh, f, shift=[0.5, -1.0])
+        field = PWAffineField.from_linear(mesh, f)
         assert np.allclose(field.gradients, f[None], atol=1e-12)
         assert field.continuity_residual < 1e-12
 
@@ -83,9 +83,7 @@ class TestEnergy:
     def test_frame_indifference(self, wells_std, admissible_meshes):
         rng = np.random.default_rng(4)
         r = random_rotation(rng, 2)
-        field = PWAffineField.from_linear(
-            admissible_meshes[8], r @ wells_std.matrices[1], shift=rng.standard_normal(2)
-        )
+        field = PWAffineField.from_linear(admissible_meshes[8], r @ wells_std.matrices[1])
         rep = evaluate_energy(field, wells_std)
         assert rep.total <= 1e-18 * max(np.linalg.norm(wells_std.matrices[1]), 1.0)
 
