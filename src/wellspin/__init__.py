@@ -6,7 +6,6 @@ from .wells import (
     WellSetError,
     RankOneConnection,
     dist_to_son,
-    dist_to_wells,
     well_distance,
     solve_rank_one,
     solve_all_connections,
@@ -30,7 +29,6 @@ from .fields import (
     EnergyReport,
     evaluate_energy,
     build_laminate,
-    gradient_outlier_report,
 )
 from .spin import (
     BAD_LABEL,

@@ -85,28 +85,11 @@ class PWAffineField:
         """The field R o u (composition with a rotation of value space)."""
         return PWAffineField(self.mesh, np.asarray(rotation) @ self.gradients)
 
-    def write_binary(self, path):
-        """Cell-major row-major float64 gradients, little endian."""
-        with open(path, "wb") as fh:
-            fh.write(self.gradients.astype("<f8").tobytes())
-
-    def header(self):
-        return {
-            "n_cells": int(self.mesh.n_cells),
-            "dim": int(self.mesh.dim),
-            "dtype": "<f8",
-            "layout": "cell-major row-major",
-        }
-
 
 @dataclass
 class EnergyReport:
-    """Cellwise energy accounting.
-
-    With the default density c1 * dist^2(grad, wells) the total equals the
-    exact sum of per-cell contributions; per_cell_dist2 and nearest_well
-    are recorded for every cell either way.
-    """
+    """Cellwise energy accounting: the total is the exact sum of the
+    per-cell contributions c1 * dist^2(grad, wells) * |T|."""
 
     total: float
     per_cell_dist2: np.ndarray
@@ -114,41 +97,17 @@ class EnergyReport:
     cell_volumes: np.ndarray
     c1: float
 
-    def to_json(self):
-        return {
-            "total": self.total,
-            "c1": self.c1,
-            "n_cells": int(len(self.per_cell_dist2)),
-            "max_dist": float(np.sqrt(self.per_cell_dist2.max(initial=0.0))),
-        }
 
-    def rows(self):
-        """(cell_id, dist2, nearest_well) rows for CSV emission."""
-        return [
-            (int(i), float(d2), int(w))
-            for i, (d2, w) in enumerate(zip(self.per_cell_dist2, self.nearest_well))
-        ]
+def evaluate_energy(field, wells, c1=1.0):
+    """Integrate the multi-well energy c1 * dist^2(grad, wells) of a field.
 
-
-def evaluate_energy(field, wells, c1=1.0, density=None):
-    """Integrate the multi-well energy of a field.
-
-    The gradient is constant per cell so the quadrature is exact. The
-    default density is c1 * dist^2(grad, wells); a custom density receives
-    one gradient matrix and must dominate that lower bound (checked by the
-    property suite, not here).
+    The gradient is constant per cell so the quadrature is exact.
     """
     if field.mesh.dim != wells.dim:
         raise FieldError("field and well set dimensions differ")
     dists, nearest = dist_to_wells_batch(field.gradients, wells)
     dist2 = dists**2
-    if density is None:
-        contrib = c1 * dist2 * field.mesh.volumes
-    else:
-        contrib = (
-            np.array([density(g) for g in field.gradients]) * field.mesh.volumes
-        )
-    total = float(contrib.sum())
+    total = float((c1 * dist2 * field.mesh.volumes).sum())
     return EnergyReport(
         total=total,
         per_cell_dist2=dist2,
@@ -215,22 +174,3 @@ def build_laminate(
         return x @ ui.T + np.outer(g, a) + displacement(x)
 
     return PWAffineField.from_vertex_function(mesh, deformation)
-
-
-@dataclass
-class OutlierReport:
-    count: int
-    volume: float
-
-
-def gradient_outlier_report(field, threshold):
-    """Count cells whose gradient norm exceeds the threshold.
-
-    Purely diagnostic: the field is never modified. Callers typically pass
-    100 times the well separation.
-    """
-    norms = np.linalg.norm(field.gradients, axis=(1, 2))
-    mask = norms > threshold
-    return OutlierReport(
-        count=int(mask.sum()), volume=float(field.mesh.volumes[mask].sum())
-    )

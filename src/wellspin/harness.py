@@ -548,11 +548,12 @@ def _random_spin_field(mesh, ws, rng):
     period = float(rng.uniform(0.3, 0.8))
     offset = float(rng.uniform(0.0, period))
     kind = int(rng.integers(0, 3))
-    base = build_laminate(mesh, ws, conn, vf, period, offset=offset)
+    # every kind draws the rotation, so the stream does not depend on kind
     rot = random_rotation(rng, 2)
-    if kind == 0:
-        return base, ("laminate", vf, period, offset)
-    if kind == 1:
+    if kind < 2:
+        base = build_laminate(mesh, ws, conn, vf, period, offset=offset)
+        if kind == 0:
+            return base, ("laminate", vf, period, offset)
         return base.rotated(rot), ("rotated-laminate", vf, period, offset)
     amp = ws.c0 / 1000.0
     kx, ky = rng.uniform(1.0, 3.0, 2)

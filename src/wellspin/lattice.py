@@ -99,7 +99,6 @@ class LatticeSystem:
         p=2.0,
         alphabet=None,
         name="",
-        density_table=None,
     ):
         self.dim = dim
         self.window = np.asarray(sorted(map(tuple, window)), dtype=int)
@@ -108,7 +107,6 @@ class LatticeSystem:
         self.p = float(p)
         self.alphabet = None if alphabet is None else np.asarray(alphabet, float)
         self.name = name
-        self.density_table = density_table
         if not self.ground_states:
             raise LatticeError("need at least one ground state")
         span = self.window.max(axis=0) - self.window.min(axis=0)
@@ -177,26 +175,6 @@ class LatticeSystem:
             "separation_d": self.separation_d,
         }
 
-    def to_json(self):
-        doc = {
-            "dim": self.dim,
-            "name": self.name,
-            "p": self.p,
-            "window": [list(map(int, w)) for w in self.window],
-            "ground_states": [
-                {"name": g.name, "period": list(g.period), "gradients": g.gradients.tolist()}
-                for g in self.ground_states
-            ],
-            "separation_d": self.separation_d,
-        }
-        if self.alphabet is not None:
-            doc["alphabet"] = self.alphabet.tolist()
-        if self.density_table is not None:
-            doc["density"] = {"table": {str(k): v for k, v in self.density_table.items()}}
-        else:
-            doc["density"] = {"name": self.name}
-        return doc
-
 
 class LatticeDeformation:
     """Site values on an integer box with a cached forward-difference
@@ -234,15 +212,6 @@ class LatticeDeformation:
                 grad[..., :, r] = self.values[shifted] - self.values[inner]
             self._gradient = grad
         return self._gradient
-
-    def gradient_consistent(self):
-        """Recompute the gradient from the values and compare bitwise."""
-        cached = self._gradient
-        self._gradient = None
-        fresh = self.gradient()
-        ok = cached is None or np.array_equal(cached, fresh)
-        self._gradient = fresh
-        return ok
 
     @property
     def n_gradient_sites(self):
@@ -311,6 +280,12 @@ def ground_state_deformation(system, l, value_shape, m, rotation=None, shift=Non
     return x
 
 
+def _window(values, start, shape):
+    """The view values[start + j] for j in the index box shape: one window
+    position of a sliding window, as a basic slice without a copy."""
+    return values[tuple(slice(o, o + h) for o, h in zip(start, shape))]
+
+
 @dataclass
 class HamiltonianReport:
     total: float
@@ -336,12 +311,9 @@ def evaluate_hamiltonian(x, system):
             per_site=np.zeros(0),
             empty=True,
         )
-    base_ranges = [np.arange(lo[a], hi[a]) for a in range(system.dim)]
-    base = np.stack(np.meshgrid(*base_ranges, indexing="ij"), axis=-1)
-    base_flat = base.reshape(-1, system.dim)
-    patches = np.stack(
-        [grad[tuple((base_flat + off).T)] for off in offsets], axis=1
-    )  # (n_windows, W, n, n)
+    # (windows..., W, n, n), windows in C order of their base site
+    patches = np.stack([_window(grad, lo + off, hi - lo) for off in offsets], axis=system.dim)
+    patches = patches.reshape((-1,) + patches.shape[system.dim :])
     energies = np.asarray(system.density(patches), dtype=float)
     weight = float(x.m) ** (-system.dim)
     per_site = weight * energies
@@ -478,7 +450,7 @@ def _rotation_match(patches, gpatches):
     return out.reshape(lead)
 
 
-def classify_lattice(x, system, threshold=None):
+def classify_lattice(x, system):
     """Label every coarse site by the matching ground state within the
     comparison window, BAD when no rotation of any pattern fits, or
     BOUNDARY when the window leaves the domain.
@@ -486,23 +458,18 @@ def classify_lattice(x, system, threshold=None):
     A site's distance to ground state l is the largest entry distance over
     the window at the site, minimised over rotations in two dimensions; a
     site takes the first nearest state when that distance is at most the
-    threshold.
+    threshold, a hundredth of the separation constant.
     """
-    if threshold is None:
-        threshold = system.separation_d / 100.0
+    threshold = system.separation_d / 100.0
     grad = x.gradient()
     gshape = grad.shape[: system.dim]
     offsets = system.q0_offsets
     labels = np.full(gshape, BOUNDARY_SITE, dtype=np.int64)
     hi = tuple(int(h) for h in np.array(gshape) - offsets.max(axis=0))
     if min(hi) > 0:
-
-        def window(values, off):
-            return values[tuple(slice(o, o + h) for o, h in zip(off, hi))]
-
         sites = np.moveaxis(np.indices(gshape), 0, -1)
         if system.dim > 1:
-            patches = np.stack([window(grad, off) for off in offsets], axis=-3)
+            patches = np.stack([_window(grad, off, hi) for off in offsets], axis=-3)
         # the labels of the sites with a full window, a view written in place
         nearest = labels[tuple(slice(0, h) for h in hi)]
         nearest[...] = 0
@@ -514,11 +481,11 @@ def classify_lattice(x, system, threshold=None):
                 np.abs(np.subtract(grad[..., 0, 0], err, out=err), out=err)
                 dist = np.zeros(hi)
                 for off in offsets:
-                    np.maximum(dist, window(err, off), out=dist)
+                    np.maximum(dist, _window(err, off, hi), out=dist)
                 del err
             else:
                 pattern = g.gradient_at(sites)
-                gpatches = np.stack([window(pattern, off) for off in offsets], axis=-3)
+                gpatches = np.stack([_window(pattern, off, hi) for off in offsets], axis=-3)
                 dist = _rotation_match(patches, gpatches)
             nearest[dist < best] = l
             np.minimum(best, dist, out=best)
@@ -641,31 +608,18 @@ def verify_h2(system, sample_budget=500_000, rng=None, sampler=None):
 def averaged_gradient_field(x, system, l):
     """Sliding mean of the gradient over the period cell of ground state l.
 
-    Returns (values, valid) where values[j] averages grad over j plus the
-    period box; on ground-state regions the average equals the averaged
-    gradient exactly. Sites whose window leaves the domain are marked
-    invalid."""
-    g = system.ground_states[l]
+    values[j] averages grad over j plus the period box, for every j whose
+    box lies inside the domain; on ground-state regions the average equals
+    the averaged gradient exactly."""
+    period = system.ground_states[l].period
     grad = x.gradient()
-    gshape = np.array(grad.shape[: system.dim])
-    period = np.asarray(g.period, int)
-    out_shape = gshape - period + 1
-    if np.any(out_shape <= 0):
-        return np.zeros(tuple(np.maximum(out_shape, 0)) + grad.shape[-2:]), np.zeros(
-            tuple(np.maximum(out_shape, 0)), dtype=bool
-        )
-    offsets = np.array(list(itertools.product(*[range(p) for p in period])), int)
-    base = np.stack(
-        np.meshgrid(*[np.arange(s) for s in out_shape], indexing="ij"), axis=-1
-    )
-    flat = base.reshape(-1, system.dim)
-    acc = np.zeros((len(flat),) + grad.shape[-2:])
-    for off in offsets:
-        acc += grad[tuple((flat + off).T)]
-    acc /= len(offsets)
-    values = acc.reshape(tuple(out_shape) + grad.shape[-2:])
-    valid = np.ones(tuple(out_shape), dtype=bool)
-    return values, valid
+    out_shape = tuple(max(s - p + 1, 0) for s, p in zip(grad.shape, period))
+    acc = np.zeros(out_shape + grad.shape[-2:])
+    if min(out_shape) > 0:
+        for off in itertools.product(*[range(p) for p in period]):
+            acc += _window(grad, off, out_shape)
+        acc /= math.prod(period)
+    return acc
 
 
 @dataclass
@@ -677,9 +631,7 @@ class LatticeComponent:
     residual: float | None
 
 
-def lattice_partition_diagnostics(
-    deformations, system, energy_constant=None, threshold=None
-):
+def lattice_partition_diagnostics(deformations, system, energy_constant=None):
     """Sweep diagnostics: volumes, perimeters, components with fitted
     rotations against the averaged gradients, and the commuting-average
     check, one record per scale m.
@@ -694,11 +646,11 @@ def lattice_partition_diagnostics(
         ham = evaluate_hamiltonian(x, system)
         if energy_constant is not None and ham.total > energy_constant / m:
             raise EnergyBoundError(m, ham.total, energy_constant / m)
-        cls = classify_lattice(x, system, threshold=threshold)
+        cls = classify_lattice(x, system)
         comps = []
         for label, members in label_components(cls.labels, *_axis_pairs(cls.labels.shape)):
             g = system.ground_states[label]
-            avg, _ = averaged_gradient_field(x, system, label)
+            avg = averaged_gradient_field(x, system, label)
             coords = np.array(
                 np.unravel_index(members, cls.labels.shape)
             ).T  # (k, n)
@@ -728,7 +680,7 @@ def lattice_partition_diagnostics(
                 )
             )
         grad = x.gradient()
-        avg0, _ = averaged_gradient_field(x, system, 0)
+        avg0 = averaged_gradient_field(x, system, 0)
         commute_gap = 0.0
         if avg0.size:
             # mean of the raw gradient against the mean of its window
@@ -759,27 +711,6 @@ def lattice_partition_diagnostics(
     return records
 
 
-def chain_to_csv(x, path):
-    """Write a one-dimensional deformation as (site, gradient) rows."""
-    if x.dim != 1:
-        raise LatticeError("CSV chain format covers one-dimensional chains")
-    g = x.gradient()[..., 0, 0]
-    lines = ["site,gradient"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(g)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def chain_from_csv(path, m):
-    """Read a (site, gradient) chain back into a deformation."""
-    with open(path, encoding="utf-8") as fh:
-        rows = fh.read().strip().splitlines()
-    if not rows or rows[0] != "site,gradient":
-        raise LatticeError("expected a site,gradient header")
-    grads = [float(line.split(",")[1]) for line in rows[1:]]
-    return LatticeDeformation.from_gradient_sequence(grads, m)
-
-
 # -- built-in systems --------------------------------------------------
 
 
@@ -803,11 +734,6 @@ def antiferro_system(variant="raw"):
             GroundState(np.array([1.0, -1.0])[:, None, None], name="alternating+"),
             GroundState(np.array([-1.0, 1.0])[:, None, None], name="alternating-"),
         ]
-        table = {
-            (a, b): float(a * b + 1.0)
-            for a in (-1.0, 0.0, 1.0)
-            for b in (-1.0, 0.0, 1.0)
-        }
         return LatticeSystem(
             dim=1,
             window=[(0,), (1,)],
@@ -816,7 +742,6 @@ def antiferro_system(variant="raw"):
             p=2.0,
             alphabet=(-1.0, 0.0, 1.0),
             name="antiferro-raw",
-            density_table=table,
         )
     if variant == "remapped":
 
@@ -828,11 +753,6 @@ def antiferro_system(variant="raw"):
             GroundState(np.array([1.0, 2.0])[:, None, None], name="updown"),
             GroundState(np.array([2.0, 1.0])[:, None, None], name="downup"),
         ]
-        table = {
-            (a, b): float((2 * a - 3) * (2 * b - 3) + 1.0)
-            for a in (1.0, 1.5, 2.0)
-            for b in (1.0, 1.5, 2.0)
-        }
         return LatticeSystem(
             dim=1,
             window=[(0,), (1,)],
@@ -841,7 +761,6 @@ def antiferro_system(variant="raw"):
             p=2.0,
             alphabet=(1.0, 1.5, 2.0),
             name="antiferro-remapped",
-            density_table=table,
         )
     raise LatticeError(f"unknown antiferro variant {variant!r}")
 
@@ -887,29 +806,27 @@ def alternating_chain(system, length, interfaces=()):
     return LatticeDeformation.from_gradient_sequence(pattern[np.maximum(last, 0)], m=1)
 
 
-def antiferro_chain(system, m, domain_length=1.0, interfaces=()):
-    """Chain over the scaled domain with planted antiphase boundaries."""
-    n_sites = int(round(m * domain_length))
-    x = alternating_chain(system, n_sites, interfaces)
+def antiferro_chain(system, m, interfaces=()):
+    """Chain of m sites over the unit interval with planted antiphase
+    boundaries."""
+    x = alternating_chain(system, m, interfaces)
     return LatticeDeformation(x.values, m)
 
 
-def synthetic_twin_system(u1=None, u2=None, osc=0.3, p=2.0):
+def synthetic_twin_system():
     """A two-dimensional system with 2-periodic oscillating ground states.
 
-    Each base matrix carries an oscillation +-osc * e1 (x) e1 along the
-    first axis; both parities of each base pattern are listed as ground
+    Each base matrix, diag(2, 1/2) or diag(1/2, 2), carries an oscillation
+    +-0.3 e1 (x) e1 along the first axis; both parities of each base pattern are listed as ground
     states, so the ground set is closed under lattice shifts. The density
     is the squared Procrustes distance of the two-site window to the
     nearest rotated ground patch, which vanishes exactly on ground-state
     orbits.
     """
-    u1 = np.diag([2.0, 0.5]) if u1 is None else np.asarray(u1, float)
-    u2 = np.diag([0.5, 2.0]) if u2 is None else np.asarray(u2, float)
     w = np.zeros((2, 2))
-    w[0, 0] = osc
+    w[0, 0] = 0.3
     grounds = []
-    for name, u in (("A", u1), ("B", u2)):
+    for name, u in (("A", np.diag([2.0, 0.5])), ("B", np.diag([0.5, 2.0]))):
         for parity, sign in (("+", 1.0), ("-", -1.0)):
             pattern = np.stack([u + sign * w, u - sign * w])[:, None]  # (2,1,n,n)
             grounds.append(GroundState(pattern, name=f"{name}{parity}"))
@@ -939,6 +856,6 @@ def synthetic_twin_system(u1=None, u2=None, osc=0.3, p=2.0):
         window=window,
         density=density,
         ground_states=grounds,
-        p=p,
+        p=2.0,
         name="synthetic-twin-2d",
     )

@@ -1,4 +1,4 @@
-"""Structured simplicial meshes of box domains.
+"""Structured simplicial meshes of the unit box.
 
 Each lattice cube of side 1/m is subdivided into n! simplices along the
 main diagonal (Kuhn subdivision), so the facet normal directions form a
@@ -99,14 +99,6 @@ def kuhn_reference_normals(n):
             v[i], v[j] = 1.0, -1.0
             normals.append(v / np.sqrt(2.0))
     return np.array(normals)
-
-
-def _canonical_direction(v, decimals=10):
-    v = np.asarray(v, dtype=float)
-    nz = np.nonzero(np.abs(v) > 1e-9)[0]
-    if len(nz) and v[nz[0]] < 0:
-        v = -v
-    return tuple(np.round(v, decimals))
 
 
 class SimplicialMesh:
@@ -250,85 +242,32 @@ class SimplicialMesh:
             reps.setdefault(tuple(np.round(vec, 10)), vec)
         return np.array([reps[k] for k in sorted(reps)])
 
-    def adjacency(self):
-        """Neighbor cell ids across shared facets, one list per cell."""
-        neigh = [[] for _ in range(self.n_cells)]
-        for a, b in self.facet_cells[self.interior]:
-            neigh[a].append(int(b))
-            neigh[b].append(int(a))
-        return neigh
-
-    def summary(self):
-        c = self.constants
-        return {
-            "dim": self.dim,
-            "m": self.m,
-            "n_vertices": int(len(self.vertices)),
-            "n_cells": int(self.n_cells),
-            "n_facets": int(len(self.facet_area)),
-            "n_interior_facets": int(len(self.interior)),
-            "effective_volume": self.effective_volume,
-            "domain": [self.domain[0].tolist(), self.domain[1].tolist()],
-            "lattice_rotation": self.lattice_rotation.tolist(),
-            "constants": {
-                "vol_lower": c.vol_lower,
-                "vol_upper": c.vol_upper,
-                "inradius_lower": c.inradius_lower,
-                "diameter_upper": c.diameter_upper,
-            },
-            "normal_directions": [list(d) for d in self.normal_directions()],
-        }
-
-    def write_binary(self, path):
-        """Dump the mesh as little-endian binary.
-
-        Layout: int64[4] header (dim, n_vertices, n_cells, n+1), then
-        float64 vertex coordinates row-major, then int64 cell vertex ids
-        row-major.
-        """
-        with open(path, "wb") as fh:
-            header = np.array(
-                [self.dim, len(self.vertices), self.n_cells, self.dim + 1],
-                dtype="<i8",
-            )
-            fh.write(header.tobytes())
-            fh.write(self.vertices.astype("<f8").tobytes())
-            fh.write(self.cells.astype("<i8").tobytes())
-
 
 # default cell budget of build_kuhn_mesh
 MAX_CELLS = 4_000_000
 
 
-def _lattice_box(m, lo, hi, rot):
-    """Integer lattice box around the domain box in rotated lattice
+def _lattice_box(m, rot):
+    """Integer lattice box around the unit box in rotated lattice
     coordinates at scale m, one cube wider on every side, and the cell
     count of its Kuhn cubes."""
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    n = len(rot)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
     lat_corners = corners @ rot * m  # R^T c * m, rowwise
     lat_lo = np.floor(lat_corners.min(axis=0)).astype(int) - 1
     lat_hi = np.ceil(lat_corners.max(axis=0)).astype(int) + 1
-    cells = math.prod(int(s) for s in lat_hi - lat_lo) * math.factorial(len(lo))
+    cells = math.prod(int(s) for s in lat_hi - lat_lo) * math.factorial(n)
     return lat_lo, lat_hi, cells
 
 
 def kuhn_cell_estimate(n, m, lattice_rotation=None):
-    """The cell estimate that build_kuhn_mesh checks against its budget,
-    for the unit box."""
+    """The cell estimate that build_kuhn_mesh checks against its budget."""
     rot = np.eye(n) if lattice_rotation is None else np.asarray(lattice_rotation, dtype=float)
-    return _lattice_box(m, np.zeros(n), np.ones(n), rot)[2]
+    return _lattice_box(m, rot)[2]
 
 
-def build_kuhn_mesh(
-    n,
-    m,
-    domain=None,
-    lattice_rotation=None,
-    jitter=0.0,
-    rng=None,
-    max_cells=MAX_CELLS,
-):
-    """Build the Kuhn mesh of a box at scale 1/m.
+def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells=MAX_CELLS):
+    """Build the Kuhn mesh of the unit box [0, 1]^n at scale 1/m.
 
     The reference lattice is rotated by lattice_rotation (an element of
     SO(n)) before clipping: cells with any vertex outside the closed box
@@ -338,12 +277,6 @@ def build_kuhn_mesh(
     """
     if m < 2:
         raise MeshError("need m >= 2")
-    if domain is None:
-        domain = (np.zeros(n), np.ones(n))
-    lo = np.asarray(domain[0], dtype=float)
-    hi = np.asarray(domain[1], dtype=float)
-    if lo.shape != (n,) or hi.shape != (n,) or np.any(hi <= lo):
-        raise MeshError("domain must be a nonempty box (lo, hi)")
     if lattice_rotation is None:
         rot = np.eye(n)
     else:
@@ -353,7 +286,7 @@ def build_kuhn_mesh(
     if jitter < 0 or jitter > 0.2:
         raise MeshError("jitter must lie in [0, 0.2] (units of 1/m)")
 
-    lat_lo, lat_hi, est_cells = _lattice_box(m, lo, hi, rot)
+    lat_lo, lat_hi, est_cells = _lattice_box(m, rot)
     if est_cells > max_cells:
         raise MeshResourceError(
             f"estimated {est_cells} cells exceeds budget {max_cells}"
@@ -376,9 +309,8 @@ def build_kuhn_mesh(
     vertices = (rot[None] @ (keys / m)[:, :, None])[:, :, 0]
     cells = inverse.reshape(-1, n + 1)
 
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
     pts = vertices[cells]
-    cells = cells[np.all((pts >= lo - tol) & (pts <= hi + tol), axis=(1, 2))]
+    cells = cells[np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12), axis=(1, 2))]
     if not len(cells):
         raise MeshError("no cells inside the domain (domain too small for m)")
 
@@ -398,7 +330,7 @@ def build_kuhn_mesh(
         disp = rng.uniform(-jitter / m, jitter / m, size=vertices.shape)
         vertices = vertices + disp * mask[:, None]
 
-    return SimplicialMesh(n, m, (lo, hi), rot, vertices, cells)
+    return SimplicialMesh(n, m, (np.zeros(n), np.ones(n)), rot, vertices, cells)
 
 
 def _first_visit_groups(keys):

@@ -60,17 +60,11 @@ class CurlMeasure:
     total: float
 
 
-def _as_field(field_or_values, mesh=None):
-    if isinstance(field_or_values, IncompatibleField):
-        return field_or_values
-    if isinstance(field_or_values, PWAffineField):
-        return IncompatibleField(
-            mesh=field_or_values.mesh,
-            values=field_or_values.gradients,
-        )
-    if mesh is None:
-        raise RigidityError("raw value arrays need an explicit mesh")
-    return IncompatibleField(mesh=mesh, values=np.asarray(field_or_values, float))
+def _as_field(field):
+    """An IncompatibleField as is, or the gradients of a PWAffineField."""
+    if isinstance(field, PWAffineField):
+        return IncompatibleField(mesh=field.mesh, values=field.gradients)
+    return field
 
 
 def _measure_geometry(field):
@@ -108,14 +102,14 @@ def _facet_jumps(field, ids):
     return field.values[b] - field.values[a]
 
 
-def curl_total_variation(field_or_values, mesh=None):
+def curl_total_variation(field):
     """Distributional curl of a piecewise-constant field as a facet measure.
 
     Each interior facet carries mass area * |jump restricted to the facet
     tangent space|_F; gradients of continuous piecewise-affine deformations
     have zero total mass.
     """
-    field = _as_field(field_or_values, mesh)
+    field = _as_field(field)
     ids, areas, tangents = _measure_geometry(field)
     jumps = _facet_jumps(field, ids)
     tangential = jumps @ tangents
@@ -123,9 +117,9 @@ def curl_total_variation(field_or_values, mesh=None):
     return CurlMeasure(facet_ids=ids, per_facet=masses, total=float(masses.sum()))
 
 
-def full_jump_variation(field_or_values, mesh=None):
+def full_jump_variation(field):
     """Discrete total variation |DA|: facet area times full jump norm."""
-    field = _as_field(field_or_values, mesh)
+    field = _as_field(field)
     ids, areas, _ = _measure_geometry(field)
     jumps = _facet_jumps(field, ids)
     masses = areas * np.linalg.norm(jumps, axis=(1, 2))
@@ -169,7 +163,7 @@ class RigidityReport:
     p: float
 
 
-def rigidity_ratio(field_or_values, p, mesh=None):
+def rigidity_ratio(field, p):
     """Empirical ratio for the one-rotation rigidity inequality.
 
     lhs integrates |A - R|^p against volume for the fitted rotation R; rhs
@@ -177,7 +171,7 @@ def rigidity_ratio(field_or_values, p, mesh=None):
     n/(n-1). Using the fitted mean rotation instead of the optimal one
     only increases the lhs, so the reported ratio is conservative.
     """
-    field = _as_field(field_or_values, mesh)
+    field = _as_field(field)
     n = field.mesh.dim
     # the critical exponent n/(n-1) itself is admitted: for n = 2 the
     # reference family runs exactly at p = 2
@@ -217,14 +211,14 @@ class BVReport:
     per_facet_curl: np.ndarray
 
 
-def bv_structure_check(field_or_values, mesh=None):
+def bv_structure_check(field):
     """Compare the full discrete variation |DA| with the curl mass.
 
     For piecewise-constant fields with rotation-valued jumps the tangential
     jump can never vanish while the full jump does not, so the ratio stays
     finite; it is reported per facet for setwise checks.
     """
-    field = _as_field(field_or_values, mesh)
+    field = _as_field(field)
     dv = full_jump_variation(field)
     curl = curl_total_variation(field)
     if curl.total == 0.0:
@@ -262,16 +256,16 @@ def weak_norm_surrogate(magnitudes, volumes, dim, levels=64):
     return best
 
 
-def weak_rigidity_ratio(field_or_values, mesh=None, levels=64):
+def weak_rigidity_ratio(field):
     """Weak-norm analogue of rigidity_ratio with the same conventions."""
-    field = _as_field(field_or_values, mesh)
+    field = _as_field(field)
     n = field.mesh.dim
     rot = fitted_rotation(field)
     vols = field.cell_volumes()
     diff = np.linalg.norm(field.values - rot, axis=(1, 2))
-    lhs = weak_norm_surrogate(diff, vols, n, levels)
+    lhs = weak_norm_surrogate(diff, vols, n)
     dist = dist_to_son_batch(field.values)
-    rhs = weak_norm_surrogate(dist, vols, n, levels) + curl_total_variation(field).total
+    rhs = weak_norm_surrogate(dist, vols, n) + curl_total_variation(field).total
     if rhs == 0.0:
         ratio = 0.0 if lhs == 0.0 else math.inf
     else:
@@ -279,19 +273,20 @@ def weak_rigidity_ratio(field_or_values, mesh=None, levels=64):
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "rotation": rot}
 
 
-def random_block_values(rng, n_blocks, angle_spread=0.6, defect=0.05):
+def random_block_values(rng, n_blocks):
     """Random near-rotation values on an n_blocks x n_blocks partition.
 
-    Each block gets R(theta) (I + delta M) with theta around a common base
-    angle; drawing the values separately from any mesh lets the same field
-    be evaluated at several resolutions.
+    Each block gets R(theta) (I + delta M) with theta within 0.6 of a
+    common base angle, |M| = 1 and delta below 0.05; drawing the values
+    separately from any mesh lets the same field be evaluated at several
+    resolutions.
     """
     base = rng.uniform(0.0, 2.0 * np.pi)
-    thetas = base + rng.uniform(-angle_spread, angle_spread, (n_blocks, n_blocks))
+    thetas = base + rng.uniform(-0.6, 0.6, (n_blocks, n_blocks))
     perturb = rng.uniform(-1.0, 1.0, (n_blocks, n_blocks, 2, 2))
     scale = np.linalg.norm(perturb, axis=(2, 3), keepdims=True)
     perturb = perturb / np.maximum(scale, 1e-12) * rng.uniform(
-        0.0, defect, (n_blocks, n_blocks, 1, 1)
+        0.0, 0.05, (n_blocks, n_blocks, 1, 1)
     )
     return rotation_2d(thetas) @ (np.eye(2) + perturb)
 

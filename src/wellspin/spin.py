@@ -40,13 +40,6 @@ class PhaseLabeling:
     def bad_volume(self):
         return self.volume_of(BAD_LABEL)
 
-    def rows(self):
-        """(cell_id, label, distance) rows for CSV emission."""
-        return [
-            (int(i), int(l), float(d))
-            for i, (l, d) in enumerate(zip(self.labels, self.distances))
-        ]
-
 
 def classify(field, wells, threshold=None):
     """Label every cell by its nearest well within threshold, else BAD.
@@ -153,16 +146,6 @@ class PartitionComponent:
     residual: float | None
     degenerate: bool = False
 
-    def to_dict(self):
-        return {
-            "well": self.well,
-            "n_cells": int(len(self.cells)),
-            "volume": self.volume,
-            "rotation": None if self.rotation is None else self.rotation.tolist(),
-            "residual": self.residual,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass
 class CaccioppoliPartition:
@@ -178,14 +161,6 @@ class CaccioppoliPartition:
         of limit components are read above a fixed volume floor.
         """
         return [c for c in self.components if c.volume >= min_volume]
-
-    def to_json(self):
-        return {
-            "n_components": len(self.components),
-            "total_perimeter": self.total_perimeter,
-            "bad_volume": self.bad_volume,
-            "components": [c.to_dict() for c in self.components],
-        }
 
 
 def extract_partition(field, labeling, wells):

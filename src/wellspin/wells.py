@@ -10,7 +10,6 @@ a facet whose normal avoids all twin normals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +20,8 @@ from .numerics import golden_min
 SYMMETRY_TOL = 1e-12
 ROTATION_TOL = 1e-10
 RESIDUAL_RTOL = 1e-9
+# angles in the sign-change scan of twin_solve
+TWIN_GRID = 4096
 
 
 class WellSetError(ValueError):
@@ -126,17 +127,9 @@ def dist_to_single_well_batch(fs, u):
     return np.linalg.norm(fs - rot @ u, axis=(-2, -1))
 
 
-def dist_to_wells(f, wells):
-    """Distance to the union of wells and the index of the nearest well.
-
-    Returns (distance, well_index); ties resolve to the lowest index.
-    """
-    f = _check_finite(f)
-    d, j = dist_to_wells_batch(f[None], wells)
-    return float(d[0]), int(j[0])
-
-
 def dist_to_wells_batch(fs, wells):
+    """Distance of each matrix to the union of wells and the index of the
+    nearest well; ties resolve to the lowest index."""
     fs = np.asarray(fs, dtype=float)
     dists = np.stack(
         [dist_to_single_well_batch(fs, u) for u in wells.matrices], axis=-1
@@ -180,17 +173,6 @@ class RankOneConnection:
             "b": self.b.tolist(),
             "multiplicity": self.multiplicity,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            i=int(d["i"]),
-            j=int(d["j"]),
-            rotation=np.asarray(d["Q"], dtype=float),
-            a=np.asarray(d["a"], dtype=float),
-            b=np.asarray(d["b"], dtype=float),
-            multiplicity=int(d.get("multiplicity", 1)),
-        )
 
 
 @dataclass
@@ -291,22 +273,6 @@ class WellSet:
             doc["derived"] = derived
         return doc
 
-    @classmethod
-    def from_json(cls, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        ws = cls(doc["wells"], delta0=doc.get("delta0"))
-        if ws.dim != int(doc["dim"]):
-            raise WellSetError("declared dim does not match well shapes")
-        derived = doc.get("derived")
-        if derived and "connections" in derived:
-            ws.connections = [
-                RankOneConnection.from_dict(c) for c in derived["connections"]
-            ]
-        if derived and derived.get("dbar") is not None:
-            ws.incompat_dbar = float(derived["dbar"])
-        return ws
-
 
 def _canonical_sign(a, b):
     """Flip (a, b) together so b's first nonzero component is positive."""
@@ -316,24 +282,24 @@ def _canonical_sign(a, b):
     return a, b
 
 
-def solve_rank_one(wells, i, j, grid_size=4096):
+def solve_rank_one(wells, i, j):
     """Find all twins between wells i and j of a well set (n = 2 only)."""
     if i == j:
         raise WellSetError("solve_rank_one requires two distinct wells")
     if wells.dim != 2:
         raise WellSetError("rank-one solver implemented for n = 2 only")
-    sol = twin_solve(wells.matrices[i], wells.matrices[j], grid_size=grid_size)
+    sol = twin_solve(wells.matrices[i], wells.matrices[j])
     for conn in sol.connections:
         conn.i, conn.j = i, j
     return sol
 
 
-def twin_solve(ui, uj, grid_size=4096):
+def twin_solve(ui, uj):
     """Find all twins between two matrices: U_i - Q U_j = a (x) b.
 
     Roots of det(U_i - Q(theta) U_j) = 0 are bracketed by sign changes on a
-    theta grid and polished by bisection. For each root the rank-one
-    difference is factored as a (x) b via SVD. Roots where the difference
+    grid of TWIN_GRID angles and polished by bisection. For each root the
+    rank-one difference is factored as a (x) b via SVD. Roots where the difference
     vanishes entirely (identical wells up to rotation) are reported as
     trivial rotations, not connections. A root touched without a sign
     change (tangency) is returned with multiplicity 2.
@@ -343,8 +309,7 @@ def twin_solve(ui, uj, grid_size=4096):
     if ui.shape != (2, 2) or uj.shape != (2, 2):
         raise WellSetError("twin solver implemented for n = 2 only")
     scale = np.linalg.norm(ui)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, TWIN_GRID, endpoint=False)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     # det(U_i - Q U_j) is alpha + beta cos(theta) + gamma sin(theta) for n=2,
     # but evaluate it directly so the bracketing stays structure-agnostic.
@@ -359,13 +324,13 @@ def twin_solve(ui, uj, grid_size=4096):
         return float(np.linalg.det(ui - q @ uj))
 
     roots = []
-    step = 2.0 * np.pi / grid_size
-    for k in range(grid_size):
-        fk, fk1 = f[k], f[(k + 1) % grid_size]
+    step = 2.0 * np.pi / TWIN_GRID
+    for k in range(TWIN_GRID):
+        fk, fk1 = f[k], f[(k + 1) % TWIN_GRID]
         if fk == 0.0:
             # an exact grid hit is a double root when the determinant only
             # touches zero (no sign change across the neighbors)
-            mult = 2 if f[(k - 1) % grid_size] * fk1 > 0.0 else 1
+            mult = 2 if f[(k - 1) % TWIN_GRID] * fk1 > 0.0 else 1
             roots.append((thetas[k], mult))
             continue
         if fk * fk1 < 0.0:
@@ -387,8 +352,8 @@ def twin_solve(ui, uj, grid_size=4096):
     # a sign change near them
     absf = np.abs(f)
     det_scale = max(scale * np.linalg.norm(uj), 1e-30)
-    for k in range(grid_size):
-        prev_i, next_i = (k - 1) % grid_size, (k + 1) % grid_size
+    for k in range(TWIN_GRID):
+        prev_i, next_i = (k - 1) % TWIN_GRID, (k + 1) % TWIN_GRID
         if absf[k] <= absf[prev_i] and absf[k] <= absf[next_i]:
             if absf[k] < 1e-6 * det_scale:
                 theta0 = thetas[k]
@@ -426,12 +391,12 @@ def _ang_close(t0, t1, tol):
     return min(d, 2.0 * np.pi - d) < tol
 
 
-def solve_all_connections(wells, grid_size=4096):
+def solve_all_connections(wells):
     """Solve twins for every well pair and store them on the well set."""
     conns = []
     for i in range(wells.k):
         for j in range(i + 1, wells.k):
-            conns.extend(solve_rank_one(wells, i, j, grid_size=grid_size).connections)
+            conns.extend(solve_rank_one(wells, i, j).connections)
     wells.connections = conns
     return conns
 
@@ -472,9 +437,7 @@ def admissible_normal_intervals(twin_normals, delta0):
     return [(lo, hi) for lo, hi in allowed if hi - lo > 1e-12]
 
 
-def compute_dbar(
-    wells, delta0, twin_normals=None, q_grid=8192, b_grid=None, store=True
-):
+def compute_dbar(wells, delta0, q_grid=8192, store=True):
     """Incompatibility constant of a well set for a given margin delta0.
 
     For every pair of distinct wells this minimizes, over rotations Q and
@@ -495,16 +458,13 @@ def compute_dbar(
             wells.incompat_dbar = math.inf
             wells.delta0 = delta0
         return math.inf
-    if twin_normals is None:
-        twin_normals = wells.twin_normals()
-    intervals = admissible_normal_intervals(twin_normals, delta0)
+    intervals = admissible_normal_intervals(wells.twin_normals(), delta0)
     if not intervals:
         raise WellSetError(
             f"delta0={delta0} leaves no admissible facet normal directions"
         )
 
-    if b_grid is None:
-        b_grid = max(q_grid // 16, 512)
+    b_grid = max(q_grid // 16, 512)
     thetas = np.linspace(0.0, 2.0 * np.pi, q_grid, endpoint=False)
     rots = rotation_2d(thetas)
 

@@ -8,8 +8,12 @@ stacks: one-dimensional labels must agree byte for byte, and so must
 two-dimensional ones away from the threshold. alternating_chain is the
 per-site loop builder: the array builder must give the same gradients,
 byte for byte, whenever the interface positions are distinct and in range.
+hamiltonian_per_site and averaged_gradients are the index-gather window
+stacks of evaluate_hamiltonian and averaged_gradient_field: the sliding
+window views must give the same bytes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -96,3 +100,44 @@ def alternating_chain(system, length, interfaces=()):
             continue
         grads.append(float(g0.gradient_at([i + parity])[0, 0]))
     return LatticeDeformation.from_gradient_sequence(grads, m=1)
+
+
+def hamiltonian_per_site(x, system):
+    """The per-window energies of the old evaluate_hamiltonian, or None
+    when no window fits."""
+    grad = x.gradient()
+    gshape = grad.shape[: system.dim]
+    offsets = system.window
+    lo = -offsets.min(axis=0)
+    hi = np.array(gshape) - offsets.max(axis=0)
+    if np.any(hi <= lo):
+        return None
+    base_ranges = [np.arange(lo[a], hi[a]) for a in range(system.dim)]
+    base = np.stack(np.meshgrid(*base_ranges, indexing="ij"), axis=-1)
+    base_flat = base.reshape(-1, system.dim)
+    patches = np.stack(
+        [grad[tuple((base_flat + off).T)] for off in offsets], axis=1
+    )  # (n_windows, W, n, n)
+    energies = np.asarray(system.density(patches), dtype=float)
+    return float(x.m) ** (-system.dim) * energies
+
+
+def averaged_gradients(x, system, l):
+    """The values of the old averaged_gradient_field."""
+    g = system.ground_states[l]
+    grad = x.gradient()
+    gshape = np.array(grad.shape[: system.dim])
+    period = np.asarray(g.period, int)
+    out_shape = gshape - period + 1
+    if np.any(out_shape <= 0):
+        return np.zeros(tuple(np.maximum(out_shape, 0)) + grad.shape[-2:])
+    offsets = np.array(list(itertools.product(*[range(p) for p in period])), int)
+    base = np.stack(
+        np.meshgrid(*[np.arange(s) for s in out_shape], indexing="ij"), axis=-1
+    )
+    flat = base.reshape(-1, system.dim)
+    acc = np.zeros((len(flat),) + grad.shape[-2:])
+    for off in offsets:
+        acc += grad[tuple((flat + off).T)]
+    acc /= len(offsets)
+    return acc.reshape(tuple(out_shape) + grad.shape[-2:])

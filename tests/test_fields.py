@@ -9,7 +9,6 @@ from wellspin.fields import (
     PWAffineField,
     build_laminate,
     evaluate_energy,
-    gradient_outlier_report,
     laminate_profile,
 )
 from wellspin.mesh import build_kuhn_mesh
@@ -200,52 +199,3 @@ class TestLaminate:
             build_laminate(
                 admissible_meshes[8], wells_std, wells_std.connections[0], 0.5, 0.1
             )
-
-
-class TestSerialization:
-    def test_binary_round_trip(self, wells_std, admissible_meshes, tmp_path):
-        mesh = admissible_meshes[8]
-        field = auto_laminate(mesh, wells_std)
-        path = tmp_path / "field.bin"
-        field.write_binary(path)
-        header = field.header()
-        raw = np.fromfile(path, dtype="<f8").reshape(
-            header["n_cells"], header["dim"], header["dim"]
-        )
-        assert np.array_equal(raw, field.gradients)
-
-    def test_energy_report_json_and_rows(self, wells_std, admissible_meshes):
-        field = auto_laminate(admissible_meshes[8], wells_std)
-        rep = evaluate_energy(field, wells_std)
-        doc = rep.to_json()
-        assert doc["n_cells"] == field.mesh.n_cells
-        rows = rep.rows()
-        assert rows[0][0] == 0 and len(rows) == field.mesh.n_cells
-
-
-class TestOutliers:
-    def test_laminate_no_outliers(self, wells_std, admissible_meshes):
-        field = auto_laminate(admissible_meshes[16], wells_std)
-        rep = gradient_outlier_report(field, 100.0 * wells_std.separation_d)
-        assert rep.count == 0 and rep.volume == 0.0
-
-    def test_planted_outlier(self, wells_std, admissible_meshes):
-        mesh = admissible_meshes[16]
-        field = auto_laminate(mesh, wells_std)
-        grads = field.gradients.copy()
-        grads[7] *= 1e6
-        bumped = PWAffineField(mesh, grads, validate=False)
-        rep = gradient_outlier_report(bumped, 100.0 * wells_std.separation_d)
-        assert rep.count == 1
-        assert rep.volume == pytest.approx(mesh.volumes[7], abs=0.0)
-
-    def test_small_perturbation_no_outliers(self, wells_std, admissible_meshes):
-        mesh = admissible_meshes[16]
-        d = wells_std.separation_d
-        rng = np.random.default_rng(8)
-        base = auto_laminate(mesh, wells_std)
-        noise = rng.uniform(-1, 1, base.gradients.shape)
-        noise *= (d / 10.0) / np.linalg.norm(noise, axis=(1, 2), keepdims=True)
-        bumped = PWAffineField(mesh, base.gradients + noise, validate=False)
-        rep = gradient_outlier_report(bumped, 100.0 * d)
-        assert rep.count == 0 and rep.volume == 0.0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellspin import harness
+from wellspin.fields import build_laminate
 from wellspin.harness import (
     EXIT_ENERGY_BOUND,
     EXIT_GATE_FAILED,
@@ -306,6 +307,22 @@ class TestRun:
         assert len(digest) == 10
         assert all(line.startswith(("PASS ", "FAIL ")) for line in digest)
         assert summary["exit_code"] == code
+
+    def test_spin_suite_builds_only_the_laminates_it_uses(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_laminate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_laminate", counting)
+        cfg = {"scenario": "spin-lemma-suite", "seed": 3, "m": 8, "field_count": 30}
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        lines = (tmp_path / "tables" / "fields.csv").read_text().splitlines()[1:]
+        kinds = [line.split(",")[1] for line in lines]
+        assert "perturbed-laminate" in kinds
+        # one per laminate or rotated laminate, and one adversarial laminate
+        assert len(calls) == sum(k != "perturbed-laminate" for k in kinds) + 1
 
     def test_invalid_config_exit_code(self, tmp_path):
         assert run({"scenario": "nope"}, out_dir=tmp_path) == EXIT_INTERNAL

@@ -1,5 +1,5 @@
-"""The exact rotation match and the array chain builder against the
-per-site code they replaced (tests/lattice_reference.py)."""
+"""The exact rotation match, the array chain builder and the sliding
+window views against the code they replaced (tests/lattice_reference.py)."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,9 @@ from wellspin.lattice import (
     _rotation_match,
     alternating_chain,
     antiferro_system,
+    averaged_gradient_field,
     classify_lattice,
+    evaluate_hamiltonian,
     ground_state_deformation,
     synthetic_twin_system,
     verify_h2,
@@ -140,6 +142,36 @@ class TestClassifyLabels:
         labels = classify_lattice(x, twin).labels
         assert labels.tobytes() == ref.classify_labels(x, twin).tobytes()
         assert set(np.unique(labels)) == {-2, -1, state}
+
+
+class TestWindowViews:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["raw", "remapped", "twin"]),
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_energies_and_averages_match_gathers(self, kind, size, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "twin":
+            system = synthetic_twin_system()
+            shape = (size + 1, int(rng.integers(1, 14)), 2)
+        else:
+            system = antiferro_system(kind)
+            size *= 8
+            shape = (size + 1, 1)
+        x = LatticeDeformation(rng.normal(size=shape), m=max(size, 1))
+        rep = evaluate_hamiltonian(x, system)
+        old = ref.hamiltonian_per_site(x, system)
+        if old is None:
+            assert rep.empty and rep.per_site.size == 0
+        else:
+            assert rep.per_site.tobytes() == old.tobytes()
+            assert rep.total == float(old.sum())
+        for l in range(len(system.ground_states)):
+            new = averaged_gradient_field(x, system, l)
+            avg = ref.averaged_gradients(x, system, l)
+            assert new.shape == avg.shape and new.tobytes() == avg.tobytes()
 
 
 class TestChainBuilder:

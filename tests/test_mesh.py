@@ -74,10 +74,11 @@ class TestBuild:
 
     def test_adjacency_symmetric_and_interior_count(self):
         mesh = build_kuhn_mesh(2, 4)
-        neigh = mesh.adjacency()
-        for a, lst in enumerate(neigh):
-            for b in lst:
-                assert a in neigh[b]
+        pairs = mesh.facet_cells[mesh.interior]
+        # each interior facet joins two distinct cells, and no pair of
+        # cells shares two facets
+        assert np.all(pairs[:, 0] != pairs[:, 1])
+        assert len(np.unique(np.sort(pairs, axis=1), axis=0)) == len(pairs)
         slots = mesh.n_cells * 3
         n_boundary = len(mesh.boundary)
         assert len(mesh.interior) == (slots - n_boundary) // 2
@@ -128,17 +129,6 @@ class TestBuild:
         # jittered interior vertices really moved
         plain = build_kuhn_mesh(2, 8)
         assert np.max(np.abs(mesh.vertices - plain.vertices)) > 1e-4
-
-    def test_binary_dump_round_trip(self, tmp_path):
-        mesh = build_kuhn_mesh(2, 4)
-        path = tmp_path / "mesh.bin"
-        mesh.write_binary(path)
-        raw = np.fromfile(path, dtype="<i8", count=4)
-        assert list(raw) == [2, len(mesh.vertices), mesh.n_cells, 3]
-        verts = np.fromfile(
-            path, dtype="<f8", count=len(mesh.vertices) * 2, offset=32
-        ).reshape(-1, 2)
-        assert np.allclose(verts, mesh.vertices)
 
 
 class TestIncompatibility:
@@ -238,9 +228,6 @@ def mesh_inputs(draw):
     if draw(st.booleans()):
         kwargs["lattice_rotation"] = random_rotation(rng, n)
     if draw(st.booleans()):
-        lo = rng.uniform(-1.0, 1.0, n)
-        kwargs["domain"] = (lo, lo + rng.uniform(0.3, 2.0 if n == 2 else 1.3, n))
-    if draw(st.booleans()):
         kwargs["jitter"] = draw(st.floats(0.01, 0.2))
     return n, m, seed, kwargs
 
@@ -279,7 +266,7 @@ class TestReferenceOracle:
         "n, m, kwargs",
         [
             (2, 128, {"lattice_rotation": rotation_2d(0.3927)}),
-            (3, 4, {"jitter": 0.1, "domain": (np.zeros(3), np.array([2.0, 1.0, 0.5]))}),
+            (3, 4, {"jitter": 0.1, "lattice_rotation": random_rotation(np.random.default_rng(3), 3)}),
         ],
     )
     def test_byte_identical_fixed_cases(self, n, m, kwargs):
@@ -294,10 +281,11 @@ class TestReferenceOracle:
                 build(3, 200, max_cells=1000)
 
     def test_no_cells_inside_domain(self):
-        tiny = (np.zeros(2), np.full(2, 0.1))
+        # at m = 2 this rotation leaves no whole cell inside the unit cube
+        rot = random_rotation(np.random.default_rng(6), 3)
         for build in (build_kuhn_mesh, reference_build_kuhn_mesh):
             with pytest.raises(MeshError, match="no cells inside the domain"):
-                build(2, 2, domain=tiny)
+                build(3, 2, lattice_rotation=rot)
 
     def test_facet_of_three_cells_rejected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 2.0]])
