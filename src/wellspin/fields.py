@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wells import dist_to_wells_batch
+from .wells import dist_table
 
 
 class FieldError(ValueError):
@@ -42,10 +42,18 @@ def tangential_jump_residual(mesh, gradients):
 
 
 class PWAffineField:
-    """Gradient field of a continuous piecewise-affine deformation."""
+    """Gradient field of a continuous piecewise-affine deformation.
+
+    The gradients are held as a read-only view and must not change after
+    construction (nor may a caller write into the array it passed in), so
+    the field keeps one (cells x wells) distance table for the last well
+    set it was asked about (well_distances). The energy, the labels and
+    the spin-lemma scan of a field all read that table.
+    """
 
     def __init__(self, mesh, gradients, validate=True):
-        gradients = np.asarray(gradients, dtype=float)
+        gradients = np.asarray(gradients, dtype=float).view()
+        gradients.flags.writeable = False
         if gradients.shape != (mesh.n_cells, mesh.dim, mesh.dim):
             raise FieldError("gradient array does not match the mesh")
         if not np.all(np.isfinite(gradients)):
@@ -53,6 +61,8 @@ class PWAffineField:
         self.mesh = mesh
         self.gradients = gradients
         self.continuity_residual = tangential_jump_residual(mesh, gradients)
+        self._table_wells = None
+        self._table = None
         if validate:
             scale = max(float(np.linalg.norm(gradients, axis=(1, 2)).max()), 1e-30)
             if self.continuity_residual > 1e-9 * scale:
@@ -85,6 +95,15 @@ class PWAffineField:
         """The field R o u (composition with a rotation of value space)."""
         return PWAffineField(self.mesh, np.asarray(rotation) @ self.gradients)
 
+    def well_distances(self, wells):
+        """Read-only (C, k) distances of each cell gradient to each well of
+        a WellSet, computed on first use and kept for that well set."""
+        if self._table_wells is not wells:
+            self._table = dist_table(self.gradients, wells.matrices)
+            self._table.flags.writeable = False
+            self._table_wells = wells
+        return self._table
+
 
 @dataclass
 class EnergyReport:
@@ -93,9 +112,6 @@ class EnergyReport:
 
     total: float
     per_cell_dist2: np.ndarray
-    nearest_well: np.ndarray
-    cell_volumes: np.ndarray
-    c1: float
 
 
 def evaluate_energy(field, wells, c1=1.0):
@@ -105,16 +121,9 @@ def evaluate_energy(field, wells, c1=1.0):
     """
     if field.mesh.dim != wells.dim:
         raise FieldError("field and well set dimensions differ")
-    dists, nearest = dist_to_wells_batch(field.gradients, wells)
-    dist2 = dists**2
+    dist2 = field.well_distances(wells).min(axis=1) ** 2
     total = float((c1 * dist2 * field.mesh.volumes).sum())
-    return EnergyReport(
-        total=total,
-        per_cell_dist2=dist2,
-        nearest_well=nearest,
-        cell_volumes=field.mesh.volumes,
-        c1=c1,
-    )
+    return EnergyReport(total=total, per_cell_dist2=dist2)
 
 
 def laminate_profile(t, volume_fraction, period, offset=0.0):

@@ -5,6 +5,12 @@ label; everything else is BAD. On a twin-incompatible mesh two different
 well labels can never touch across a facet: the tangential continuity of
 the deformation plus the incompatibility constant force a BAD cell in
 between, which is what bounds the interfaces by the energy.
+
+Both steps read one number per (cell, well): the labels take each cell's
+nearest well, and the spin-lemma scan measures the neighbour of a labelled
+cell against that same well. A field computes that distance table once
+per well set (PWAffineField.well_distances), and the energy, the labels
+and the scan all share it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import label_components
-from .wells import dist_to_single_well_batch, dist_to_wells_batch, polar_rotation
+from .wells import polar_rotation
 
 BAD_LABEL = -1
 
@@ -53,7 +59,8 @@ def classify(field, wells, threshold=None):
         if c0 is None:
             raise SpinError("well set has no c0: run compute_dbar first")
         threshold = c0 / 100.0
-    dists, nearest = dist_to_wells_batch(field.gradients, wells)
+    table = field.well_distances(wells)
+    dists, nearest = table.min(axis=1), table.argmin(axis=1)
     labels = np.where(dists <= threshold, nearest, BAD_LABEL)
     return PhaseLabeling(field.mesh, labels.astype(np.int64), dists, float(threshold))
 
@@ -78,9 +85,14 @@ def verify_spin_lemma(field, labeling, wells):
     On a mesh satisfying the incompatibility margin this list is empty for
     every continuous field; it is nonempty exactly when twin planes align
     with facets.
+
+    The neighbour distances are gathered from the field's distance table
+    (the one classify read), so the scan computes no distances. Violations
+    come per direction (first cell as anchor, then second), grouped by
+    the anchor's well in increasing order, facets ascending within a well.
     """
     mesh = labeling.mesh
-    thr = labeling.threshold
+    table = field.well_distances(wells)
     violations = []
     interior = mesh.interior
     a = mesh.facet_cells[interior, 0]
@@ -91,24 +103,20 @@ def verify_spin_lemma(field, labeling, wells):
         (b, a, lab_b, lab_a),
     ):
         candidates = np.nonzero((lab_anchor >= 0) & (lab_other >= 0))[0]
-        for w in np.unique(lab_anchor[candidates]):
-            sel = candidates[lab_anchor[candidates] == w]
-            d_other = dist_to_single_well_batch(
-                field.gradients[other[sel]], wells.matrices[w]
-            )
-            hyp = d_other > thr
-            for k in np.nonzero(hyp)[0]:
-                fi = sel[k]
-                violations.append(
-                    SpinViolation(
-                        facet=int(interior[fi]),
-                        cell_in_well=int(anchor[fi]),
-                        cell_other=int(other[fi]),
-                        well_label=int(w),
-                        other_label=int(lab_other[fi]),
-                        dist_other_to_well=float(d_other[k]),
-                    )
+        candidates = candidates[np.argsort(lab_anchor[candidates], kind="stable")]
+        d_other = table[other[candidates], lab_anchor[candidates]]
+        hyp = d_other > labeling.threshold
+        for fi, d in zip(candidates[hyp], d_other[hyp]):
+            violations.append(
+                SpinViolation(
+                    facet=int(interior[fi]),
+                    cell_in_well=int(anchor[fi]),
+                    cell_other=int(other[fi]),
+                    well_label=int(lab_anchor[fi]),
+                    other_label=int(lab_other[fi]),
+                    dist_other_to_well=float(d),
                 )
+            )
     return violations
 
 

@@ -117,25 +117,63 @@ def dist_to_single_well(f, u):
     return float(dist_to_single_well_batch(f[None], u)[0])
 
 
-def dist_to_single_well_batch(fs, u):
-    # evaluate at the optimal rotation and measure the residual directly;
-    # the expanded form |F|^2 + |U|^2 - 2 tr cancels catastrophically when
-    # the distance is tiny
+def dist_table(fs, mats):
+    """(..., k) table of min over rotations R of |F - R U_j|_F, for every
+    matrix F of fs (..., n, n) and every well U_j of mats (k, n, n).
+
+    For n = 2 the table is filled entry by entry in one broadcast pass:
+    M = F U^T, the nearest rotation has (cos, sin) proportional to
+    (M00 + M11, M10 - M01), the identity when both vanish (see
+    _procrustes_rotation_batch), and the residual F - R U is measured
+    directly; the expanded form |F|^2 + |U|^2 - 2 tr cancels
+    catastrophically when the distance is tiny. Larger n takes the SVD
+    rotation of every (F, U_j) pair.
+    """
     fs = np.asarray(fs, dtype=float)
-    u = np.asarray(u, dtype=float)
-    rot = _procrustes_rotation_batch(fs @ u.T)
-    return np.linalg.norm(fs - rot @ u, axis=(-2, -1))
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[1:] != fs.shape[-2:]:
+        raise WellSetError(f"{fs.shape[-2:]} matrices against {mats.shape[1:]} wells")
+    if fs.shape[-1] != 2:
+        fs = fs[..., None, :, :]
+        rot = _procrustes_rotation_batch(fs @ np.swapaxes(mats, -1, -2))
+        return np.linalg.norm(fs - rot @ mats, axis=(-2, -1))
+    # cell entries as (..., 1) columns against (k,) well entries; the
+    # in-place steps keep the arithmetic and bound the temporaries
+    f00, f01 = fs[..., 0, 0, None], fs[..., 0, 1, None]
+    f10, f11 = fs[..., 1, 0, None], fs[..., 1, 1, None]
+    u00, u01 = mats[:, 0, 0], mats[:, 0, 1]
+    u10, u11 = mats[:, 1, 0], mats[:, 1, 1]
+    a = f00 * u00 + f01 * u01  # M00 + M11
+    a += f10 * u10 + f11 * u11
+    b = f10 * u00 + f11 * u01  # M10 - M01
+    b -= f00 * u10 + f01 * u11
+    r = np.hypot(a, b)
+    tie = r == 0.0
+    r[tie] = 1.0
+    c = np.divide(a, r, out=a)
+    c[tie] = 1.0
+    s = np.divide(b, r, out=b)
+    d2 = f00 - (c * u00 - s * u10)
+    d2 *= d2
+    e = f01 - (c * u01 - s * u11)
+    d2 += e * e
+    e = f10 - (s * u00 + c * u10)
+    d2 += e * e
+    e = f11 - (s * u01 + c * u11)
+    d2 += e * e
+    return np.sqrt(d2, out=d2)
+
+
+def dist_to_single_well_batch(fs, u):
+    """dist_table for the single well u, shape fs.shape[:-2]."""
+    return dist_table(fs, np.asarray(u, dtype=float)[None])[..., 0]
 
 
 def dist_to_wells_batch(fs, wells):
     """Distance of each matrix to the union of wells and the index of the
     nearest well; ties resolve to the lowest index."""
-    fs = np.asarray(fs, dtype=float)
-    dists = np.stack(
-        [dist_to_single_well_batch(fs, u) for u in wells.matrices], axis=-1
-    )
-    idx = np.argmin(dists, axis=-1)
-    return np.take_along_axis(dists, idx[..., None], axis=-1)[..., 0], idx
+    table = dist_table(fs, wells.matrices)
+    return table.min(axis=-1), table.argmin(axis=-1)
 
 
 def well_distance(wells, i, j):

@@ -4,6 +4,11 @@ Kept as a test oracle. For 2x2 input the closed forms must agree with it
 to round-off (the rotations, the distances and the tangential residuals);
 for n = 3, where wellspin still runs the SVD, they must agree byte for
 byte.
+
+matmul_dist_to_single_well_batch is the batched-matmul form of the n = 2
+closed form that the entry-by-entry distance table replaced. On diagonal
+wells every product of M = F U^T and of R U is exact, so the table must
+match it byte for byte there.
 """
 
 import numpy as np
@@ -48,6 +53,21 @@ def dist_to_single_well_batch(fs, u):
     fs = np.asarray(fs, dtype=float)
     u = np.asarray(u, dtype=float)
     rot = procrustes_rotation_batch(fs @ u.T)
+    return np.linalg.norm(fs - rot @ u, axis=(-2, -1))
+
+
+def matmul_dist_to_single_well_batch(fs, u):
+    """|F - R U|_F at the closed-form rotation of M = F U^T, with batched
+    2x2 matmuls and np.linalg.norm."""
+    fs = np.asarray(fs, dtype=float)
+    u = np.asarray(u, dtype=float)
+    m = fs @ u.T
+    a, b = m[..., 0, 0] + m[..., 1, 1], m[..., 1, 0] - m[..., 0, 1]
+    r = np.hypot(a, b)
+    tie = r == 0.0
+    r = np.where(tie, 1.0, r)
+    c, s = np.where(tie, 1.0, a / r), b / r
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(fs.shape)
     return np.linalg.norm(fs - rot @ u, axis=(-2, -1))
 
 
