@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import label_components
-from .wells import _procrustes_rotation_batch, dist_to_single_well, polar_rotation
+from .wells import _procrustes_rotation_batch, dist_to_single_well_batch, polar_rotation
 
 BAD_SITE = -1
 BOUNDARY_SITE = -2
@@ -125,22 +125,20 @@ class LatticeSystem:
         self.separation_d = self._separation()
 
     def _separation(self):
+        """min over ground-state pairs of the largest well distance between
+        their values over the q0 box."""
         if len(self.ground_states) == 1:
             return math.inf
+        values = [g.gradient_at(self.q0_offsets) for g in self.ground_states]
         best = math.inf
-        for a in range(len(self.ground_states)):
-            for b in range(a + 1, len(self.ground_states)):
-                ga, gb = self.ground_states[a], self.ground_states[b]
-                worst = 0.0
-                for site in self.q0_offsets:
-                    pa = ga.gradient_at(site)
-                    pb = gb.gradient_at(site)
-                    if self.dim == 1:
-                        d = abs(float(pa[0, 0] - pb[0, 0]))
-                    else:
-                        d = dist_to_single_well(pa, pb)
-                    worst = max(worst, d)
-                best = min(best, worst)
+        for a in range(len(values)):
+            for b in range(a + 1, len(values)):
+                pa, pb = values[a], values[b]
+                if self.dim == 1:
+                    d = np.abs(pa[:, 0, 0] - pb[:, 0, 0])
+                else:
+                    d = dist_to_single_well_batch(pa, pb)
+                best = min(best, float(d.max()))
         return best
 
     @property

@@ -111,8 +111,10 @@ class SimplicialMesh:
       barycenters   (C, n) float
       facet_vertices (F, n) int
       facet_area    (F,) float
-      facet_normal  (F, n) float, oriented away from facet_cells[:, 0]
-      facet_tangent (F, n, n-1) float orthonormal tangent basis
+      facet_normal  (F, n) float, oriented away from facet_cells[:, 0]; for
+                    n = 2 the facet edge turned by 90 degrees, no SVD
+      facet_tangent (F, n, n-1) float orthonormal tangent basis; for n = 2
+                    the oriented normal turned back by 90 degrees, (-n1, n0)
       facet_cells   (F, 2) int, second entry -1 on the domain boundary
     """
 
@@ -165,13 +167,21 @@ class SimplicialMesh:
         edges = pts[:, 1:, :] - pts[:, :1, :]  # (F, n-1, n)
         gram = edges @ np.swapaxes(edges, 1, 2)
         self.facet_area = np.sqrt(np.abs(_batched_det(gram))) / math.factorial(n - 1)
-        _, _, vt = np.linalg.svd(edges)
-        normals = vt[:, -1, :]  # (F, n)
-        tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
+        if n == 2:
+            # the edge turned by 90 degrees; facet_area is the edge length
+            normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+            normals /= self.facet_area[:, None]
+        else:
+            _, _, vt = np.linalg.svd(edges)
+            normals = vt[:, -1, :]  # (F, n)
+            tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
         # orient away from the opposite vertex of the first adjacent cell
         fbary = pts.mean(axis=1)
         flip = np.einsum("fi,fi->f", normals, fbary - self.vertices[opposite]) < 0
         normals[flip] = -normals[flip]
+        if n == 2:
+            # the oriented normal turned back by 90 degrees
+            tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
         self.facet_normal = normals
         self.facet_tangent = tangents
 
@@ -232,15 +242,16 @@ class SimplicialMesh:
         """Distinct facet normal directions as unit vectors.
 
         Signs are canonical (first sizable component positive); vectors are
-        deduplicated on 10 decimals but returned unrounded, sorted by the
-        rounded key for determinism.
+        deduplicated on 10 decimals but returned unrounded (the first facet's
+        vector of each key), sorted by the rounded key for determinism.
         """
-        reps = {}
-        for v in self.facet_normal:
-            nz = np.nonzero(np.abs(v) > 1e-9)[0]
-            vec = -v if len(nz) and v[nz[0]] < 0 else v
-            reps.setdefault(tuple(np.round(vec, 10)), vec)
-        return np.array([reps[k] for k in sorted(reps)])
+        v = self.facet_normal
+        sizable = np.abs(v) > 1e-9
+        lead = v[np.arange(len(v)), np.argmax(sizable, axis=1)]
+        canon = np.where(((lead < 0) & sizable.any(axis=1))[:, None], -v, v)
+        # -0.0 and 0.0 make one key, as they do in a dict of tuples
+        _, idx = np.unique(np.round(canon, 10) + 0.0, axis=0, return_index=True)
+        return canon[idx]
 
 
 # default cell budget of build_kuhn_mesh

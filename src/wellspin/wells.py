@@ -22,6 +22,8 @@ ROTATION_TOL = 1e-10
 RESIDUAL_RTOL = 1e-9
 # angles in the sign-change scan of twin_solve
 TWIN_GRID = 4096
+# grid points per pi radians of admissible normal angle in compute_dbar
+DBAR_GRID = 4096
 
 
 class WellSetError(ValueError):
@@ -133,16 +135,35 @@ def dist_table(fs, mats):
     mats = np.asarray(mats, dtype=float)
     if mats.shape[1:] != fs.shape[-2:]:
         raise WellSetError(f"{fs.shape[-2:]} matrices against {mats.shape[1:]} wells")
+    # every matrix as a (..., 1) column against the (k,) wells
+    return _dist_pairs(fs[..., None, :, :], mats)
+
+
+def dist_to_single_well_batch(fs, u):
+    """min over rotations R of |F - R U|_F for every matrix F of fs
+    (..., n, n), shape fs.shape[:-2].
+
+    u is one well (n, n) or one well per matrix, broadcast against fs;
+    either way each entry is dist_table's, bit for bit.
+    """
+    fs = np.asarray(fs, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if u.shape[-2:] != fs.shape[-2:]:
+        raise WellSetError(f"{fs.shape[-2:]} matrices against {u.shape[-2:]} wells")
+    return _dist_pairs(fs[..., None, :, :], u[..., None, :, :])[..., 0]
+
+
+def _dist_pairs(fs, us):
+    """min over rotations R of |F - R U|_F, broadcast over the leading axes
+    of fs and us (..., n, n); the kernel of dist_table."""
     if fs.shape[-1] != 2:
-        fs = fs[..., None, :, :]
-        rot = _procrustes_rotation_batch(fs @ np.swapaxes(mats, -1, -2))
-        return np.linalg.norm(fs - rot @ mats, axis=(-2, -1))
-    # cell entries as (..., 1) columns against (k,) well entries; the
-    # in-place steps keep the arithmetic and bound the temporaries
-    f00, f01 = fs[..., 0, 0, None], fs[..., 0, 1, None]
-    f10, f11 = fs[..., 1, 0, None], fs[..., 1, 1, None]
-    u00, u01 = mats[:, 0, 0], mats[:, 0, 1]
-    u10, u11 = mats[:, 1, 0], mats[:, 1, 1]
+        rot = _procrustes_rotation_batch(fs @ np.swapaxes(us, -1, -2))
+        return np.linalg.norm(fs - rot @ us, axis=(-2, -1))
+    # the in-place steps keep the arithmetic and bound the temporaries
+    f00, f01 = fs[..., 0, 0], fs[..., 0, 1]
+    f10, f11 = fs[..., 1, 0], fs[..., 1, 1]
+    u00, u01 = us[..., 0, 0], us[..., 0, 1]
+    u10, u11 = us[..., 1, 0], us[..., 1, 1]
     a = f00 * u00 + f01 * u01  # M00 + M11
     a += f10 * u10 + f11 * u11
     b = f10 * u00 + f11 * u01  # M10 - M01
@@ -162,11 +183,6 @@ def dist_table(fs, mats):
     e = f11 - (s * u01 + c * u11)
     d2 += e * e
     return np.sqrt(d2, out=d2)
-
-
-def dist_to_single_well_batch(fs, u):
-    """dist_table for the single well u, shape fs.shape[:-2]."""
-    return dist_table(fs, np.asarray(u, dtype=float)[None])[..., 0]
 
 
 def dist_to_wells_batch(fs, wells):
@@ -475,14 +491,16 @@ def admissible_normal_intervals(twin_normals, delta0):
     return [(lo, hi) for lo, hi in allowed if hi - lo > 1e-12]
 
 
-def compute_dbar(wells, delta0, q_grid=8192, store=True):
+def compute_dbar(wells, delta0, store=True):
     """Incompatibility constant of a well set for a given margin delta0.
 
     For every pair of distinct wells this minimizes, over rotations Q and
     over unit normals b that keep the angle margin delta0 from every twin
-    normal, the largest stretch of (U_i1 - Q U_i2) along the tangent frame
-    orthogonal to b. Rotations and normals are scanned on grids and the
-    best candidates are polished with golden-section refinement.
+    normal, the stretch |(U_i1 - Q U_i2) tau| along the facet tangent tau
+    orthogonal to b. In the plane a rotation can turn U_i2 tau onto
+    U_i1 tau, so the minimum over Q is | |U_i1 tau| - |U_i2 tau| | and a
+    1-D minimum over the admissible normal angles is left (see
+    _tangent_gap_min).
 
     A single well has nothing to separate: the result is +inf. The result
     is stored on the well set (with the delta0 used) unless store=False.
@@ -501,82 +519,47 @@ def compute_dbar(wells, delta0, q_grid=8192, store=True):
         raise WellSetError(
             f"delta0={delta0} leaves no admissible facet normal directions"
         )
-
-    b_grid = max(q_grid // 16, 512)
-    thetas = np.linspace(0.0, 2.0 * np.pi, q_grid, endpoint=False)
-    rots = rotation_2d(thetas)
-
-    phis_parts = []
-    total_len = sum(hi - lo for lo, hi in intervals)
-    for lo, hi in intervals:
-        count = max(8, int(round(b_grid * (hi - lo) / total_len)))
-        phis_parts.append(np.linspace(lo, hi, count))
-    phis = np.concatenate(phis_parts)
-    sin2, cos2 = np.sin(phis) ** 2, np.cos(phis) ** 2
-    sincos = np.sin(phis) * np.cos(phis)
-
-    best = math.inf
-    for i1 in range(wells.k):
-        for i2 in range(i1 + 1, wells.k):
-            u1, u2 = wells.matrices[i1], wells.matrices[i2]
-            diffs = u1[None] - rots @ u2  # (q_grid, 2, 2)
-            # |M tau(phi)|^2 with tau = (-sin, cos) is a quadratic form in
-            # the columns of M: g11 sin^2 + g22 cos^2 - 2 g12 sin cos
-            g11 = (diffs[:, :, 0] ** 2).sum(axis=1)
-            g22 = (diffs[:, :, 1] ** 2).sum(axis=1)
-            g12 = (diffs[:, :, 0] * diffs[:, :, 1]).sum(axis=1)
-
-            def value(theta, phi, _u1=u1, _u2=u2):
-                m = _u1 - rotation_2d(theta) @ _u2
-                tau = np.array([-math.sin(phi), math.cos(phi)])
-                return float(np.linalg.norm(m @ tau))
-
-            # coarse grid of squared values, chunked over theta to bound
-            # memory; the strict < keeps the first grid minimum
-            grid_best2 = math.inf
-            grid_arg = (0.0, 0.0)
-            chunk = max(1, 2**18 // max(len(phis), 1))
-            for s in range(0, q_grid, chunk):
-                vals = (
-                    g11[s : s + chunk, None] * sin2[None, :]
-                    + g22[s : s + chunk, None] * cos2[None, :]
-                    - 2.0 * g12[s : s + chunk, None] * sincos[None, :]
-                )
-                flat = np.argmin(vals)
-                ci, pi = np.unravel_index(flat, vals.shape)
-                if vals[ci, pi] < grid_best2:
-                    grid_best2 = float(vals[ci, pi])
-                    grid_arg = (float(thetas[s + ci]), float(phis[pi]))
-            grid_best = math.sqrt(max(grid_best2, 0.0))
-
-            # alternate golden refinements in theta and phi, phi clamped to
-            # its admissible interval
-            theta_star, phi_star = grid_arg
-            pair_best = grid_best
-            dt = 2.0 * np.pi / q_grid
-            dp = math.pi / max(len(phis), 1)
-            for _ in range(4):
-                theta_star, pair_best = golden_min(
-                    lambda t: value(t, phi_star), theta_star - 2 * dt, theta_star + 2 * dt
-                )
-                lo, hi = _enclosing_interval(intervals, phi_star)
-                phi_star, pair_best = golden_min(
-                    lambda p: value(theta_star, p),
-                    max(lo, phi_star - 2 * dp),
-                    min(hi, phi_star + 2 * dp),
-                )
-            best = min(best, pair_best)
-
+    best = min(
+        _tangent_gap_min(wells.matrices[i1], wells.matrices[i2], lo, hi)
+        for i1 in range(wells.k)
+        for i2 in range(i1 + 1, wells.k)
+        for lo, hi in intervals
+    )
     if store:
         wells.incompat_dbar = best
         wells.delta0 = delta0
     return best
 
 
-def _enclosing_interval(intervals, phi):
-    phi = phi % math.pi
-    for lo, hi in intervals:
-        if lo - 1e-12 <= phi <= hi + 1e-12:
-            return lo, hi
-    # fall back to the nearest interval
-    return min(intervals, key=lambda iv: min(abs(phi - iv[0]), abs(phi - iv[1])))
+def _tangent_gap(u1, u2, phi):
+    """| |U1 tau| - |U2 tau| | at tau = (-sin phi, cos phi), the facet
+    tangent of the normal (cos phi, sin phi); elementwise over phi."""
+    s, c = np.sin(phi), np.cos(phi)
+    a = np.hypot(u1[0, 1] * c - u1[0, 0] * s, u1[1, 1] * c - u1[1, 0] * s)
+    b = np.hypot(u2[0, 1] * c - u2[0, 0] * s, u2[1, 1] * c - u2[1, 0] * s)
+    return np.abs(a - b)
+
+
+def _tangent_gap_min(u1, u2, lo, hi):
+    """Minimum of _tangent_gap over normal angles in [lo, hi].
+
+    |U1 tau|^2 - |U2 tau|^2 vanishes only at twin tangents, which the
+    admissible intervals exclude, so the gap is smooth on [lo, hi]. It is
+    scanned on about DBAR_GRID points per pi radians; every grid local
+    minimum is polished by golden-section search between its neighbours,
+    and both ends are candidates too.
+    """
+    phis = np.linspace(lo, hi, max(8, math.ceil(DBAR_GRID * (hi - lo) / math.pi)) + 1)
+    vals = _tangent_gap(u1, u2, phis)
+    # strict on the left so a plateau is polished once
+    padded = np.concatenate([[math.inf], vals, [math.inf]])
+    local = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
+    best = min(vals[0], vals[-1])
+    for k in local:
+        _, val = golden_min(
+            lambda p: _tangent_gap(u1, u2, p),
+            phis[max(k - 1, 0)],
+            phis[min(k + 1, len(phis) - 1)],
+        )
+        best = min(best, val)
+    return float(best)

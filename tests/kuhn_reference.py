@@ -1,10 +1,11 @@
 """The loop-based Kuhn mesh builder that wellspin.mesh replaced.
 
-Kept verbatim as a test oracle: the array builder must reproduce every
-array of it byte for byte. ReferenceMesh swaps the facet construction,
-the facet orientation loop and the per-facet surface loop of
-SimplicialMesh back in; cell geometry, normal_directions and the rest are
-shared.
+Kept verbatim as a test oracle. ReferenceMesh swaps the facet
+construction, the SVD facet frames with their orientation loop, the
+per-facet surface loop and the per-facet normal_directions loop of
+SimplicialMesh back in; cell geometry and the rest are shared. The array
+builder must reproduce every array byte for byte, except the n = 2 facet
+normals and tangents, which wellspin now forms in closed form.
 """
 
 import itertools
@@ -92,6 +93,19 @@ class ReferenceMesh(SimplicialMesh):
                 diameter_upper=float((diam * self.m).max()),
             )
         return self._constants
+
+    def normal_directions(self):
+        return reference_normal_directions(self.facet_normal)
+
+
+def reference_normal_directions(facet_normal):
+    """Distinct facet normal directions, one facet at a time."""
+    reps = {}
+    for v in facet_normal:
+        nz = np.nonzero(np.abs(v) > 1e-9)[0]
+        vec = -v if len(nz) and v[nz[0]] < 0 else v
+        reps.setdefault(tuple(np.round(vec, 10)), vec)
+    return np.array([reps[k] for k in sorted(reps)])
 
 
 def reference_build_kuhn_mesh(

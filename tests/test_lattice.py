@@ -21,7 +21,7 @@ from wellspin.lattice import (
     verify_h2,
 )
 from wellspin.numerics import loglog_slope
-from wellspin.wells import rotation_2d
+from wellspin.wells import dist_to_single_well, rotation_2d
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,26 @@ class TestSystems:
         assert twin2d.separation_d > 0.1
         for u in twin2d.averaged_gradients:
             assert abs(np.linalg.det(u)) > 0.5
+
+    @pytest.mark.parametrize("name", ["raw", "remapped", "twin2d"])
+    def test_separation_byte_identical_to_site_loop(self, name, request):
+        # the per-site scalar loop that one batched call per pair replaced
+        system = request.getfixturevalue(name)
+        states = system.ground_states
+        best = float("inf")
+        for a in range(len(states)):
+            for b in range(a + 1, len(states)):
+                worst = 0.0
+                for site in system.q0_offsets:
+                    pa, pb = states[a].gradient_at(site), states[b].gradient_at(site)
+                    if system.dim == 1:
+                        d = abs(float(pa[0, 0] - pb[0, 0]))
+                    else:
+                        d = dist_to_single_well(pa, pb)
+                    worst = max(worst, d)
+                best = min(best, worst)
+        assert len(states) > 1
+        assert np.float64(system.separation_d).tobytes() == np.float64(best).tobytes()
 
 
 class TestHamiltonian:

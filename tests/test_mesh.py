@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kuhn_reference import ReferenceMesh, reference_build_kuhn_mesh
+from kuhn_reference import ReferenceMesh, reference_build_kuhn_mesh, reference_normal_directions
 
 from wellspin.mesh import (
     MeshError,
@@ -244,23 +244,47 @@ def build_both(n, m, seed, kwargs):
     return out
 
 
+# the n = 2 facet frames are closed-form in wellspin and SVD-based in the
+# reference; they may differ by a few ulps (the tangent also by its sign),
+# and so may the normal directions taken from them
+CLOSED_FORM = ("facet_normal", "facet_tangent")
+FRAME_TOL = 4 * np.finfo(float).eps
+
+
+def assert_matches_reference(new, ref):
+    assert isinstance(ref, ReferenceMesh) and type(new) is SimplicialMesh
+    for name in MESH_ARRAYS:
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        if new.dim == 2 and name in CLOSED_FORM:
+            continue
+        assert a.tobytes() == b.tobytes(), name
+    assert new.constants == ref.constants
+    dirs, ref_dirs = new.normal_directions(), ref.normal_directions()
+    assert dirs.shape == ref_dirs.shape
+    if new.dim == 3:
+        assert dirs.tobytes() == ref_dirs.tobytes()
+        return
+    assert np.abs(new.facet_normal - ref.facet_normal).max() <= FRAME_TOL
+    sign = np.sign(np.einsum("fik,fik->fk", new.facet_tangent, ref.facet_tangent))
+    drift = new.facet_tangent - sign[:, None, :] * ref.facet_tangent
+    assert np.abs(drift).max() <= FRAME_TOL
+    # the directions are facet normals, so they inherit the normals' drift
+    assert np.abs(dirs - ref_dirs).max() <= FRAME_TOL
+
+
 class TestReferenceOracle:
-    """The array builder against the loop builder it replaced, byte for byte."""
+    """The array builder against the loop builder it replaced: byte for
+    byte, but for the closed-form n = 2 facet frames."""
 
     @settings(max_examples=60, deadline=None)
     @given(mesh_inputs())
-    def test_byte_identical_to_loop_builder(self, inputs):
+    def test_matches_loop_builder(self, inputs):
         new, ref = build_both(*inputs)
         if isinstance(ref, str):
             assert new == ref
             return
-        assert isinstance(ref, ReferenceMesh) and type(new) is SimplicialMesh
-        for name in MESH_ARRAYS:
-            a, b = getattr(new, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-        assert new.constants == ref.constants
-        assert new.normal_directions().tobytes() == ref.normal_directions().tobytes()
+        assert_matches_reference(new, ref)
 
     @pytest.mark.parametrize(
         "n, m, kwargs",
@@ -269,11 +293,26 @@ class TestReferenceOracle:
             (3, 4, {"jitter": 0.1, "lattice_rotation": random_rotation(np.random.default_rng(3), 3)}),
         ],
     )
-    def test_byte_identical_fixed_cases(self, n, m, kwargs):
-        new, ref = build_both(n, m, 7, kwargs)
-        for name in MESH_ARRAYS:
-            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
-        assert new.constants == ref.constants
+    def test_matches_fixed_cases(self, n, m, kwargs):
+        assert_matches_reference(*build_both(n, m, 7, kwargs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mesh_inputs())
+    def test_normal_directions_byte_identical_to_loop(self, inputs):
+        n, m, seed, kwargs = inputs
+        try:
+            mesh = build_kuhn_mesh(n, m, rng=np.random.default_rng(seed), **kwargs)
+        except MeshError:
+            return
+        got = mesh.normal_directions()
+        want = reference_normal_directions(mesh.facet_normal)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_closed_form_tangent_turns_normal_back(self):
+        mesh = build_kuhn_mesh(2, 8, lattice_rotation=rotation_2d(0.3), jitter=0.1)
+        nrm, tan = mesh.facet_normal, mesh.facet_tangent[:, :, 0]
+        assert np.array_equal(tan, np.stack([-nrm[:, 1], nrm[:, 0]], axis=1))
 
     def test_resource_budget_matches(self):
         for build in (build_kuhn_mesh, reference_build_kuhn_mesh):

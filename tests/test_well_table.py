@@ -78,6 +78,17 @@ class TestKernel:
         for j, uj in enumerate(mats):
             assert np.array_equal(table[:, j], ref.dist_to_single_well_batch(fs, uj))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 20), SEEDS)
+    def test_one_well_per_matrix_byte_equal_to_pairwise(self, n, count, seed):
+        fs, _ = make_batch("random", n, count, seed)
+        rng = np.random.default_rng(seed)
+        us = np.stack([spd(rng, n) for _ in range(count)])
+        got = dist_to_single_well_batch(fs, us)
+        want = np.array([dist_to_single_well_batch(f[None], u)[0] for f, u in zip(fs, us)])
+        assert got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+
     def test_size_mismatch_rejected(self, wells_std):
         with pytest.raises(WellSetError):
             dist_table(np.zeros((4, 2, 2)), [np.eye(3)])
