@@ -21,7 +21,8 @@ class FieldError(ValueError):
 
 
 def tangential_jump_residual(mesh, gradients):
-    """Largest tangential gradient jump over interior facets.
+    """Largest tangential gradient jump over interior facets, one per
+    field of a (..., C, n, n) stack of per-cell gradients.
 
     For each interior facet with orthonormal tangent basis T this is the
     spectral norm of (G_a - G_b) T; it vanishes exactly when the per-cell
@@ -31,14 +32,60 @@ def tangential_jump_residual(mesh, gradients):
     """
     interior = mesh.interior
     if len(interior) == 0:
-        return 0.0
-    a = mesh.facet_cells[interior, 0]
-    b = mesh.facet_cells[interior, 1]
-    jumps = gradients[a] - gradients[b]  # (F, n, n)
-    tangential = jumps @ mesh.facet_tangent[interior]  # (F, n, n-1)
-    if tangential.shape[-1] == 1:
-        return float(np.linalg.norm(tangential[..., 0], axis=-1).max())
-    return float(np.linalg.svd(tangential, compute_uv=False)[:, 0].max())
+        return np.zeros(gradients.shape[:-3])[()]
+    a, b = np.take(mesh.facet_cells, interior, axis=0).T
+    jumps = np.take(gradients, a, axis=-3) - np.take(gradients, b, axis=-3)  # (..., F, n, n)
+    tangents = mesh.facet_tangent[interior]  # (F, n, n-1)
+    if tangents.shape[-1] == 1:
+        # n = 2: the one tangent column t, (G_a - G_b) t entry by entry
+        t0, t1 = tangents[:, 0, 0], tangents[:, 1, 0]
+        row0 = jumps[..., 0, 0] * t0 + jumps[..., 0, 1] * t1
+        row1 = jumps[..., 1, 0] * t0 + jumps[..., 1, 1] * t1
+        return np.hypot(row0, row1).max(axis=-1)
+    tangential = jumps @ tangents  # (..., F, n, n-1)
+    return np.linalg.svd(tangential, compute_uv=False)[..., 0].max(axis=-1)
+
+
+def vertex_gradients(mesh, values):
+    """Per-cell gradients (..., C, n, n) of the piecewise-affine
+    interpolant of vertex values (..., V, n)."""
+    cell_vals = np.take(values, mesh.cells, axis=-2)  # (..., C, n+1, n)
+    du = np.swapaxes(cell_vals[..., 1:, :] - cell_vals[..., :1, :], -1, -2)
+    return du @ mesh.inverse_edges
+
+
+def check_gradients(mesh, gradients, validate=True, ids=None):
+    """Tangential residuals of a (C, n, n) gradient array, or one per
+    field of a (B, C, n, n) stack, after checking each field in turn.
+
+    A field fails when it has a non-finite entry or, with validate, when
+    its residual exceeds 1e-9 times its largest gradient norm: it is then
+    not the gradient of a continuous field. The first failing field
+    raises FieldError; for a stack the message names it by its entry in
+    ids (default: its index).
+    """
+    stack = gradients.reshape(-1, *gradients.shape[-3:])
+    finite = np.isfinite(stack).all(axis=(1, 2, 3))
+    # only the fields before the first non-finite one are measured
+    n_ok = len(stack) if finite.all() else int(np.argmin(finite))
+    residual = tangential_jump_residual(mesh, stack[:n_ok])
+    problem = None if n_ok == len(stack) else (n_ok, "gradient array has non-finite entries")
+    if validate:
+        scale = np.maximum(np.linalg.norm(stack[:n_ok], axis=(2, 3)).max(axis=1), 1e-30)
+        jumps = np.flatnonzero(residual > 1e-9 * scale)
+        if len(jumps):
+            k = jumps[0]
+            problem = (
+                k,
+                "tangential jumps too large: not the gradient of a "
+                f"continuous field (residual {residual[k]:.3e})",
+            )
+    if problem:
+        k, text = problem
+        if gradients.ndim > 3:
+            text = f"field {k if ids is None else ids[k]}: {text}"
+        raise FieldError(text)
+    return residual.reshape(gradients.shape[:-3])[()]
 
 
 class PWAffineField:
@@ -56,20 +103,11 @@ class PWAffineField:
         gradients.flags.writeable = False
         if gradients.shape != (mesh.n_cells, mesh.dim, mesh.dim):
             raise FieldError("gradient array does not match the mesh")
-        if not np.all(np.isfinite(gradients)):
-            raise FieldError("gradient array has non-finite entries")
         self.mesh = mesh
         self.gradients = gradients
-        self.continuity_residual = tangential_jump_residual(mesh, gradients)
+        self.continuity_residual = check_gradients(mesh, gradients, validate)
         self._table_wells = None
         self._table = None
-        if validate:
-            scale = max(float(np.linalg.norm(gradients, axis=(1, 2)).max()), 1e-30)
-            if self.continuity_residual > 1e-9 * scale:
-                raise FieldError(
-                    "tangential jumps too large: not the gradient of a "
-                    f"continuous field (residual {self.continuity_residual:.3e})"
-                )
 
     @classmethod
     def from_vertex_function(cls, mesh, fn):
@@ -80,9 +118,7 @@ class PWAffineField:
         values = np.asarray(fn(mesh.vertices), dtype=float)
         if values.shape != mesh.vertices.shape:
             raise FieldError("vertex function must map (V, n) to (V, n)")
-        cell_vals = values[mesh.cells]  # (C, n+1, n)
-        du = np.swapaxes(cell_vals[:, 1:, :] - cell_vals[:, :1, :], 1, 2)
-        return cls(mesh, du @ mesh.inverse_edges)
+        return cls(mesh, vertex_gradients(mesh, values))
 
     @classmethod
     def from_linear(cls, mesh, matrix):

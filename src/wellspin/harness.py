@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import PWAffineField, build_laminate, evaluate_energy, laminate_profile
+from .fields import (
+    FieldError,
+    build_laminate,
+    check_gradients,
+    evaluate_energy,
+    laminate_profile,
+    vertex_gradients,
+)
 from .lattice import (
     EnergyBoundError,
     LatticeError,
@@ -54,13 +61,24 @@ from .rigidity import (
     weak_rigidity_ratio,
     fitted_rotation,
 )
-from .spin import classify, count_bad_cells, discrete_perimeter, extract_partition, verify_spin_lemma
+from .spin import (
+    BAD_LABEL,
+    cell_labels,
+    classify,
+    count_bad_cells,
+    discrete_perimeter,
+    extract_partition,
+    spin_hits,
+    verify_spin_lemma,
+)
 from .wells import (
     WellSet,
     admissible_normal_intervals,
     compute_dbar,
+    dist_table,
     random_rotation,
     rotation_2d,
+    rotations_from_normals,
     solve_all_connections,
 )
 
@@ -71,6 +89,14 @@ EXIT_ENERGY_BOUND = 3
 EXIT_INTERNAL = 4
 
 LATTICE_SYSTEMS = ("antiferro-raw", "antiferro-remapped", "synthetic-twin")
+
+# random spin-lemma fields are laminates with periods drawn from this
+# range, so a mesh needs m >= 2 / _SPIN_PERIODS[0] for two cells per layer
+_SPIN_PERIODS = (0.3, 0.8)
+_SPIN_KINDS = ("laminate", "rotated-laminate", "perturbed-laminate")
+# cells in one block of spin-lemma fields; the suite's peak RSS grows by
+# about 300 bytes per cell of the block (at m = 16, 9 fields per block)
+_SPIN_BLOCK_CELLS = 2**12
 
 
 def substream(seed, label):
@@ -253,7 +279,8 @@ SCHEMA = {
     "spin-lemma-suite": {
         **_COMMON,
         **_WELLS,
-        "m": (16, _at_least(2)),
+        # a random laminate period needs two cells per layer
+        "m": (16, _at_least(math.ceil(2.0 / _SPIN_PERIODS[0]))),
         "field_count": (1000, _at_least(1)),
     },
     "rigidity-family": {
@@ -542,35 +569,79 @@ def _run_laminate_sweep(cfg, force):
     return summary, tables, gates
 
 
-def _random_spin_field(mesh, ws, rng):
-    conn = ws.connections[int(rng.integers(0, len(ws.connections)))]
-    vf = float(rng.uniform(0.25, 0.75))
-    period = float(rng.uniform(0.3, 0.8))
-    offset = float(rng.uniform(0.0, period))
-    kind = int(rng.integers(0, 3))
-    # every kind draws the rotation, so the stream does not depend on kind
-    rot = random_rotation(rng, 2)
-    if kind < 2:
-        base = build_laminate(mesh, ws, conn, vf, period, offset=offset)
-        if kind == 0:
-            return base, ("laminate", vf, period, offset)
-        return base.rotated(rot), ("rotated-laminate", vf, period, offset)
-    amp = ws.c0 / 1000.0
-    kx, ky = rng.uniform(1.0, 3.0, 2)
-    b, a_vec, ui = conn.b, conn.a, ws.matrices[conn.i]
+def _draw_spin_fields(ws, rng, count):
+    """Parameters of the next count random spin fields, in stream order:
+    per field the twin, volume fraction, period, offset, kind, a standard
+    normal 2x2 for the rotation, and the wave numbers of the perturbed
+    kind."""
+    draws = []
+    for _ in range(count):
+        conn = ws.connections[int(rng.integers(0, len(ws.connections)))]
+        vf = float(rng.uniform(0.25, 0.75))
+        period = float(rng.uniform(*_SPIN_PERIODS))
+        offset = float(rng.uniform(0.0, period))
+        kind = int(rng.integers(0, 3))
+        # every kind draws the rotation, so the stream does not depend on kind
+        normal = rng.standard_normal((2, 2))
+        waves = rng.uniform(1.0, 3.0, 2) if kind == 2 else None
+        draws.append((conn, vf, period, offset, kind, normal, waves))
+    return draws
 
-    def fn(x):
-        g = laminate_profile(x @ b, vf, period, offset)
-        vals = x @ ui.T + np.outer(g, a_vec)
-        vals = vals @ rot.T
-        return vals + amp * np.stack(
-            [np.sin(kx * np.pi * x[:, 0]), np.cos(ky * np.pi * x[:, 1])], 1
-        )
 
-    return (
-        PWAffineField.from_vertex_function(mesh, fn),
-        ("perturbed-laminate", vf, period, offset),
-    )
+def _spin_gradients(mesh, ws, draws, ids):
+    """(B, C, 2, 2) gradients of a block of random spin fields, checked.
+
+    Each field is the laminate of its twin (build_laminate's deformation
+    without ripple); the rotated kind composes it with its rotation, and
+    the perturbed kind rotates its vertex values and adds a smooth wave of
+    amplitude c0/1000 before differentiating.
+    """
+    conns, vf, period, offset, kind, normals, waves = zip(*draws)
+    vf, period, offset = (np.array(v)[:, None] for v in (vf, period, offset))
+    kind = np.array(kind)
+    rot = rotations_from_normals(np.array(normals))
+    short = (kind < 2) & (period[:, 0] < 2.0 / mesh.m)
+    if short.any():
+        fid = ids[np.argmax(short)]
+        raise FieldError(f"field {fid}: laminate period below two cells per layer")
+    x = mesh.vertices
+    ui = np.array([ws.matrices[c.i] for c in conns])
+    b = np.array([c.b for c in conns])[..., None]
+    a = np.array([c.a for c in conns])[:, None, :]
+    g = laminate_profile((x @ b)[..., 0], vf, period, offset)  # (B, V)
+    values = x @ np.swapaxes(ui, -1, -2) + g[..., None] * a
+    wavy = kind == 2
+    if wavy.any():
+        kx, ky = np.array([w for w in waves if w is not None]).T[..., None]
+        wave = np.stack([np.sin(kx * np.pi * x[:, 0]), np.cos(ky * np.pi * x[:, 1])], -1)
+        values[wavy] = values[wavy] @ np.swapaxes(rot[wavy], -1, -2) + ws.c0 / 1000.0 * wave
+    grads = vertex_gradients(mesh, values)
+    turned = kind == 1
+    grads[turned] = rot[turned, None] @ grads[turned]
+    check_gradients(mesh, grads, ids=ids)
+    return grads
+
+
+def _spin_suite_rows(mesh, ws, rng, count, threshold):
+    """One table row per random spin field on mesh: field id, kind, volume
+    fraction, period, offset, spin-lemma violations and BAD cells under
+    threshold. Fields are drawn and scanned in blocks of about
+    _SPIN_BLOCK_CELLS cells, which give the same rows as one at a time."""
+    rows = []
+    per_block = max(1, _SPIN_BLOCK_CELLS // mesh.n_cells)
+    for start in range(0, count, per_block):
+        draws = _draw_spin_fields(ws, rng, min(per_block, count - start))
+        grads = _spin_gradients(mesh, ws, draws, range(start, start + len(draws)))
+        table = dist_table(grads, ws.matrices)
+        _, labels = cell_labels(table, threshold)
+        scan = spin_hits(mesh, table, labels, threshold)
+        violations = sum(hits.sum(axis=-1) for *_, hits in scan)
+        bad = (labels == BAD_LABEL).sum(axis=-1)
+        for k, (_, vf, period, offset, kind, _, _) in enumerate(draws):
+            rows.append(
+                (start + k, _SPIN_KINDS[kind], vf, period, offset, int(violations[k]), int(bad[k]))
+            )
+    return rows
 
 
 def _run_spin_lemma_suite(cfg, force):
@@ -580,15 +651,8 @@ def _run_spin_lemma_suite(cfg, force):
     rng = substream(cfg["seed"], "spin-lemma-suite")
     rot = find_admissible_rotation(ws)
     mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
-
-    rows = []
-    total_violations = 0
-    for fid in range(count):
-        fld, meta = _random_spin_field(mesh, ws, rng)
-        lab = classify(fld, ws)
-        violations = verify_spin_lemma(fld, lab, ws)
-        total_violations += len(violations)
-        rows.append((fid, *meta, len(violations), count_bad_cells(lab)))
+    rows = _spin_suite_rows(mesh, ws, rng, count, ws.c0 / 100.0)
+    total_violations = sum(row[5] for row in rows)
 
     # adversarial: twin normal aligned with the unrotated diagonal facets
     aligned_mesh = build_kuhn_mesh(2, 8)

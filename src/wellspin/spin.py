@@ -10,7 +10,9 @@ Both steps read one number per (cell, well): the labels take each cell's
 nearest well, and the spin-lemma scan measures the neighbour of a labelled
 cell against that same well. A field computes that distance table once
 per well set (PWAffineField.well_distances), and the energy, the labels
-and the scan all share it.
+and the scan all share it. The label rule (cell_labels) and the scan
+(spin_hits) also take stacks of tables, so that a suite of fields can be
+labelled and scanned in blocks.
 """
 
 from __future__ import annotations
@@ -59,10 +61,16 @@ def classify(field, wells, threshold=None):
         if c0 is None:
             raise SpinError("well set has no c0: run compute_dbar first")
         threshold = c0 / 100.0
-    table = field.well_distances(wells)
-    dists, nearest = table.min(axis=1), table.argmin(axis=1)
-    labels = np.where(dists <= threshold, nearest, BAD_LABEL)
+    dists, labels = cell_labels(field.well_distances(wells), threshold)
     return PhaseLabeling(field.mesh, labels.astype(np.int64), dists, float(threshold))
+
+
+def cell_labels(table, threshold):
+    """Each cell's distance to its nearest well and its label, from a
+    (..., C, k) distance table: the nearest well's index (the lowest on a
+    tie) if that distance is at most threshold, else BAD_LABEL."""
+    dists, nearest = table.min(axis=-1), table.argmin(axis=-1)
+    return dists, np.where(dists <= threshold, nearest, BAD_LABEL)
 
 
 @dataclass
@@ -87,37 +95,56 @@ def verify_spin_lemma(field, labeling, wells):
     with facets.
 
     The neighbour distances are gathered from the field's distance table
-    (the one classify read), so the scan computes no distances. Violations
-    come per direction (first cell as anchor, then second), grouped by
-    the anchor's well in increasing order, facets ascending within a well.
+    (the one classify read) by spin_hits, so the scan computes no
+    distances. Violations come per direction (first cell as anchor, then
+    second), grouped by the anchor's well in increasing order, facets
+    ascending within a well.
     """
     mesh = labeling.mesh
-    table = field.well_distances(wells)
     violations = []
-    interior = mesh.interior
-    a = mesh.facet_cells[interior, 0]
-    b = mesh.facet_cells[interior, 1]
-    lab_a, lab_b = labeling.labels[a], labeling.labels[b]
-    for anchor, other, lab_anchor, lab_other in (
-        (a, b, lab_a, lab_b),
-        (b, a, lab_b, lab_a),
+    labels = labeling.labels
+    for anchor, other, d_other, hits in spin_hits(
+        mesh, field.well_distances(wells), labels, labeling.threshold
     ):
-        candidates = np.nonzero((lab_anchor >= 0) & (lab_other >= 0))[0]
-        candidates = candidates[np.argsort(lab_anchor[candidates], kind="stable")]
-        d_other = table[other[candidates], lab_anchor[candidates]]
-        hyp = d_other > labeling.threshold
-        for fi, d in zip(candidates[hyp], d_other[hyp]):
+        found = np.flatnonzero(hits)
+        for fi in found[np.argsort(labels[anchor[found]], kind="stable")]:
             violations.append(
                 SpinViolation(
-                    facet=int(interior[fi]),
+                    facet=int(mesh.interior[fi]),
                     cell_in_well=int(anchor[fi]),
                     cell_other=int(other[fi]),
-                    well_label=int(lab_anchor[fi]),
-                    other_label=int(lab_other[fi]),
-                    dist_other_to_well=float(d),
+                    well_label=int(labels[anchor[fi]]),
+                    other_label=int(labels[other[fi]]),
+                    dist_other_to_well=float(d_other[fi]),
                 )
             )
     return violations
+
+
+def spin_hits(mesh, table, labels, threshold):
+    """The spin-lemma scan of (..., C, k) distance tables and (..., C)
+    labels, in both directions across the interior facets.
+
+    Returns two (anchor cells, other cells, d, hits): the cells are (F,)
+    per interior facet, first cell as anchor and then second; d (..., F)
+    is the other cell's distance to the anchor's well (meaningless where
+    the anchor is BAD); hits (..., F) marks the facets where both cells
+    carry a well label and that distance exceeds threshold.
+    """
+    a, b = np.take(mesh.facet_cells, mesh.interior, axis=0).T
+    # x.T[cells].T gathers cells along the last axis of x, of any rank
+    good = (labels >= 0).T
+    labelled = (good[a] & good[b]).T
+    n_cells, k = table.shape[-2:]
+    flat = table.reshape(-1)
+    # where each field's own table starts in flat
+    first = np.arange(0, flat.size, n_cells * k).reshape(*labels.shape[:-1], 1)
+    out = []
+    for anchor, other in ((a, b), (b, a)):
+        anchor_well = np.maximum(labels.T[anchor].T, 0)
+        d = flat[first + other * k + anchor_well]
+        out.append((anchor, other, d, labelled & (d > threshold)))
+    return out
 
 
 def discrete_perimeter(labeling, label, include_boundary=True):

@@ -39,10 +39,17 @@ def rotation_2d(theta):
 
 def random_rotation(rng, n):
     """Haar-ish random element of SO(n) via QR with positive diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    return rotations_from_normals(rng.standard_normal((n, n)))
+
+
+def rotations_from_normals(g):
+    """The rotations random_rotation makes of standard normal matrices g
+    (..., n, n): the QR factor Q with its columns signed by R's diagonal,
+    and the first column negated where that leaves det Q < 0."""
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    flip = np.linalg.det(q) < 0
+    q[..., 0] = np.where(flip[..., None], -q[..., 0], q[..., 0])
     return q
 
 
@@ -547,15 +554,23 @@ def _tangent_gap_min(u1, u2, lo, hi):
     admissible intervals exclude, so the gap is smooth on [lo, hi]. It is
     scanned on about DBAR_GRID points per pi radians; every grid local
     minimum is polished by golden-section search between its neighbours,
-    and both ends are candidates too.
+    and both ends are candidates too. A local minimum whose neighbours
+    rise above it by no more than the rounding error of the gap lies on a
+    flat stretch (for U2 = 2 U1 the gap is constant), where polishing
+    could gain no more than that rounding: it is taken as it is.
     """
     phis = np.linspace(lo, hi, max(8, math.ceil(DBAR_GRID * (hi - lo) / math.pi)) + 1)
     vals = _tangent_gap(u1, u2, phis)
     # strict on the left so a plateau is polished once
     padded = np.concatenate([[math.inf], vals, [math.inf]])
     local = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
-    best = min(vals[0], vals[-1])
-    for k in local:
+    # |U tau| <= |U|_F, so the gap is off by a few ulps of that at most
+    noise = 4.0 * np.finfo(float).eps * (np.linalg.norm(u1) + np.linalg.norm(u2))
+    # each end of the interval stands in for its missing outer neighbour
+    edged = np.concatenate([vals[:1], vals, vals[-1:]])
+    flat = np.maximum(edged[local], edged[local + 2]) - vals[local] <= noise
+    best = min(vals[0], vals[-1], vals[local[flat]].min(initial=math.inf))
+    for k in local[~flat]:
         _, val = golden_min(
             lambda p: _tangent_gap(u1, u2, p),
             phis[max(k - 1, 0)],

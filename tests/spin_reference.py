@@ -1,16 +1,73 @@
-"""The per-well spin-lemma scan that the table gather of
-wellspin.spin.verify_spin_lemma replaced.
+"""The per-field spin-lemma code that the block pass of the harness and
+the table gather of wellspin.spin.verify_spin_lemma replaced.
 
-Kept as a test oracle: for each direction it groups the candidate facets
-by the anchor's well with np.unique and measures the neighbours against
-that well with one distance call per group. The gathered scan must return
-the same violations in the same order, distances byte for byte.
+Kept as test oracles:
+
+- random_spin_field builds one random spin-suite field as a PWAffineField
+  with the public builders, drawing from the stream in the suite's order;
+  spin_suite_rows labels and scans the fields one at a time. The block
+  pass must give the same rows.
+- verify_spin_lemma groups the candidate facets of each direction by the
+  anchor's well with np.unique and measures the neighbours against that
+  well with one distance call per group. The gathered scan must return
+  the same violations in the same order, distances byte for byte.
 """
 
 import numpy as np
 
-from wellspin.spin import SpinViolation
-from wellspin.wells import dist_to_single_well_batch
+from wellspin.fields import PWAffineField, build_laminate, laminate_profile
+from wellspin.spin import BAD_LABEL, PhaseLabeling, SpinViolation
+from wellspin.wells import dist_to_single_well_batch, dist_to_wells_batch, random_rotation
+
+
+def random_spin_field(mesh, ws, rng):
+    conn = ws.connections[int(rng.integers(0, len(ws.connections)))]
+    vf = float(rng.uniform(0.25, 0.75))
+    period = float(rng.uniform(0.3, 0.8))
+    offset = float(rng.uniform(0.0, period))
+    kind = int(rng.integers(0, 3))
+    # every kind draws the rotation, so the stream does not depend on kind
+    rot = random_rotation(rng, 2)
+    if kind < 2:
+        base = build_laminate(mesh, ws, conn, vf, period, offset=offset)
+        if kind == 0:
+            return base, ("laminate", vf, period, offset)
+        return base.rotated(rot), ("rotated-laminate", vf, period, offset)
+    amp = ws.c0 / 1000.0
+    kx, ky = rng.uniform(1.0, 3.0, 2)
+    b, a_vec, ui = conn.b, conn.a, ws.matrices[conn.i]
+
+    def fn(x):
+        g = laminate_profile(x @ b, vf, period, offset)
+        vals = x @ ui.T + np.outer(g, a_vec)
+        vals = vals @ rot.T
+        return vals + amp * np.stack(
+            [np.sin(kx * np.pi * x[:, 0]), np.cos(ky * np.pi * x[:, 1])], 1
+        )
+
+    return (
+        PWAffineField.from_vertex_function(mesh, fn),
+        ("perturbed-laminate", vf, period, offset),
+    )
+
+
+def reference_labels(field, wells, threshold):
+    """Nearest-well labels within threshold, from dist_to_wells_batch."""
+    d, nearest = dist_to_wells_batch(field.gradients, wells)
+    return PhaseLabeling(field.mesh, np.where(d <= threshold, nearest, BAD_LABEL), d, threshold)
+
+
+def spin_suite_rows(mesh, ws, rng, count, threshold):
+    """(rows as the suite writes them, every violation found), one field
+    at a time."""
+    rows, found = [], []
+    for fid in range(count):
+        field, meta = random_spin_field(mesh, ws, rng)
+        lab = reference_labels(field, ws, threshold)
+        violations = verify_spin_lemma(field, lab, ws)
+        found += violations
+        rows.append((fid, *meta, len(violations), int((lab.labels == BAD_LABEL).sum())))
+    return rows, found
 
 
 def verify_spin_lemma(field, labeling, wells):

@@ -72,13 +72,11 @@ def test_criterion_2_spin_lemma_suite(wells_std, admissible_meshes):
         start = time.perf_counter()
         mesh = admissible_meshes[16]
         rng = substream(20260809, "acceptance-spin")
-        from wellspin.harness import _random_spin_field
+        from wellspin.harness import _spin_suite_rows
 
-        total = 0
-        for _ in range(1000):
-            fld, _meta = _random_spin_field(mesh, wells_std, rng)
-            lab = classify(fld, wells_std)
-            total += len(verify_spin_lemma(fld, lab, wells_std))
+        rows = _spin_suite_rows(mesh, wells_std, rng, 1000, wells_std.c0 / 100.0)
+        assert len(rows) == 1000
+        total = sum(row[5] for row in rows)
         assert total == 0
 
         aligned = build_kuhn_mesh(2, 8)

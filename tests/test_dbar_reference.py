@@ -13,7 +13,9 @@ from dbar_reference import reference_compute_dbar
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wellspin import wells
 from wellspin.mesh import build_kuhn_mesh, find_admissible_rotation
+from wellspin.numerics import golden_min
 from wellspin.wells import (
     WellSet,
     WellSetError,
@@ -119,6 +121,26 @@ class TestTwinFree:
         grid = grid_min(ws, 0.05, 2_000_001)
         assert val <= grid and grid - val <= 1e-10 * grid
         assert reference_compute_dbar(ws, 0.05) > 1.003 * val
+
+    def test_constant_gap_is_not_polished(self, monkeypatch):
+        # for I and 2 I the gap is 1 at every tangent, and its rounding
+        # noise makes dozens of grid points local minima
+        flat = solved([np.eye(2), 2.0 * np.eye(2)])
+        shipped = solved([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return golden_min(*args, **kwargs)
+
+        monkeypatch.setattr(wells, "golden_min", counting)
+        val = compute_dbar(flat, 0.05, store=False)
+        assert len(calls) <= 2
+        assert abs(val - 1.0) <= 4 * np.finfo(float).eps
+        # the shipped wells still polish their genuine minima
+        calls.clear()
+        compute_dbar(shipped, 0.05, store=False)
+        assert len(calls) >= 1
 
 
 class TestSvdFree:

@@ -1,0 +1,143 @@
+"""The block pass of the spin-lemma suite against the per-field oracle
+(tests/spin_reference.py): the same rows on the admissible and the
+unrotated mesh, whatever the block size, the same gradients and rotations
+bit for bit, and the same FieldError for a bad field inside a block."""
+
+import numpy as np
+import pytest
+
+import spin_reference
+from wellspin import harness
+from wellspin.fields import FieldError, vertex_gradients
+from wellspin.harness import (
+    EXIT_INTERNAL,
+    EXIT_OK,
+    _draw_spin_fields,
+    _spin_gradients,
+    _spin_suite_rows,
+    run,
+    substream,
+)
+from wellspin.mesh import build_kuhn_mesh
+from wellspin.wells import random_rotation, rotations_from_normals
+
+COUNT = 40
+
+
+@pytest.fixture(scope="module")
+def meshes(admissible_meshes):
+    # the scenario's mesh, and the unrotated one, where twin planes meet facets
+    return {"admissible": admissible_meshes[16], "unrotated": build_kuhn_mesh(2, 16)}
+
+
+def both_directions(mesh, violations):
+    """Whether violations were found with the first cell of a facet as the
+    anchor and with the second."""
+    first = {v.cell_in_well == mesh.facet_cells[v.facet, 0] for v in violations}
+    return first == {True, False}
+
+
+class TestRowsMatchOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("which", ["admissible", "unrotated"])
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_rows(self, wells_std, meshes, seed, which, scale):
+        mesh = meshes[which]
+        thr = scale * wells_std.c0 / 100.0
+        got = _spin_suite_rows(mesh, wells_std, substream(seed, "spin"), COUNT, thr)
+        want, found = spin_reference.spin_suite_rows(
+            mesh, wells_std, substream(seed, "spin"), COUNT, thr
+        )
+        assert got == want
+        assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
+        if which == "unrotated" and scale == 10.0:
+            assert sum(row[5] for row in got) > 0 and both_directions(mesh, found)
+        if which == "admissible" and scale == 1.0:
+            assert sum(row[5] for row in got) == 0
+
+    def test_block_size_does_not_change_rows(self, monkeypatch, wells_std, meshes):
+        mesh = meshes["unrotated"]
+        thr = 10.0 * wells_std.c0 / 100.0
+        rows = []
+        for cells in (1, harness._SPIN_BLOCK_CELLS, COUNT * mesh.n_cells):
+            monkeypatch.setattr(harness, "_SPIN_BLOCK_CELLS", cells)
+            rows.append(_spin_suite_rows(mesh, wells_std, substream(5, "spin"), COUNT, thr))
+        assert rows[0] == rows[1] == rows[2]
+        assert sum(row[5] for row in rows[0]) > 0
+
+    @pytest.mark.parametrize("which", ["admissible", "unrotated"])
+    def test_gradients_bit_for_bit(self, wells_std, meshes, which):
+        mesh = meshes[which]
+        draws = _draw_spin_fields(wells_std, substream(9, "spin"), COUNT)
+        grads = _spin_gradients(mesh, wells_std, draws, range(COUNT))
+        rng = substream(9, "spin")
+        kinds = set()
+        for got in grads:
+            field, meta = spin_reference.random_spin_field(mesh, wells_std, rng)
+            kinds.add(meta[0])
+            assert np.array_equal(got, field.gradients)
+        assert len(kinds) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_rotations_match_random_rotation(n):
+    rng = np.random.default_rng(11)
+    normals = rng.standard_normal((200, n, n))
+    rng = np.random.default_rng(11)
+    want = np.stack([random_rotation(rng, n) for _ in range(200)])
+    got = rotations_from_normals(normals)
+    assert np.array_equal(got, want)
+    assert np.all(np.linalg.det(got) > 0)
+    assert np.allclose(got @ np.swapaxes(got, -1, -2), np.eye(n), atol=1e-14)
+
+
+class TestBadFieldInBlock:
+    def corrupted_run(self, monkeypatch, tmp_path, corrupt):
+        """Run a small suite with one field of the second block corrupted;
+        returns (exit code, error.txt, id of the corrupted field)."""
+        calls = []
+
+        def corrupting(mesh, values):
+            grads = vertex_gradients(mesh, values)
+            if len(calls) == 1:
+                corrupt(grads[2])
+            calls.append(len(values))
+            return grads
+
+        monkeypatch.setattr(harness, "vertex_gradients", corrupting)
+        monkeypatch.setattr(harness, "_SPIN_BLOCK_CELLS", 1000)
+        cfg = {"scenario": "spin-lemma-suite", "seed": 3, "m": 8, "field_count": 30}
+        code = run(cfg, out_dir=tmp_path)
+        return code, (tmp_path / "error.txt").read_text(), calls[0] + 2
+
+    def test_non_finite(self, monkeypatch, tmp_path):
+        def corrupt(grads):
+            grads[7, 1, 0] = np.nan
+
+        code, error, fid = self.corrupted_run(monkeypatch, tmp_path, corrupt)
+        assert code == EXIT_INTERNAL
+        assert f"FieldError: field {fid}: gradient array has non-finite entries" in error
+
+    def test_discontinuous(self, monkeypatch, tmp_path):
+        def corrupt(grads):
+            grads[7] += np.eye(2)
+
+        code, error, fid = self.corrupted_run(monkeypatch, tmp_path, corrupt)
+        assert code == EXIT_INTERNAL
+        assert f"FieldError: field {fid}: tangential jumps too large" in error
+
+
+def test_short_period_named(wells_std):
+    # validation keeps m >= 7; below that a laminate period of the random
+    # range can resolve fewer than two cells per layer
+    mesh = build_kuhn_mesh(2, 4)
+    draws = _draw_spin_fields(wells_std, substream(4, "spin"), 20)
+    short = [k for k, d in enumerate(draws) if d[4] < 2 and d[2] < 2.0 / mesh.m]
+    assert short
+    with pytest.raises(FieldError, match=f"field {100 + short[0]}: laminate period below"):
+        _spin_gradients(mesh, wells_std, draws, range(100, 120))
+
+
+def test_smallest_valid_mesh_runs(tmp_path):
+    cfg = {"scenario": "spin-lemma-suite", "seed": 3, "m": 7, "field_count": 50}
+    assert run(cfg, out_dir=tmp_path) == EXIT_OK

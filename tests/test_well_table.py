@@ -121,7 +121,7 @@ class TestGatheredSpinScan:
         found = 0
         for mesh in (admissible_meshes[16], build_kuhn_mesh(2, 16)):
             for _ in range(30):
-                field, _ = harness._random_spin_field(mesh, wells_std, rng)
+                field, _ = spin_reference.random_spin_field(mesh, wells_std, rng)
                 for scale in (1.0, 10.0):
                     thr = scale * wells_std.c0 / 100.0
                     lab = classify(field, wells_std, threshold=thr)
@@ -225,22 +225,29 @@ class TestRunnersOneTablePerField:
         return seen, direct
 
     def test_spin_lemma_suite(self, monkeypatch, tmp_path):
-        counts = []
-        for count in (2, 5):
-            cfg = {
-                "scenario": "spin-lemma-suite",
-                "seed": 3,
-                "wells": small_wells(),
-                "m": 8,
-                "field_count": count,
-            }
-            seen, direct = self.kernel_calls(monkeypatch, tmp_path / str(count), cfg)
-            # one table per random field and one for the aligned laminate
-            assert len(seen) == count + 1
-            assert len({id(fs) for fs in seen}) == count + 1
-            counts.append(len(direct))
-        # no distance call outside the memo grows with the field count
-        assert counts[0] == counts[1]
+        blocks = []
+
+        def counting(fs, mats):
+            blocks.append(fs.shape)
+            return dist_table(fs, mats)
+
+        monkeypatch.setattr(harness, "dist_table", counting)
+        cfg = {
+            "scenario": "spin-lemma-suite",
+            "seed": 3,
+            "wells": small_wells(),
+            "m": 8,
+            "field_count": 5,
+        }
+        for cells, n_blocks in ((2**12, 1), (1, 5)):
+            blocks.clear()
+            monkeypatch.setattr(harness, "_SPIN_BLOCK_CELLS", cells)
+            seen, direct = self.kernel_calls(monkeypatch, tmp_path / str(cells), cfg)
+            # the random fields are measured in blocks, one table each,
+            # and the aligned laminate through its field's memo
+            assert [shape[0] for shape in blocks] == [5 // n_blocks] * n_blocks
+            assert len(seen) == 1
+            assert direct == []
 
     def test_laminate_sweep(self, monkeypatch, tmp_path):
         cfg = {
