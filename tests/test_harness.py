@@ -116,10 +116,10 @@ class TestValidate:
             # facet normal once delta0 exceeds 1 - 1/sqrt(2)
             ({"scenario": "wellset-analysis", "wells": {"delta0": 0.9}}, "delta0"),
             ({"scenario": "spin-lemma-suite", "delta0": 0.3}, "delta0"),
+            ({"scenario": "laminate-sweep", "wells": {"delta0": 0.5}}, "delta0"),
             # random laminate periods from 0.3 need two cells per layer
             ({"scenario": "spin-lemma-suite", "m": 2}, "m"),
             ({"scenario": "spin-lemma-suite", "m": 6}, "m"),
-            ({"scenario": "laminate-sweep", "wells": {"delta0": 0.5}}, "delta0"),
         ],
     )
     def test_defect_reported_not_raised(self, cfg, key):
