@@ -379,6 +379,48 @@ def _check_mesh_budget(cfg, rotation=None):
     return []
 
 
+# The memory a lattice or rigidity-family run may ask for: about the peak of
+# a mesh at the MAX_CELLS budget (460 bytes per cell at m = 256). Each size
+# budget below divides it by the peak bytes per unit of the scenario's
+# largest allocations, measured with tracemalloc on whole runs and rounded
+# up: 98 per antiferro chain site (at 2^18 and 2^20 sites), 1,740 to 1,790
+# per twin lattice site (at m = 128 and 192, the stacked patches of the
+# rotation match), and 116 plus 32 per family member per rigidity block
+# (block_grid 512, 1 to 8 members, whose drawn values all stay alive).
+MEMORY_BUDGET = 2_000_000_000
+MAX_CHAIN_SITES = MEMORY_BUDGET // 100
+MAX_TWIN_SITES = MEMORY_BUDGET // 1_800
+
+
+def _max_blocks(family_size):
+    """The rigidity-family budget of blocks per drawn field."""
+    return MEMORY_BUDGET // (128 + 32 * family_size)
+
+
+def _check_lattice_budget(cfg):
+    """The first scale whose lattice has more sites than its budget."""
+    lat = cfg["lattice"]
+    key = "lattice.m_list" if lat["m_list"] else "m_list"
+    twin = lat["system"] == "synthetic-twin"
+    budget = MAX_TWIN_SITES if twin else MAX_CHAIN_SITES
+    for m in _lattice_scales(cfg):
+        # the twin lattice has (m + 1)^2 sites, a chain m
+        sites = (m + 1) ** 2 if twin else m
+        if sites > budget:
+            return [f"{key}: the lattice at m = {m} has {sites} sites, the budget is {budget}"]
+    return []
+
+
+def _check_block_budget(cfg):
+    """rigidity-family draws block_grid^2 blocks for every family member."""
+    grid, family = cfg["block_grid"], cfg["family_size"]
+    budget = _max_blocks(family)
+    if grid**2 > budget:
+        blocks = f"{grid}^2 = {grid**2} blocks for each of {family} fields"
+        return [f"block_grid: {blocks}, the budget is {budget}"]
+    return []
+
+
 def _lattice_scales(cfg):
     """lattice.m_list, else the top-level m_list, else the system's default."""
     lat = cfg["lattice"]
@@ -426,9 +468,9 @@ def _resolve(source):
     if not problems and "wells" in cfg:
         problems = _check_wells(raw, cfg)
     if not problems and "lattice" in cfg:
-        problems = _check_interfaces(raw, cfg)
+        problems = _check_lattice_budget(cfg) or _check_interfaces(raw, cfg)
     if not problems and scenario == "rigidity-family":
-        problems = _check_mesh_budget(cfg)
+        problems = _check_block_budget(cfg) or _check_mesh_budget(cfg)
     return problems, None if problems else cfg
 
 
@@ -756,10 +798,10 @@ def _run_lattice(cfg, force):
         # the twin model draws from this stream under either scenario name
         angle = float(substream(cfg["seed"], "lattice-sweep").uniform(0.0, 2.0 * np.pi))
         rot = rotation_2d(angle)
-        samples = {
-            m: ground_state_deformation(system, 0, (m + 1, m + 1), m=m, rotation=rot)
-            for m in m_list
-        }
+
+        def sample(m):
+            return ground_state_deformation(system, 0, (m + 1, m + 1), m=m, rotation=rot)
+
         components, summary, gates = 1, {"system": system.name, "rotation_angle": angle}, []
     else:
         variant = lat["system"].replace("antiferro-", "")
@@ -774,7 +816,10 @@ def _run_lattice(cfg, force):
         h2 = verify_h2(system)
         single = antiferro_chain(system, m=m_list[0], interfaces=(0.5,))
         defect_total = evaluate_hamiltonian(single, system).total
-        samples = {m: antiferro_chain(system, m=m, interfaces=fracs) for m in m_list}
+
+        def sample(m):
+            return antiferro_chain(system, m=m, interfaces=fracs)
+
         h2_keys = ("c", "p", "n_windows", "exhaustive", "violations")
         summary = {
             "variant": variant,
@@ -788,6 +833,8 @@ def _run_lattice(cfg, force):
             Gate("single_defect_energy", defect_total == 2.0 / m_list[0], defect_total, "== 2/m"),
         ]
 
+    # each deformation is built when its scale is diagnosed, and freed after
+    samples = ((m, sample(m)) for m in m_list)
     records = lattice_partition_diagnostics(samples, system, energy_constant=energy_constant)
     volumes = [r["boundary_volume"] for r in records]
     tol = 0.3 if twin else 0.2

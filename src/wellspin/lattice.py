@@ -16,6 +16,17 @@ so the minimum of their maximum lies at some entry's own minimiser or
 where two entries cross; _rotation_match evaluates those closed-form
 candidate angles for all sites at once, in chunks of bounded size.
 
+classify_lattice runs that match only where a ground state can still be
+within the threshold. Each entry's own minimum over rotations is a lower
+bound on the squared minimax, and so is the largest of them, which costs
+O(Q) per site and state. A state whose bound exceeds threshold^2 by more
+than a rounding margin has a computed distance above the threshold too,
+so it cannot be the first nearest state of a site within the threshold,
+and its distance is set to inf unmatched; the labels are the same as with
+every state matched. On a twin ground state only the site's own state is
+matched. NaN bounds compare false and are matched. verify_h2 needs the
+exact kappa of every window and keeps the unpruned match.
+
 The one-dimensional anti-ferromagnetic pair Hamiltonian is built in, in
 its raw form (gradients in {0, +-1}, non-invertible averages) and in a
 remapped form on the alphabet {1, 3/2, 2} whose averaged gradients are
@@ -28,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -329,15 +341,27 @@ class LatticeClassification:
     m: int
     dim: int
 
+    @cached_property
+    def _counts(self):
+        """Sites per label, for the labels BOUNDARY_SITE, BAD_SITE, 0, 1, ..."""
+        return np.bincount(self.labels.reshape(-1) - BOUNDARY_SITE)
+
     def count(self, label):
-        return int((self.labels == label).sum())
+        k = label - BOUNDARY_SITE
+        return int(self._counts[k]) if 0 <= k < len(self._counts) else 0
 
     def volume(self, label):
         return self.count(label) * float(self.m) ** (-self.dim)
 
     @property
     def well_labels(self):
-        return sorted(int(l) for l in np.unique(self.labels) if l >= 0)
+        return np.flatnonzero(self._counts[-BOUNDARY_SITE:]).tolist()
+
+    @cached_property
+    def pairs(self):
+        """The flat indices of the axis-adjacent sites (see _axis_pairs),
+        built once for the perimeters, the violations and the components."""
+        return _axis_pairs(self.labels.shape)
 
     @property
     def bad_volume(self):
@@ -351,7 +375,7 @@ class LatticeClassification:
         """Coarse interface measure of one label: axis-adjacent site pairs
         with exactly one side labeled `label`, weighted by m^-(n-1)."""
         labs = self.labels.reshape(-1)
-        a, b = _axis_pairs(self.labels.shape)
+        a, b = self.pairs
         count = int(((labs[a] == label) ^ (labs[b] == label)).sum())
         return count * float(self.m) ** (-(self.dim - 1))
 
@@ -361,7 +385,7 @@ class LatticeClassification:
         (axis, site index, label, neighbour label)."""
         shape = self.labels.shape
         labs = self.labels.reshape(-1)
-        a, b = _axis_pairs(shape)
+        a, b = self.pairs
         bad = (labs[a] >= 0) & (labs[b] >= 0) & (labs[a] != labs[b])
         a, b = a[bad], b[bad]
         sites = np.unravel_index(a, shape)
@@ -395,22 +419,47 @@ def _axis_pairs(shape):
 
 # float64 elements in one candidate residual block of _rotation_match
 _MATCH_BLOCK = 2**18
+# rounding margin of the prune in classify_lattice, relative to the largest
+# entry scale half_k of a site: about 4,500 ulps, far above the few ulps by
+# which the bound and the exact match can each be off
+_BOUND_MARGIN = 1e-12
+
+
+def _sinusoids(p, g):
+    """alpha_k, beta_k and half_k = (|P_k|^2 + |G_k|^2) / 2 of the entry
+    residuals |P_k - R(t) G_k|^2 = 2 (half_k - alpha_k cos t - beta_k sin t),
+    for p and g of shape (..., Q, 2, 2)."""
+    mm = p @ np.swapaxes(g, -1, -2)
+    alpha = mm[..., 0, 0] + mm[..., 1, 1]
+    beta = mm[..., 1, 0] - mm[..., 0, 1]
+    half = 0.5 * ((p**2).sum(axis=(-2, -1)) + (g**2).sum(axis=(-2, -1)))
+    return alpha, beta, half
 
 
 def _rotation_match(patches, gpatches):
     """min over rotations R of max over k of |P_k - R G_k|_F, for n = 2.
 
     patches and gpatches have shape (..., Q, 2, 2) and broadcast over the
-    leading axes; the result has the broadcast leading shape. With
-    M = P_k G_k^T, |P_k - R(t) G_k|^2 = A_k - 2 (alpha_k cos t + beta_k sin t)
-    for A_k = |P_k|^2 + |G_k|^2, alpha_k = M00 + M11, beta_k = M10 - M01.
-    The minimum of the maximum of these sinusoids lies at some entry's
-    minimiser atan2(beta_k, alpha_k) or at a crossing of two entries,
-    cos t da + sin t db = dA / 2, which has 0 or 2 roots. Every candidate
-    is evaluated with the direct residual, not the expanded form, which
-    cancels near zero. Sites are taken in chunks so that the residual
-    block, chunk * Q^2 candidates * Q entries * 4 values, stays within
-    _MATCH_BLOCK.
+    leading axes; the result has the broadcast leading shape. Each squared
+    entry residual is a sinusoid in the angle, so the minimum of their
+    maximum lies at some entry's own minimiser or where two entries cross.
+    These candidates are found in a frame turned by a reference angle, the
+    own minimiser atan2(beta_K, alpha_K) of the entry K with the largest
+    |(alpha_K, beta_K)| (see _sinusoids): with H_k = R(ref) G_k,
+    E_k = P_k - H_k and J the quarter turn,
+        |P_k - R(ref + s) G_k|^2 = |E_k|^2 + 4 sin^2(s/2) a_k - 2 sin(s) b_k
+    for a_k = <P_k, H_k> and b_k = <E_k, J H_k>. Near a match E is small,
+    and so are the terms that place the candidates, which are therefore
+    computed to their own relative precision; in the unturned expansion
+    they would be rounding noise of the O(1) coefficients, and crossings
+    within that noise of a tangency would be lost. Entry k's minimiser is
+    s = atan2(b_k, a_k); entries j and k cross where u = tan(s/2) solves
+    (dE + 4 da) u^2 - 4 db u + dE = 0, with d the difference j - k (no
+    real root, or 0/0 when the entries agree: no crossing). Every
+    candidate is evaluated with the direct residual E_k - (R(s) - I) H_k,
+    not the expanded form, which cancels near zero. Sites are taken in
+    chunks so that the residual block, chunk * Q^2 candidates * Q entries
+    * 4 values, stays within _MATCH_BLOCK.
     """
     patches = np.asarray(patches, dtype=float)
     gpatches = np.asarray(gpatches, dtype=float)
@@ -425,29 +474,41 @@ def _rotation_match(patches, gpatches):
     for start in range(0, out.size, chunk):
         stop = min(start + chunk, out.size)
         idx = np.unravel_index(np.arange(start, stop), shape)
-        p, g = p_all[idx], g_all[idx]  # (s, Q, 2, 2)
-        mm = p @ np.swapaxes(g, -1, -2)
-        alpha = mm[..., 0, 0] + mm[..., 1, 1]
-        beta = mm[..., 1, 0] - mm[..., 0, 1]
-        half = 0.5 * ((p**2).sum(axis=(-2, -1)) + (g**2).sum(axis=(-2, -1)))
-        da, db, dh = alpha[:, j] - alpha[:, k], beta[:, j] - beta[:, k], half[:, j] - half[:, k]
-        r = np.hypot(da, db)
-        crosses = (r > 0.0) & (np.abs(dh) <= r)
-        phi = np.arctan2(db, da)
-        spread = np.arccos(np.clip(dh / np.where(crosses, r, 1.0), -1.0, 1.0))
-        thetas = np.concatenate([np.arctan2(beta, alpha), phi - spread, phi + spread], axis=1)
-        live = np.concatenate([np.ones(alpha.shape, bool), crosses, crosses], axis=1)
-        # R(t) G = cos t G + sin t J G, J the quarter turn; entries flattened
-        # to 4 values, the residual block has shape (s, Q^2, Q, 4)
-        turned = np.stack([-g[..., 1, :], g[..., 0, :]], axis=-2)
-        resid = np.cos(thetas)[..., None, None] * g.reshape(-1, 1, q, 4)
-        resid += np.sin(thetas)[..., None, None] * turned.reshape(-1, 1, q, 4)
-        np.subtract(p.reshape(-1, 1, q, 4), resid, out=resid)
-        worst2 = np.einsum("...i,...i->...", resid, resid).max(axis=-1)  # (s, Q^2)
+        p, g = p_all[idx], g_all[idx]  # (chunk, Q, 2, 2)
+        alpha, beta, _ = _sinusoids(p, g)
+        pick = (np.arange(stop - start), np.hypot(alpha, beta).argmax(axis=1))
+        ref = np.arctan2(beta[pick], alpha[pick])[:, None, None]
+        # entries flattened to 4 values; R(t) G = cos t G + sin t J G
+        turned = np.stack([-g[..., 1, :], g[..., 0, :]], axis=-2).reshape(-1, q, 4)
+        g = g.reshape(-1, q, 4)
+        h = np.cos(ref) * g + np.sin(ref) * turned
+        jh = np.cos(ref) * turned - np.sin(ref) * g
+        e = p.reshape(-1, q, 4) - h
+        ee = np.einsum("...i,...i->...", e, e)
+        a = np.einsum("...i,...i->...", p.reshape(e.shape), h)
+        b = np.einsum("...i,...i->...", e, jh)
+        de, da, db = ee[:, j] - ee[:, k], a[:, j] - a[:, k], b[:, j] - b[:, k]
+        qa, qb = de + 4.0 * da, -4.0 * db
+        disc = qb**2 - 4.0 * qa * de
+        # the stable pair of roots; u = +-inf is the crossing at s = pi
+        root = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.concatenate([root / qa, de / root], axis=1)
+        s = np.concatenate([np.arctan2(b, a), 2.0 * np.arctan(u)], axis=1)
+        crosses = np.tile(disc >= 0.0, 2) & ~np.isnan(u)
+        live = np.concatenate([np.ones(a.shape, bool), crosses], axis=1)
+        # E - (R(s) - I) H with cos s - 1 = -2 sin^2(s/2); the residual
+        # block has shape (chunk, Q^2, Q, 4)
+        resid = (-2.0 * np.sin(0.5 * s) ** 2)[..., None, None] * h[:, None]
+        resid += np.sin(s)[..., None, None] * jh[:, None]
+        np.subtract(e[:, None], resid, out=resid)
+        worst2 = np.einsum("...i,...i->...", resid, resid).max(axis=-1)  # (chunk, Q^2)
         out[start:stop] = np.sqrt(np.where(live, worst2, np.inf).min(axis=1))
     return out.reshape(lead)
 
 
+# non-finite gradients give NaN or infinite distances, which label BAD
+@np.errstate(invalid="ignore", over="ignore")
 def classify_lattice(x, system):
     """Label every coarse site by the matching ground state within the
     comparison window, BAD when no rotation of any pattern fits, or
@@ -484,7 +545,15 @@ def classify_lattice(x, system):
             else:
                 pattern = g.gradient_at(sites)
                 gpatches = np.stack([_window(pattern, off, hi) for off in offsets], axis=-3)
-                dist = _rotation_match(patches, gpatches)
+                # each entry's own minimum over rotations, 2 (half_k - |(alpha_k,
+                # beta_k)|), bounds the squared minimax from below; a state whose
+                # bound clears threshold^2 cannot label the site, so it is not
+                # matched. NaN bounds compare false and are matched
+                alpha, beta, half = _sinusoids(patches, gpatches)
+                floor = (half - np.hypot(alpha, beta)).max(axis=-1)
+                live = ~(floor > 0.5 * threshold**2 + _BOUND_MARGIN * half.max(axis=-1))
+                dist = np.full(hi, np.inf)
+                dist[live] = _rotation_match(patches[live], gpatches[live])
             nearest[dist < best] = l
             np.minimum(best, dist, out=best)
         nearest[~(best <= threshold)] = BAD_SITE  # NaN distances too
@@ -634,79 +703,70 @@ def lattice_partition_diagnostics(deformations, system, energy_constant=None):
     rotations against the averaged gradients, and the commuting-average
     check, one record per scale m.
 
-    deformations maps m to a LatticeDeformation. With energy_constant C
-    the surface-energy bound total <= C/m is enforced and its violation
-    raises EnergyBoundError (carrying the measured value).
+    deformations gives (m, LatticeDeformation) pairs, one record each in
+    the order given; a generator builds each deformation only when its
+    record is due, and it is freed before the next one is built. With
+    energy_constant C the surface-energy bound total <= C/m is enforced
+    and its violation raises EnergyBoundError (carrying the measured
+    value).
     """
     records = []
-    for m in sorted(deformations):
-        x = deformations[m]
-        ham = evaluate_hamiltonian(x, system)
-        if energy_constant is not None and ham.total > energy_constant / m:
-            raise EnergyBoundError(m, ham.total, energy_constant / m)
-        cls = classify_lattice(x, system)
-        comps = []
-        for label, members in label_components(cls.labels, *_axis_pairs(cls.labels.shape)):
-            g = system.ground_states[label]
-            avg = averaged_gradient_field(x, system, label)
-            coords = np.array(
-                np.unravel_index(members, cls.labels.shape)
-            ).T  # (k, n)
-            avg_shape = np.array(avg.shape[: system.dim])
-            inside = np.all(coords < avg_shape, axis=1)
-            vol = len(members) * float(m) ** (-system.dim)
-            if not np.any(inside) or abs(np.linalg.det(g.averaged)) < 1e-12:
-                # no averaged data in range, or the averaged gradient is
-                # singular (raw anti-ferromagnetic chains): no rotation fit
-                comps.append(
-                    LatticeComponent(label, members, vol, None, None)
-                )
-                continue
-            local = avg[tuple(coords[inside].T)]
-            uinv = np.linalg.inv(g.averaged)
-            mean = (local @ uinv).mean(axis=0)
-            if abs(np.linalg.det(mean)) < 1e-12:
-                comps.append(LatticeComponent(label, members, vol, None, None))
-                continue
-            rot = polar_rotation(mean)
-            res2 = ((local - rot @ g.averaged) ** 2).sum() * float(m) ** (
-                -system.dim
-            )
-            comps.append(
-                LatticeComponent(
-                    label, members, vol, rot, float(math.sqrt(max(res2, 0.0)))
-                )
-            )
-        grad = x.gradient()
-        avg0 = averaged_gradient_field(x, system, 0)
-        commute_gap = 0.0
-        if avg0.size:
-            # mean of the raw gradient against the mean of its window
-            # average over the common index box; differs only through a
-            # boundary band one period wide
-            sl = tuple(slice(0, s) for s in avg0.shape[: system.dim])
-            commute_gap = float(
-                np.linalg.norm(
-                    grad[sl].mean(axis=tuple(range(system.dim)))
-                    - avg0.mean(axis=tuple(range(system.dim)))
-                )
-            )
-        records.append(
-            {
-                "m": m,
-                "energy": ham.total,
-                "well_volumes": {l: cls.volume(l) for l in cls.well_labels},
-                "bad_volume": cls.bad_volume,
-                "boundary_volume": cls.boundary_volume,
-                "perimeters": {l: cls.label_perimeter(l) for l in cls.well_labels},
-                "components": comps,
-                "n_components": len(comps),
-                "adjacency_violations": cls.adjacency_violations(),
-                "commute_gap": commute_gap,
-                "classification": cls,
-            }
-        )
+    for m, x in deformations:
+        records.append(_partition_record(m, x, system, energy_constant))
+        del x
     return records
+
+
+def _partition_record(m, x, system, energy_constant):
+    """The diagnostics record of one scale."""
+    ham = evaluate_hamiltonian(x, system)
+    if energy_constant is not None and ham.total > energy_constant / m:
+        raise EnergyBoundError(m, ham.total, energy_constant / m)
+    cls = classify_lattice(x, system)
+    comps = []
+    for label, members in label_components(cls.labels, *cls.pairs):
+        g = system.ground_states[label]
+        avg = averaged_gradient_field(x, system, label)
+        coords = np.array(np.unravel_index(members, cls.labels.shape)).T  # (k, n)
+        avg_shape = np.array(avg.shape[: system.dim])
+        inside = np.all(coords < avg_shape, axis=1)
+        vol = len(members) * float(m) ** (-system.dim)
+        if not np.any(inside) or abs(np.linalg.det(g.averaged)) < 1e-12:
+            # no averaged data in range, or the averaged gradient is
+            # singular (raw anti-ferromagnetic chains): no rotation fit
+            comps.append(LatticeComponent(label, members, vol, None, None))
+            continue
+        local = avg[tuple(coords[inside].T)]
+        uinv = np.linalg.inv(g.averaged)
+        mean = (local @ uinv).mean(axis=0)
+        if abs(np.linalg.det(mean)) < 1e-12:
+            comps.append(LatticeComponent(label, members, vol, None, None))
+            continue
+        rot = polar_rotation(mean)
+        res2 = ((local - rot @ g.averaged) ** 2).sum() * float(m) ** (-system.dim)
+        comps.append(LatticeComponent(label, members, vol, rot, float(math.sqrt(max(res2, 0.0)))))
+    grad = x.gradient()
+    avg0 = averaged_gradient_field(x, system, 0)
+    commute_gap = 0.0
+    if avg0.size:
+        # mean of the raw gradient against the mean of its window average
+        # over the common index box; differs only through a boundary band
+        # one period wide
+        sl = tuple(slice(0, s) for s in avg0.shape[: system.dim])
+        axes = tuple(range(system.dim))
+        commute_gap = float(np.linalg.norm(grad[sl].mean(axis=axes) - avg0.mean(axis=axes)))
+    return {
+        "m": m,
+        "energy": ham.total,
+        "well_volumes": {l: cls.volume(l) for l in cls.well_labels},
+        "bad_volume": cls.bad_volume,
+        "boundary_volume": cls.boundary_volume,
+        "perimeters": {l: cls.label_perimeter(l) for l in cls.well_labels},
+        "components": comps,
+        "n_components": len(comps),
+        "adjacency_violations": cls.adjacency_violations(),
+        "commute_gap": commute_gap,
+    }
 
 
 # -- built-in systems --------------------------------------------------

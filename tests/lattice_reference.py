@@ -10,7 +10,12 @@ per-site loop builder: the array builder must give the same gradients,
 byte for byte, whenever the interface positions are distinct and in range.
 hamiltonian_per_site and averaged_gradients are the index-gather window
 stacks of evaluate_hamiltonian and averaged_gradient_field: the sliding
-window views must give the same bytes.
+window views must give the same bytes. expanded_rotation_match is the
+exact match with its candidate angles taken from the unturned expansion,
+whose crossings drown in rounding near a match: the turned frame must
+never lie above it (beyond round-off). unpruned_labels is the 2-D
+classify_lattice that matched every site against every ground state: the
+bound-pruned labels must agree byte for byte.
 """
 
 import itertools
@@ -18,7 +23,14 @@ import math
 
 import numpy as np
 
-from wellspin.lattice import BAD_SITE, BOUNDARY_SITE, LatticeDeformation
+from wellspin.lattice import (
+    BAD_SITE,
+    BOUNDARY_SITE,
+    LatticeDeformation,
+    _rotation_match,
+    _sinusoids,
+    _window,
+)
 from wellspin.numerics import golden_min
 from wellspin.wells import rotation_2d
 
@@ -141,3 +153,67 @@ def averaged_gradients(x, system, l):
         acc += grad[tuple((flat + off).T)]
     acc /= len(offsets)
     return acc.reshape(tuple(out_shape) + grad.shape[-2:])
+
+
+def expanded_rotation_match(patches, gpatches):
+    """_rotation_match for (S, Q, 2, 2) arrays, with the candidates from
+    |P_k - R(t) G_k|^2 = 2 (half_k - alpha_k cos t - beta_k sin t): the
+    minimisers atan2(beta_k, alpha_k) and the crossings
+    cos t da + sin t db = dh."""
+    p, g = np.asarray(patches, float), np.asarray(gpatches, float)
+    q = p.shape[-3]
+    j, k = np.triu_indices(q, 1)
+    alpha, beta, half = _sinusoids(p, g)
+    da, db, dh = alpha[:, j] - alpha[:, k], beta[:, j] - beta[:, k], half[:, j] - half[:, k]
+    r = np.hypot(da, db)
+    crosses = (r > 0.0) & (np.abs(dh) <= r)
+    phi = np.arctan2(db, da)
+    spread = np.arccos(np.clip(dh / np.where(crosses, r, 1.0), -1.0, 1.0))
+    thetas = np.concatenate([np.arctan2(beta, alpha), phi - spread, phi + spread], axis=1)
+    live = np.concatenate([np.ones(alpha.shape, bool), crosses, crosses], axis=1)
+    turned = np.stack([-g[..., 1, :], g[..., 0, :]], axis=-2)
+    resid = np.cos(thetas)[..., None, None] * g.reshape(-1, 1, q, 4)
+    resid += np.sin(thetas)[..., None, None] * turned.reshape(-1, 1, q, 4)
+    np.subtract(p.reshape(-1, 1, q, 4), resid, out=resid)
+    worst2 = np.einsum("...i,...i->...", resid, resid).max(axis=-1)
+    return np.sqrt(np.where(live, worst2, np.inf).min(axis=1))
+
+
+def _full_window_box(x, system):
+    gshape = x.gradient().shape[: system.dim]
+    return tuple(int(h) for h in np.array(gshape) - system.q0_offsets.max(axis=0))
+
+
+def unpruned_distances(x, system):
+    """The exact match of every full-window site against every ground
+    state, shape (sites..., states), for a two-dimensional system whose
+    window fits somewhere."""
+    grad = x.gradient()
+    hi = _full_window_box(x, system)
+    sites = np.moveaxis(np.indices(grad.shape[:2]), 0, -1)
+    offsets = system.q0_offsets
+    patches = np.stack([_window(grad, off, hi) for off in offsets], axis=-3)
+    dists = []
+    for g in system.ground_states:
+        pattern = g.gradient_at(sites)
+        gpatches = np.stack([_window(pattern, off, hi) for off in offsets], axis=-3)
+        dists.append(_rotation_match(patches, gpatches))
+    return np.stack(dists, axis=-1)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def unpruned_labels(x, system):
+    """The labels of the two-dimensional classify_lattice that matched
+    every site against every ground state."""
+    threshold = system.separation_d / 100.0
+    labels = np.full(x.gradient().shape[:2], BOUNDARY_SITE, dtype=np.int64)
+    hi = _full_window_box(x, system)
+    if min(hi) > 0:
+        nearest = labels[: hi[0], : hi[1]]
+        nearest[...] = 0
+        best = np.full(hi, np.inf)
+        for l, dist in enumerate(np.moveaxis(unpruned_distances(x, system), -1, 0)):
+            nearest[dist < best] = l
+            np.minimum(best, dist, out=best)
+        nearest[~(best <= threshold)] = BAD_SITE
+    return labels

@@ -259,7 +259,7 @@ def test_criterion_8_lattice_antiferro():
             for mm in (64, 256, 1024)
         }
         records = lattice_partition_diagnostics(
-            chains, system, energy_constant=2.0 * k + 2.0
+            chains.items(), system, energy_constant=2.0 * k + 2.0
         )
         for rec in records:
             assert rec["n_components"] == k + 1

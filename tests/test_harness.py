@@ -1,9 +1,11 @@
 """Tests for the experiment harness: configs, scenarios, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,50 @@ class TestValidate:
         assert validate_config({"scenario": "rigidity-family", "m_list": [m + 1]})
         with pytest.raises(MeshResourceError, match=str(kuhn_cell_estimate(2, m + 1))):
             build_kuhn_mesh(2, m + 1)
+
+    @pytest.mark.parametrize(
+        "cfg, start",
+        [
+            (
+                {"scenario": "antiferro-sweep", "lattice": {"m_list": [8, 16, 2**40]}},
+                "lattice.m_list: the lattice at m = 1099511627776 has 1099511627776 sites",
+            ),
+            (
+                {"scenario": "lattice-sweep", "m_list": [8, 16, 100_000]},
+                "m_list: the lattice at m = 100000 has 10000200001 sites",
+            ),
+            (
+                {"scenario": "rigidity-family", "block_grid": 10**6},
+                "block_grid: 1000000^2 = 1000000000000 blocks for each of 200 fields",
+            ),
+        ],
+    )
+    def test_lattice_and_block_budgets(self, cfg, start):
+        tracemalloc.start()
+        try:
+            problems = validate_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(problems) == 1 and problems[0].startswith(start + ", the budget is ")
+        # the check allocates nothing of the size it rejects
+        assert peak < 2**20
+
+    def test_lattice_and_block_budget_edges(self):
+        chain = {"scenario": "antiferro-sweep", "lattice": {"m_list": [8, 16, harness.MAX_CHAIN_SITES]}}
+        assert validate_config(chain) == []
+        chain["lattice"]["m_list"][-1] += 1
+        assert validate_config(chain)[0].startswith("lattice.m_list: ")
+        # a twin lattice at m has (m + 1)^2 sites
+        m = math.isqrt(harness.MAX_TWIN_SITES) - 1
+        assert validate_config({"scenario": "lattice-sweep", "m_list": [8, 16, m]}) == []
+        assert validate_config({"scenario": "lattice-sweep", "m_list": [8, 16, m + 1]})
+        for family in (1, 200):
+            grid = math.isqrt(harness._max_blocks(family))
+            cfg = {"scenario": "rigidity-family", "family_size": family, "block_grid": grid}
+            assert validate_config(cfg) == []
+            cfg["block_grid"] += 1
+            assert validate_config(cfg)[0].startswith("block_grid: ")
 
     def test_not_a_json_object(self, tmp_path):
         path = tmp_path / "list.json"

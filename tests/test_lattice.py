@@ -287,9 +287,7 @@ class TestAveraging:
 
 class TestDiagnostics:
     def sweep(self, system, interfaces, ms=(64, 256, 1024)):
-        return {
-            m: antiferro_chain(system, m=m, interfaces=interfaces) for m in ms
-        }
+        return [(m, antiferro_chain(system, m=m, interfaces=interfaces)) for m in ms]
 
     def test_ground_sweep(self, raw):
         records = lattice_partition_diagnostics(
@@ -337,9 +335,7 @@ class TestDiagnostics:
         assert abs(fractions[0][0] - fractions[-1][0]) < 0.05
 
     def test_energy_bound_enforced(self, raw):
-        bad_chain = {
-            16: LatticeDeformation.from_gradient_sequence([1.0] * 16, m=16)
-        }
+        bad_chain = [(16, LatticeDeformation.from_gradient_sequence([1.0] * 16, m=16))]
         with pytest.raises(EnergyBoundError) as err:
             lattice_partition_diagnostics(bad_chain, raw, energy_constant=1.0)
         assert err.value.m == 16

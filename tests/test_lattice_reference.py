@@ -1,14 +1,16 @@
-"""The exact rotation match, the array chain builder and the sliding
-window views against the code they replaced (tests/lattice_reference.py)."""
+"""The exact rotation match, the bound-pruned classifier, the array chain
+builder and the sliding window views against the code they replaced
+(tests/lattice_reference.py)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lattice_reference as ref
 from wellspin import lattice
 from wellspin.lattice import (
+    BOUNDARY_SITE,
     LatticeDeformation,
     LatticeError,
     _ground_patch_bank,
@@ -56,6 +58,9 @@ def dense_scan(p, g):
 class TestRotationMatch:
     @settings(max_examples=120, deadline=None)
     @given(st.sampled_from(KINDS), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    # two entries cross within rounding of a tangency of the unturned
+    # expansion, which loses that crossing and stops 12% above the scan
+    @example("near-rotated", 2, 30249)
     def test_exact_below_oracle_and_scan(self, kind, q, seed):
         p, g = make_pair(kind, q, seed)
         exact = float(_rotation_match(p, g))
@@ -67,6 +72,22 @@ class TestRotationMatch:
         step = 2.0 * np.pi / 2**16
         lipschitz = np.linalg.norm(g, axis=(-2, -1)).max()
         assert scan - exact <= 0.5 * step * lipschitz + 1e-12
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]),
+    )
+    def test_turned_frame_never_above_expansion(self, kind, q, seed, noise):
+        p, g = make_pair(kind, q, seed)
+        if kind == "near-rotated":
+            rng = np.random.default_rng(seed)
+            p = rotation_2d(rng.uniform(0.0, 2.0 * np.pi)) @ g + noise * rng.normal(size=g.shape)
+        exact = float(_rotation_match(p, g))
+        assert exact <= ref.expanded_rotation_match(p[None], g[None])[0] + 1e-12
+        assert exact <= dense_scan(p, g) + 1e-12
 
     def test_rotated_ground_patch_is_zero(self):
         p, g = make_pair("random", 9, 5)
@@ -142,6 +163,61 @@ class TestClassifyLabels:
         labels = classify_lattice(x, twin).labels
         assert labels.tobytes() == ref.classify_labels(x, twin).tobytes()
         assert set(np.unique(labels)) == {-2, -1, state}
+
+
+@st.composite
+def twin_lattices(draw):
+    """A noisy rotated twin ground state (any of the four), its m, and
+    what to plant in it: nothing, a NaN or an infinite value, or a site
+    at exactly the threshold distance of some state."""
+    state = draw(st.integers(0, 3))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    m = draw(st.integers(3, 9))
+    # value noise in units of the threshold, 0.6 / 100
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0])) * 0.006
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plant = draw(st.sampled_from(["none", "threshold", "nan", "inf", "-inf"]))
+    twin = synthetic_twin_system()
+    x = ground_state_deformation(twin, state, (m + 1, m + 1), m=m, rotation=rotation_2d(angle))
+    values = x.values + noise * rng.normal(size=x.values.shape)
+    if plant in ("nan", "inf", "-inf"):
+        values[tuple(rng.integers(0, m + 1, 2))] = float(plant)
+    return twin, LatticeDeformation(values, m), plant, rng
+
+
+class TestBoundPrune:
+    @settings(max_examples=100, deadline=None)
+    @given(twin_lattices())
+    def test_labels_equal_unpruned(self, case):
+        twin, x, plant, rng = case
+        with pytest.MonkeyPatch.context() as mp:
+            if plant == "threshold":
+                # a site's computed distance to a state becomes the threshold
+                dists = ref.unpruned_distances(x, twin)
+                d = float(dists.reshape(-1)[rng.integers(dists.size)])
+                sep = 100.0 * d
+                for _ in range(4):  # the separation whose hundredth is d
+                    if sep / 100.0 == d:
+                        break
+                    sep = np.nextafter(sep, np.inf if sep / 100.0 < d else -np.inf)
+                mp.setattr(twin, "separation_d", sep)
+            labels = classify_lattice(x, twin).labels
+            assert labels.tobytes() == ref.unpruned_labels(x, twin).tobytes()
+
+    def test_only_the_own_state_is_matched(self, monkeypatch):
+        twin = synthetic_twin_system()
+        x = ground_state_deformation(twin, 2, (13, 13), m=12, rotation=rotation_2d(2.2))
+        calls = []
+
+        def counted(patches, gpatches):
+            calls.append(len(patches))
+            return _rotation_match(patches, gpatches)
+
+        monkeypatch.setattr(lattice, "_rotation_match", counted)
+        labels = classify_lattice(x, twin).labels
+        assert calls == [0, 0, 100, 0]
+        assert labels.tobytes() == ref.unpruned_labels(x, twin).tobytes()
+        assert set(np.unique(labels)) == {BOUNDARY_SITE, 2}
 
 
 class TestWindowViews:
