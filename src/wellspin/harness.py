@@ -269,7 +269,7 @@ SCHEMA = {
         "slope_tolerance": (0.3, _POSITIVE),
         "perimeter_tolerance": (0.15, _POSITIVE),
         "laminate": {
-            "volume_fraction": (0.5, _rule(lambda v: _is_number(v) and 0 < v <= 1, "in (0, 1]")),
+            "volume_fraction": (0.5, _FRACTION),
             "connection": (0, _at_least(0)),
             "period": (None, _POSITIVE),
             "offset_frac": (0.0, _rule(_is_number, "a finite number")),
@@ -365,6 +365,14 @@ def _check_wells(raw, cfg):
     return _check_mesh_budget(cfg, rot.rotation)
 
 
+def _check_period(cfg):
+    """build_laminate needs two cells per layer on the coarsest mesh."""
+    period, m = cfg["laminate"]["period"], cfg["m_list"][0]
+    if period is not None and period < 2.0 / m:
+        return [f"laminate.period: must be at least 2 / m_list[0] = {2.0 / m:g}"]
+    return []
+
+
 def _check_mesh_budget(cfg, rotation=None):
     """The first scale whose mesh, as build_kuhn_mesh estimates it, has
     more cells than its budget."""
@@ -385,16 +393,13 @@ def _check_mesh_budget(cfg, rotation=None):
 # largest allocations, measured with tracemalloc on whole runs and rounded
 # up: 98 per antiferro chain site (at 2^18 and 2^20 sites), 1,740 to 1,790
 # per twin lattice site (at m = 128 and 192, the stacked patches of the
-# rotation match), and 116 plus 32 per family member per rigidity block
-# (block_grid 512, 1 to 8 members, whose drawn values all stay alive).
+# rotation match), and 210 to 217 per rigidity block (block_grid 512, 1 to
+# 16 members; a member's values are drawn when it is measured, and only the
+# first one's stay alive).
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
 MAX_TWIN_SITES = MEMORY_BUDGET // 1_800
-
-
-def _max_blocks(family_size):
-    """The rigidity-family budget of blocks per drawn field."""
-    return MEMORY_BUDGET // (128 + 32 * family_size)
+MAX_BLOCKS = MEMORY_BUDGET // 224
 
 
 def _check_lattice_budget(cfg):
@@ -412,12 +417,11 @@ def _check_lattice_budget(cfg):
 
 
 def _check_block_budget(cfg):
-    """rigidity-family draws block_grid^2 blocks for every family member."""
+    """rigidity-family draws block_grid^2 blocks for each family member."""
     grid, family = cfg["block_grid"], cfg["family_size"]
-    budget = _max_blocks(family)
-    if grid**2 > budget:
+    if grid**2 > MAX_BLOCKS:
         blocks = f"{grid}^2 = {grid**2} blocks for each of {family} fields"
-        return [f"block_grid: {blocks}, the budget is {budget}"]
+        return [f"block_grid: {blocks}, the budget is {MAX_BLOCKS}"]
     return []
 
 
@@ -465,6 +469,8 @@ def _resolve(source):
         return [f"scenario: must be one of {', '.join(SCENARIOS)} in a JSON object"], None
     problems = []
     cfg = _walk(SCHEMA[scenario], raw, "", problems)
+    if not problems and scenario == "laminate-sweep":
+        problems = _check_period(cfg)
     if not problems and "wells" in cfg:
         problems = _check_wells(raw, cfg)
     if not problems and "lattice" in cfg:
@@ -727,10 +733,12 @@ def _run_rigidity_family(cfg, force):
     rng = substream(cfg["seed"], "rigidity-family")
     meshes = {m: build_kuhn_mesh(2, m) for m in m_list}
 
-    draws = [random_block_values(rng, cfg["block_grid"]) for _ in range(size)]
     rows = []
     max_ratio = {m: 0.0 for m in m_list}
-    for fid, blocks_values in enumerate(draws):
+    for fid in range(size):
+        blocks_values = random_block_values(rng, cfg["block_grid"])
+        if fid == 0:
+            first = blocks_values
         for m in m_list:
             rep = rigidity_ratio(field_from_blocks(meshes[m], blocks_values), p=p)
             rows.append((fid, m, p, rep.lhs, rep.rhs, rep.ratio))
@@ -753,7 +761,7 @@ def _run_rigidity_family(cfg, force):
     eps_slope, _ = loglog_slope(eps_values, lhs_values)
 
     # weak-norm surrogate refinement stability on the first family member
-    fld0 = field_from_blocks(mesh, draws[0])
+    fld0 = field_from_blocks(mesh, first)
     rot0 = fitted_rotation(fld0)
     mags = np.linalg.norm(fld0.values - rot0, axis=(1, 2))
     coarse = weak_norm_surrogate(mags, fld0.cell_volumes(), 2, levels=64)

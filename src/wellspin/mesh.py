@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import golden_min
 from .wells import rotation_2d
 
 
@@ -406,11 +405,15 @@ def check_incompatibility(mesh, wells, delta0):
     )
 
 
-def find_admissible_rotation(wells, angle_grid_size=4096):
-    """Search lattice rotations (n = 2) maximizing the incompatibility
-    margin min over (facet normal, twin normal) pairs of 1 - |b . b_twin|.
+def find_admissible_rotation(wells):
+    """The lattice rotation (n = 2) maximizing the incompatibility margin,
+    min over (facet normal, twin normal) pairs of 1 - |b . b_twin|.
 
-    Scans angles in [0, pi/2) and polishes the best candidate. Without any
+    A reference normal at angle r_k, turned by phi, is most aligned with a
+    twin normal at angle t_j when phi meets t_j - r_k modulo pi, so the
+    best phi is the midpoint of the largest gap between the points
+    (t_j - r_k) mod pi on the period [0, pi). Midpoints whose margin lies
+    within 4 eps of the best tie, and the smallest angle wins. Without any
     twin connections the identity rotation has full margin 1.
     """
     if wells.dim != 2:
@@ -419,37 +422,22 @@ def find_admissible_rotation(wells, angle_grid_size=4096):
         raise MeshError("solve rank-one connections before searching rotations")
     twins = np.array([c.b for c in wells.connections])
     if len(twins) == 0:
-        return AdmissibleRotation(
-            rotation=np.eye(2),
-            angle=0.0,
-            margin=1.0,
-        )
+        return AdmissibleRotation(rotation=np.eye(2), angle=0.0, margin=1.0)
     ref = kuhn_reference_normals(2)
+    angles = np.arctan2(twins[:, 1], twins[:, 0])[:, None] - np.arctan2(ref[:, 1], ref[:, 0])
+    points = np.sort(angles.ravel() % np.pi)
+    mids = np.sort((points + np.diff(points, append=points[0] + np.pi) / 2.0) % np.pi)
 
-    angles = np.linspace(0.0, np.pi / 2.0, angle_grid_size, endpoint=False)
-
-    def margin_of(phi_arr):
-        c, s = np.cos(phi_arr), np.sin(phi_arr)
-        # rotated reference normals, shape (A, 3, 2)
-        rn = np.empty((len(phi_arr), len(ref), 2))
-        rn[..., 0] = c[:, None] * ref[None, :, 0] - s[:, None] * ref[None, :, 1]
-        rn[..., 1] = s[:, None] * ref[None, :, 0] + c[:, None] * ref[None, :, 1]
-        align = np.abs(np.einsum("afi,ti->aft", rn, twins))
-        return 1.0 - align.max(axis=(1, 2))
-
-    margins = margin_of(angles)
-    best = int(np.argmax(margins))
-    step = (np.pi / 2.0) / angle_grid_size
-    phi_star, neg_margin = golden_min(
-        lambda p: -float(margin_of(np.array([p]))[0]),
-        angles[best] - step,
-        angles[best] + step,
-    )
-    margin = -neg_margin
-    if margin <= 0.0:
+    c, s = np.cos(mids), np.sin(mids)
+    # rotated reference normals, shape (A, 3, 2)
+    rn = np.empty((len(mids), len(ref), 2))
+    rn[..., 0] = c[:, None] * ref[None, :, 0] - s[:, None] * ref[None, :, 1]
+    rn[..., 1] = s[:, None] * ref[None, :, 0] + c[:, None] * ref[None, :, 1]
+    margins = 1.0 - np.abs(np.einsum("afi,ti->aft", rn, twins)).max(axis=(1, 2))
+    # the smallest midpoint angle among the ties
+    k = int(np.argmax(margins >= margins.max() - 4.0 * np.finfo(float).eps))
+    if margins[k] <= 0.0:
         raise MeshError("no rotation with positive incompatibility margin found")
     return AdmissibleRotation(
-        rotation=rotation_2d(phi_star),
-        angle=float(phi_star),
-        margin=float(margin),
+        rotation=rotation_2d(mids[k]), angle=float(mids[k]), margin=float(margins[k])
     )

@@ -20,8 +20,6 @@ from .numerics import golden_min
 SYMMETRY_TOL = 1e-12
 ROTATION_TOL = 1e-10
 RESIDUAL_RTOL = 1e-9
-# angles in the sign-change scan of twin_solve
-TWIN_GRID = 4096
 # grid points per pi radians of admissible normal angle in compute_dbar
 DBAR_GRID = 4096
 
@@ -266,8 +264,11 @@ class WellSet:
         for k, u in enumerate(mats):
             if u.shape != (n, n):
                 raise WellSetError(f"well {k} is not {n}x{n}")
-            if not np.all(np.isfinite(u)):
-                raise WellSetError(f"well {k} has non-finite entries")
+            # also not finite where the sum of squares overflows, and then
+            # so would every scale that the twins and distances rest on
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.linalg.norm(u)):
+                    raise WellSetError(f"well {k} has non-finite entries or norm")
             if np.max(np.abs(u - u.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(u))):
                 raise WellSetError(f"well {k} is not symmetric")
             if np.min(np.linalg.eigvalsh(u)) <= 0:
@@ -358,85 +359,47 @@ def solve_rank_one(wells, i, j):
 def twin_solve(ui, uj):
     """Find all twins between two matrices: U_i - Q U_j = a (x) b.
 
-    Roots of det(U_i - Q(theta) U_j) = 0 are bracketed by sign changes on a
-    grid of TWIN_GRID angles and polished by bisection. For each root the
-    rank-one difference is factored as a (x) b via SVD. Roots where the difference
+    For 2x2 matrices det(U_i - Q(t) U_j) = alpha - rho cos(t - psi), with
+    alpha = det U_i + det U_j and, for N = U_j adj(U_i), rho and psi the
+    polar form of (N00 + N11, N01 - N10). Its roots are psi +- acos(alpha /
+    rho) when |alpha| < rho and none when |alpha| > rho; when |alpha - rho|
+    is within 1e-10 |U_i| |U_j| the determinant only touches zero, at the
+    double root psi (multiplicity 2). For positive definite wells alpha > 0,
+    so only its minimum can touch zero. Roots come out in ascending angle
+    in [0, 2 pi). The rank-one difference is factored from its largest row:
+    b = row / |row| and a = (U_i - Q U_j) b. Roots where the difference
     vanishes entirely (identical wells up to rotation) are reported as
-    trivial rotations, not connections. A root touched without a sign
-    change (tangency) is returned with multiplicity 2.
+    trivial rotations, not connections.
     """
     ui = np.asarray(ui, dtype=float)
     uj = np.asarray(uj, dtype=float)
     if ui.shape != (2, 2) or uj.shape != (2, 2):
         raise WellSetError("twin solver implemented for n = 2 only")
     scale = np.linalg.norm(ui)
-    thetas = np.linspace(0.0, 2.0 * np.pi, TWIN_GRID, endpoint=False)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    # det(U_i - Q U_j) is alpha + beta cos(theta) + gamma sin(theta) for n=2,
-    # but evaluate it directly so the bracketing stays structure-agnostic.
-    q00 = cos_t * uj[0, 0] - sin_t * uj[1, 0]
-    q01 = cos_t * uj[0, 1] - sin_t * uj[1, 1]
-    q10 = sin_t * uj[0, 0] + cos_t * uj[1, 0]
-    q11 = sin_t * uj[0, 1] + cos_t * uj[1, 1]
-    f = (ui[0, 0] - q00) * (ui[1, 1] - q11) - (ui[0, 1] - q01) * (ui[1, 0] - q10)
-
-    def det_at(theta):
-        q = rotation_2d(theta)
-        return float(np.linalg.det(ui - q @ uj))
-
-    roots = []
-    step = 2.0 * np.pi / TWIN_GRID
-    for k in range(TWIN_GRID):
-        fk, fk1 = f[k], f[(k + 1) % TWIN_GRID]
-        if fk == 0.0:
-            # an exact grid hit is a double root when the determinant only
-            # touches zero (no sign change across the neighbors)
-            mult = 2 if f[(k - 1) % TWIN_GRID] * fk1 > 0.0 else 1
-            roots.append((thetas[k], mult))
-            continue
-        if fk * fk1 < 0.0:
-            lo, hi = thetas[k], thetas[k] + step
-            flo = fk
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = det_at(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append((0.5 * (lo + hi), 1))
-
-    # tangential (double) roots: local minima of |f| that reach ~0 without
-    # a sign change near them
-    absf = np.abs(f)
-    det_scale = max(scale * np.linalg.norm(uj), 1e-30)
-    for k in range(TWIN_GRID):
-        prev_i, next_i = (k - 1) % TWIN_GRID, (k + 1) % TWIN_GRID
-        if absf[k] <= absf[prev_i] and absf[k] <= absf[next_i]:
-            if absf[k] < 1e-6 * det_scale:
-                theta0 = thetas[k]
-                if any(_ang_close(theta0, r, 2.5 * step) for r, _ in roots):
-                    continue
-                t_star, f_star = golden_min(
-                    lambda t: abs(det_at(t)), theta0 - step, theta0 + step, tol=1e-14
-                )
-                if abs(f_star) < 1e-10 * det_scale:
-                    roots.append((t_star % (2.0 * np.pi), 2))
+    n = uj @ np.array([[ui[1, 1], -ui[0, 1]], [-ui[1, 0], ui[0, 0]]])
+    alpha = ui[0, 0] * ui[1, 1] - ui[0, 1] * ui[1, 0]
+    alpha += uj[0, 0] * uj[1, 1] - uj[0, 1] * uj[1, 0]
+    rho = math.hypot(n[0, 0] + n[1, 1], n[0, 1] - n[1, 0])
+    psi = math.atan2(n[0, 1] - n[1, 0], n[0, 0] + n[1, 1])
+    if abs(alpha - rho) <= 1e-10 * scale * np.linalg.norm(uj):
+        roots = [(psi, 2)]
+    elif abs(alpha) < rho:
+        half = math.acos(alpha / rho)
+        roots = [(psi - half, 1), (psi + half, 1)]
+    else:
+        roots = []
 
     out = RankOneSolution()
-    for theta, mult in roots:
+    for theta, mult in sorted((t % (2.0 * math.pi), mult) for t, mult in roots):
         q = rotation_2d(theta)
         c = ui - q @ uj
-        u_svd, sv, vt = np.linalg.svd(c)
-        if sv[0] <= RESIDUAL_RTOL * scale:
+        # a rank-one c has |c|_F equal to its one singular value
+        if np.linalg.norm(c) <= RESIDUAL_RTOL * scale:
             out.trivial_rotations.append(q)
             continue
-        a = sv[0] * u_svd[:, 0]
-        b = vt[0]
-        a, b = _canonical_sign(a, b)
+        rows = np.hypot(c[:, 0], c[:, 1])
+        b = c[np.argmax(rows)] / rows.max()
+        a, b = _canonical_sign(c @ b, b)
         conn = RankOneConnection(i=0, j=1, rotation=q, a=a, b=b, multiplicity=mult)
         # post-conditions of the factorization
         if np.linalg.norm(q.T @ q - np.eye(2)) > ROTATION_TOL:
@@ -445,11 +408,6 @@ def twin_solve(ui, uj):
             raise WellSetError("rank-one factorization residual too large")
         out.connections.append(conn)
     return out
-
-
-def _ang_close(t0, t1, tol):
-    d = abs((t0 - t1) % (2.0 * np.pi))
-    return min(d, 2.0 * np.pi - d) < tol
 
 
 def solve_all_connections(wells):

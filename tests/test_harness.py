@@ -122,6 +122,16 @@ class TestValidate:
             # random laminate periods from 0.3 need two cells per layer
             ({"scenario": "spin-lemma-suite", "m": 2}, "m"),
             ({"scenario": "spin-lemma-suite", "m": 6}, "m"),
+            # |diag(1e200, 1e-200)|_F overflows, and with it every scale of
+            # the twin solver
+            (
+                {"scenario": "wellset-analysis", "wells": {"wells": [[[1e200, 0], [0, 1e-200]], [[1, 0], [0, 1]]]}},
+                "wells",
+            ),
+            # build_laminate needs two cells per layer at m_list[0] = 8
+            ({"scenario": "laminate-sweep", "laminate": {"period": 1e-9}}, "laminate.period"),
+            # one phase has zero energy at every m, which no slope fits
+            ({"scenario": "laminate-sweep", "laminate": {"volume_fraction": 1.0}}, "laminate.volume_fraction"),
         ],
     )
     def test_defect_reported_not_raised(self, cfg, key):
@@ -219,8 +229,9 @@ class TestValidate:
         m = math.isqrt(harness.MAX_TWIN_SITES) - 1
         assert validate_config({"scenario": "lattice-sweep", "m_list": [8, 16, m]}) == []
         assert validate_config({"scenario": "lattice-sweep", "m_list": [8, 16, m + 1]})
+        # the block budget does not depend on the family size
         for family in (1, 200):
-            grid = math.isqrt(harness._max_blocks(family))
+            grid = math.isqrt(harness.MAX_BLOCKS)
             cfg = {"scenario": "rigidity-family", "family_size": family, "block_grid": grid}
             assert validate_config(cfg) == []
             cfg["block_grid"] += 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kuhn_reference import ReferenceMesh, reference_build_kuhn_mesh, reference_normal_directions
+from twin_reference import reference_admissible_rotation
 
 from wellspin.mesh import (
     MeshError,
@@ -170,17 +171,20 @@ class TestIncompatibility:
 class TestAdmissibleRotation:
     def test_beats_identity(self):
         ws = standard_wells()
-        res = find_admissible_rotation(ws, angle_grid_size=2048)
+        res = find_admissible_rotation(ws)
         ref = kuhn_reference_normals(2)
         twins = np.array([c.b for c in ws.connections])
         id_margin = 1.0 - np.abs(ref @ twins.T).max()
         assert res.margin >= id_margin - 1e-12
 
-    def test_grid_refinement_stable(self):
+    def test_margin_matches_grid_search(self):
+        # the exact rule never loses margin to the grid search it replaced,
+        # at either grid, and the grid converges to it
         ws = standard_wells()
-        m1 = find_admissible_rotation(ws, angle_grid_size=4096).margin
-        m2 = find_admissible_rotation(ws, angle_grid_size=16384).margin
-        assert abs(m1 - m2) < 1e-4
+        margin = find_admissible_rotation(ws).margin
+        for grid in (4096, 16384):
+            old = reference_admissible_rotation(ws, angle_grid_size=grid).margin
+            assert old - 1e-12 <= margin <= old + 1e-4
 
     def test_standard_pair_margin_value(self):
         # twins at +-45 degrees force the optimum near 22.5 degrees
