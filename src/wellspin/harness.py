@@ -49,7 +49,7 @@ from .mesh import (
     find_admissible_rotation,
     kuhn_cell_estimate,
 )
-from .numerics import loglog_slope
+from .numerics import loglog_slope, ratio
 from .rigidity import (
     IncompatibleField,
     build_reduced_field,
@@ -156,22 +156,28 @@ class Gate:
 
 @dataclass
 class ScalingReport:
-    """Log-log slope of one quantity over an m-sweep with a pass gate."""
+    """Log-log slope of one quantity over an m-sweep with a pass gate.
+
+    A log-log fit needs positive values; with a value that is not, slope
+    and intercept are None and the gate fails at the first such m.
+    """
 
     name: str
     m: list
     values: list
-    slope: float
-    intercept: float
+    slope: float | None
+    intercept: float | None
     expected: float
     tolerance: float
     passed: bool
 
     @classmethod
     def fit(cls, name, m_values, values, expected, tolerance):
-        slope, intercept = loglog_slope(m_values, values)
-        passed = abs(slope - expected) <= tolerance
         m, values = [int(m) for m in m_values], [float(v) for v in values]
+        slope = intercept = None
+        if all(v > 0 for v in values):
+            slope, intercept = loglog_slope(m, values)
+        passed = slope is not None and abs(slope - expected) <= tolerance
         return cls(name, m, values, slope, intercept, float(expected), float(tolerance), passed)
 
     def to_dict(self):
@@ -179,6 +185,9 @@ class ScalingReport:
 
     def gate(self, name):
         bound = f"{self.expected:+.2f} +- {self.tolerance:.2f}"
+        if self.slope is None:
+            m, v = next((m, v) for m, v in zip(self.m, self.values) if not v > 0)
+            return Gate(name, False, f"no log-log fit: {v:g} at m = {m}", bound)
         return Gate(name, self.passed, f"slope {self.slope:+.3f}", bound)
 
 
@@ -387,8 +396,10 @@ def _check_mesh_budget(cfg, rotation=None):
     return []
 
 
-# The memory a lattice or rigidity-family run may ask for: about the peak of
-# a mesh at the MAX_CELLS budget (460 bytes per cell at m = 256). Each size
+# The memory a lattice or rigidity-family run may ask for: a little above the
+# peak of a mesh at the MAX_CELLS budget (build_kuhn_mesh peaks at 344 bytes
+# per cell at m = 256 and m = 512 under tracemalloc, 1.4 GB at 4,000,000
+# cells). Each size
 # budget below divides it by the peak bytes per unit of the scenario's
 # largest allocations, measured with tracemalloc on whole runs and rounded
 # up: 98 per antiferro chain site (at 2^18 and 2^20 sites), 1,740 to 1,790
@@ -588,13 +599,12 @@ def _run_laminate_sweep(cfg, force):
         ScalingReport.fit(f"perimeter_w{j}", m_list, column(f"perimeter_w{j}"), 0.0, perim_tol)
         for j in pair
     ]
-    curl_ratios = [r[f"curl_w{j}"] / r[f"perimeter_w{j}"] for r in rows for j in pair]
+    curl_ratios = [ratio(r[f"curl_w{j}"], r[f"perimeter_w{j}"]) for r in rows for j in pair]
     dv_ratios = [r[f"dv_curl_ratio_w{j}"] for r in rows for j in pair]
     comps, residuals = column("components"), column("max_residual")
     excess = max(lhs - energy for lhs, energy in chebyshev)
     bounded = all(lhs <= energy for lhs, energy in chebyshev)
-    curl_spread = max(curl_ratios) / min(curl_ratios)
-    dv_spread = max(dv_ratios) / min(dv_ratios)
+    curl_spread, dv_spread = _spread(curl_ratios), _spread(dv_ratios)
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     gates = [r.gate(f"scaling.{r.name}") for r in reports] + [
         Gate("chebyshev_identity", bounded, f"count bound - energy = {excess:.3g}", "<= 0"),
@@ -615,6 +625,13 @@ def _run_laminate_sweep(cfg, force):
     }
     tables = {"sweep": (header, table_rows), "scaling": (["quantity", "m", "value"], scaling_rows)}
     return summary, tables, gates
+
+
+def _spread(ratios):
+    """max/min of a stability gate's ratios; inf when one is 0, as where a
+    phase is empty at some m."""
+    lo = min(ratios)
+    return max(ratios) / lo if lo > 0 else math.inf
 
 
 def _draw_spin_fields(ws, rng, count):

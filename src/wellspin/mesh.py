@@ -14,8 +14,12 @@ cube the n! simplices in itertools.permutations order of their step axes.
 Cells are numbered in that visit order, cube-major then by permutation.
 Vertices are numbered in the order of their first visit over all visits,
 including visits of cells later dropped by the clip, with unused vertices
-then removed. Facets are numbered in first-visit order over (cell, omitted
-vertex) pairs; facet_cells[:, 0] is the first cell to visit a facet.
+then removed. That order has a closed form: the lattice box has a one-cube
+margin, so a kept lattice point p is first visited in the cube with low
+corner p - (1, ..., 1), and the kept vertices come in increasing row-major
+index of their lattice points. Facets are numbered in first-visit order
+over (cell, omitted vertex) pairs; facet_cells[:, 0] is the first cell to
+visit a facet.
 """
 
 from __future__ import annotations
@@ -202,11 +206,15 @@ class SimplicialMesh:
     def inverse_edges(self):
         """(C, n, n) inverses of the edge matrices whose columns are
         v_k - v_0, k = 1..n; a vertex field's differences times these give
-        its cell gradients."""
+        its cell gradients. For n = 2 the adjugate over the determinant."""
         if self._inverse_edges is None:
             verts = self.vertices[self.cells]
             dv = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)
-            self._inverse_edges = np.linalg.inv(dv)
+            if self.dim == 2:
+                adj = np.stack([dv[:, 1, 1], -dv[:, 0, 1], -dv[:, 1, 0], dv[:, 0, 0]], axis=1)
+                self._inverse_edges = adj.reshape(-1, 2, 2) / _batched_det(dv)[:, None, None]
+            else:
+                self._inverse_edges = np.linalg.inv(dv)
         return self._inverse_edges
 
     @property
@@ -311,24 +319,27 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells
     perms = np.array(list(itertools.permutations(range(n))))
     steps = np.cumsum(radix[perms], axis=1)  # along each permutation's path
     path_codes = np.hstack([np.zeros((len(perms), 1), dtype=np.int64), steps])
-    visits = (cube_codes[:, None] + path_codes.reshape(-1)).reshape(-1)
+    cells = (cube_codes[:, None] + path_codes.reshape(-1)).reshape(-1, n + 1)
+    del grids, cube_codes
 
-    # vertices numbered by first visit, visits of clipped cells included
-    first, inverse, _ = _first_visit_groups(visits)
-    keys = visits[first][:, None] // radix % size + lat_lo
-    vertices = (rot[None] @ (keys / m)[:, :, None])[:, :, 0]
-    cells = inverse.reshape(-1, n + 1)
-
-    pts = vertices[cells]
-    cells = cells[np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12), axis=(1, 2))]
+    # every lattice point once, clipped on its own; a cell is kept when all
+    # of its points are inside
+    keys = np.arange(math.prod(int(s) for s in size))[:, None] // radix % size + lat_lo
+    points = (rot[None] @ (keys / m)[:, :, None])[:, :, 0]
+    del keys
+    inside = np.all((points >= -1e-12) & (points <= 1.0 + 1e-12), axis=1)
+    cells = cells[inside[cells].all(axis=1)]
     if not len(cells):
         raise MeshError("no cells inside the domain (domain too small for m)")
 
-    used = np.unique(cells)
-    remap = -np.ones(len(vertices), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    vertices = vertices[used]
-    cells = remap[cells]
+    # a kept point p is first visited in the cube whose low corner is
+    # p - (1, ..., 1), inside the box by its one-cube margin, as the last
+    # vertex of the first permutation: first-visit order is code order
+    used = np.zeros(len(points), dtype=bool)
+    used[cells] = True
+    ids = np.cumsum(used) - 1
+    vertices = points[used]
+    cells = ids[cells]
 
     if jitter > 0:
         if rng is None:

@@ -1,8 +1,10 @@
 """Small shared numerical utilities: 1-D golden-section refinement,
-connected-component labelling of labelled items, and log-log slope
-fits."""
+connected-component labelling of labelled items, log-log slope fits and
+ratios of measures that may vanish."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -96,3 +98,10 @@ def loglog_slope(x, y):
         raise ValueError("log-log fit requires strictly positive data")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(intercept)
+
+
+def ratio(a, b):
+    """a / b, reading 0 / 0 as 0 and a / 0 as inf."""
+    if b == 0.0:
+        return 0.0 if a == 0.0 else math.inf
+    return a / b

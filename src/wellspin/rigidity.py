@@ -12,12 +12,12 @@ single rotation against its distance to all rotations plus its curl mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import PWAffineField
+from .numerics import ratio
 from .wells import dist_to_son_batch, polar_rotation, rotation_2d
 
 
@@ -96,10 +96,20 @@ def _measure_geometry(field):
     return ids, mapped_areas, mapped_tangents
 
 
-def _facet_jumps(field, ids):
+def _facet_jumps(field):
+    """Interior facet ids, their (mapped) areas and tangent bases, and the
+    field's jump across each, for both facet measures from one pass."""
+    field = _as_field(field)
+    ids, areas, tangents = _measure_geometry(field)
     a = field.mesh.facet_cells[ids, 0]
     b = field.mesh.facet_cells[ids, 1]
-    return field.values[b] - field.values[a]
+    return ids, areas, tangents, field.values[b] - field.values[a]
+
+
+def _measure(ids, areas, jumps):
+    """Facet masses area * |jump|_F as a facet measure."""
+    masses = areas * np.linalg.norm(jumps, axis=(1, 2))
+    return CurlMeasure(facet_ids=ids, per_facet=masses, total=float(masses.sum()))
 
 
 def curl_total_variation(field):
@@ -109,21 +119,14 @@ def curl_total_variation(field):
     tangent space|_F; gradients of continuous piecewise-affine deformations
     have zero total mass.
     """
-    field = _as_field(field)
-    ids, areas, tangents = _measure_geometry(field)
-    jumps = _facet_jumps(field, ids)
-    tangential = jumps @ tangents
-    masses = areas * np.linalg.norm(tangential, axis=(1, 2))
-    return CurlMeasure(facet_ids=ids, per_facet=masses, total=float(masses.sum()))
+    ids, areas, tangents, jumps = _facet_jumps(field)
+    return _measure(ids, areas, jumps @ tangents)
 
 
 def full_jump_variation(field):
     """Discrete total variation |DA|: facet area times full jump norm."""
-    field = _as_field(field)
-    ids, areas, _ = _measure_geometry(field)
-    jumps = _facet_jumps(field, ids)
-    masses = areas * np.linalg.norm(jumps, axis=(1, 2))
-    return CurlMeasure(facet_ids=ids, per_facet=masses, total=float(masses.sum()))
+    ids, areas, _, jumps = _facet_jumps(field)
+    return _measure(ids, areas, jumps)
 
 
 def build_reduced_field(field, labeling, well_index, wells):
@@ -186,17 +189,13 @@ def rigidity_ratio(field, p):
     curl = curl_total_variation(field)
     curl_term = float(curl.total ** (n / (n - 1)))
     rhs = dist_term + curl_term
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else math.inf
-    else:
-        ratio = lhs / rhs
     return RigidityReport(
         rotation=rot,
         lhs=lhs,
         dist_term=dist_term,
         curl_term=curl_term,
         rhs=rhs,
-        ratio=ratio,
+        ratio=ratio(lhs, rhs),
         p=float(p),
     )
 
@@ -218,17 +217,13 @@ def bv_structure_check(field):
     jump can never vanish while the full jump does not, so the ratio stays
     finite; it is reported per facet for setwise checks.
     """
-    field = _as_field(field)
-    dv = full_jump_variation(field)
-    curl = curl_total_variation(field)
-    if curl.total == 0.0:
-        ratio = 0.0 if dv.total == 0.0 else math.inf
-    else:
-        ratio = dv.total / curl.total
+    ids, areas, tangents, jumps = _facet_jumps(field)
+    dv = _measure(ids, areas, jumps)
+    curl = _measure(ids, areas, jumps @ tangents)
     return BVReport(
         dv_total=dv.total,
         curl_total=curl.total,
-        ratio=ratio,
+        ratio=ratio(dv.total, curl.total),
         facet_ids=dv.facet_ids,
         per_facet_dv=dv.per_facet,
         per_facet_curl=curl.per_facet,
@@ -266,11 +261,7 @@ def weak_rigidity_ratio(field):
     lhs = weak_norm_surrogate(diff, vols, n)
     dist = dist_to_son_batch(field.values)
     rhs = weak_norm_surrogate(dist, vols, n) + curl_total_variation(field).total
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else math.inf
-    else:
-        ratio = lhs / rhs
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "rotation": rot}
+    return {"lhs": lhs, "rhs": rhs, "ratio": ratio(lhs, rhs), "rotation": rot}
 
 
 def random_block_values(rng, n_blocks):

@@ -18,6 +18,8 @@ import numpy as np
 from .numerics import golden_min
 
 SYMMETRY_TOL = 1e-12
+# the largest absolute entry of a well
+MAX_ENTRY = 1e150
 ROTATION_TOL = 1e-10
 RESIDUAL_RTOL = 1e-9
 # grid points per pi radians of admissible normal angle in compute_dbar
@@ -264,11 +266,11 @@ class WellSet:
         for k, u in enumerate(mats):
             if u.shape != (n, n):
                 raise WellSetError(f"well {k} is not {n}x{n}")
-            # also not finite where the sum of squares overflows, and then
-            # so would every scale that the twins and distances rest on
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.linalg.norm(u)):
-                    raise WellSetError(f"well {k} has non-finite entries or norm")
+            # products and sums of squares of two entries, which the twins
+            # and distances rest on, stay finite below the bound
+            if not np.max(np.abs(u)) <= MAX_ENTRY:
+                bound = f"not finite or exceeds {MAX_ENTRY:g}"
+                raise WellSetError(f"well {k} has an entry that is {bound}")
             if np.max(np.abs(u - u.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(u))):
                 raise WellSetError(f"well {k} is not symmetric")
             if np.min(np.linalg.eigvalsh(u)) <= 0:

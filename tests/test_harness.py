@@ -132,6 +132,11 @@ class TestValidate:
             ({"scenario": "laminate-sweep", "laminate": {"period": 1e-9}}, "laminate.period"),
             # one phase has zero energy at every m, which no slope fits
             ({"scenario": "laminate-sweep", "laminate": {"volume_fraction": 1.0}}, "laminate.volume_fraction"),
+            # a finite norm, but the distance kernel's sums of squares overflow
+            (
+                {"scenario": "wellset-analysis", "wells": {"wells": [[[1.3e154, 0], [0, 1]], [[1, 0], [0, 1.3e154]]]}},
+                "wells",
+            ),
         ],
     )
     def test_defect_reported_not_raised(self, cfg, key):
@@ -270,6 +275,14 @@ class TestScalingReport:
         rep = ScalingReport.fit("x", [2, 4, 8], [3.0, 1.5, 0.75], -1.0, 0.2)
         assert rep.values == [3.0, 1.5, 0.75]
 
+    def test_non_positive_value_fails_without_fit(self):
+        rep = ScalingReport.fit("x", [8, 16, 32], [1.0, 0.0, -2.0], 0.0, 10.0)
+        assert not rep.passed and rep.slope is None and rep.intercept is None
+        gate = rep.gate("scaling.x")
+        assert not gate.passed
+        assert gate.line() == "FAIL scaling.x: no log-log fit: 0 at m = 16 (bound +0.00 +- 10.00)"
+        assert json.loads(json.dumps(rep.to_dict()))["slope"] is None
+
 
 class TestSubstreams:
     def test_labels_independent(self):
@@ -320,6 +333,36 @@ class TestRun:
         assert code == EXIT_OK
         table = (tmp_path / "out" / "tables" / "sweep.csv").read_text().splitlines()
         assert len(table) == 4  # header + 3 scales
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # the perimeter of well 0 is 0 at m = 8, where BAD cells take its layers
+            {"m_list": [8, 16, 32], "laminate": {"period": 0.25}},
+            {"m_list": [2, 3, 4]},
+        ],
+    )
+    def test_laminate_sweep_zero_perimeter_fails_gates(self, tmp_path, extra):
+        out = tmp_path / "out"
+        assert run({"scenario": "laminate-sweep", "seed": 1, **extra}, out_dir=out) == EXIT_GATE_FAILED
+        assert not (out / "error.txt").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        unfit = [r for r in summary["scaling_reports"] if r["slope"] is None]
+        assert unfit and all(r["intercept"] is None for r in unfit)
+        assert not summary["gates"]["scaling"] and not summary["gates"]["curl_vs_perimeter_stable"]
+        digest = (out / "digest.txt").read_text()
+        assert "no log-log fit: 0 at m = " in digest
+        assert "FAIL curl_vs_perimeter_stable: inf" in digest
+
+    def test_wells_at_entry_bound_run_without_overflow(self, tmp_path):
+        wells = {"wells": [[[1e150, 0], [0, 1]], [[1, 0], [0, 1e150]]]}
+        out = tmp_path / "out"
+        # an overflow raises inside the run, which then exits 4
+        with np.errstate(over="raise", invalid="raise"):
+            code = run({"scenario": "wellset-analysis", "wells": wells}, out_dir=out)
+        assert code == EXIT_OK
+        derived = json.loads((out / "summary.json").read_text())["wells"]["derived"]
+        assert math.isfinite(derived["d"]) and math.isfinite(derived["dbar"])
 
     def test_lattice_sweep_synthetic(self, tmp_path):
         cfg = {

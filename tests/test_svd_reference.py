@@ -15,6 +15,7 @@ from wellspin.rigidity import (
     _measure_geometry,
     bv_structure_check,
     curl_total_variation,
+    full_jump_variation,
 )
 from wellspin.wells import (
     _procrustes_rotation_batch,
@@ -257,6 +258,28 @@ class TestMeshKernelsN2:
         assert bv_structure_check(field).curl_total == curl_total_variation(field).total
 
 
+class TestOnePassBV:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_matches_both_measures(self, admissible_meshes, n, mapped):
+        # one geometry and one jump array give both measures bit for bit
+        mesh = admissible_meshes[16] if n == 2 else build_kuhn_mesh(3, 3)
+        rng = np.random.default_rng(9)
+        field = IncompatibleField(
+            mesh=mesh,
+            values=rng.normal(size=(mesh.n_cells, n, n)),
+            map_matrix=spd(rng, n) if mapped else None,
+        )
+        bv = bv_structure_check(field)
+        dv, curl = full_jump_variation(field), curl_total_variation(field)
+        assert bv.dv_total == dv.total and bv.curl_total == curl.total
+        assert np.array_equal(bv.facet_ids, dv.facet_ids)
+        assert np.array_equal(bv.facet_ids, curl.facet_ids)
+        assert bv.per_facet_dv.tobytes() == dv.per_facet.tobytes()
+        assert bv.per_facet_curl.tobytes() == curl.per_facet.tobytes()
+        assert bv.ratio == dv.total / curl.total
+
+
 def pairwise_diameter(mesh):
     """m times the largest cell diameter, from all pairwise vertex
     differences at once, as SimplicialMesh.constants computed it before."""
@@ -265,14 +288,26 @@ def pairwise_diameter(mesh):
     return float((np.sqrt(d2.max(axis=(1, 2))) * mesh.m).max())
 
 
+def edge_matrices(mesh):
+    verts = mesh.vertices[mesh.cells]
+    return np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)
+
+
 class TestMeshCaches:
     def test_inverse_edges_cached_and_exact(self, admissible_meshes):
-        mesh = build_kuhn_mesh(2, 6, lattice_rotation=admissible_meshes[8].lattice_rotation)
-        first = mesh.inverse_edges
-        assert mesh.inverse_edges is first
-        verts = mesh.vertices[mesh.cells]
-        dv = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)
-        assert np.array_equal(first, np.linalg.inv(dv))
+        # n = 2 takes the adjugate over the determinant: within 4 eps of
+        # LAPACK's inverse, relative to each cell's largest entry; n = 3
+        # still runs LAPACK, bit for bit
+        rot = admissible_meshes[8].lattice_rotation
+        for m, jitter in [(6, 0.0), (16, 0.0), (9, 0.15)]:
+            mesh = build_kuhn_mesh(2, m, lattice_rotation=rot, jitter=jitter)
+            first = mesh.inverse_edges
+            assert mesh.inverse_edges is first
+            want = np.linalg.inv(edge_matrices(mesh))
+            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+            assert np.all(np.abs(first - want) <= 4 * EPS * scale)
+        mesh = build_kuhn_mesh(3, 3, lattice_rotation=random_rotation(np.random.default_rng(2), 3))
+        assert np.array_equal(mesh.inverse_edges, np.linalg.inv(edge_matrices(mesh)))
 
     @pytest.mark.parametrize("n, m", [(2, 9), (3, 3)])
     def test_diameters_match_pairwise_array(self, n, m):

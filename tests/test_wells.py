@@ -362,6 +362,15 @@ class TestWellSetValidation:
         with pytest.raises(WellSetError):
             WellSet([np.diag([1.0, -1.0])])
 
+    def test_largest_entry_bounded(self):
+        with pytest.raises(WellSetError, match="exceeds 1e\\+150"):
+            WellSet([np.diag([1.3e154, 1.0]), np.diag([1.0, 1.3e154])])
+        # at the bound the twins and the well distance stay finite
+        with np.errstate(all="raise"):
+            ws = WellSet([np.diag([1e150, 1.0]), np.diag([1.0, 1e150])])
+            solve_all_connections(ws)
+        assert math.isfinite(ws.separation_d) and len(ws.connections) == 2
+
     def test_polar_rotation_projects(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((2, 2)) + 2 * np.eye(2)
