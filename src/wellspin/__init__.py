@@ -47,7 +47,6 @@ from .rigidity import (
     RigidityError,
     build_reduced_field,
     curl_total_variation,
-    full_jump_variation,
     rigidity_ratio,
     bv_structure_check,
     weak_rigidity_ratio,

@@ -43,12 +43,18 @@ def main(argv=None):
     except SystemExit as err:
         # argparse exits 2 on a usage error, which is the incompatible-mesh code
         return EXIT_OK if err.code == 0 else EXIT_INTERNAL
-    problems = validate_config(args.config)
+    # read the config once, since it may be a pipe; validate_config and
+    # run() report a failed read as a config problem
+    try:
+        config = load_config(args.config)
+    except (OSError, ValueError) as err:
+        config = err
+    problems = validate_config(config)
     if args.command == "validate":
         print("\n".join(problems) or "config ok")
         return EXIT_INTERNAL if problems else EXIT_OK
     # run() reports the problems of an invalid config itself
-    scenario = None if problems else load_config(args.config)["scenario"]
+    scenario = None if problems else config["scenario"]
     if scenario not in (None, args.command):
         mismatch = f"config says {scenario!r}, command line says {args.command!r}"
         print(f"config error: scenario: {mismatch}")
@@ -56,7 +62,7 @@ def main(argv=None):
     out = args.out
     if out is None and "WELLSPIN_OUT" in os.environ:
         out = str(Path(os.environ["WELLSPIN_OUT"]) / args.command)
-    return run(args.config, force=args.force, out_dir=out)
+    return run(config, force=args.force, out_dir=out)
 
 
 if __name__ == "__main__":

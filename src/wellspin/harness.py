@@ -296,7 +296,8 @@ SCHEMA = {
         **_COMMON,
         "m_list": ([16, 32], _scales(1)),
         "family_size": (200, _at_least(1)),
-        "p": (2.0, _rule(lambda v: _is_number(v) and v >= 1, "a number >= 1")),
+        # rigidity_ratio needs p >= n/(n-1), which is 2 in the plane
+        "p": (2.0, _rule(lambda v: _is_number(v) and v >= 2, "a number >= n/(n-1) = 2")),
         "block_grid": (4, _at_least(1)),
         "eps_values": ([1e-3, 5e-4, 2.5e-4, 1e-4], _EPS_VALUES),
     },
@@ -332,7 +333,11 @@ def _walk(table, given, prefix, problems):
 
 
 def load_config(source):
-    """A config from the path of a JSON file, or a copy of one given as a dict."""
+    """A config from the path of a JSON file, or a copy of one given as a
+    dict. An OSError or ValueError given in place of either is the failure
+    of an earlier read, and is raised again."""
+    if isinstance(source, (OSError, ValueError)):
+        raise source
     if isinstance(source, (str, os.PathLike)):
         return json.loads(Path(source).read_text(encoding="utf-8"))
     return dict(source) if isinstance(source, dict) else source
@@ -349,7 +354,8 @@ def _well_set(cfg):
 def _check_wells(raw, cfg):
     """Build the well set and solve its twins, so that a bad one fails
     validation and not a run: delta0 must leave an admissible facet normal,
-    and laminate-sweep needs its twin index in range."""
+    laminate-sweep needs its twin index in range and spin-lemma-suite a
+    twin to draw its laminates from."""
     name = "wells" if cfg["wells_file"] is None else "wells_file"
     if name == "wells_file" and raw.get("wells") is not None:
         return ["wells: give either inline wells or wells_file, not both"]
@@ -365,6 +371,8 @@ def _check_wells(raw, cfg):
         return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
     if cfg["scenario"] == "laminate-sweep" and cfg["laminate"]["connection"] >= len(ws.connections):
         return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"]
+    if cfg["scenario"] == "spin-lemma-suite" and not ws.connections:
+        return [f"{name}: spin-lemma-suite laminates along twins, and these wells have none"]
     if cfg["scenario"] == "wellset-analysis":
         return []
     try:
@@ -396,17 +404,16 @@ def _check_mesh_budget(cfg, rotation=None):
     return []
 
 
-# The memory a lattice or rigidity-family run may ask for: a little above the
-# peak of a mesh at the MAX_CELLS budget (build_kuhn_mesh peaks at 344 bytes
-# per cell at m = 256 and m = 512 under tracemalloc, 1.4 GB at 4,000,000
-# cells). Each size
-# budget below divides it by the peak bytes per unit of the scenario's
-# largest allocations, measured with tracemalloc on whole runs and rounded
-# up: 98 per antiferro chain site (at 2^18 and 2^20 sites), 1,740 to 1,790
-# per twin lattice site (at m = 128 and 192, the stacked patches of the
-# rotation match), and 210 to 217 per rigidity block (block_grid 512, 1 to
-# 16 members; a member's values are drawn when it is measured, and only the
-# first one's stay alive).
+# The memory a lattice or rigidity-family run may ask for: above the peak of a
+# mesh at the MAX_CELLS budget (build_kuhn_mesh peaks at 280 bytes per cell at
+# m = 256 and m = 512 under tracemalloc, edge inverses included, 1.1 GB at
+# 4,000,000 cells). Each size budget below divides it by the peak bytes per
+# unit of the scenario's largest allocations, measured with tracemalloc on
+# whole runs and rounded up: 98 per antiferro chain site (at 2^18 and 2^20
+# sites), 1,740 to 1,790 per twin lattice site (at m = 128 and 192, the
+# stacked patches of the rotation match), and 210 to 217 per rigidity block
+# (block_grid 512, 1 to 16 members; a member's values are drawn when it is
+# measured, and only the first one's stay alive).
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
 MAX_TWIN_SITES = MEMORY_BUDGET // 1_800
@@ -470,14 +477,15 @@ def _check_interfaces(raw, cfg):
 
 
 def _resolve(source):
-    """(problems, config with defaults filled in, or None if problems)."""
+    """(problems, config with defaults filled in or None if problems, the
+    config as read or None if it could not be read); reads source once."""
     try:
         raw = load_config(source)
     except (OSError, ValueError) as err:
-        return [f"config: unreadable ({err})"], None
+        return [f"config: unreadable ({err})"], None, None
     scenario = raw.get("scenario") if isinstance(raw, dict) else None
     if not isinstance(scenario, str) or scenario not in SCHEMA:
-        return [f"scenario: must be one of {', '.join(SCENARIOS)} in a JSON object"], None
+        return [f"scenario: must be one of {', '.join(SCENARIOS)} in a JSON object"], None, raw
     problems = []
     cfg = _walk(SCHEMA[scenario], raw, "", problems)
     if not problems and scenario == "laminate-sweep":
@@ -488,7 +496,7 @@ def _resolve(source):
         problems = _check_lattice_budget(cfg) or _check_interfaces(raw, cfg)
     if not problems and scenario == "rigidity-family":
         problems = _check_block_budget(cfg) or _check_mesh_budget(cfg)
-    return problems, None if problems else cfg
+    return problems, None if problems else cfg, raw
 
 
 def validate_config(source):
@@ -903,15 +911,11 @@ _RUNNERS = {
 }
 
 
-def _rejected_out(source, out_dir):
+def _rejected_out(raw, out_dir):
     """Where a rejected config's run would have written, if that can be
     told: out_dir, else the config's own out, else runs/<scenario>."""
     if out_dir:
         return Path(out_dir)
-    try:
-        raw = load_config(source)
-    except (OSError, ValueError):
-        return None
     if not isinstance(raw, dict):
         return None
     if isinstance(raw.get("out"), str):
@@ -948,10 +952,10 @@ def run(source, force=False, out_dir=None):
     still replaces the files of an earlier run in its output directory,
     when that is known, with a summary of the problems.
     """
-    problems, cfg = _resolve(source)
+    problems, cfg, raw = _resolve(source)
     if problems:
         print("\n".join(f"config error: {p}" for p in problems))
-        out = _rejected_out(source, out_dir)
+        out = _rejected_out(raw, out_dir)
         if out is not None:
             summary = {"exit_code": EXIT_INTERNAL, "gates": {}, "problems": problems}
             _write_run(out, summary, {}, [f"CONFIG ERROR: {p}" for p in problems])

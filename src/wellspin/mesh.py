@@ -18,8 +18,10 @@ then removed. That order has a closed form: the lattice box has a one-cube
 margin, so a kept lattice point p is first visited in the cube with low
 corner p - (1, ..., 1), and the kept vertices come in increasing row-major
 index of their lattice points. Facets are numbered in first-visit order
-over (cell, omitted vertex) pairs; facet_cells[:, 0] is the first cell to
-visit a facet.
+over (cell, omitted vertex) visits, and facet_cells[:, 0] is a facet's
+first cell. That order has a closed form too: the facet a cell leaves out
+of its path has one other possible visitor in the Kuhn grid (_kuhn_facets),
+and a visit comes first unless that partner is kept and earlier.
 """
 
 from __future__ import annotations
@@ -95,13 +97,9 @@ def _batched_det(a):
 def kuhn_reference_normals(n):
     """The n(n+1)/2 distinct facet normal directions of the reference
     Kuhn mesh: axis normals e_i and diagonal normals (e_i - e_j)/sqrt(2)."""
-    normals = [np.eye(n)[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = np.zeros(n)
-            v[i], v[j] = 1.0, -1.0
-            normals.append(v / np.sqrt(2.0))
-    return np.array(normals)
+    eye = np.eye(n)
+    pairs = itertools.combinations(range(n), 2)
+    return np.array([*eye, *[(eye[i] - eye[j]) / np.sqrt(2.0) for i, j in pairs]])
 
 
 class SimplicialMesh:
@@ -112,79 +110,93 @@ class SimplicialMesh:
       cells         (C, n+1) int vertex indices
       volumes       (C,) float
       barycenters   (C, n) float
-      facet_vertices (F, n) int
+      inverse_edges (C, n, n) float inverses of the edge matrices with
+                    columns v_k - v_0, k = 1..n; a vertex field's
+                    differences times these give its cell gradients
+      facet_vertices (F, n) int, increasing
       facet_area    (F,) float
       facet_normal  (F, n) float, oriented away from facet_cells[:, 0]; for
                     n = 2 the facet edge turned by 90 degrees, no SVD
       facet_tangent (F, n, n-1) float orthonormal tangent basis; for n = 2
                     the oriented normal turned back by 90 degrees, (-n1, n0)
       facet_cells   (F, 2) int, second entry -1 on the domain boundary
+
+    omit[f], given with the facets, is the position in
+    cells[facet_cells[f, 0]] of the vertex that facet f leaves out.
     """
 
-    def __init__(self, dim, m, domain, lattice_rotation, vertices, cells):
+    def __init__(
+        self, dim, m, domain, lattice_rotation, vertices, cells, facet_vertices, facet_cells, omit
+    ):
         self.dim = dim
         self.m = m
         self.domain = (np.asarray(domain[0], float), np.asarray(domain[1], float))
         self.lattice_rotation = np.asarray(lattice_rotation, float)
         self.vertices = vertices
         self.cells = cells
-        self._compute_cell_geometry()
-        self._compute_facet_geometry(self._build_facets())
+        self.facet_vertices = facet_vertices
+        self.facet_cells = facet_cells
+        self.interior = np.nonzero(facet_cells[:, 1] >= 0)[0]
+        self.boundary = np.nonzero(facet_cells[:, 1] < 0)[0]
+        self._compute_facet_geometry(omit, self._compute_cell_geometry())
         self._constants = None
-        self._inverse_edges = None
 
     # -- construction helpers -------------------------------------------
 
     def _compute_cell_geometry(self):
-        verts = self.vertices[self.cells]  # (C, n+1, n)
+        """Volumes, barycenters and edge inverses; returns the determinants."""
+        n = self.dim
+        # np.take gathers rows several times faster than fancy indexing
+        verts = np.take(self.vertices, self.cells, axis=0)  # (C, n+1, n)
         edges = verts[:, 1:, :] - verts[:, :1, :]  # (C, n, n)
+        # added in vertex order, as mean(axis=1) adds them
+        total = verts[:, 0] + verts[:, 1]
+        for k in range(2, n + 1):
+            total += verts[:, k]
+        del verts
+        self.barycenters = total / (n + 1)
         dets = _batched_det(edges)
-        self.volumes = np.abs(dets) / math.factorial(self.dim)
+        self.volumes = np.abs(dets) / math.factorial(n)
         if np.any(self.volumes <= 0):
             raise MeshError("degenerate cell with zero volume")
-        self.barycenters = verts.mean(axis=1)
+        # inverses of the edge matrices with columns v_k - v_0, the
+        # transposes of edges; their determinants are dets, byte for byte
+        if n == 2:
+            adj = np.stack([edges[:, 1, 1], -edges[:, 1, 0], -edges[:, 0, 1], edges[:, 0, 0]], axis=1)
+            self.inverse_edges = adj.reshape(-1, 2, 2) / dets[:, None, None]
+        else:
+            self.inverse_edges = np.linalg.inv(np.swapaxes(edges, 1, 2))
+        return dets
 
-    def _build_facets(self):
-        """Facet arrays in first-visit order; returns the vertex opposite
-        each facet in its first cell."""
+    def _compute_facet_geometry(self, omit, dets):
         n = self.dim
-        visits, first, inverse, counts = _facet_visits(self.cells, len(self.vertices))
-        if np.any(counts > 2):
-            raise MeshError("facet shared by more than two cells")
-        fc = np.full((len(first), 2), -1, dtype=np.int64)
-        fc[:, 0] = first // (n + 1)
-        # with at most two visits per facet, a visit that is not its
-        # facet's first is the only second one
-        second = np.nonzero(first[inverse] != np.arange(len(visits)))[0]
-        fc[inverse[second], 1] = second // (n + 1)
-        self.facet_vertices = visits[first]
-        self.facet_cells = fc
-        self.interior = np.nonzero(fc[:, 1] >= 0)[0]
-        self.boundary = np.nonzero(fc[:, 1] < 0)[0]
-        # visit c*(n+1) + omit leaves out vertex cells[c, omit]
-        return self.cells.reshape(-1)[first]
-
-    def _compute_facet_geometry(self, opposite):
-        n = self.dim
-        pts = self.vertices[self.facet_vertices]  # (F, n, n)
+        first = self.facet_cells[:, 0]
+        pts = np.take(self.vertices, self.facet_vertices, axis=0)  # (F, n, n)
         edges = pts[:, 1:, :] - pts[:, :1, :]  # (F, n-1, n)
+        if n == 2:
+            del pts  # only n = 3 reads it again: free it before the peak
         gram = edges @ np.swapaxes(edges, 1, 2)
         self.facet_area = np.sqrt(np.abs(_batched_det(gram))) / math.factorial(n - 1)
         if n == 2:
-            # the edge turned by 90 degrees; facet_area is the edge length
+            # the edge turned by 90 degrees, which points away from the
+            # first cell when that cell, with the omitted vertex moved
+            # last, turns counterclockwise: omit 0 and 2 keep the cell's
+            # vertex order, omit 1 swaps it. Dividing by -area negates.
+            flip = (dets[first] > 0) == (omit == 1)
             normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
-            normals /= self.facet_area[:, None]
+            normals /= np.where(flip, -self.facet_area, self.facet_area)[:, None]
+            # the oriented normal turned back by 90 degrees
+            tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
         else:
             _, _, vt = np.linalg.svd(edges)
             normals = vt[:, -1, :]  # (F, n)
             tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
-        # orient away from the opposite vertex of the first adjacent cell
-        fbary = pts.mean(axis=1)
-        flip = np.einsum("fi,fi->f", normals, fbary - self.vertices[opposite]) < 0
-        normals[flip] = -normals[flip]
-        if n == 2:
-            # the oriented normal turned back by 90 degrees
-            tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
+            # the SVD sign is arbitrary: orient away from the vertex the
+            # facet leaves out of its first cell
+            fbary = pts.mean(axis=1)
+            opposite = self.vertices[self.cells[first, omit]]
+            flip = np.einsum("fi,fi->f", normals, fbary - opposite) < 0
+            normals[flip] = -normals[flip]
         self.facet_normal = normals
         self.facet_tangent = tangents
 
@@ -195,27 +207,8 @@ class SimplicialMesh:
         return len(self.cells)
 
     @property
-    def facet_barycenters(self):
-        return self.vertices[self.facet_vertices].mean(axis=1)
-
-    @property
     def effective_volume(self):
         return float(self.volumes.sum())
-
-    @property
-    def inverse_edges(self):
-        """(C, n, n) inverses of the edge matrices whose columns are
-        v_k - v_0, k = 1..n; a vertex field's differences times these give
-        its cell gradients. For n = 2 the adjugate over the determinant."""
-        if self._inverse_edges is None:
-            verts = self.vertices[self.cells]
-            dv = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)
-            if self.dim == 2:
-                adj = np.stack([dv[:, 1, 1], -dv[:, 0, 1], -dv[:, 1, 0], dv[:, 0, 0]], axis=1)
-                self._inverse_edges = adj.reshape(-1, 2, 2) / _batched_det(dv)[:, None, None]
-            else:
-                self._inverse_edges = np.linalg.inv(dv)
-        return self._inverse_edges
 
     @property
     def constants(self):
@@ -328,7 +321,10 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells
     points = (rot[None] @ (keys / m)[:, :, None])[:, :, 0]
     del keys
     inside = np.all((points >= -1e-12) & (points <= 1.0 + 1e-12), axis=1)
-    cells = cells[inside[cells].all(axis=1)]
+    kept = inside[cells[:, 0]]
+    for k in range(1, n + 1):
+        kept &= inside[cells[:, k]]
+    cells = np.compress(kept, cells, axis=0)
     if not len(cells):
         raise MeshError("no cells inside the domain (domain too small for m)")
 
@@ -337,50 +333,58 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells
     # vertex of the first permutation: first-visit order is code order
     used = np.zeros(len(points), dtype=bool)
     used[cells] = True
-    ids = np.cumsum(used) - 1
-    vertices = points[used]
-    cells = ids[cells]
+    vertices = np.compress(used, points, axis=0)
+    cells = (np.cumsum(used) - 1)[cells]
+    del points, inside, used
+    facet_vertices, facet_cells, omit = _kuhn_facets(perms, size - 1, kept, cells)
 
     if jitter > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        # boundary vertices lie on facets that only one cell visits
-        visits, first, _, counts = _facet_visits(cells, len(vertices))
+        # the vertices of boundary facets stay where they are
         mask = np.ones(len(vertices), dtype=bool)
-        mask[visits[first[counts == 1]]] = False
+        mask[facet_vertices[facet_cells[:, 1] < 0]] = False
         disp = rng.uniform(-jitter / m, jitter / m, size=vertices.shape)
         vertices = vertices + disp * mask[:, None]
 
-    return SimplicialMesh(n, m, (np.zeros(n), np.ones(n)), rot, vertices, cells)
+    domain = (np.zeros(n), np.ones(n))
+    return SimplicialMesh(n, m, domain, rot, vertices, cells, facet_vertices, facet_cells, omit)
 
 
-def _first_visit_groups(keys):
-    """Group equal int64 keys, numbering the groups in first-visit order:
-    (first visit of each group, group of each key, visits per group)."""
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.reshape(-1)], counts[order]
-
-
-def _facet_visits(cells, n_vertices):
-    """Every (cell, omitted vertex) facet visit, grouped into facets.
-
-    Visit c*(n+1) + omit is cell c without its vertex omit; visits holds
-    each visit's vertex ids in increasing order. Facets are numbered in
-    first-visit order: first[f] is the first visit of facet f, inverse the
-    facet of each visit and counts[f] its number of visits.
-    """
-    k = cells.shape[1]
-    if n_vertices ** (k - 1) >= 2**63:
-        raise MeshResourceError(f"{n_vertices} vertices overflow the int64 facet keys")
-    keep = np.array([[j for j in range(k) if j != omit] for omit in range(k)])
-    visits = np.sort(cells[:, keep], axis=2).reshape(-1, k - 1)
-    keys = visits @ n_vertices ** np.arange(k - 2, -1, -1, dtype=np.int64)
-    return (visits, *_first_visit_groups(keys))
+def _kuhn_facets(perms, cubes, kept, cells):
+    """(facet_vertices, facet_cells, omit) of the kept cells, in first-visit
+    order. kept marks the candidate cells, cube-major over a row-major grid
+    of shape cubes, then in perms order. The facet that a visit (cube z,
+    permutation p, omitted vertex j) leaves has one possible other visitor:
+    for 0 < j < n cube z, p with entries j - 1 and j swapped, omitting j;
+    for j = 0 cube z + e_p[0], p rotated left, omitting n; for j = n cube
+    z - e_p[n-1], p rotated right, omitting 0."""
+    count, k = perms.shape[0], perms.shape[1] + 1
+    n = k - 1
+    cube_radix = [math.prod(int(c) for c in cubes[a + 1 :]) * count for a in range(n)]
+    index = {p: i for i, p in enumerate(map(tuple, perms.tolist()))}
+    # the candidate-index step from a visit to its partner
+    step = np.empty((count, k), dtype=np.int64)
+    for i, p in enumerate(index):
+        for j in range(1, n):
+            step[i, j] = index[p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :]] - i
+        step[i, 0] = index[p[1:] + p[:1]] - i + cube_radix[p[0]]
+        step[i, n] = index[p[-1:] + p[:-1]] - i - cube_radix[p[-1]]
+    # kept-cell id of each candidate, -1 if dropped; a kept cell has no
+    # vertex on the box's outer layer of points, so its partners' cubes
+    # lie in the grid and no step wraps a row
+    cell_ids = np.cumsum(kept) - 1
+    cell_ids[~kept] = -1
+    candidate = np.nonzero(kept)[0]
+    partner = cell_ids[candidate[:, None] + np.take(step, candidate % count, axis=0)]
+    # a visit is its facet's first unless its partner is kept and earlier
+    visit = np.flatnonzero((partner < 0) | (partner > np.arange(len(partner))[:, None]))
+    omit = visit % k
+    facet_cells = np.stack([visit // k, partner.reshape(-1)[visit]], axis=1)
+    # path codes, and so vertex ids, rise along a cell's row
+    keep = np.array([[j for j in range(k) if j != o] for o in range(k)])
+    facet_vertices = cells.reshape(-1)[(visit - omit)[:, None] + np.take(keep, omit, axis=0)]
+    return facet_vertices, facet_cells, omit
 
 
 def check_incompatibility(mesh, wells, delta0):
@@ -398,22 +402,15 @@ def check_incompatibility(mesh, wells, delta0):
     twins = np.array(twins)
     align = np.minimum(np.abs(normals @ twins.T), 1.0)
     worst = float(align.max())
-    offenders = []
-    bad = np.argwhere(align > 1.0 - delta0)
-    for fi, ti in bad:
-        offenders.append(
-            {
-                "facet_normal": normals[fi].tolist(),
-                "twin_normal": twins[ti].tolist(),
-                "alignment": float(align[fi, ti]),
-            }
-        )
-    return IncompatibilityReport(
-        ok=worst <= 1.0 - delta0,
-        worst_alignment=worst,
-        delta0=delta0,
-        offenders=offenders,
-    )
+    offenders = [
+        {
+            "facet_normal": normals[fi].tolist(),
+            "twin_normal": twins[ti].tolist(),
+            "alignment": float(align[fi, ti]),
+        }
+        for fi, ti in np.argwhere(align > 1.0 - delta0)
+    ]
+    return IncompatibilityReport(worst <= 1.0 - delta0, worst, delta0, offenders)
 
 
 def find_admissible_rotation(wells):

@@ -123,12 +123,6 @@ def curl_total_variation(field):
     return _measure(ids, areas, jumps @ tangents)
 
 
-def full_jump_variation(field):
-    """Discrete total variation |DA|: facet area times full jump norm."""
-    ids, areas, _, jumps = _facet_jumps(field)
-    return _measure(ids, areas, jumps)
-
-
 def build_reduced_field(field, labeling, well_index, wells):
     """Restrict a classified gradient to one phase and normalize the well:
     grad . U_j^-1 on cells labeled j, zero elsewhere, on the domain mapped

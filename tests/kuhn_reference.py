@@ -1,11 +1,19 @@
-"""The loop-based Kuhn mesh builder that wellspin.mesh replaced.
+"""The Kuhn mesh builders that wellspin.mesh replaced, kept as test
+oracles.
 
-Kept verbatim as a test oracle. ReferenceMesh swaps the facet
-construction, the SVD facet frames with their orientation loop, the
-per-facet surface loop and the per-facet normal_directions loop of
-SimplicialMesh back in; cell geometry and the rest are shared. The array
-builder must reproduce every array byte for byte, except the n = 2 facet
-normals and tangents, which wellspin now forms in closed form.
+FirstVisitMesh is SimplicialMesh as it was before build_kuhn_mesh numbered
+facets in closed form: from any cells it numbers facets by grouping the
+sorted vertex tuples of every (cell, omitted vertex) visit, orients every
+facet normal by the opposite-vertex test and takes barycenters and edge
+inverses as it did then. build_kuhn_mesh must reproduce all of its arrays
+byte for byte, and tests that hand-build meshes use it.
+
+ReferenceMesh and reference_build_kuhn_mesh are the loop-based builder,
+kept verbatim: ReferenceMesh swaps the dict-based facet construction, the
+SVD facet frames with their orientation loop, the per-facet surface loop
+and the per-facet normal_directions loop back in. The array builder must
+reproduce every array byte for byte, except the n = 2 facet normals and
+tangents, which wellspin now forms in closed form.
 """
 
 import itertools
@@ -22,12 +30,102 @@ from wellspin.mesh import (
 )
 
 
-class ReferenceMesh(SimplicialMesh):
-    def _build_facets(self):
+def _first_visit_groups(keys):
+    """Group equal int64 keys, numbering the groups in first-visit order:
+    (first visit of each group, group of each key, visits per group)."""
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)], counts[order]
+
+
+def _facet_visits(cells, n_vertices):
+    """Every (cell, omitted vertex) facet visit, grouped into facets.
+
+    Visit c*(n+1) + omit is cell c without its vertex omit; visits holds
+    each visit's vertex ids in increasing order. Facets are numbered in
+    first-visit order: first[f] is the first visit of facet f, inverse the
+    facet of each visit and counts[f] its number of visits.
+    """
+    k = cells.shape[1]
+    if n_vertices ** (k - 1) >= 2**63:
+        raise MeshResourceError(f"{n_vertices} vertices overflow the int64 facet keys")
+    keep = np.array([[j for j in range(k) if j != omit] for omit in range(k)])
+    visits = np.sort(cells[:, keep], axis=2).reshape(-1, k - 1)
+    keys = visits @ n_vertices ** np.arange(k - 2, -1, -1, dtype=np.int64)
+    return (visits, *_first_visit_groups(keys))
+
+
+class FirstVisitMesh(SimplicialMesh):
+    def __init__(self, dim, m, domain, lattice_rotation, vertices, cells):
+        facets = self._build_facets(cells, len(vertices))
+        super().__init__(dim, m, domain, lattice_rotation, vertices, cells, *facets)
+
+    @staticmethod
+    def _build_facets(cells, n_vertices):
+        """(facet_vertices, facet_cells, omit) in first-visit order."""
+        k = cells.shape[1]
+        visits, first, inverse, counts = _facet_visits(cells, n_vertices)
+        if np.any(counts > 2):
+            raise MeshError("facet shared by more than two cells")
+        fc = np.full((len(first), 2), -1, dtype=np.int64)
+        fc[:, 0] = first // k
+        # with at most two visits per facet, a visit that is not its
+        # facet's first is the only second one
+        second = np.nonzero(first[inverse] != np.arange(len(visits)))[0]
+        fc[inverse[second], 1] = second // k
+        return visits[first], fc, first % k
+
+    def _compute_cell_geometry(self):
+        verts = self.vertices[self.cells]  # (C, n+1, n)
+        edges = verts[:, 1:, :] - verts[:, :1, :]  # (C, n, n)
+        dets = _batched_det(edges)
+        self.volumes = np.abs(dets) / math.factorial(self.dim)
+        if np.any(self.volumes <= 0):
+            raise MeshError("degenerate cell with zero volume")
+        self.barycenters = verts.mean(axis=1)
+        dv = np.swapaxes(edges, 1, 2)
+        if self.dim == 2:
+            adj = np.stack([dv[:, 1, 1], -dv[:, 0, 1], -dv[:, 1, 0], dv[:, 0, 0]], axis=1)
+            self.inverse_edges = adj.reshape(-1, 2, 2) / _batched_det(dv)[:, None, None]
+        else:
+            self.inverse_edges = np.linalg.inv(dv)
+        return dets
+
+    def _compute_facet_geometry(self, omit, dets):
         n = self.dim
+        pts = self.vertices[self.facet_vertices]  # (F, n, n)
+        edges = pts[:, 1:, :] - pts[:, :1, :]  # (F, n-1, n)
+        gram = edges @ np.swapaxes(edges, 1, 2)
+        self.facet_area = np.sqrt(np.abs(_batched_det(gram))) / math.factorial(n - 1)
+        if n == 2:
+            normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
+            normals /= self.facet_area[:, None]
+        else:
+            _, _, vt = np.linalg.svd(edges)
+            normals = vt[:, -1, :]  # (F, n)
+            tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
+        # orient away from the opposite vertex of the first adjacent cell
+        fbary = pts.mean(axis=1)
+        opposite = self.vertices[self.cells[self.facet_cells[:, 0], omit]]
+        flip = np.einsum("fi,fi->f", normals, fbary - opposite) < 0
+        normals[flip] = -normals[flip]
+        if n == 2:
+            tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
+        self.facet_normal = normals
+        self.facet_tangent = tangents
+
+
+class ReferenceMesh(FirstVisitMesh):
+    @staticmethod
+    def _build_facets(cells, n_vertices):
+        n = cells.shape[1] - 1
         facet_map = {}
         order = []
-        for ci, cell in enumerate(self.cells):
+        for ci, cell in enumerate(cells):
             for omit in range(n + 1):
                 fverts = tuple(sorted(np.delete(cell, omit)))
                 if fverts in facet_map:
@@ -42,12 +140,9 @@ class ReferenceMesh(SimplicialMesh):
             if len(owners) > 2:
                 raise MeshError("facet shared by more than two cells")
             fc[fi, : len(owners)] = owners
-        self.facet_vertices = fv
-        self.facet_cells = fc
-        self.interior = np.nonzero(fc[:, 1] >= 0)[0]
-        self.boundary = np.nonzero(fc[:, 1] < 0)[0]
+        return fv, fc, None
 
-    def _compute_facet_geometry(self, opposite=None):
+    def _compute_facet_geometry(self, omit, dets):
         n = self.dim
         pts = self.vertices[self.facet_vertices]  # (F, n, n)
         edges = pts[:, 1:, :] - pts[:, :1, :]  # (F, n-1, n)

@@ -431,6 +431,23 @@ class TestRun:
     def test_invalid_config_exit_code(self, tmp_path):
         assert run({"scenario": "nope"}, out_dir=tmp_path) == EXIT_INTERNAL
 
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            # rigidity_ratio needs p >= n/(n-1) = 2 in the plane
+            ({"scenario": "rigidity-family", "p": 1.5}, "p"),
+            # I and 2I, or one well, leave no twin to draw a laminate along
+            ({"scenario": "spin-lemma-suite", "wells": {"wells": [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]}}, "wells"),
+            ({"scenario": "spin-lemma-suite", "wells": {"wells": [[[1, 0], [0, 1]]]}}, "wells"),
+        ],
+    )
+    def test_config_problem_is_not_internal_error(self, tmp_path, cfg, key):
+        assert run({"seed": 1, **cfg}, out_dir=tmp_path) == EXIT_INTERNAL
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [p.partition(":")[0] for p in summary["problems"]] == [key]
+        assert (tmp_path / "digest.txt").read_text().startswith(f"CONFIG ERROR: {key}: ")
+        assert not (tmp_path / "error.txt").exists()
+
     def test_incompatible_mesh_exit_code(self, tmp_path):
         # delta0 = 0.09 exceeds the best achievable margin (~0.076) for the
         # canonical pair, so the rotated mesh still fails the check
@@ -596,6 +613,21 @@ class TestCli:
         cfg_path.write_text('{"scenario": "laminate-sweep",')
         assert main(["laminate-sweep", "--config", str(cfg_path)]) == EXIT_INTERNAL
         assert "config error:" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_config_read_once_from_pipe(self, tmp_path):
+        # a pipe, as from --config <(echo ...), can be read only once
+        from wellspin.cli import main
+
+        read, write = os.pipe()
+        os.write(write, json.dumps({"scenario": "wellset-analysis"}).encode())
+        os.close(write)
+        try:
+            argv = ["wellset-analysis", "--config", f"/dev/fd/{read}", "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK
+        finally:
+            os.close(read)
+        assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == EXIT_OK
 
     def test_usage_error_exit_4(self):
         from wellspin.cli import main

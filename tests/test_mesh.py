@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kuhn_reference import ReferenceMesh, reference_build_kuhn_mesh, reference_normal_directions
+from kuhn_reference import (
+    FirstVisitMesh,
+    ReferenceMesh,
+    _facet_visits,
+    reference_build_kuhn_mesh,
+    reference_normal_directions,
+)
 from twin_reference import reference_admissible_rotation
 
 from wellspin.mesh import (
     MeshError,
     MeshResourceError,
     SimplicialMesh,
-    _facet_visits,
     build_kuhn_mesh,
     check_incompatibility,
     find_admissible_rotation,
@@ -333,10 +338,45 @@ class TestReferenceOracle:
     def test_facet_of_three_cells_rejected(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 2.0]])
         cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        for cls in (SimplicialMesh, ReferenceMesh):
+        for cls in (FirstVisitMesh, ReferenceMesh):
             with pytest.raises(MeshError, match="more than two cells"):
                 cls(2, 2, (np.zeros(2), np.ones(2)), np.eye(2), vertices, cells)
 
     def test_facet_keys_overflow_rejected(self):
         with pytest.raises(MeshResourceError, match="overflow"):
             _facet_visits(np.arange(5)[None, :], 2**16)
+
+
+class TestClosedFormFacets:
+    """build_kuhn_mesh's closed-form facet numbering, n = 2 orientation,
+    barycenters and edge inverses against the first-visit numbering and
+    the opposite-vertex test, byte for byte on every array."""
+
+    @staticmethod
+    def assert_matches_first_visit(mesh):
+        oracle = FirstVisitMesh(
+            mesh.dim, mesh.m, mesh.domain, mesh.lattice_rotation, mesh.vertices, mesh.cells
+        )
+        for name in MESH_ARRAYS + ("inverse_edges",):
+            a, b = getattr(mesh, name), getattr(oracle, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh_inputs())
+    def test_matches_first_visit_oracle(self, inputs):
+        n, m, seed, kwargs = inputs
+        try:
+            mesh = build_kuhn_mesh(n, m, rng=np.random.default_rng(seed), **kwargs)
+        except MeshError:
+            return
+        self.assert_matches_first_visit(mesh)
+
+    @pytest.mark.parametrize(
+        "n, m, rotation",
+        [(2, 128, rotation_2d(np.pi / 8)), (3, 6, random_rotation(np.random.default_rng(4), 3))],
+    )
+    @pytest.mark.parametrize("jitter", [0.0, 0.2])
+    def test_matches_fixed_cases(self, n, m, rotation, jitter):
+        mesh = build_kuhn_mesh(n, m, lattice_rotation=rotation, jitter=jitter)
+        self.assert_matches_first_visit(mesh)

@@ -106,7 +106,7 @@ class TestCurl:
         lab = classify(field, wells_std)
         reduced = build_reduced_field(field, lab, 0, wells_std)
         curl = curl_total_variation(reduced)
-        centers = mesh.facet_barycenters[curl.facet_ids]
+        centers = mesh.vertices[mesh.facet_vertices[curl.facet_ids]].mean(axis=1)
         labs = lab.labels
         a = mesh.facet_cells[curl.facet_ids, 0]
         b = mesh.facet_cells[curl.facet_ids, 1]

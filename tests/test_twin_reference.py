@@ -33,8 +33,14 @@ def spd(draw):
 
 def twin_form(ui, uj):
     """(alpha, rho) of det(U_i - Q(t) U_j) = alpha - rho cos(t - psi),
-    from the determinant at t = 0, pi/2 and pi."""
-    f0, f1, f2 = (np.linalg.det(ui - rotation_2d(t) @ uj) for t in (0.0, math.pi / 2, math.pi))
+    from the determinant at t = 0, pi/2 and pi. The 2x2 determinant is taken
+    in closed form: LAPACK's LU warns on subnormal pivots, which a rotation
+    angle near 0 or pi puts off the diagonal of the drawn wells."""
+
+    def det(a):
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+
+    f0, f1, f2 = (det(ui - rotation_2d(t) @ uj) for t in (0.0, math.pi / 2, math.pi))
     alpha = 0.5 * (f0 + f2)
     return alpha, math.hypot(alpha - f0, alpha - f1)
 
