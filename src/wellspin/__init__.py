@@ -5,7 +5,6 @@ from .wells import (
     WellSet,
     WellSetError,
     RankOneConnection,
-    dist_to_son,
     well_distance,
     solve_rank_one,
     solve_all_connections,

@@ -48,10 +48,21 @@ def tangential_jump_residual(mesh, gradients):
 
 def vertex_gradients(mesh, values):
     """Per-cell gradients (..., C, n, n) of the piecewise-affine
-    interpolant of vertex values (..., V, n)."""
-    cell_vals = np.take(values, mesh.cells, axis=-2)  # (..., C, n+1, n)
-    du = np.swapaxes(cell_vals[..., 1:, :] - cell_vals[..., :1, :], -1, -2)
-    return du @ mesh.inverse_edges
+    interpolant of vertex values (..., V, n): each cell's differences
+    v_k - v_0 times mesh.inverse_edges. For n = 2 that product is formed
+    entry by entry (d1 i00 + d2 i10, ...) on contiguous (..., C) planes
+    gathered from the x and y planes of the values."""
+    if mesh.dim != 2:
+        cell_vals = np.take(values, mesh.cells, axis=-2)  # (..., C, n+1, n)
+        du = np.swapaxes(cell_vals[..., 1:, :] - cell_vals[..., :1, :], -1, -2)
+        return du @ mesh.inverse_edges
+    i00, i01, i10, i11 = np.ascontiguousarray(mesh.inverse_edges.reshape(-1, 4).T)
+    entries = []
+    for plane in np.ascontiguousarray(np.moveaxis(values, -1, 0)):  # x, then y: (..., V)
+        x0, x1, x2 = (np.take(plane, v, axis=-1) for v in np.ascontiguousarray(mesh.cells.T))
+        d1, d2 = x1 - x0, x2 - x0
+        entries += [d1 * i00 + d2 * i10, d1 * i01 + d2 * i11]
+    return np.stack(entries, axis=-1).reshape(*values.shape[:-2], -1, 2, 2)
 
 
 def check_gradients(mesh, gradients, validate=True, ids=None):

@@ -229,9 +229,11 @@ def _scales(count):
 _FRACTION = _rule(lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
 _POSITIVE = _rule(lambda v: _is_number(v) and v > 0, "a positive number")
 _STRING = _rule(lambda v: isinstance(v, str), "a string")
+# the eps sweep fits the power of lhs ~ eps^p, which needs eps to spread
 _EPS_VALUES = _rule(
-    lambda v: isinstance(v, list) and len(v) >= 2 and all(_is_number(e) and e > 0 for e in v),
-    "a list of at least 2 positive numbers",
+    lambda v: isinstance(v, list) and v and all(_is_number(e) and e > 0 for e in v)
+    and max(v) >= 2 * min(v),
+    "a list of positive numbers, the largest at least twice the smallest",
 )
 
 _COMMON = {

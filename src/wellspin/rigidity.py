@@ -77,9 +77,9 @@ def _measure_geometry(field):
     """
     mesh = field.mesh
     ids = mesh.interior
-    areas = mesh.facet_area[ids]
-    normals = mesh.facet_normal[ids]
-    tangents = mesh.facet_tangent[ids]
+    areas = np.take(mesh.facet_area, ids, axis=0)
+    normals = np.take(mesh.facet_normal, ids, axis=0)
+    tangents = np.take(mesh.facet_tangent, ids, axis=0)
     if field.map_matrix is None:
         return ids, areas, tangents
     u = field.map_matrix

@@ -12,7 +12,8 @@ cell against that same well. A field computes that distance table once
 per well set (PWAffineField.well_distances), and the energy, the labels
 and the scan all share it. The label rule (cell_labels) and the scan
 (spin_hits) also take stacks of tables, so that a suite of fields can be
-labelled and scanned in blocks.
+labelled and scanned in blocks. For n = 2 the table is built from one
+contiguous plane per matrix entry (wells.dist_table).
 """
 
 from __future__ import annotations
@@ -67,9 +68,13 @@ def classify(field, wells, threshold=None):
 
 def cell_labels(table, threshold):
     """Each cell's distance to its nearest well and its label, from a
-    (..., C, k) distance table: the nearest well's index (the lowest on a
-    tie) if that distance is at most threshold, else BAD_LABEL."""
-    dists, nearest = table.min(axis=-1), table.argmin(axis=-1)
+    (..., C, k) distance table: the nearest well's index if that distance
+    is at most threshold, else BAD_LABEL. One np.minimum per well column
+    and a strict < that keeps ties at the lowest index: min and argmin's bytes."""
+    dists, nearest = table[..., 0].copy(), np.zeros(table.shape[:-1], np.intp)
+    for j in range(1, table.shape[-1]):
+        np.copyto(nearest, j, where=table[..., j] < dists)
+        dists = np.minimum(dists, table[..., j])
     return dists, np.where(dists <= threshold, nearest, BAD_LABEL)
 
 

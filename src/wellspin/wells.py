@@ -71,20 +71,9 @@ def _check_finite(f):
     return f
 
 
-def dist_to_son(f):
-    """Frobenius distance of a square matrix to the rotation group SO(n).
-
-    For n = 2 this is the residual |f - R| at the closed-form nearest
-    rotation R (see _procrustes_rotation_batch). For larger n it comes
-    from the singular values: ||sigma - 1||_2, with the smallest singular
-    value sign-flipped first if det(f) < 0.
-    """
-    f = _check_finite(f)
-    return float(dist_to_son_batch(f[None])[0])
-
-
 def dist_to_son_batch(fs):
-    """Vectorized dist_to_son over an array of shape (..., n, n)."""
+    """Frobenius distance of each matrix of fs (..., n, n) to SO(n): the
+    identity's well for n = 2, else from the singular values."""
     fs = np.asarray(fs, dtype=float)
     if fs.shape[-1] == 2:
         return dist_to_single_well_batch(fs, np.eye(2))
@@ -130,47 +119,56 @@ def dist_table(fs, mats):
     """(..., k) table of min over rotations R of |F - R U_j|_F, for every
     matrix F of fs (..., n, n) and every well U_j of mats (k, n, n).
 
-    For n = 2 the table is filled entry by entry in one broadcast pass:
-    M = F U^T, the nearest rotation has (cos, sin) proportional to
-    (M00 + M11, M10 - M01), the identity when both vanish (see
-    _procrustes_rotation_batch), and the residual F - R U is measured
-    directly; the expanded form |F|^2 + |U|^2 - 2 tr cancels
-    catastrophically when the distance is tiny. Larger n takes the SVD
-    rotation of every (F, U_j) pair.
+    For n = 2 each matrix entry is copied into one contiguous plane, and
+    _dist_2x2 fills the table a well at a time, the well's entries as
+    floats; larger n takes the SVD rotation of every (F, U_j) pair.
     """
     fs = np.asarray(fs, dtype=float)
     mats = np.asarray(mats, dtype=float)
     if mats.shape[1:] != fs.shape[-2:]:
         raise WellSetError(f"{fs.shape[-2:]} matrices against {mats.shape[1:]} wells")
-    # every matrix as a (..., 1) column against the (k,) wells
-    return _dist_pairs(fs[..., None, :, :], mats)
+    if fs.shape[-1] != 2:
+        # every matrix as a (..., 1) column against the (k,) wells
+        return dist_to_single_well_batch(fs[..., None, :, :], mats)
+    planes = np.ascontiguousarray(fs.reshape(-1, 4).T)
+    table = np.empty((planes.shape[1], len(mats)))
+    for j, u in enumerate(mats.reshape(-1, 4).tolist()):
+        table[:, j] = _dist_2x2(*planes, *u)
+    return table.reshape(*fs.shape[:-2], len(mats))
 
 
 def dist_to_single_well_batch(fs, u):
     """min over rotations R of |F - R U|_F for every matrix F of fs
     (..., n, n), shape fs.shape[:-2].
 
-    u is one well (n, n) or one well per matrix, broadcast against fs;
-    either way each entry is dist_table's, bit for bit.
+    u is one well (n, n) or one well per matrix, broadcast against fs.
+    For n = 2 the entries of both go to _dist_2x2 as planes that
+    broadcast, so each entry is dist_table's, bit for bit.
     """
     fs = np.asarray(fs, dtype=float)
     u = np.asarray(u, dtype=float)
     if u.shape[-2:] != fs.shape[-2:]:
         raise WellSetError(f"{fs.shape[-2:]} matrices against {u.shape[-2:]} wells")
-    return _dist_pairs(fs[..., None, :, :], u[..., None, :, :])[..., 0]
+    # a trailing axis of 1 keeps even a single pair's planes arrays
+    fs, u = fs[..., None, :, :], u[..., None, :, :]
+    if fs.shape[-1] == 2:
+        return _dist_2x2(*[m[..., i, j] for m in (fs, u) for i in (0, 1) for j in (0, 1)])[..., 0]
+    rot = _procrustes_rotation_batch(fs @ np.swapaxes(u, -1, -2))
+    return np.linalg.norm(fs - rot @ u, axis=(-2, -1))[..., 0]
 
 
-def _dist_pairs(fs, us):
-    """min over rotations R of |F - R U|_F, broadcast over the leading axes
-    of fs and us (..., n, n); the kernel of dist_table."""
-    if fs.shape[-1] != 2:
-        rot = _procrustes_rotation_batch(fs @ np.swapaxes(us, -1, -2))
-        return np.linalg.norm(fs - rot @ us, axis=(-2, -1))
+def _dist_2x2(f00, f01, f10, f11, u00, u01, u10, u11):
+    """min over rotations R of |F - R U|_F for 2x2 matrices given entry by
+    entry, each entry a plane (array or float) broadcast against the
+    others, at least one of them an array; the n = 2 kernel.
+
+    With M = F U^T the nearest rotation has (cos, sin) proportional to
+    (M00 + M11, M10 - M01), the identity when both vanish (see
+    _procrustes_rotation_batch), and the residual F - R U is measured
+    directly; the expanded form |F|^2 + |U|^2 - 2 tr cancels
+    catastrophically when the distance is tiny.
+    """
     # the in-place steps keep the arithmetic and bound the temporaries
-    f00, f01 = fs[..., 0, 0], fs[..., 0, 1]
-    f10, f11 = fs[..., 1, 0], fs[..., 1, 1]
-    u00, u01 = us[..., 0, 0], us[..., 0, 1]
-    u10, u11 = us[..., 1, 0], us[..., 1, 1]
     a = f00 * u00 + f01 * u01  # M00 + M11
     a += f10 * u10 + f11 * u11
     b = f10 * u00 + f11 * u01  # M10 - M01

@@ -7,6 +7,9 @@ Kept as test oracles:
   with the public builders, drawing from the stream in the suite's order;
   spin_suite_rows labels and scans the fields one at a time. The block
   pass must give the same rows.
+- min_argmin_labels is the label rule that took the nearest well with
+  min and argmin over the well axis. The column-by-column rule of
+  wellspin.spin.cell_labels must return the same bytes.
 - verify_spin_lemma groups the candidate facets of each direction by the
   anchor's well with np.unique and measures the neighbours against that
   well with one distance call per group. The gathered scan must return
@@ -49,6 +52,13 @@ def random_spin_field(mesh, ws, rng):
         PWAffineField.from_vertex_function(mesh, fn),
         ("perturbed-laminate", vf, period, offset),
     )
+
+
+def min_argmin_labels(table, threshold):
+    """Nearest-well distances and labels of a (..., C, k) table, with
+    ties to the lowest index, by min and argmin over the well axis."""
+    dists, nearest = table.min(axis=-1), table.argmin(axis=-1)
+    return dists, np.where(dists <= threshold, nearest, BAD_LABEL)
 
 
 def reference_labels(field, wells, threshold):

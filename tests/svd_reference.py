@@ -9,6 +9,13 @@ matmul_dist_to_single_well_batch is the batched-matmul form of the n = 2
 closed form that the entry-by-entry distance table replaced. On diagonal
 wells every product of M = F U^T and of R U is exact, so the table must
 match it byte for byte there.
+
+broadcast_dist_pairs is the entry-by-entry kernel on strided views of
+(..., 2, 2) arrays that the kernel on contiguous planes replaced; the
+plane kernel does the same arithmetic in the same order, so it must
+match byte for byte. matmul_vertex_gradients is the batched matmul that
+the entry-wise n = 2 vertex gradients replaced: they agree to round-off
+for n = 2 and byte for byte for n = 3, which still runs the matmul.
 """
 
 import numpy as np
@@ -69,6 +76,43 @@ def matmul_dist_to_single_well_batch(fs, u):
     c, s = np.where(tie, 1.0, a / r), b / r
     rot = np.stack([c, -s, s, c], axis=-1).reshape(fs.shape)
     return np.linalg.norm(fs - rot @ u, axis=(-2, -1))
+
+
+def broadcast_dist_pairs(fs, us):
+    """min over rotations R of |F - R U|_F for 2x2 matrices, broadcast
+    over the leading axes of fs and us (..., 2, 2), in place on strided
+    views of the entries."""
+    f00, f01 = fs[..., 0, 0], fs[..., 0, 1]
+    f10, f11 = fs[..., 1, 0], fs[..., 1, 1]
+    u00, u01 = us[..., 0, 0], us[..., 0, 1]
+    u10, u11 = us[..., 1, 0], us[..., 1, 1]
+    a = f00 * u00 + f01 * u01  # M00 + M11
+    a += f10 * u10 + f11 * u11
+    b = f10 * u00 + f11 * u01  # M10 - M01
+    b -= f00 * u10 + f01 * u11
+    r = np.hypot(a, b)
+    tie = r == 0.0
+    r[tie] = 1.0
+    c = np.divide(a, r, out=a)
+    c[tie] = 1.0
+    s = np.divide(b, r, out=b)
+    d2 = f00 - (c * u00 - s * u10)
+    d2 *= d2
+    e = f01 - (c * u01 - s * u11)
+    d2 += e * e
+    e = f10 - (s * u00 + c * u10)
+    d2 += e * e
+    e = f11 - (s * u01 + c * u11)
+    d2 += e * e
+    return np.sqrt(d2, out=d2)
+
+
+def matmul_vertex_gradients(mesh, values):
+    """Per-cell gradients of vertex values (..., V, n): each cell's value
+    differences times mesh.inverse_edges, as one batched matmul."""
+    cell_vals = np.take(values, mesh.cells, axis=-2)  # (..., C, n+1, n)
+    du = np.swapaxes(cell_vals[..., 1:, :] - cell_vals[..., :1, :], -1, -2)
+    return du @ mesh.inverse_edges
 
 
 def tangential_jump_residual(mesh, gradients):

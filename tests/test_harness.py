@@ -137,6 +137,11 @@ class TestValidate:
                 {"scenario": "wellset-analysis", "wells": {"wells": [[[1.3e154, 0], [0, 1]], [[1, 0], [0, 1.3e154]]]}},
                 "wells",
             ),
+            # the eps sweep's log-log fit needs a spread: equal or ulp-close
+            # values made polyfit rank-deficient (a RankWarning and no slope)
+            ({"scenario": "rigidity-family", "eps_values": [0.0078125, 0.0078125]}, "eps_values"),
+            ({"scenario": "rigidity-family", "eps_values": [1e-3, 1.0000000000000002e-3]}, "eps_values"),
+            ({"scenario": "rigidity-family", "eps_values": []}, "eps_values"),
         ],
     )
     def test_defect_reported_not_raised(self, cfg, key):

@@ -9,9 +9,10 @@ from dbar_reference import reference_compute_dbar
 from wellspin.wells import (
     WellSet,
     WellSetError,
+    _check_finite,
     admissible_normal_intervals,
     compute_dbar,
-    dist_to_son,
+    dist_to_son_batch,
     dist_to_wells_batch,
     polar_rotation,
     random_rotation,
@@ -27,6 +28,12 @@ U2 = np.diag([0.5, 2.0])
 
 def standard_pair():
     return WellSet([U1, U2])
+
+
+def dist_to_son(f):
+    """The distance of one matrix to SO(n), through the batched kernel,
+    after the finiteness check of the single-matrix distances."""
+    return float(dist_to_son_batch(_check_finite(f)[None])[0])
 
 
 def brute_force_dist_to_so2(f, n_angles=10**6):
