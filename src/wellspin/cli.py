@@ -7,7 +7,7 @@ import os
 import sys
 from pathlib import Path
 
-from .harness import EXIT_INTERNAL, EXIT_OK, SCENARIOS, load_config, run, validate_config
+from .harness import EXIT_INTERNAL, EXIT_OK, SCENARIOS, _resolve, _run_resolved
 
 
 def build_parser():
@@ -43,26 +43,21 @@ def main(argv=None):
     except SystemExit as err:
         # argparse exits 2 on a usage error, which is the incompatible-mesh code
         return EXIT_OK if err.code == 0 else EXIT_INTERNAL
-    # read the config once, since it may be a pipe; validate_config and
-    # run() report a failed read as a config problem
-    try:
-        config = load_config(args.config)
-    except (OSError, ValueError) as err:
-        config = err
-    problems = validate_config(config)
+    # read and validate the config once: it may be a pipe, and so may its
+    # wells_file; an unreadable config is reported as a config problem
+    problems, cfg, raw = _resolve(args.config)
     if args.command == "validate":
         print("\n".join(problems) or "config ok")
         return EXIT_INTERNAL if problems else EXIT_OK
-    # run() reports the problems of an invalid config itself
-    scenario = None if problems else config["scenario"]
-    if scenario not in (None, args.command):
-        mismatch = f"config says {scenario!r}, command line says {args.command!r}"
+    # _run_resolved reports the problems of an invalid config itself
+    if cfg is not None and cfg["scenario"] != args.command:
+        mismatch = f"config says {cfg['scenario']!r}, command line says {args.command!r}"
         print(f"config error: scenario: {mismatch}")
         return EXIT_INTERNAL
     out = args.out
     if out is None and "WELLSPIN_OUT" in os.environ:
         out = str(Path(os.environ["WELLSPIN_OUT"]) / args.command)
-    return run(config, force=args.force, out_dir=out)
+    return _run_resolved(problems, cfg, raw, args.force, out)
 
 
 if __name__ == "__main__":

@@ -196,16 +196,15 @@ def build_laminate(
     u(x) = U_i x + a g(b . x) with the laminate profile g, sampled at the
     mesh vertices and re-differentiated; cells crossed by a kink plane pick
     up transitional gradients, everything else sits exactly in a well.
-    volume_fraction may be 1 (single phase, zero energy); below 1 the
-    period must resolve at least two cells per layer.
+    The period must resolve at least two cells per layer.
 
     ripple > 0 superposes a smooth displacement of amplitude ripple/m, so
     the family over m is a genuinely mesh-dependent low-energy sequence:
     the extra energy is O(m^-2) and the gradient converges at rate 1/m.
     """
-    if not 0.0 < volume_fraction <= 1.0:
-        raise FieldError("volume_fraction must lie in (0, 1]")
-    if volume_fraction < 1.0 and period < 2.0 / mesh.m:
+    if not 0.0 < volume_fraction < 1.0:
+        raise FieldError("volume_fraction must lie in (0, 1)")
+    if period < 2.0 / mesh.m:
         raise FieldError("laminate period below two cells per layer")
     if mesh.dim != len(connection.b):
         raise FieldError("connection and mesh dimensions differ")
@@ -221,9 +220,6 @@ def build_laminate(
         out[:, 0] = np.sin(wave[:, 0])
         out[:, 1 % x.shape[1]] += np.cos(wave[:, -1])
         return amp * out
-
-    if volume_fraction == 1.0 and ripple == 0.0:
-        return PWAffineField.from_linear(mesh, ui)
 
     def deformation(x):
         g = laminate_profile(x @ b, volume_fraction, period, offset)

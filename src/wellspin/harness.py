@@ -196,7 +196,9 @@ class ScalingReport:
 # One table per scenario maps each allowed key to (default, check), or to
 # the nested table of an object-valued key. A check returns None for a
 # good value and the problem otherwise. validate_config walks the table;
-# run hands each runner the config with every default filled in.
+# run hands each runner the config with every default filled in, and with
+# "wells", where the scenario has it, replaced by the well set and lattice
+# rotation that validation built (see _check_wells).
 
 
 def _is_int(v):
@@ -336,10 +338,7 @@ def _walk(table, given, prefix, problems):
 
 def load_config(source):
     """A config from the path of a JSON file, or a copy of one given as a
-    dict. An OSError or ValueError given in place of either is the failure
-    of an earlier read, and is raised again."""
-    if isinstance(source, (OSError, ValueError)):
-        raise source
+    dict."""
     if isinstance(source, (str, os.PathLike)):
         return json.loads(Path(source).read_text(encoding="utf-8"))
     return dict(source) if isinstance(source, dict) else source
@@ -354,34 +353,37 @@ def _well_set(cfg):
 
 
 def _check_wells(raw, cfg):
-    """Build the well set and solve its twins, so that a bad one fails
-    validation and not a run: delta0 must leave an admissible facet normal,
-    laminate-sweep needs its twin index in range and spin-lemma-suite a
-    twin to draw its laminates from."""
+    """(problems, (WellSet, AdmissibleRotation) or None): build the well
+    set, solve its twins and find its lattice rotation, so that a bad one
+    fails validation and not a run. delta0 must leave an admissible facet
+    normal, laminate-sweep needs its twin index in range and
+    spin-lemma-suite a twin to draw its laminates from. The runners take
+    the pair, so a wells_file is read once per run."""
     name = "wells" if cfg["wells_file"] is None else "wells_file"
     if name == "wells_file" and raw.get("wells") is not None:
-        return ["wells: give either inline wells or wells_file, not both"]
+        return ["wells: give either inline wells or wells_file, not both"], None
     try:
         ws = _well_set(cfg)
         if ws.dim != 2 or _FRACTION(ws.delta0):
-            return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"]
+            return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"], None
         solve_all_connections(ws)
     except (OSError, ValueError, LookupError, TypeError) as err:
-        return [f"{name}: {err}"]
+        return [f"{name}: {err}"], None
     if not admissible_normal_intervals(ws.twin_normals(), ws.delta0):
         bound = "|b . t| <= 1 - delta0 for every twin normal t"
-        return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
+        return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"], None
     if cfg["scenario"] == "laminate-sweep" and cfg["laminate"]["connection"] >= len(ws.connections):
-        return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"]
+        return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"], None
     if cfg["scenario"] == "spin-lemma-suite" and not ws.connections:
-        return [f"{name}: spin-lemma-suite laminates along twins, and these wells have none"]
-    if cfg["scenario"] == "wellset-analysis":
-        return []
+        return [f"{name}: spin-lemma-suite laminates along twins, and these wells have none"], None
     try:
         rot = find_admissible_rotation(ws)
     except MeshError as err:
-        return [f"{name}: {err}"]
-    return _check_mesh_budget(cfg, rot.rotation)
+        return [f"{name}: {err}"], None
+    compute_dbar(ws, ws.delta0)
+    if cfg["scenario"] == "wellset-analysis":
+        return [], (ws, rot)
+    return _check_mesh_budget(cfg, rot.rotation), (ws, rot)
 
 
 def _check_period(cfg):
@@ -493,7 +495,7 @@ def _resolve(source):
     if not problems and scenario == "laminate-sweep":
         problems = _check_period(cfg)
     if not problems and "wells" in cfg:
-        problems = _check_wells(raw, cfg)
+        problems, cfg["wells"] = _check_wells(raw, cfg)
     if not problems and "lattice" in cfg:
         problems = _check_lattice_budget(cfg) or _check_interfaces(raw, cfg)
     if not problems and scenario == "rigidity-family":
@@ -510,13 +512,6 @@ def validate_config(source):
     return _resolve(source)[0]
 
 
-def _load_wells(cfg):
-    ws = _well_set(cfg)
-    solve_all_connections(ws)
-    compute_dbar(ws, ws.delta0)
-    return ws
-
-
 class IncompatibleMeshError(Exception):
     """The sweep's mesh fails the twin-incompatibility check; the argument
     is the IncompatibilityReport."""
@@ -529,8 +524,7 @@ class IncompatibleMeshError(Exception):
 
 
 def _run_wellset_analysis(cfg, force):
-    ws = _load_wells(cfg)
-    rot = find_admissible_rotation(ws)
+    ws, rot = cfg["wells"]
     rows = [
         (c.i, c.j, *c.rotation.reshape(-1), *c.a, *c.b, c.residual(ws), c.multiplicity)
         for c in ws.connections
@@ -548,9 +542,8 @@ def _run_wellset_analysis(cfg, force):
 
 
 def _run_laminate_sweep(cfg, force):
-    ws = _load_wells(cfg)
+    ws, rot = cfg["wells"]
     m_list, c1, lam = cfg["m_list"], cfg["c1"], cfg["laminate"]
-    rot = find_admissible_rotation(ws)
 
     mesh0 = build_kuhn_mesh(2, m_list[0], lattice_rotation=rot.rotation)
     incompat = check_incompatibility(mesh0, ws, ws.delta0)
@@ -720,11 +713,10 @@ def _spin_suite_rows(mesh, ws, rng, count, threshold):
 
 
 def _run_spin_lemma_suite(cfg, force):
-    ws = _load_wells(cfg)
+    ws, rot = cfg["wells"]
     m = cfg["m"]
     count = cfg["field_count"]
     rng = substream(cfg["seed"], "spin-lemma-suite")
-    rot = find_admissible_rotation(ws)
     mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
     rows = _spin_suite_rows(mesh, ws, rng, count, ws.c0 / 100.0)
     total_violations = sum(row[5] for row in rows)
@@ -954,7 +946,11 @@ def run(source, force=False, out_dir=None):
     still replaces the files of an earlier run in its output directory,
     when that is known, with a summary of the problems.
     """
-    problems, cfg, raw = _resolve(source)
+    return _run_resolved(*_resolve(source), force, out_dir)
+
+
+def _run_resolved(problems, cfg, raw, force, out_dir):
+    """run() on what _resolve returned for its config."""
     if problems:
         print("\n".join(f"config error: {p}" for p in problems))
         out = _rejected_out(raw, out_dir)

@@ -121,8 +121,6 @@ class LatticeSystem:
         self.name = name
         if not self.ground_states:
             raise LatticeError("need at least one ground state")
-        span = self.window.max(axis=0) - self.window.min(axis=0)
-        self.q = int(max(len(self.window), span.max()))
         self.L0 = max(g.period_length for g in self.ground_states)
         # enlarged comparison box: smallest box holding the window and twice
         # the ground period box, plus a one-site margin to contain it strictly
@@ -152,38 +150,6 @@ class LatticeSystem:
                     d = dist_to_single_well_batch(pa, pb)
                 best = min(best, float(d.max()))
         return best
-
-    @property
-    def averaged_gradients(self):
-        return [g.averaged for g in self.ground_states]
-
-    def h1_report(self):
-        """Which parts of the ground-state conditions hold.
-
-        Periodicity holds by construction; invertibility of the averaged
-        gradients is reported per state (the raw anti-ferromagnetic model
-        fails it on purpose); the separation constant is computed over the
-        comparison box. ground_energy is the largest total over the listed
-        ground states: exactly zero on finite alphabets, round-off dust for
-        continuous densities, so the boolean allows 1e-24 per window.
-        """
-        inv = [
-            abs(float(np.linalg.det(g.averaged))) > 1e-12 for g in self.ground_states
-        ]
-        worst = 0.0
-        windows = 1
-        for l in range(len(self.ground_states)):
-            x = ground_state_deformation(self, l, (4 * self.L0 + 4,) * self.dim, m=4)
-            rep = evaluate_hamiltonian(x, self)
-            worst = max(worst, rep.total)
-            windows = max(windows, len(rep.per_site))
-        return {
-            "periodic": True,
-            "ground_energy": worst,
-            "zero_on_ground_states": worst <= 1e-24 * windows,
-            "averaged_invertible": inv,
-            "separation_d": self.separation_d,
-        }
 
 
 class LatticeDeformation:
@@ -227,17 +193,6 @@ class LatticeDeformation:
     def n_gradient_sites(self):
         return tuple(s - 1 for s in self.values.shape[:-1])
 
-    def translated(self, shift):
-        """Shift all values by a constant vector.
-
-        The gradient cache is carried over unchanged: differences of
-        shifted values are mathematically identical, and re-differencing
-        the shifted floats would only inject round-off.
-        """
-        out = LatticeDeformation(self.values + np.asarray(shift, float), self.m)
-        out._gradient = self.gradient()
-        return out
-
 
 def deformation_from_gradient_function(fn, value_shape, m):
     """Integrate a gradient pattern into a deformation on a value box.
@@ -276,18 +231,15 @@ def deformation_from_gradient_function(fn, value_shape, m):
     return x
 
 
-def ground_state_deformation(system, l, value_shape, m, rotation=None, shift=None):
-    """Materialize a (rotated, translated) ground state on a value box."""
+def ground_state_deformation(system, l, value_shape, m, rotation=None):
+    """Materialize a (rotated) ground state on a value box."""
     g = system.ground_states[l]
     rot = np.eye(system.dim) if rotation is None else np.asarray(rotation, float)
 
     def fn(sites):
         return rot @ g.gradient_at(sites)
 
-    x = deformation_from_gradient_function(fn, value_shape, m)
-    if shift is not None:
-        x = x.translated(shift)
-    return x
+    return deformation_from_gradient_function(fn, value_shape, m)
 
 
 def _window(values, start, shape):
@@ -699,9 +651,8 @@ class LatticeComponent:
 
 
 def lattice_partition_diagnostics(deformations, system, energy_constant=None):
-    """Sweep diagnostics: volumes, perimeters, components with fitted
-    rotations against the averaged gradients, and the commuting-average
-    check, one record per scale m.
+    """Sweep diagnostics: volumes, perimeters and components with fitted
+    rotations against the averaged gradients, one record per scale m.
 
     deformations gives (m, LatticeDeformation) pairs, one record each in
     the order given; a generator builds each deformation only when its
@@ -726,14 +677,17 @@ def _partition_record(m, x, system, energy_constant):
     comps = []
     for label, members in label_components(cls.labels, *cls.pairs):
         g = system.ground_states[label]
+        vol = len(members) * float(m) ** (-system.dim)
+        if abs(np.linalg.det(g.averaged)) < 1e-12:
+            # the averaged gradient is singular (raw anti-ferromagnetic
+            # chains): no rotation fit, and no averaged field is built
+            comps.append(LatticeComponent(label, members, vol, None, None))
+            continue
         avg = averaged_gradient_field(x, system, label)
         coords = np.array(np.unravel_index(members, cls.labels.shape)).T  # (k, n)
         avg_shape = np.array(avg.shape[: system.dim])
         inside = np.all(coords < avg_shape, axis=1)
-        vol = len(members) * float(m) ** (-system.dim)
-        if not np.any(inside) or abs(np.linalg.det(g.averaged)) < 1e-12:
-            # no averaged data in range, or the averaged gradient is
-            # singular (raw anti-ferromagnetic chains): no rotation fit
+        if not np.any(inside):
             comps.append(LatticeComponent(label, members, vol, None, None))
             continue
         local = avg[tuple(coords[inside].T)]
@@ -745,27 +699,15 @@ def _partition_record(m, x, system, energy_constant):
         rot = polar_rotation(mean)
         res2 = ((local - rot @ g.averaged) ** 2).sum() * float(m) ** (-system.dim)
         comps.append(LatticeComponent(label, members, vol, rot, float(math.sqrt(max(res2, 0.0)))))
-    grad = x.gradient()
-    avg0 = averaged_gradient_field(x, system, 0)
-    commute_gap = 0.0
-    if avg0.size:
-        # mean of the raw gradient against the mean of its window average
-        # over the common index box; differs only through a boundary band
-        # one period wide
-        sl = tuple(slice(0, s) for s in avg0.shape[: system.dim])
-        axes = tuple(range(system.dim))
-        commute_gap = float(np.linalg.norm(grad[sl].mean(axis=axes) - avg0.mean(axis=axes)))
     return {
         "m": m,
         "energy": ham.total,
-        "well_volumes": {l: cls.volume(l) for l in cls.well_labels},
         "bad_volume": cls.bad_volume,
         "boundary_volume": cls.boundary_volume,
         "perimeters": {l: cls.label_perimeter(l) for l in cls.well_labels},
         "components": comps,
         "n_components": len(comps),
         "adjacency_violations": cls.adjacency_violations(),
-        "commute_gap": commute_gap,
     }
 
 
@@ -843,8 +785,9 @@ def slip_sites(length, interfaces):
     return sites
 
 
-def alternating_chain(system, length, interfaces=()):
-    """Gradient chain in the first ground state with optional phase slips.
+def antiferro_chain(system, m, interfaces=()):
+    """Chain of m sites over the unit interval in the first ground state,
+    with planted antiphase boundaries.
 
     interfaces lists fractional positions in (0, 1), each on its own site
     (see slip_sites); at each one the previous gradient is repeated (the
@@ -852,23 +795,16 @@ def alternating_chain(system, length, interfaces=()):
     antiphase boundary) and costs one defect window of energy.
     """
     g0 = system.ground_states[0]
-    slip = np.zeros(length, dtype=bool)
-    slip[slip_sites(length, interfaces)] = True
-    index = np.arange(length)
+    slip = np.zeros(m, dtype=bool)
+    slip[slip_sites(m, interfaces)] = True
+    index = np.arange(m)
     # parity: the number of slips before a site, mod 2
     parity = (np.cumsum(slip) - slip) % 2
     pattern = g0.gradient_at((index + parity)[:, None])[:, 0, 0]
     # a slip copies the last site before it that is no slip; a leading run
     # of slips copies site 0, where the parity is still 0
     last = np.maximum.accumulate(np.where(slip, -1, index))
-    return LatticeDeformation.from_gradient_sequence(pattern[np.maximum(last, 0)], m=1)
-
-
-def antiferro_chain(system, m, interfaces=()):
-    """Chain of m sites over the unit interval with planted antiphase
-    boundaries."""
-    x = alternating_chain(system, m, interfaces)
-    return LatticeDeformation(x.values, m)
+    return LatticeDeformation.from_gradient_sequence(pattern[np.maximum(last, 0)], m=m)
 
 
 def synthetic_twin_system():

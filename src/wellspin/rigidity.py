@@ -38,7 +38,6 @@ class IncompatibleField:
     mesh: object
     values: np.ndarray
     map_matrix: np.ndarray | None = None
-    well: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -134,12 +133,7 @@ def build_reduced_field(field, labeling, well_index, wells):
         field.gradients @ uinv,
         0.0,
     )
-    return IncompatibleField(
-        mesh=field.mesh,
-        values=values,
-        map_matrix=uj,
-        well=well_index,
-    )
+    return IncompatibleField(mesh=field.mesh, values=values, map_matrix=uj)
 
 
 def fitted_rotation(field):

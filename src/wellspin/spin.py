@@ -190,7 +190,6 @@ class PartitionComponent:
 @dataclass
 class CaccioppoliPartition:
     components: list
-    total_perimeter: float
     bad_volume: float
 
     def macroscopic(self, min_volume):
@@ -244,11 +243,4 @@ def extract_partition(field, labeling, wells):
             )
         )
     components.sort(key=lambda c: (c.well, -c.volume))
-
-    wells_present = sorted({c.well for c in components})
-    total_perimeter = sum(discrete_perimeter(labeling, w) for w in wells_present)
-    return CaccioppoliPartition(
-        components=components,
-        total_perimeter=float(total_perimeter),
-        bad_volume=labeling.bad_volume,
-    )
+    return CaccioppoliPartition(components=components, bad_volume=labeling.bad_volume)

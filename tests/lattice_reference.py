@@ -6,7 +6,7 @@ two-dimensional site: the exact match must never lie above it (beyond
 round-off). classify_labels is the old classify_lattice with its index
 stacks: one-dimensional labels must agree byte for byte, and so must
 two-dimensional ones away from the threshold. alternating_chain is the
-per-site loop builder: the array builder must give the same gradients,
+per-site loop builder: antiferro_chain must give the same gradients,
 byte for byte, whenever the interface positions are distinct and in range.
 hamiltonian_per_site and averaged_gradients are the index-gather window
 stacks of evaluate_hamiltonian and averaged_gradient_field: the sliding

@@ -138,11 +138,11 @@ class TestLaminate:
         assert np.all(slopes <= 1e-9)
         assert np.all(slopes >= -1.0 - 1e-9)
 
-    def test_single_phase_zero_energy(self, wells_std, admissible_meshes):
-        mesh = admissible_meshes[16]
+    def test_unit_volume_fraction_rejected(self, wells_std, admissible_meshes):
+        # a single phase is no laminate, as the config schema says too
         conn = wells_std.connections[0]
-        field = build_laminate(mesh, wells_std, conn, 1.0, 0.5)
-        assert evaluate_energy(field, wells_std).total == 0.0
+        with pytest.raises(FieldError, match=r"\(0, 1\)"):
+            build_laminate(admissible_meshes[16], wells_std, conn, 1.0, 0.5)
 
     def test_gradients_hit_both_wells(self, wells_std, admissible_meshes):
         mesh = admissible_meshes[16]

@@ -634,6 +634,26 @@ class TestCli:
             os.close(read)
         assert json.loads((tmp_path / "summary.json").read_text())["exit_code"] == EXIT_OK
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_wells_file_read_once_from_pipe(self, tmp_path):
+        # a wells_file that is a pipe can be read only once, so validation
+        # and the run must share one read of it
+        from wellspin.cli import main
+
+        read, write = os.pipe()
+        os.write(write, json.dumps(small_wells()).encode())
+        os.close(write)
+        cfg = {"scenario": "wellset-analysis", "wells_file": f"/dev/fd/{read}"}
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        try:
+            argv = ["wellset-analysis", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+            assert main(argv) == EXIT_OK
+        finally:
+            os.close(read)
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["wells"]["wells"] == small_wells()["wells"]
+
     def test_usage_error_exit_4(self):
         from wellspin.cli import main
 

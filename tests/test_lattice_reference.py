@@ -15,7 +15,7 @@ from wellspin.lattice import (
     LatticeError,
     _ground_patch_bank,
     _rotation_match,
-    alternating_chain,
+    antiferro_chain,
     antiferro_system,
     averaged_gradient_field,
     classify_lattice,
@@ -263,7 +263,7 @@ class TestChainBuilder:
             st.lists(st.integers(0, max(length - 1, 0)), unique=True, max_size=min(length, 8))
         )
         fracs = [s / length for s in sites]
-        new = alternating_chain(system, length, fracs)
+        new = antiferro_chain(system, length, fracs)
         old = ref.alternating_chain(system, length, fracs)
         assert new.values.tobytes() == old.values.tobytes()
         assert new.gradient().tobytes() == old.gradient().tobytes()
@@ -271,7 +271,7 @@ class TestChainBuilder:
     def test_slip_at_first_sites(self):
         system = antiferro_system("raw")
         for fracs in ([0.0], [0.0, 0.1], [0.0, 0.1, 0.2, 0.5]):
-            new = alternating_chain(system, 10, fracs)
+            new = antiferro_chain(system, 10, fracs)
             old = ref.alternating_chain(system, 10, fracs)
             assert new.values.tobytes() == old.values.tobytes()
 
@@ -281,15 +281,15 @@ class TestChainBuilder:
         old = ref.alternating_chain(system, 10, [0.1, 0.1, 0.5]).gradient()[:, 0, 0]
         assert int((old[1:] == old[:-1]).sum()) == 1
         with pytest.raises(LatticeError, match=r"repeated \[1\]"):
-            alternating_chain(system, 10, [0.1, 0.1, 0.5])
+            antiferro_chain(system, 10, [0.1, 0.1, 0.5])
 
     def test_out_of_range_position_rejected(self):
         system = antiferro_system("raw")
         with pytest.raises(LatticeError, match=r"outside \[4\]"):
-            alternating_chain(system, 4, [0.25, 0.9])
+            antiferro_chain(system, 4, [0.25, 0.9])
         fracs = [(i + 1) / 8 for i in range(7)]
         with pytest.raises(LatticeError, match=r"repeated \[2\], outside \[4\]"):
-            alternating_chain(system, 4, fracs)
+            antiferro_chain(system, 4, fracs)
 
 
 class TestVerifyH2Planar:
