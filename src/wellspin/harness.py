@@ -74,12 +74,10 @@ from .spin import (
 from .wells import (
     WellSet,
     admissible_normal_intervals,
-    compute_dbar,
     dist_table,
     random_rotation,
     rotation_2d,
     rotations_from_normals,
-    solve_all_connections,
 )
 
 EXIT_OK = 0
@@ -366,10 +364,10 @@ def _check_wells(raw, cfg):
         ws = _well_set(cfg)
         if ws.dim != 2 or _FRACTION(ws.delta0):
             return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"], None
-        solve_all_connections(ws)
+        twins = ws.twin_normals()
     except (OSError, ValueError, LookupError, TypeError) as err:
         return [f"{name}: {err}"], None
-    if not admissible_normal_intervals(ws.twin_normals(), ws.delta0):
+    if not admissible_normal_intervals(twins, ws.delta0):
         bound = "|b . t| <= 1 - delta0 for every twin normal t"
         return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"], None
     if cfg["scenario"] == "laminate-sweep" and cfg["laminate"]["connection"] >= len(ws.connections):
@@ -380,7 +378,7 @@ def _check_wells(raw, cfg):
         rot = find_admissible_rotation(ws)
     except MeshError as err:
         return [f"{name}: {err}"], None
-    compute_dbar(ws, ws.delta0)
+    ws.c0  # dbar, once, for every run's classification threshold
     if cfg["scenario"] == "wellset-analysis":
         return [], (ws, rot)
     return _check_mesh_budget(cfg, rot.rotation), (ws, rot)
@@ -552,8 +550,7 @@ def _run_laminate_sweep(cfg, force):
 
     conn = ws.connections[lam["connection"]]
     pair = (conn.i, conn.j)  # the two wells the laminate alternates
-    (x0, y0), (x1, y1) = mesh0.domain
-    proj = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]]) @ conn.b
+    proj = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]) @ conn.b
     # default: one full period across the domain span, i.e. two layers and
     # a single interior interface; coarse meshes resolve that fastest
     period = lam["period"] or (proj.max() - proj.min())

@@ -170,9 +170,8 @@ class LatticeDeformation:
     @classmethod
     def from_gradient_sequence(cls, gradients, m):
         """One-dimensional chain from its gradient sequence (prefix sums)."""
-        g = np.asarray(gradients, dtype=float).reshape(-1)
-        values = np.concatenate([[0.0], np.cumsum(g)])[:, None]
-        return cls(values, m)
+        g = np.asarray(gradients, dtype=float).reshape(-1, 1, 1)
+        return cls(_integrate(g, (len(g) + 1,)), m)
 
     def gradient(self):
         if self._gradient is None:
@@ -189,57 +188,41 @@ class LatticeDeformation:
             self._gradient = grad
         return self._gradient
 
-    @property
-    def n_gradient_sites(self):
-        return tuple(s - 1 for s in self.values.shape[:-1])
 
+def _integrate(grads, value_shape):
+    """Site values on the box value_shape, zero at the origin, from the
+    gradients grads at its sites. Column r is read only where coordinate r
+    is below its last, so a chain passes just its value_shape[0] - 1
+    gradients.
 
-def deformation_from_gradient_function(fn, value_shape, m):
-    """Integrate a gradient pattern into a deformation on a value box.
-
-    fn maps integer sites (..., n) to gradient matrices (..., n, n) and
-    must be integrable (column r at i consistent across paths); the result
-    is checked against fn and rejected otherwise.
+    Every site is reached from the origin along axis 0, then axis 1, and so
+    on: the site after i along axis r, with every later coordinate 0, is
+    the value at i plus column r of the gradient at i. The values grow one
+    axis at a time, each by one cumulative sum, which adds in that order.
     """
-    value_shape = tuple(value_shape)
     n = len(value_shape)
-    values = np.zeros(value_shape + (n,))
-    for axis in range(n):
-        lead = value_shape[:axis]
-        lead_sites = np.array(list(itertools.product(*[range(s) for s in lead])), int)
-        count = value_shape[axis] - 1
-        if count <= 0:
-            continue
-        for k in range(count):
-            sites = np.zeros((len(lead_sites), n), dtype=int)
-            if axis > 0:
-                sites[:, :axis] = lead_sites
-            sites[:, axis] = k
-            cols = fn(sites)[..., :, axis]
-            src = tuple([lead_sites[:, a] for a in range(axis)] + [k])
-            dst = tuple([lead_sites[:, a] for a in range(axis)] + [k + 1])
-            values[dst] = values[src] + cols
-    x = LatticeDeformation(values, m)
-    grads = x.gradient()
-    sites = np.stack(
-        np.meshgrid(*[np.arange(s) for s in x.n_gradient_sites], indexing="ij"),
-        axis=-1,
-    )
-    expected = fn(sites)
-    if not np.allclose(grads, expected, atol=1e-9):
-        raise LatticeError("gradient pattern is not integrable")
-    return x
+    values = np.zeros((1,) * n + (n,))
+    for r, s in enumerate(value_shape):
+        steps = grads[(slice(None),) * r + (slice(0, s - 1),) + (slice(0, 1),) * (n - r - 1)]
+        values = np.cumsum(np.concatenate([values, steps[..., :, r]], axis=r), axis=r)
+    return values
 
 
 def ground_state_deformation(system, l, value_shape, m, rotation=None):
-    """Materialize a (rotated) ground state on a value box."""
+    """Materialize a (rotated) ground state on a value box.
+
+    The turned pattern is read once on every site of the box and
+    integrated; a pattern that is not integrable (column r at a site
+    differs between paths) is rejected.
+    """
     g = system.ground_states[l]
     rot = np.eye(system.dim) if rotation is None else np.asarray(rotation, float)
-
-    def fn(sites):
-        return rot @ g.gradient_at(sites)
-
-    return deformation_from_gradient_function(fn, value_shape, m)
+    grads = rot @ g.gradient_at(np.moveaxis(np.indices(value_shape), 0, -1))
+    x = LatticeDeformation(_integrate(grads, value_shape), m)
+    box = tuple(slice(0, s - 1) for s in value_shape)
+    if not np.allclose(x.gradient(), grads[box], atol=1e-9):
+        raise LatticeError("gradient pattern is not integrable")
+    return x
 
 
 def _window(values, start, shape):

@@ -126,11 +126,10 @@ class SimplicialMesh:
     """
 
     def __init__(
-        self, dim, m, domain, lattice_rotation, vertices, cells, facet_vertices, facet_cells, omit
+        self, dim, m, lattice_rotation, vertices, cells, facet_vertices, facet_cells, omit
     ):
         self.dim = dim
         self.m = m
-        self.domain = (np.asarray(domain[0], float), np.asarray(domain[1], float))
         self.lattice_rotation = np.asarray(lattice_rotation, float)
         self.vertices = vertices
         self.cells = cells
@@ -347,8 +346,7 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells
         disp = rng.uniform(-jitter / m, jitter / m, size=vertices.shape)
         vertices = vertices + disp * mask[:, None]
 
-    domain = (np.zeros(n), np.ones(n))
-    return SimplicialMesh(n, m, domain, rot, vertices, cells, facet_vertices, facet_cells, omit)
+    return SimplicialMesh(n, m, rot, vertices, cells, facet_vertices, facet_cells, omit)
 
 
 def _kuhn_facets(perms, cubes, kept, cells):
@@ -393,9 +391,7 @@ def check_incompatibility(mesh, wells, delta0):
 
     A pure report; experiment drivers decide whether to refuse to run.
     """
-    if wells.connections is None:
-        raise MeshError("solve rank-one connections before checking the mesh")
-    twins = [c.b for c in wells.connections]
+    twins = wells.twin_normals()
     if not twins:
         return IncompatibilityReport(ok=True, worst_alignment=0.0, delta0=delta0)
     normals = mesh.normal_directions()
@@ -426,9 +422,7 @@ def find_admissible_rotation(wells):
     """
     if wells.dim != 2:
         raise MeshError("rotation search implemented for n = 2")
-    if wells.connections is None:
-        raise MeshError("solve rank-one connections before searching rotations")
-    twins = np.array([c.b for c in wells.connections])
+    twins = np.array(wells.twin_normals())
     if len(twins) == 0:
         return AdmissibleRotation(rotation=np.eye(2), angle=0.0, margin=1.0)
     ref = kuhn_reference_normals(2)

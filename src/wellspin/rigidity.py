@@ -271,10 +271,9 @@ def random_block_values(rng, n_blocks):
 
 
 def field_from_blocks(mesh, block_values):
-    """Assign each cell the value of the block containing its barycenter."""
+    """Assign each cell the value of the block of the unit box containing
+    its barycenter."""
     n_blocks = block_values.shape[0]
-    lo, hi = mesh.domain
-    rel = (mesh.barycenters - lo) / (hi - lo)
-    idx = np.clip((rel * n_blocks).astype(int), 0, n_blocks - 1)
+    idx = np.clip((mesh.barycenters * n_blocks).astype(int), 0, n_blocks - 1)
     values = block_values[idx[:, 0], idx[:, 1]]
     return IncompatibleField(mesh=mesh, values=values)

@@ -53,15 +53,11 @@ class PhaseLabeling:
 def classify(field, wells, threshold=None):
     """Label every cell by its nearest well within threshold, else BAD.
 
-    The default threshold is c0/100 and requires compute_dbar to have run;
-    the comparison is inclusive, and ties between wells resolve to the
-    lowest index.
+    The default threshold is the well set's c0/100; the comparison is
+    inclusive, and ties between wells resolve to the lowest index.
     """
     if threshold is None:
-        c0 = wells.c0
-        if c0 is None:
-            raise SpinError("well set has no c0: run compute_dbar first")
-        threshold = c0 / 100.0
+        threshold = wells.c0 / 100.0
     dists, labels = cell_labels(field.well_distances(wells), threshold)
     return PhaseLabeling(field.mesh, labels.astype(np.int64), dists, float(threshold))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -247,11 +248,13 @@ class RankOneSolution:
 
 
 class WellSet:
-    """An ordered family of pairwise distinct SPD well matrices.
+    """An ordered family of pairwise distinct SPD well matrices and the
+    margin delta0 its incompatibility constant is taken at.
 
-    The pairwise well separation is computed on construction. The
-    incompatibility constant (and the combined constant c0 used as a
-    classification threshold) become available once compute_dbar has run.
+    The pairwise well separation is computed on construction; the twins,
+    the incompatibility constant and the combined constant c0 used as a
+    classification threshold on first use, once each. A set without
+    delta0 has twins but no incompatibility constant.
     """
 
     def __init__(self, matrices, delta0=None):
@@ -280,8 +283,6 @@ class WellSet:
         self.dim = n
         self.matrices = mats
         self.delta0 = delta0
-        self.connections = None  # populated by solve_all_connections
-        self.incompat_dbar = None  # populated by compute_dbar
         if len(mats) == 1:
             self.separation_d = math.inf
         else:
@@ -297,43 +298,41 @@ class WellSet:
     def k(self):
         return len(self.matrices)
 
+    @cached_property
+    def connections(self):
+        """Every twin of the set, pair by pair (solve_all_connections)."""
+        return solve_all_connections(self)
+
+    @cached_property
+    def incompat_dbar(self):
+        """The incompatibility constant at delta0 (compute_dbar)."""
+        return compute_dbar(self, self.delta0)
+
     @property
     def c0(self):
-        """min of the well separation and the incompatibility constant.
-
-        None until compute_dbar has populated incompat_dbar.
-        """
-        if self.incompat_dbar is None:
-            return None
+        """min of the well separation and the incompatibility constant."""
         return min(self.separation_d, self.incompat_dbar)
 
     def twin_normals(self):
-        """Unit normals b of all solved rank-one connections."""
-        if self.connections is None:
-            raise WellSetError("rank-one connections not solved yet")
+        """Unit normals b of all rank-one connections."""
         return [c.b for c in self.connections]
 
     def to_json(self):
-        doc = {
+        def finite(x):
+            return None if math.isinf(x) else x
+
+        derived = {
+            "d": finite(self.separation_d),
+            "dbar": finite(self.incompat_dbar),
+            "c0": finite(self.c0),
+            "connections": [c.to_dict() for c in self.connections],
+        }
+        return {
             "dim": self.dim,
             "wells": [u.tolist() for u in self.matrices],
+            "delta0": self.delta0,
+            "derived": derived,
         }
-        if self.delta0 is not None:
-            doc["delta0"] = self.delta0
-        derived = {}
-        if self.separation_d is not None:
-            derived["d"] = None if math.isinf(self.separation_d) else self.separation_d
-        if self.incompat_dbar is not None:
-            derived["dbar"] = (
-                None if math.isinf(self.incompat_dbar) else self.incompat_dbar
-            )
-            c0 = self.c0
-            derived["c0"] = None if math.isinf(c0) else c0
-        if self.connections is not None:
-            derived["connections"] = [c.to_dict() for c in self.connections]
-        if derived:
-            doc["derived"] = derived
-        return doc
 
 
 def _canonical_sign(a, b):
@@ -411,12 +410,11 @@ def twin_solve(ui, uj):
 
 
 def solve_all_connections(wells):
-    """Solve twins for every well pair and store them on the well set."""
+    """The twins of every well pair, pair by pair."""
     conns = []
     for i in range(wells.k):
         for j in range(i + 1, wells.k):
             conns.extend(solve_rank_one(wells, i, j).connections)
-    wells.connections = conns
     return conns
 
 
@@ -456,7 +454,7 @@ def admissible_normal_intervals(twin_normals, delta0):
     return [(lo, hi) for lo, hi in allowed if hi - lo > 1e-12]
 
 
-def compute_dbar(wells, delta0, store=True):
+def compute_dbar(wells, delta0):
     """Incompatibility constant of a well set for a given margin delta0.
 
     For every pair of distinct wells this minimizes, over rotations Q and
@@ -467,33 +465,25 @@ def compute_dbar(wells, delta0, store=True):
     1-D minimum over the admissible normal angles is left (see
     _tangent_gap_min).
 
-    A single well has nothing to separate: the result is +inf. The result
-    is stored on the well set (with the delta0 used) unless store=False.
+    A single well has nothing to separate: the result is +inf.
     """
     if wells.dim != 2:
         raise WellSetError("compute_dbar implemented for n = 2")
-    if not 0.0 < delta0 < 1.0:
+    if delta0 is None or not 0.0 < delta0 < 1.0:
         raise WellSetError("delta0 must lie in (0, 1)")
     if wells.k == 1:
-        if store:
-            wells.incompat_dbar = math.inf
-            wells.delta0 = delta0
         return math.inf
     intervals = admissible_normal_intervals(wells.twin_normals(), delta0)
     if not intervals:
         raise WellSetError(
             f"delta0={delta0} leaves no admissible facet normal directions"
         )
-    best = min(
+    return min(
         _tangent_gap_min(wells.matrices[i1], wells.matrices[i2], lo, hi)
         for i1 in range(wells.k)
         for i2 in range(i1 + 1, wells.k)
         for lo, hi in intervals
     )
-    if store:
-        wells.incompat_dbar = best
-        wells.delta0 = delta0
-    return best
 
 
 def _tangent_gap(u1, u2, phi):

@@ -5,18 +5,15 @@ import pytest
 
 from wellspin.fields import build_laminate
 from wellspin.mesh import build_kuhn_mesh, find_admissible_rotation
-from wellspin.wells import WellSet, compute_dbar, solve_all_connections
+from wellspin.wells import WellSet
 
 DELTA0 = 0.05
 
 
 @pytest.fixture(scope="session")
 def wells_std():
-    """diag(2, 1/2) / diag(1/2, 2) with connections and dbar attached."""
-    ws = WellSet([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
-    solve_all_connections(ws)
-    compute_dbar(ws, DELTA0)
-    return ws
+    """diag(2, 1/2) / diag(1/2, 2) at delta0=0.05."""
+    return WellSet([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])], delta0=DELTA0)
 
 
 @pytest.fixture(scope="session")
@@ -37,14 +34,7 @@ def auto_laminate(
     """Laminate with the period chosen so the domain spans exactly four
     layers along the twin normal; keeps band populations stable across m."""
     conn = wells.connections[connection_index]
-    corners = np.array(
-        [
-            [mesh.domain[0][0], mesh.domain[0][1]],
-            [mesh.domain[0][0], mesh.domain[1][1]],
-            [mesh.domain[1][0], mesh.domain[0][1]],
-            [mesh.domain[1][0], mesh.domain[1][1]],
-        ]
-    )
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     proj = corners @ conn.b
     span = proj.max() - proj.min()
     period = span / 2.0

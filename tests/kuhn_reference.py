@@ -60,9 +60,9 @@ def _facet_visits(cells, n_vertices):
 
 
 class FirstVisitMesh(SimplicialMesh):
-    def __init__(self, dim, m, domain, lattice_rotation, vertices, cells):
+    def __init__(self, dim, m, lattice_rotation, vertices, cells):
         facets = self._build_facets(cells, len(vertices))
-        super().__init__(dim, m, domain, lattice_rotation, vertices, cells, *facets)
+        super().__init__(dim, m, lattice_rotation, vertices, cells, *facets)
 
     @staticmethod
     def _build_facets(cells, n_vertices):
@@ -300,7 +300,7 @@ def reference_build_kuhn_mesh(
         disp = rng.uniform(-jitter / m, jitter / m, size=vertices.shape)
         vertices = vertices + disp * mask[:, None]
 
-    return ReferenceMesh(n, m, (lo, hi), rot, vertices, cells)
+    return ReferenceMesh(n, m, rot, vertices, cells)
 
 
 def _boundary_vertices(cells, n):

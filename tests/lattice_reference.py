@@ -15,7 +15,10 @@ exact match with its candidate angles taken from the unturned expansion,
 whose crossings drown in rounding near a match: the turned frame must
 never lie above it (beyond round-off). unpruned_labels is the 2-D
 classify_lattice that matched every site against every ground state: the
-bound-pruned labels must agree byte for byte.
+bound-pruned labels must agree byte for byte. deformation_from_gradient_function
+is the row-by-row integrator that called its gradient function once per
+row and again on every site: ground_state_deformation must give the same
+values, byte for byte.
 """
 
 import itertools
@@ -27,6 +30,7 @@ from wellspin.lattice import (
     BAD_SITE,
     BOUNDARY_SITE,
     LatticeDeformation,
+    LatticeError,
     _rotation_match,
     _sinusoids,
     _window,
@@ -217,3 +221,40 @@ def unpruned_labels(x, system):
             np.minimum(best, dist, out=best)
         nearest[~(best <= threshold)] = BAD_SITE
     return labels
+
+
+def deformation_from_gradient_function(fn, value_shape, m):
+    """Integrate a gradient pattern into a deformation on a value box.
+
+    fn maps integer sites (..., n) to gradient matrices (..., n, n) and
+    must be integrable (column r at i consistent across paths); the result
+    is checked against fn and rejected otherwise.
+    """
+    value_shape = tuple(value_shape)
+    n = len(value_shape)
+    values = np.zeros(value_shape + (n,))
+    for axis in range(n):
+        lead = value_shape[:axis]
+        lead_sites = np.array(list(itertools.product(*[range(s) for s in lead])), int)
+        count = value_shape[axis] - 1
+        if count <= 0:
+            continue
+        for k in range(count):
+            sites = np.zeros((len(lead_sites), n), dtype=int)
+            if axis > 0:
+                sites[:, :axis] = lead_sites
+            sites[:, axis] = k
+            cols = fn(sites)[..., :, axis]
+            src = tuple([lead_sites[:, a] for a in range(axis)] + [k])
+            dst = tuple([lead_sites[:, a] for a in range(axis)] + [k + 1])
+            values[dst] = values[src] + cols
+    x = LatticeDeformation(values, m)
+    grads = x.gradient()
+    sites = np.stack(
+        np.meshgrid(*[np.arange(s - 1) for s in value_shape], indexing="ij"),
+        axis=-1,
+    )
+    expected = fn(sites)
+    if not np.allclose(grads, expected, atol=1e-9):
+        raise LatticeError("gradient pattern is not integrable")
+    return x

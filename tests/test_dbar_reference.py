@@ -82,7 +82,7 @@ class TestAgainstTwoDimensionalSearch:
     def test_never_above_oracle(self, mats, delta0):
         try:
             ws = solved(mats)
-            val = compute_dbar(ws, delta0, store=False)
+            val = compute_dbar(ws, delta0)
         except WellSetError:
             assume(False)
         assert val <= reference_compute_dbar(ws, delta0) + 1e-12
@@ -104,7 +104,7 @@ class TestAgainstTwoDimensionalSearch:
             ]
         )
         assert len(ws.connections) == 2
-        val = compute_dbar(ws, 0.05, store=False)
+        val = compute_dbar(ws, 0.05)
         grid = grid_min(ws, 0.05, 2_000_001)
         assert val < gap_at_interval_ends(ws, 0.05)
         assert val <= grid and grid - val <= 1e-10 * grid
@@ -115,7 +115,7 @@ class TestTwinFree:
     def test_identity_against_diagonal(self):
         ws = solved([np.eye(2), np.diag([2.0, 3.0])])
         assert ws.connections == []
-        val = compute_dbar(ws, 0.05, store=False)
+        val = compute_dbar(ws, 0.05)
         grid = grid_min(ws, 0.05, 2_000_001)
         assert abs(val - grid) <= 1e-10 * grid
 
@@ -125,7 +125,7 @@ class TestTwinFree:
         rot = rotation_2d(0.7)
         ws = solved([np.diag([1.0, 3.0]), rot @ np.diag([0.8, 1.2]) @ rot.T])
         assert ws.connections == []
-        val = compute_dbar(ws, 0.05, store=False)
+        val = compute_dbar(ws, 0.05)
         grid = grid_min(ws, 0.05, 2_000_001)
         assert val <= grid and grid - val <= 1e-10 * grid
         assert reference_compute_dbar(ws, 0.05) > 1.003 * val
@@ -142,12 +142,12 @@ class TestTwinFree:
             return golden_min(*args, **kwargs)
 
         monkeypatch.setattr(wells, "golden_min", counting)
-        val = compute_dbar(flat, 0.05, store=False)
+        val = compute_dbar(flat, 0.05)
         assert len(calls) <= 2
         assert abs(val - 1.0) <= 4 * np.finfo(float).eps
         # the shipped wells still polish their genuine minima
         calls.clear()
-        compute_dbar(shipped, 0.05, store=False)
+        compute_dbar(shipped, 0.05)
         assert len(calls) >= 1
 
 
@@ -167,7 +167,7 @@ class TestSvdFree:
             raise AssertionError("np.linalg.svd called")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert compute_dbar(ws, delta0, store=False) > 0
+        assert compute_dbar(ws, delta0) > 0
         rot = find_admissible_rotation(ws).rotation
         mesh = build_kuhn_mesh(2, 16, lattice_rotation=rot, jitter=0.1)
         assert mesh.facet_tangent.shape == (len(mesh.facet_area), 2, 1)
@@ -176,7 +176,7 @@ class TestSvdFree:
         ws, delta0 = shipped
         tracemalloc.start()
         try:
-            compute_dbar(ws, delta0, store=False)
+            compute_dbar(ws, delta0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

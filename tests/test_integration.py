@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wellspin import harness, wells
 from wellspin.fields import PWAffineField, evaluate_energy
 from wellspin.mesh import build_kuhn_mesh, check_incompatibility
 from wellspin.rigidity import IncompatibleField, curl_total_variation, rigidity_ratio
@@ -118,3 +121,54 @@ class TestJitteredMesh:
         e_u = evaluate_energy(auto_laminate(uniform, wells_std), wells_std).total
         e_j = evaluate_energy(auto_laminate(jittered, wells_std), wells_std).total
         assert 0.25 <= e_j / e_u <= 4.0
+
+
+def connection_bytes(conns):
+    return [
+        (c.i, c.j, c.multiplicity, np.concatenate([c.rotation.ravel(), c.a, c.b]).tobytes())
+        for c in conns
+    ]
+
+
+class TestWellSetLifecycle:
+    """A WellSet owns its twins, dbar and c0: each is the pure function's
+    value, computed once however many stages read it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_derived_values_equal_pure_calls(self, k, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(k, 2, 2))
+        mats = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(2)
+        ws = WellSet(mats, delta0=0.02)
+        pure = WellSet(mats)
+        assert connection_bytes(ws.connections) == connection_bytes(solve_all_connections(pure))
+        dbar = compute_dbar(pure, 0.02)
+        assert np.float64(ws.incompat_dbar).tobytes() == np.float64(dbar).tobytes()
+        assert np.float64(ws.c0).tobytes() == np.float64(min(pure.separation_d, dbar)).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"scenario": "wellset-analysis"},
+            {"scenario": "laminate-sweep", "m_list": [8, 16, 32, 64]},
+            {"scenario": "spin-lemma-suite", "m": 8, "field_count": 10},
+        ],
+        ids=lambda cfg: cfg["scenario"],
+    )
+    def test_run_computes_each_once(self, cfg, tmp_path, monkeypatch):
+        calls = {"solve_all_connections": 0, "compute_dbar": 0}
+
+        def counted(name):
+            original = getattr(wells, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(wells, name, counted(name))
+        assert harness.run({**cfg, "seed": 1}, out_dir=tmp_path) == harness.EXIT_OK
+        assert calls == {"solve_all_connections": 1, "compute_dbar": 1}

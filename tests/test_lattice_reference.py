@@ -1,6 +1,6 @@
 """The exact rotation match, the bound-pruned classifier, the array chain
-builder and the sliding window views against the code they replaced
-(tests/lattice_reference.py)."""
+builder, the ground-state integrator and the sliding window views against
+the code they replaced (tests/lattice_reference.py)."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ import lattice_reference as ref
 from wellspin import lattice
 from wellspin.lattice import (
     BOUNDARY_SITE,
+    GroundState,
     LatticeDeformation,
     LatticeError,
+    LatticeSystem,
     _ground_patch_bank,
     _rotation_match,
     antiferro_chain,
@@ -313,3 +315,50 @@ class TestVerifyH2Planar:
         oracle = min(ref._rotation_grid_match(rep.worst_window, gp) for gp in bank)
         assert rep.worst_kappa <= oracle + 1e-12
         assert oracle - rep.worst_kappa <= 1e-5
+
+
+class TestGroundStateIntegrator:
+    """ground_state_deformation's cumulative sums against the row loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.floats(0.0, 2.0 * np.pi),
+        st.integers(1, 20),
+        st.integers(1, 20),
+    )
+    @example(0, 0.7, 9, 9)
+    @example(1, 2.2, 13, 13)
+    @example(2, 4.1, 17, 17)
+    @example(3, 5.9, 25, 25)
+    @example(1, 1.3, 65, 65)
+    def test_twin_values_match_row_loop(self, state, angle, rows, cols):
+        twin = synthetic_twin_system()
+        g, rot = twin.ground_states[state], rotation_2d(angle)
+        new = ground_state_deformation(twin, state, (rows, cols), m=8, rotation=rot)
+        old = ref.deformation_from_gradient_function(
+            lambda sites: rot @ g.gradient_at(sites), (rows, cols), 8
+        )
+        assert new.values.tobytes() == old.values.tobytes()
+
+    @pytest.mark.parametrize("variant", ["raw", "remapped"])
+    @pytest.mark.parametrize("length", [1, 2, 7, 41])
+    def test_chain_values_match_row_loop(self, variant, length):
+        system = antiferro_system(variant)
+        for state, g in enumerate(system.ground_states):
+            new = ground_state_deformation(system, state, (length,), m=length)
+            old = ref.deformation_from_gradient_function(g.gradient_at, (length,), length)
+            assert new.values.tobytes() == old.values.tobytes()
+
+    def test_empty_chain(self):
+        x = LatticeDeformation.from_gradient_sequence([], m=0)
+        assert x.values.tolist() == [[0.0]] and x.gradient().shape == (0, 1, 1)
+
+    def test_non_integrable_rejected(self):
+        rng = np.random.default_rng(3)
+        curl = GroundState(rng.normal(size=(2, 2, 2, 2)))
+        system = LatticeSystem(2, [(0, 0), (1, 0), (0, 1)], lambda p: 0.0, [curl])
+        with pytest.raises(LatticeError, match="not integrable"):
+            ground_state_deformation(system, 0, (5, 5), m=4)
+        with pytest.raises(LatticeError, match="not integrable"):
+            ref.deformation_from_gradient_function(curl.gradient_at, (5, 5), 4)

@@ -340,7 +340,7 @@ class TestReferenceOracle:
         cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
         for cls in (FirstVisitMesh, ReferenceMesh):
             with pytest.raises(MeshError, match="more than two cells"):
-                cls(2, 2, (np.zeros(2), np.ones(2)), np.eye(2), vertices, cells)
+                cls(2, 2, np.eye(2), vertices, cells)
 
     def test_facet_keys_overflow_rejected(self):
         with pytest.raises(MeshResourceError, match="overflow"):
@@ -355,7 +355,7 @@ class TestClosedFormFacets:
     @staticmethod
     def assert_matches_first_visit(mesh):
         oracle = FirstVisitMesh(
-            mesh.dim, mesh.m, mesh.domain, mesh.lattice_rotation, mesh.vertices, mesh.cells
+            mesh.dim, mesh.m, mesh.lattice_rotation, mesh.vertices, mesh.cells
         )
         for name in MESH_ARRAYS + ("inverse_edges",):
             a, b = getattr(mesh, name), getattr(oracle, name)

@@ -18,7 +18,7 @@ from wellspin.spin import (
     extract_partition,
     verify_spin_lemma,
 )
-from wellspin.wells import WellSet, dist_to_wells_batch, random_rotation
+from wellspin.wells import WellSet, WellSetError, dist_to_wells_batch, random_rotation
 
 
 def aligned_adversarial_laminate(wells):
@@ -43,10 +43,12 @@ class TestClassify:
         assert count_bad_cells(lab) == 0
 
     def test_requires_c0(self, admissible_meshes):
+        # without a delta0 the set has no dbar, so no default threshold
         ws = WellSet([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
         field = PWAffineField.from_linear(admissible_meshes[8], ws.matrices[0])
-        with pytest.raises(SpinError):
+        with pytest.raises(WellSetError, match="delta0"):
             classify(field, ws)
+        assert classify(field, ws, threshold=0.01).bad_volume == 0.0
 
     def test_midpoint_cell_is_bad(self, wells_std, admissible_meshes):
         mesh = admissible_meshes[8]

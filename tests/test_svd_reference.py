@@ -330,5 +330,5 @@ class TestMeshCaches:
         # one random simplex: its longest edge may join any vertex pair
         vertices = np.random.default_rng(seed).normal(size=(n + 1, n))
         cells = np.arange(n + 1)[None]
-        mesh = FirstVisitMesh(n, 1, (np.zeros(n), np.ones(n)), np.eye(n), vertices, cells)
+        mesh = FirstVisitMesh(n, 1, np.eye(n), vertices, cells)
         assert mesh.constants.diameter_upper == pairwise_diameter(mesh)

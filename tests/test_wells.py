@@ -277,10 +277,9 @@ class TestRankOne:
 
 class TestComputeDbar:
     def test_single_well_sentinel(self):
-        ws = WellSet([U1])
-        val = compute_dbar(ws, 0.1)
-        assert math.isinf(val)
-        assert ws.c0 == ws.separation_d == math.inf
+        ws = WellSet([U1], delta0=0.1)
+        assert math.isinf(compute_dbar(ws, 0.1))
+        assert ws.incompat_dbar == ws.c0 == ws.separation_d == math.inf
 
     def test_positive_and_grid_stable(self):
         # the 1-D reduction agrees with the 2-D grid search it replaced at
@@ -288,7 +287,7 @@ class TestComputeDbar:
         # where that search converges
         ws = standard_pair()
         solve_all_connections(ws)
-        val = compute_dbar(ws, 0.1, store=False)
+        val = compute_dbar(ws, 0.1)
         assert val > 0
         for q_grid in (8192, 32768):
             oracle = reference_compute_dbar(ws, 0.1, q_grid=q_grid)
@@ -300,7 +299,7 @@ class TestComputeDbar:
         # | |U1 tau| - |U2 tau| |, an independent check of the nested grids
         ws = standard_pair()
         solve_all_connections(ws)
-        val = compute_dbar(ws, 0.05, store=False)
+        val = compute_dbar(ws, 0.05)
         phis = np.linspace(0, np.pi, 400001, endpoint=False)
         b = np.stack([np.cos(phis), np.sin(phis)], 1)
         twins = np.array([c.b for c in ws.connections])
@@ -315,7 +314,7 @@ class TestComputeDbar:
         ws = standard_pair()
         solve_all_connections(ws)
         values = [
-            compute_dbar(ws, d0, store=False)
+            compute_dbar(ws, d0)
             for d0 in (0.1, 0.05, 0.03, 0.01)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -327,12 +326,12 @@ class TestComputeDbar:
         ws = standard_pair()
         solve_all_connections(ws)
         with pytest.raises(WellSetError):
-            compute_dbar(ws, 0.3, store=False)
+            compute_dbar(ws, 0.3)
 
     def test_bounded_by_well_distance(self):
         ws = standard_pair()
         solve_all_connections(ws)
-        val = compute_dbar(ws, 0.1, store=False)
+        val = compute_dbar(ws, 0.1)
         assert val <= math.sqrt(2) * ws.separation_d + 1e-12
 
     def test_never_reads_mesh_scale(self):
@@ -342,12 +341,14 @@ class TestComputeDbar:
         assert not any("mesh" in p or p == "m" for p in params)
 
     def test_stores_result_and_c0(self):
-        ws = standard_pair()
-        solve_all_connections(ws)
-        val = compute_dbar(ws, 0.05)
-        assert ws.incompat_dbar == val
-        assert ws.c0 == min(ws.separation_d, val)
-        assert ws.delta0 == 0.05
+        # the set takes dbar at its own delta0, once; compute_dbar at
+        # another margin leaves the set as it is
+        ws = WellSet([U1, U2], delta0=0.05)
+        other = compute_dbar(ws, 0.1)
+        assert ws.delta0 == 0.05 and "incompat_dbar" not in vars(ws)
+        assert ws.incompat_dbar == compute_dbar(ws, 0.05) != other
+        assert "incompat_dbar" in vars(ws)
+        assert ws.c0 == min(ws.separation_d, ws.incompat_dbar)
 
 
 class TestAdmissibleIntervals:

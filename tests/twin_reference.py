@@ -134,8 +134,6 @@ def reference_admissible_rotation(wells, angle_grid_size=4096):
     """
     if wells.dim != 2:
         raise MeshError("rotation search implemented for n = 2")
-    if wells.connections is None:
-        raise MeshError("solve rank-one connections before searching rotations")
     twins = np.array([c.b for c in wells.connections])
     if len(twins) == 0:
         return AdmissibleRotation(
