@@ -187,6 +187,22 @@ def laminate_profile(t, volume_fraction, period, offset=0.0):
     )
 
 
+def laminate_values(x, ui, a, b, volume_fraction, period, offset):
+    """Values U_i x + a g(b . x) of a simple laminate at points x (V, n),
+    with g its laminate_profile.
+
+    The arrays ui (..., n, n), a and b (..., n) and the scalars or (...)
+    arrays volume_fraction, period and offset describe one field per entry
+    of the leading axes; the result is (..., V, n), and each field's values
+    are the same as from its parameters alone.
+    """
+    vf, period, offset = (
+        np.asarray(v, dtype=float)[..., None] for v in (volume_fraction, period, offset)
+    )
+    g = laminate_profile((x @ b[..., None])[..., 0], vf, period, offset)  # (..., V)
+    return x @ np.swapaxes(ui, -1, -2) + g[..., None] * a[..., None, :]
+
+
 def build_laminate(
     mesh, wells, connection, volume_fraction, period, offset=0.0, ripple=0.0
 ):
@@ -209,7 +225,6 @@ def build_laminate(
     if mesh.dim != len(connection.b):
         raise FieldError("connection and mesh dimensions differ")
     ui = wells.matrices[connection.i]
-    a, b = connection.a, connection.b
     amp = ripple / mesh.m
 
     def displacement(x):
@@ -222,7 +237,7 @@ def build_laminate(
         return amp * out
 
     def deformation(x):
-        g = laminate_profile(x @ b, volume_fraction, period, offset)
-        return x @ ui.T + np.outer(g, a) + displacement(x)
+        values = laminate_values(x, ui, connection.a, connection.b, volume_fraction, period, offset)
+        return values + displacement(x)
 
     return PWAffineField.from_vertex_function(mesh, deformation)

@@ -26,7 +26,7 @@ from .fields import (
     build_laminate,
     check_gradients,
     evaluate_energy,
-    laminate_profile,
+    laminate_values,
     vertex_gradients,
 )
 from .lattice import (
@@ -86,7 +86,8 @@ EXIT_INCOMPATIBLE_MESH = 2
 EXIT_ENERGY_BOUND = 3
 EXIT_INTERNAL = 4
 
-LATTICE_SYSTEMS = ("antiferro-raw", "antiferro-remapped", "synthetic-twin")
+# the margin of a well set whose document gives none
+DELTA0 = 0.05
 
 # random spin-lemma fields are laminates with periods drawn from this
 # range, so a mesh needs m >= 2 / _SPIN_PERIODS[0] for two cells per layer
@@ -226,6 +227,10 @@ def _scales(count):
     )
 
 
+def _one_of(*names):
+    return _rule(lambda v: v in names, f"one of {', '.join(names)}")
+
+
 _FRACTION = _rule(lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
 _POSITIVE = _rule(lambda v: _is_number(v) and v > 0, "a positive number")
 _STRING = _rule(lambda v: isinstance(v, str), "a string")
@@ -248,26 +253,10 @@ _WELLS = {
             [[[2.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 2.0]]],
             _rule(lambda v: isinstance(v, list) and len(v) > 0, "a nonempty list of matrices"),
         ),
-        "delta0": (None, _FRACTION),
+        "delta0": (DELTA0, _FRACTION),
     },
     "wells_file": (None, _STRING),
-    "delta0": (0.05, _FRACTION),
 }
-
-
-def _lattice_table(system):
-    names = ", ".join(LATTICE_SYSTEMS)
-    systems = _rule(lambda v: isinstance(v, str) and v in LATTICE_SYSTEMS, f"one of {names}")
-    return {
-        **_COMMON,
-        "m_list": (None, _scales(3)),
-        "lattice": {
-            "system": (system, systems),
-            "interfaces": (3, _at_least(0)),
-            "m_list": (None, _scales(3)),
-            "energy_constant": (None, _POSITIVE),
-        },
-    }
 
 
 SCHEMA = {
@@ -303,9 +292,25 @@ SCHEMA = {
         "block_grid": (4, _at_least(1)),
         "eps_values": ([1e-3, 5e-4, 2.5e-4, 1e-4], _EPS_VALUES),
     },
-    # the scenario name only picks the default lattice.system
-    "antiferro-sweep": _lattice_table("antiferro-raw"),
-    "lattice-sweep": _lattice_table("synthetic-twin"),
+    # each lattice scenario runs one model family; lattice.system names the
+    # model within it
+    "antiferro-sweep": {
+        **_COMMON,
+        "lattice": {
+            "system": ("antiferro-raw", _one_of("antiferro-raw", "antiferro-remapped")),
+            "interfaces": (3, _at_least(0)),
+            "m_list": ([64, 256, 1024], _scales(3)),
+            "energy_constant": (None, _POSITIVE),
+        },
+    },
+    "lattice-sweep": {
+        **_COMMON,
+        "lattice": {
+            "system": ("synthetic-twin", _one_of("synthetic-twin")),
+            "m_list": ([8, 12, 16], _scales(3)),
+            "energy_constant": (None, _POSITIVE),
+        },
+    },
 }
 SCENARIOS = tuple(SCHEMA)
 
@@ -343,11 +348,12 @@ def load_config(source):
 
 
 def _well_set(cfg):
-    """The configured WellSet: inline wells, or the document at wells_file."""
+    """The configured WellSet: inline wells, or the document at wells_file,
+    whose delta0 defaults to DELTA0 as the inline one does."""
     doc = cfg["wells"]
     if cfg["wells_file"] is not None:
         doc = json.loads(Path(cfg["wells_file"]).read_text(encoding="utf-8"))
-    return WellSet(doc["wells"], delta0=doc.get("delta0") or cfg["delta0"])
+    return WellSet(doc["wells"], delta0=doc.get("delta0", DELTA0))
 
 
 def _check_wells(raw, cfg):
@@ -424,15 +430,14 @@ MAX_BLOCKS = MEMORY_BUDGET // 224
 
 def _check_lattice_budget(cfg):
     """The first scale whose lattice has more sites than its budget."""
-    lat = cfg["lattice"]
-    key = "lattice.m_list" if lat["m_list"] else "m_list"
-    twin = lat["system"] == "synthetic-twin"
+    twin = cfg["scenario"] == "lattice-sweep"
     budget = MAX_TWIN_SITES if twin else MAX_CHAIN_SITES
-    for m in _lattice_scales(cfg):
+    for m in cfg["lattice"]["m_list"]:
         # the twin lattice has (m + 1)^2 sites, a chain m
         sites = (m + 1) ** 2 if twin else m
         if sites > budget:
-            return [f"{key}: the lattice at m = {m} has {sites} sites, the budget is {budget}"]
+            lattice = f"the lattice at m = {m} has {sites} sites"
+            return [f"lattice.m_list: {lattice}, the budget is {budget}"]
     return []
 
 
@@ -445,30 +450,16 @@ def _check_block_budget(cfg):
     return []
 
 
-def _lattice_scales(cfg):
-    """lattice.m_list, else the top-level m_list, else the system's default."""
-    lat = cfg["lattice"]
-    default = [8, 12, 16] if lat["system"] == "synthetic-twin" else [64, 256, 1024]
-    return lat["m_list"] or cfg["m_list"] or default
-
-
 def _interface_fractions(k):
     """k antiphase boundaries evenly spaced along the chain."""
     return [float(i + 1) / (k + 1) for i in range(k)]
 
 
-def _check_interfaces(raw, cfg):
-    """The twin system plants no interfaces; an antiferro chain needs its
-    interfaces on distinct sites at every scale."""
-    lat = cfg["lattice"]
-    if lat["system"] == "synthetic-twin":
-        # the schema fills in interfaces, so only the raw config tells
-        # whether one was given to a model that plants none
-        if "interfaces" in (raw.get("lattice") or {}):
-            return ["lattice.interfaces: the synthetic-twin system plants no interfaces"]
-        return []
-    k = lat["interfaces"]
-    for m in _lattice_scales(cfg):
+def _check_interfaces(cfg):
+    """An antiferro chain needs its interfaces on distinct sites at every
+    scale."""
+    k = cfg["lattice"]["interfaces"]
+    for m in cfg["lattice"]["m_list"]:
         if k > m:  # checked first: k may be too large to list
             return [f"lattice.interfaces: at m = {m}, {k} interfaces cannot take distinct sites"]
         try:
@@ -495,7 +486,9 @@ def _resolve(source):
     if not problems and "wells" in cfg:
         problems, cfg["wells"] = _check_wells(raw, cfg)
     if not problems and "lattice" in cfg:
-        problems = _check_lattice_budget(cfg) or _check_interfaces(raw, cfg)
+        problems = _check_lattice_budget(cfg)
+    if not problems and scenario == "antiferro-sweep":
+        problems = _check_interfaces(cfg)
     if not problems and scenario == "rigidity-family":
         problems = _check_block_budget(cfg) or _check_mesh_budget(cfg)
     return problems, None if problems else cfg, raw
@@ -656,25 +649,22 @@ def _draw_spin_fields(ws, rng, count):
 def _spin_gradients(mesh, ws, draws, ids):
     """(B, C, 2, 2) gradients of a block of random spin fields, checked.
 
-    Each field is the laminate of its twin (build_laminate's deformation
-    without ripple); the rotated kind composes it with its rotation, and
-    the perturbed kind rotates its vertex values and adds a smooth wave of
-    amplitude c0/1000 before differentiating.
+    Each field is the laminate of its twin (laminate_values, as in
+    build_laminate without ripple); the rotated kind composes it with its
+    rotation, and the perturbed kind rotates its vertex values and adds a
+    smooth wave of amplitude c0/1000 before differentiating.
     """
     conns, vf, period, offset, kind, normals, waves = zip(*draws)
-    vf, period, offset = (np.array(v)[:, None] for v in (vf, period, offset))
     kind = np.array(kind)
     rot = rotations_from_normals(np.array(normals))
-    short = (kind < 2) & (period[:, 0] < 2.0 / mesh.m)
+    short = (kind < 2) & (np.array(period) < 2.0 / mesh.m)
     if short.any():
         fid = ids[np.argmax(short)]
         raise FieldError(f"field {fid}: laminate period below two cells per layer")
     x = mesh.vertices
     ui = np.array([ws.matrices[c.i] for c in conns])
-    b = np.array([c.b for c in conns])[..., None]
-    a = np.array([c.a for c in conns])[:, None, :]
-    g = laminate_profile((x @ b)[..., 0], vf, period, offset)  # (B, V)
-    values = x @ np.swapaxes(ui, -1, -2) + g[..., None] * a
+    a, b = np.array([c.a for c in conns]), np.array([c.b for c in conns])
+    values = laminate_values(x, ui, a, b, vf, period, offset)  # (B, V, 2)
     wavy = kind == 2
     if wavy.any():
         kx, ky = np.array([w for w in waves if w is not None]).T[..., None]
@@ -812,14 +802,14 @@ def _run_rigidity_family(cfg, force):
 
 
 def _run_lattice(cfg, force):
-    """antiferro-sweep and lattice-sweep: lattice.system picks the model."""
+    """antiferro-sweep (an antiferro chain, lattice.system picks its
+    variant) and lattice-sweep (the synthetic twin lattice)."""
     lat = cfg["lattice"]
-    twin = lat["system"] == "synthetic-twin"
-    m_list = _lattice_scales(cfg)
+    twin = cfg["scenario"] == "lattice-sweep"
+    m_list = lat["m_list"]
     energy_constant = lat["energy_constant"]
     if twin:
         system = synthetic_twin_system()
-        # the twin model draws from this stream under either scenario name
         angle = float(substream(cfg["seed"], "lattice-sweep").uniform(0.0, 2.0 * np.pi))
         rot = rotation_2d(angle)
 

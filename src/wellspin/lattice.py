@@ -505,7 +505,6 @@ class H2Report:
     exhaustive: bool
     worst_window: object
     worst_kappa: float
-    worst_energy: float
     violations: list = field(default_factory=list)
 
     @property
@@ -602,7 +601,6 @@ def verify_h2(system, sample_budget=500_000, rng=None, sampler=None):
         exhaustive=exhaustive,
         worst_window=None if worst_idx is None else windows[worst_idx],
         worst_kappa=float(kappas[worst_idx]) if worst_idx is not None else 0.0,
-        worst_energy=float(energies[worst_idx]) if worst_idx is not None else 0.0,
         violations=violations,
     )
 

@@ -100,9 +100,9 @@ def _facet_jumps(field):
     field's jump across each, for both facet measures from one pass."""
     field = _as_field(field)
     ids, areas, tangents = _measure_geometry(field)
-    a = field.mesh.facet_cells[ids, 0]
-    b = field.mesh.facet_cells[ids, 1]
-    return ids, areas, tangents, field.values[b] - field.values[a]
+    a, b = np.take(field.mesh.facet_cells, ids, axis=0).T
+    jumps = np.take(field.values, b, axis=0) - np.take(field.values, a, axis=0)
+    return ids, areas, tangents, jumps
 
 
 def _measure(ids, areas, jumps):
@@ -147,8 +147,6 @@ def fitted_rotation(field):
 class RigidityReport:
     rotation: np.ndarray
     lhs: float
-    dist_term: float
-    curl_term: float
     rhs: float
     ratio: float
     p: float
@@ -172,20 +170,10 @@ def rigidity_ratio(field, p):
     vols = field.cell_volumes()
     diff = np.linalg.norm(field.values - rot, axis=(1, 2))
     lhs = float((diff**p) @ vols)
-    dist = dist_to_son_batch(field.values)
-    dist_term = float((dist**p) @ vols)
-    curl = curl_total_variation(field)
-    curl_term = float(curl.total ** (n / (n - 1)))
+    dist_term = float((dist_to_son_batch(field.values) ** p) @ vols)
+    curl_term = float(curl_total_variation(field).total ** (n / (n - 1)))
     rhs = dist_term + curl_term
-    return RigidityReport(
-        rotation=rot,
-        lhs=lhs,
-        dist_term=dist_term,
-        curl_term=curl_term,
-        rhs=rhs,
-        ratio=ratio(lhs, rhs),
-        p=float(p),
-    )
+    return RigidityReport(rotation=rot, lhs=lhs, rhs=rhs, ratio=ratio(lhs, rhs), p=float(p))
 
 
 @dataclass

@@ -159,13 +159,13 @@ def discrete_perimeter(labeling, label, include_boundary=True):
     labs = labeling.labels
     if label != BAD_LABEL and label < 0:
         raise SpinError(f"unknown label {label}")
-    a = mesh.facet_cells[mesh.interior, 0]
-    b = mesh.facet_cells[mesh.interior, 1]
-    differs = (labs[a] == label) ^ (labs[b] == label)
-    total = float(mesh.facet_area[mesh.interior][differs].sum())
+    a, b = np.take(mesh.facet_cells, mesh.interior, axis=0).T
+    differs = (np.take(labs, a) == label) ^ (np.take(labs, b) == label)
+    total = float(np.compress(differs, np.take(mesh.facet_area, mesh.interior)).sum())
     if include_boundary:
-        cells = mesh.facet_cells[mesh.boundary, 0]
-        total += float(mesh.facet_area[mesh.boundary][labs[cells] == label].sum())
+        cells = np.take(mesh.facet_cells[:, 0], mesh.boundary)
+        on = np.take(labs, cells) == label
+        total += float(np.compress(on, np.take(mesh.facet_area, mesh.boundary)).sum())
     return total
 
 

@@ -23,16 +23,9 @@ from wellspin.wells import (
     admissible_normal_intervals,
     compute_dbar,
     rotation_2d,
-    solve_all_connections,
 )
 
 SHIPPED_WELLS = Path(__file__).resolve().parent.parent / "configs" / "wellset.json"
-
-
-def solved(mats):
-    ws = WellSet(mats)
-    solve_all_connections(ws)
-    return ws
 
 
 def gap_at_interval_ends(ws, delta0):
@@ -81,7 +74,7 @@ class TestAgainstTwoDimensionalSearch:
     )
     def test_never_above_oracle(self, mats, delta0):
         try:
-            ws = solved(mats)
+            ws = WellSet(mats)
             val = compute_dbar(ws, delta0)
         except WellSetError:
             assume(False)
@@ -96,7 +89,7 @@ class TestAgainstTwoDimensionalSearch:
     def test_interior_minimum_with_twins_below_oracle(self):
         # two twins, and a minimum inside an admissible interval, which
         # the 2-D search overshoots by 1.3e-5 relative
-        ws = solved(
+        ws = WellSet(
             [
                 np.diag([1.63, 1.62]),
                 np.array([[1.73, -0.46], [-0.46, 0.97]]),
@@ -113,7 +106,7 @@ class TestAgainstTwoDimensionalSearch:
 
 class TestTwinFree:
     def test_identity_against_diagonal(self):
-        ws = solved([np.eye(2), np.diag([2.0, 3.0])])
+        ws = WellSet([np.eye(2), np.diag([2.0, 3.0])])
         assert ws.connections == []
         val = compute_dbar(ws, 0.05)
         grid = grid_min(ws, 0.05, 2_000_001)
@@ -123,7 +116,7 @@ class TestTwinFree:
         # the 2-D search stops 0.4% above the true minimum on this pair,
         # which overstates c0 and with it the spin threshold c0/100
         rot = rotation_2d(0.7)
-        ws = solved([np.diag([1.0, 3.0]), rot @ np.diag([0.8, 1.2]) @ rot.T])
+        ws = WellSet([np.diag([1.0, 3.0]), rot @ np.diag([0.8, 1.2]) @ rot.T])
         assert ws.connections == []
         val = compute_dbar(ws, 0.05)
         grid = grid_min(ws, 0.05, 2_000_001)
@@ -133,8 +126,8 @@ class TestTwinFree:
     def test_constant_gap_is_not_polished(self, monkeypatch):
         # for I and 2 I the gap is 1 at every tangent, and its rounding
         # noise makes dozens of grid points local minima
-        flat = solved([np.eye(2), 2.0 * np.eye(2)])
-        shipped = solved([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
+        flat = WellSet([np.eye(2), 2.0 * np.eye(2)])
+        shipped = WellSet([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
         calls = []
 
         def counting(*args, **kwargs):
@@ -157,7 +150,7 @@ class TestSvdFree:
     @pytest.fixture
     def shipped(self):
         doc = json.loads(SHIPPED_WELLS.read_text())["wells"]
-        ws = solved(doc["wells"])  # the twin factorization still uses one
+        ws = WellSet(doc["wells"])  # its twins are solved on first read, without an SVD
         return ws, doc["delta0"]
 
     def test_mesh_and_dbar_without_svd(self, shipped, monkeypatch):

@@ -10,6 +10,7 @@ from wellspin.fields import (
     build_laminate,
     evaluate_energy,
     laminate_profile,
+    laminate_values,
 )
 from wellspin.mesh import build_kuhn_mesh
 from wellspin.wells import dist_to_wells_batch, random_rotation
@@ -137,6 +138,28 @@ class TestLaminate:
         slopes = np.diff(g) / np.diff(ts)
         assert np.all(slopes <= 1e-9)
         assert np.all(slopes >= -1.0 - 1e-9)
+
+    def test_values_batched_as_one_at_a_time(self):
+        # the spin suite's block of fields and build_laminate's single field
+        # come from the same kernel, so a field's values must not depend on
+        # the block it is in
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            count, points = int(rng.integers(1, 8)), int(rng.integers(1, 200))
+            x = rng.uniform(-1.0, 2.0, (points, 2))
+            ui, a = rng.standard_normal((count, 2, 2)), rng.standard_normal((count, 2))
+            b = rng.standard_normal((count, 2))
+            b /= np.linalg.norm(b, axis=1, keepdims=True)
+            vf, period = rng.uniform(0.1, 0.9, count), rng.uniform(0.05, 1.0, count)
+            offset = rng.uniform(-1.0, 1.0, count)
+            block = laminate_values(x, ui, a, b, vf, period, offset)
+            assert block.shape == (count, len(x), 2)
+            for k in range(count):
+                one = laminate_values(x, ui[k], a[k], b[k], vf[k], period[k], offset[k])
+                assert one.tobytes() == block[k].tobytes()
+            # U_i x + a g(b . x), written out for the last field
+            g = laminate_profile(x @ b[k], vf[k], period[k], offset[k])
+            np.testing.assert_allclose(one, x @ ui[k].T + np.outer(g, a[k]), rtol=0, atol=1e-12)
 
     def test_unit_volume_fraction_rejected(self, wells_std, admissible_meshes):
         # a single phase is no laminate, as the config schema says too

@@ -117,7 +117,7 @@ class TestValidate:
             # the twin normals of the default wells leave no admissible
             # facet normal once delta0 exceeds 1 - 1/sqrt(2)
             ({"scenario": "wellset-analysis", "wells": {"delta0": 0.9}}, "delta0"),
-            ({"scenario": "spin-lemma-suite", "delta0": 0.3}, "delta0"),
+            ({"scenario": "spin-lemma-suite", "wells": {"delta0": 0.3}}, "delta0"),
             ({"scenario": "laminate-sweep", "wells": {"delta0": 0.5}}, "delta0"),
             # random laminate periods from 0.3 need two cells per layer
             ({"scenario": "spin-lemma-suite", "m": 2}, "m"),
@@ -142,24 +142,48 @@ class TestValidate:
             ({"scenario": "rigidity-family", "eps_values": [0.0078125, 0.0078125]}, "eps_values"),
             ({"scenario": "rigidity-family", "eps_values": [1e-3, 1.0000000000000002e-3]}, "eps_values"),
             ({"scenario": "rigidity-family", "eps_values": []}, "eps_values"),
+            # each setting has one key: delta0 lives in the wells document,
+            # the lattice scales in lattice.m_list, and each lattice
+            # scenario runs one model family
+            ({"scenario": "wellset-analysis", "wells": {"delta0": "x"}}, "wells.delta0"),
+            ({"scenario": "wellset-analysis", "delta0": 0.05}, "delta0: unknown key"),
+            ({"scenario": "lattice-sweep", "m_list": [8, 12, 16]}, "m_list: unknown key"),
+            ({"scenario": "antiferro-sweep", "m_list": [64, 256, 1024]}, "m_list: unknown key"),
+            (
+                {"scenario": "lattice-sweep", "lattice": {"interfaces": 3}},
+                "lattice.interfaces: unknown key",
+            ),
+            (
+                {"scenario": "antiferro-sweep", "lattice": {"system": "synthetic-twin"}},
+                "lattice.system: must be one of antiferro-raw, antiferro-remapped",
+            ),
+            (
+                {"scenario": "lattice-sweep", "lattice": {"system": "antiferro-raw"}},
+                "lattice.system: must be one of synthetic-twin",
+            ),
         ],
     )
     def test_defect_reported_not_raised(self, cfg, key):
         problems = validate_config(cfg)
         assert problems and all(isinstance(p, str) for p in problems)
-        assert any(p.startswith(f"{key}:") for p in problems), problems
+        # key names the problem's key, or is the whole problem
+        assert any(p == key or p.startswith(f"{key}:") for p in problems), problems
 
     def test_interfaces_rejected_for_twin_system(self):
-        # the twin model plants no interfaces, so a given count would be ignored
-        for cfg in (
-            {"scenario": "lattice-sweep", "lattice": {"interfaces": 7}},
-            {"scenario": "antiferro-sweep", "lattice": {"system": "synthetic-twin", "interfaces": 3}},
-        ):
-            problems = validate_config(cfg)
-            assert any(p.startswith("lattice.interfaces:") for p in problems), problems
-        # the system decides, not the scenario name
+        # the twin model plants no interfaces, and only lattice-sweep runs it
+        twin = {"scenario": "lattice-sweep", "lattice": {"interfaces": 7}}
+        assert validate_config(twin) == ["lattice.interfaces: unknown key"]
+        twin = {"system": "synthetic-twin", "interfaces": 3}
+        assert validate_config({"scenario": "antiferro-sweep", "lattice": twin}) == [
+            "lattice.system: must be one of antiferro-raw, antiferro-remapped"
+        ]
+        # the scenario decides the model family, so a chain needs antiferro-sweep
         antiferro = {"system": "antiferro-raw", "interfaces": 2, "m_list": [32, 64, 128]}
-        assert validate_config({"scenario": "lattice-sweep", "lattice": antiferro}) == []
+        assert validate_config({"scenario": "antiferro-sweep", "lattice": antiferro}) == []
+        assert validate_config({"scenario": "lattice-sweep", "lattice": antiferro}) == [
+            "lattice.interfaces: unknown key",
+            "lattice.system: must be one of synthetic-twin",
+        ]
 
     def test_interfaces_on_shared_sites_rejected(self):
         # at m = 3 the 3 interfaces round to sites 1, 2, 2
@@ -210,8 +234,8 @@ class TestValidate:
                 "lattice.m_list: the lattice at m = 1099511627776 has 1099511627776 sites",
             ),
             (
-                {"scenario": "lattice-sweep", "m_list": [8, 16, 100_000]},
-                "m_list: the lattice at m = 100000 has 10000200001 sites",
+                {"scenario": "lattice-sweep", "lattice": {"m_list": [8, 16, 100_000]}},
+                "lattice.m_list: the lattice at m = 100000 has 10000200001 sites",
             ),
             (
                 {"scenario": "rigidity-family", "block_grid": 10**6},
@@ -237,8 +261,10 @@ class TestValidate:
         assert validate_config(chain)[0].startswith("lattice.m_list: ")
         # a twin lattice at m has (m + 1)^2 sites
         m = math.isqrt(harness.MAX_TWIN_SITES) - 1
-        assert validate_config({"scenario": "lattice-sweep", "m_list": [8, 16, m]}) == []
-        assert validate_config({"scenario": "lattice-sweep", "m_list": [8, 16, m + 1]})
+        twin = {"scenario": "lattice-sweep", "lattice": {"m_list": [8, 16, m]}}
+        assert validate_config(twin) == []
+        twin["lattice"]["m_list"][-1] += 1
+        assert validate_config(twin)[0].startswith("lattice.m_list: ")
         # the block budget does not depend on the family size
         for family in (1, 200):
             grid = math.isqrt(harness.MAX_BLOCKS)
@@ -381,17 +407,16 @@ class TestRun:
         assert summary["gates"]["single_component"]
         assert summary["gates"]["ground_residual_zero"]
 
-    def test_antiferro_scenario_runs_twin_system(self, tmp_path):
+    def test_twin_system_runs_only_under_lattice_sweep(self, tmp_path):
         lattice = {"system": "synthetic-twin", "m_list": [8, 10, 12]}
-        codes = [
-            run({"scenario": scenario, "seed": 5, "lattice": lattice}, out_dir=tmp_path / d)
-            for scenario, d in (("antiferro-sweep", "a"), ("lattice-sweep", "b"))
-        ]
-        assert codes == [EXIT_OK, EXIT_OK]
-        sweep = [(tmp_path / d / "tables" / "sweep.csv").read_bytes() for d in "ab"]
-        assert sweep[0] == sweep[1]
-        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        cfg = {"scenario": "lattice-sweep", "seed": 5, "lattice": lattice}
+        assert run(cfg, out_dir=tmp_path / "twin") == EXIT_OK
+        summary = json.loads((tmp_path / "twin" / "summary.json").read_text())
         assert summary["gates"]["single_component"]
+        cfg["scenario"] = "antiferro-sweep"
+        assert run(cfg, out_dir=tmp_path / "chain") == EXIT_INTERNAL
+        problem = "lattice.system: must be one of antiferro-raw, antiferro-remapped"
+        assert (tmp_path / "chain" / "digest.txt").read_text() == f"CONFIG ERROR: {problem}\n"
 
     def test_laminate_connection_beyond_wells_0_1(self, tmp_path):
         # twin 2 of this set joins wells 0 and 2; well 1 gets no cells

@@ -22,16 +22,14 @@ from wellspin.mesh import (
     find_admissible_rotation,
     kuhn_reference_normals,
 )
-from wellspin.wells import WellSet, random_rotation, rotation_2d, solve_all_connections
+from wellspin.wells import WellSet, random_rotation, rotation_2d
 
 U1 = np.diag([2.0, 0.5])
 U2 = np.diag([0.5, 2.0])
 
 
 def standard_wells():
-    ws = WellSet([U1, U2])
-    solve_all_connections(ws)
-    return ws
+    return WellSet([U1, U2])
 
 
 class TestBuild:

@@ -14,7 +14,6 @@ from wellspin.harness import (
     EXIT_GATE_FAILED,
     EXIT_INTERNAL,
     EXIT_OK,
-    LATTICE_SYSTEMS,
     SCHEMA,
     run,
     validate_config,
@@ -40,19 +39,14 @@ def spd_well(draw):
 @st.composite
 def wells_keys(draw, least):
     """The well keys: inline wells, or the same document in a wells file
-    (written by the test), with delta0 in the document or at the top."""
+    (written by the test), with delta0 in the document or left to its
+    default."""
     doc = {"dim": 2, "wells": draw(st.lists(spd_well(), min_size=least, max_size=3))}
-    delta0 = draw(st.floats(0.01, 0.3))
-    keys = {}
-    if draw(st.booleans()):
+    delta0 = draw(optional(st.floats(0.01, 0.3)))
+    if delta0 is not None:
         doc["delta0"] = delta0
-    else:
-        keys["delta0"] = delta0
-    if draw(st.booleans()):
-        keys["wells"] = doc
-    else:
-        keys["wells_file"] = doc  # replaced by a path when the test runs
-    return keys
+    # a wells file is replaced by its path when the test runs
+    return {"wells" if draw(st.booleans()) else "wells_file": doc}
 
 
 def optional(strategy):
@@ -89,13 +83,14 @@ def configs(draw):
         cfg["block_grid"] = draw(st.integers(1, 4))
         cfg["eps_values"] = draw(st.lists(st.floats(1e-4, 1e-2), min_size=2, max_size=4))
     else:
-        system = draw(st.sampled_from(LATTICE_SYSTEMS))
-        top, hi = (scales(2, 8, 3), 8) if system == "synthetic-twin" else (scales(4, 256, 3), 256)
-        lattice = {"system": system, "m_list": draw(optional(scales(2 if hi == 8 else 4, hi, 3)))}
-        if system != "synthetic-twin":
+        # each lattice scenario runs one model family
+        if scenario == "lattice-sweep":
+            lattice = {"system": "synthetic-twin", "m_list": draw(optional(scales(2, 8, 3)))}
+        else:
+            system = draw(st.sampled_from(["antiferro-raw", "antiferro-remapped"]))
+            lattice = {"system": system, "m_list": draw(optional(scales(4, 256, 3)))}
             lattice["interfaces"] = draw(st.integers(0, 4))
         lattice["energy_constant"] = draw(optional(st.floats(0.1, 10.0)))
-        cfg["m_list"] = draw(optional(top))
         cfg["lattice"] = lattice
     return cfg
 

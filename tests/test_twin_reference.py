@@ -16,7 +16,6 @@ from wellspin.wells import (
     WellSet,
     WellSetError,
     rotation_2d,
-    solve_all_connections,
     twin_solve,
 )
 
@@ -98,7 +97,6 @@ class TestRotationAgainstGrid:
             ws = WellSet(mats)
         except WellSetError:
             assume(False)
-        solve_all_connections(ws)
         res = find_admissible_rotation(ws)
         assert res.margin >= reference_admissible_rotation(ws).margin - 1e-12
         assert 0.0 <= res.angle < math.pi
@@ -110,7 +108,6 @@ class TestRotationAgainstGrid:
     def test_shipped_wells_at_pi_over_8(self):
         doc = json.loads(SHIPPED_WELLS.read_text(encoding="utf-8"))["wells"]
         ws = WellSet(doc["wells"])
-        solve_all_connections(ws)
         res = find_admissible_rotation(ws)
         assert res.angle == np.pi / 8
         assert res.margin >= reference_admissible_rotation(ws).margin

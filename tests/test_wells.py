@@ -17,7 +17,6 @@ from wellspin.wells import (
     polar_rotation,
     random_rotation,
     rotation_2d,
-    solve_all_connections,
     solve_rank_one,
     well_distance,
 )
@@ -286,7 +285,6 @@ class TestComputeDbar:
         # both grid sizes; this pair's minimum sits at an interval end,
         # where that search converges
         ws = standard_pair()
-        solve_all_connections(ws)
         val = compute_dbar(ws, 0.1)
         assert val > 0
         for q_grid in (8192, 32768):
@@ -298,7 +296,6 @@ class TestComputeDbar:
         # for n=2 the rotation minimum has the closed form
         # | |U1 tau| - |U2 tau| |, an independent check of the nested grids
         ws = standard_pair()
-        solve_all_connections(ws)
         val = compute_dbar(ws, 0.05)
         phis = np.linspace(0, np.pi, 400001, endpoint=False)
         b = np.stack([np.cos(phis), np.sin(phis)], 1)
@@ -312,7 +309,6 @@ class TestComputeDbar:
 
     def test_monotone_in_delta0(self):
         ws = standard_pair()
-        solve_all_connections(ws)
         values = [
             compute_dbar(ws, d0)
             for d0 in (0.1, 0.05, 0.03, 0.01)
@@ -324,13 +320,11 @@ class TestComputeDbar:
         # both twin normals sit 90 degrees apart; delta0=0.3 forbids the
         # whole circle of facet normals
         ws = standard_pair()
-        solve_all_connections(ws)
         with pytest.raises(WellSetError):
             compute_dbar(ws, 0.3)
 
     def test_bounded_by_well_distance(self):
         ws = standard_pair()
-        solve_all_connections(ws)
         val = compute_dbar(ws, 0.1)
         assert val <= math.sqrt(2) * ws.separation_d + 1e-12
 
@@ -376,7 +370,7 @@ class TestWellSetValidation:
         # at the bound the twins and the well distance stay finite
         with np.errstate(all="raise"):
             ws = WellSet([np.diag([1e150, 1.0]), np.diag([1.0, 1e150])])
-            solve_all_connections(ws)
+            ws.connections  # the twins are solved here, under raise
         assert math.isfinite(ws.separation_d) and len(ws.connections) == 2
 
     def test_polar_rotation_projects(self):
