@@ -20,29 +20,46 @@ class FieldError(ValueError):
     """Mismatched mesh/field data or invalid construction parameters."""
 
 
+def facet_jumps(mesh, values, normals=None):
+    """Jumps V_a - V_b of a (..., C, n, n) stack of per-cell values across
+    the interior facets, (a, b) = facet_cells[interior], (..., F, n, n),
+    and their tangential parts (V_a - V_b) T, (..., F, n, n-1).
+
+    T is an orthonormal basis of each facet's tangent space: for n = 2 the
+    unit normal turned back by 90 degrees, (-n1, n0), multiplied entry by
+    entry; for n = 3 the mesh's stored basis, or one from the SVD of the
+    given normals. normals (F, n) replace the mesh's, as on a mapped domain.
+    """
+    a, b = np.take(mesh.facet_cells, mesh.interior, axis=0).T
+    jumps = np.take(values, a, axis=-3)
+    jumps -= np.take(values, b, axis=-3)
+    if mesh.dim == 2:
+        if normals is None:
+            normals = np.take(mesh.facet_normal, mesh.interior, axis=0)
+        n0, n1 = normals.T
+        tangential = np.empty((*jumps.shape[:-1], 1))
+        for i in range(2):  # row i of the jump times (-n1, n0)
+            np.subtract(jumps[..., i, 1] * n0, jumps[..., i, 0] * n1, out=tangential[..., i, 0])
+        return jumps, tangential
+    if normals is None:
+        return jumps, jumps @ np.take(mesh.facet_tangent, mesh.interior, axis=0)
+    _, _, vt = np.linalg.svd(normals[:, None, :])
+    return jumps, jumps @ np.swapaxes(vt[:, 1:, :], 1, 2)
+
+
 def tangential_jump_residual(mesh, gradients):
     """Largest tangential gradient jump over interior facets, one per
-    field of a (..., C, n, n) stack of per-cell gradients.
-
-    For each interior facet with orthonormal tangent basis T this is the
-    spectral norm of (G_a - G_b) T; it vanishes exactly when the per-cell
-    gradients come from one continuous piecewise-affine deformation. For
-    n = 2 the tangent space is a line and that norm is the length of the
-    single column.
+    field of a (..., C, n, n) stack of per-cell gradients: the largest
+    spectral norm of the tangential parts from facet_jumps, which vanish
+    exactly when the per-cell gradients come from one continuous
+    piecewise-affine deformation. For n = 2 that norm is the length of
+    the single tangent column.
     """
-    interior = mesh.interior
-    if len(interior) == 0:
+    if len(mesh.interior) == 0:
         return np.zeros(gradients.shape[:-3])[()]
-    a, b = np.take(mesh.facet_cells, interior, axis=0).T
-    jumps = np.take(gradients, a, axis=-3) - np.take(gradients, b, axis=-3)  # (..., F, n, n)
-    tangents = mesh.facet_tangent[interior]  # (F, n, n-1)
-    if tangents.shape[-1] == 1:
-        # n = 2: the one tangent column t, (G_a - G_b) t entry by entry
-        t0, t1 = tangents[:, 0, 0], tangents[:, 1, 0]
-        row0 = jumps[..., 0, 0] * t0 + jumps[..., 0, 1] * t1
-        row1 = jumps[..., 1, 0] * t0 + jumps[..., 1, 1] * t1
-        return np.hypot(row0, row1).max(axis=-1)
-    tangential = jumps @ tangents  # (..., F, n, n-1)
+    tangential = facet_jumps(mesh, gradients)[1]
+    if mesh.dim == 2:
+        return np.hypot(tangential[..., 0, 0], tangential[..., 1, 0]).max(axis=-1)
     return np.linalg.svd(tangential, compute_uv=False)[..., 0].max(axis=-1)
 
 

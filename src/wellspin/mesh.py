@@ -117,8 +117,9 @@ class SimplicialMesh:
       facet_area    (F,) float
       facet_normal  (F, n) float, oriented away from facet_cells[:, 0]; for
                     n = 2 the facet edge turned by 90 degrees, no SVD
-      facet_tangent (F, n, n-1) float orthonormal tangent basis; for n = 2
-                    the oriented normal turned back by 90 degrees, (-n1, n0)
+      facet_tangent (F, n, n-1) float orthonormal tangent basis, n > 2
+                    only: for n = 2 fields.facet_jumps turns the normal
+                    back by 90 degrees, (-n1, n0)
       facet_cells   (F, 2) int, second entry -1 on the domain boundary
 
     omit[f], given with the facets, is the position in
@@ -184,12 +185,10 @@ class SimplicialMesh:
             flip = (dets[first] > 0) == (omit == 1)
             normals = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
             normals /= np.where(flip, -self.facet_area, self.facet_area)[:, None]
-            # the oriented normal turned back by 90 degrees
-            tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
         else:
             _, _, vt = np.linalg.svd(edges)
             normals = vt[:, -1, :]  # (F, n)
-            tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
+            self.facet_tangent = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
             # the SVD sign is arbitrary: orient away from the vertex the
             # facet leaves out of its first cell
             fbary = pts.mean(axis=1)
@@ -197,7 +196,6 @@ class SimplicialMesh:
             flip = np.einsum("fi,fi->f", normals, fbary - opposite) < 0
             normals[flip] = -normals[flip]
         self.facet_normal = normals
-        self.facet_tangent = tangents
 
     # -- queries ---------------------------------------------------------
 

@@ -2,12 +2,14 @@
 
 A per-cell constant matrix field is generally not a gradient; its
 distributional curl concentrates on the interior facets, with mass equal
-to facet area times the tangential part of the jump. Restricting a
-classified deformation gradient to one phase and multiplying by the
-inverse well matrix produces exactly such a field: near a rotation inside
-the phase, zero outside, with curl controlled by the phase boundary. The
-empirical rigidity checks below compare the distance of a field to a
-single rotation against its distance to all rotations plus its curl mass.
+to facet area times the tangential part of the jump, the part whose
+vanishing makes a deformation continuous: both come from one kernel,
+fields.facet_jumps. Restricting a classified deformation gradient to one
+phase and multiplying by the inverse well matrix produces exactly such a
+field: near a rotation inside the phase, zero outside, with curl
+controlled by the phase boundary. The empirical rigidity checks below
+compare the distance of a field to a single rotation against its
+distance to all rotations plus its curl mass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PWAffineField
+from .fields import PWAffineField, facet_jumps
 from .numerics import ratio
 from .wells import dist_to_son_batch, polar_rotation, rotation_2d
 
@@ -66,43 +68,25 @@ def _as_field(field):
     return field
 
 
-def _measure_geometry(field):
-    """Interior facet areas, normals and tangent bases, transformed by the
+def _facet_jumps(field):
+    """Interior facet ids and areas, and the field's jumps and tangential
+    jumps across them (fields.facet_jumps), on the domain mapped by the
     field's map when present.
 
     A hyperplane element with unit normal nu and area s maps to one with
-    normal U^-T nu (normalized) and area s * det(U) * |U^-T nu|. For
-    n = 2 the mapped tangent is the mapped normal turned by 90 degrees.
+    normal U^-T nu (normalized) and area s * det(U) * |U^-T nu|.
     """
-    mesh = field.mesh
-    ids = mesh.interior
-    areas = np.take(mesh.facet_area, ids, axis=0)
-    normals = np.take(mesh.facet_normal, ids, axis=0)
-    tangents = np.take(mesh.facet_tangent, ids, axis=0)
-    if field.map_matrix is None:
-        return ids, areas, tangents
-    u = field.map_matrix
-    det = abs(float(np.linalg.det(u)))
-    conormals = normals @ np.linalg.inv(u)  # rows nu^T U^-1 = (U^-T nu)^T
-    stretch = np.linalg.norm(conormals, axis=1)
-    mapped_normals = conormals / stretch[:, None]
-    mapped_areas = areas * det * stretch
-    if mesh.dim == 2:
-        mapped_tangents = np.stack([-mapped_normals[:, 1], mapped_normals[:, 0]], axis=1)
-        return ids, mapped_areas, mapped_tangents[:, :, None]
-    _, _, vt = np.linalg.svd(mapped_normals[:, None, :])
-    mapped_tangents = np.swapaxes(vt[:, 1:, :], 1, 2)
-    return ids, mapped_areas, mapped_tangents
-
-
-def _facet_jumps(field):
-    """Interior facet ids, their (mapped) areas and tangent bases, and the
-    field's jump across each, for both facet measures from one pass."""
     field = _as_field(field)
-    ids, areas, tangents = _measure_geometry(field)
-    a, b = np.take(field.mesh.facet_cells, ids, axis=0).T
-    jumps = np.take(field.values, b, axis=0) - np.take(field.values, a, axis=0)
-    return ids, areas, tangents, jumps
+    mesh, ids = field.mesh, field.mesh.interior
+    areas, normals = np.take(mesh.facet_area, ids, axis=0), None
+    u = field.map_matrix
+    if u is not None:
+        normals = np.take(mesh.facet_normal, ids, axis=0) @ np.linalg.inv(u)  # rows (U^-T nu)^T
+        stretch = np.linalg.norm(normals, axis=1)
+        normals /= stretch[:, None]
+        areas = areas * abs(float(np.linalg.det(u))) * stretch
+        del stretch  # free it before the kernel's peak
+    return ids, areas, *facet_jumps(mesh, field.values, normals)
 
 
 def _measure(ids, areas, jumps):
@@ -118,8 +102,8 @@ def curl_total_variation(field):
     tangent space|_F; gradients of continuous piecewise-affine deformations
     have zero total mass.
     """
-    ids, areas, tangents, jumps = _facet_jumps(field)
-    return _measure(ids, areas, jumps @ tangents)
+    ids, areas, _, tangential = _facet_jumps(field)
+    return _measure(ids, areas, tangential)
 
 
 def build_reduced_field(field, labeling, well_index, wells):
@@ -193,9 +177,9 @@ def bv_structure_check(field):
     jump can never vanish while the full jump does not, so the ratio stays
     finite; it is reported per facet for setwise checks.
     """
-    ids, areas, tangents, jumps = _facet_jumps(field)
+    ids, areas, jumps, tangential = _facet_jumps(field)
     dv = _measure(ids, areas, jumps)
-    curl = _measure(ids, areas, jumps @ tangents)
+    curl = _measure(ids, areas, tangential)
     return BVReport(
         dv_total=dv.total,
         curl_total=curl.total,

@@ -12,8 +12,9 @@ ReferenceMesh and reference_build_kuhn_mesh are the loop-based builder,
 kept verbatim: ReferenceMesh swaps the dict-based facet construction, the
 SVD facet frames with their orientation loop, the per-facet surface loop
 and the per-facet normal_directions loop back in. The array builder must
-reproduce every array byte for byte, except the n = 2 facet normals and
-tangents, which wellspin now forms in closed form.
+reproduce every array byte for byte, except the n = 2 facet normals,
+which wellspin forms in closed form, and the n = 2 tangents, which it no
+longer stores: fields.facet_jumps turns the normal back by 90 degrees.
 """
 
 import itertools
@@ -107,16 +108,13 @@ class FirstVisitMesh(SimplicialMesh):
         else:
             _, _, vt = np.linalg.svd(edges)
             normals = vt[:, -1, :]  # (F, n)
-            tangents = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
+            self.facet_tangent = np.swapaxes(vt[:, : n - 1, :], 1, 2)  # (F, n, n-1)
         # orient away from the opposite vertex of the first adjacent cell
         fbary = pts.mean(axis=1)
         opposite = self.vertices[self.cells[self.facet_cells[:, 0], omit]]
         flip = np.einsum("fi,fi->f", normals, fbary - opposite) < 0
         normals[flip] = -normals[flip]
-        if n == 2:
-            tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
         self.facet_normal = normals
-        self.facet_tangent = tangents
 
 
 class ReferenceMesh(FirstVisitMesh):

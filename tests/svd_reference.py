@@ -16,6 +16,13 @@ plane kernel does the same arithmetic in the same order, so it must
 match byte for byte. matmul_vertex_gradients is the batched matmul that
 the entry-wise n = 2 vertex gradients replaced: they agree to round-off
 for n = 2 and byte for byte for n = 3, which still runs the matmul.
+
+The facet-jump kernel (fields.facet_jumps) replaced two passes. The
+continuity residual multiplied the jumps by a tangent that the n = 2 mesh
+stored (stored_tangent_residual), and the curl measures took mapped
+tangent bases and one batched matmul (matmul_facet_masses). Against
+them the residual must match byte for byte, and the facet masses byte
+for byte for n = 3 and to round-off for n = 2.
 """
 
 import numpy as np
@@ -115,6 +122,19 @@ def matmul_vertex_gradients(mesh, values):
     return du @ mesh.inverse_edges
 
 
+def facet_tangents(mesh, normals=None):
+    """(F, n, n-1) tangent bases of the interior facets, as the mesh
+    stored them and the curl measures built them: for n = 2 the unit
+    normal (the mesh's, or the given mapped one) turned back by 90
+    degrees, (-n1, n0); for n = 3 the stored basis, or mapped_tangents of
+    the given normals."""
+    if mesh.dim == 3:
+        return mesh.facet_tangent[mesh.interior] if normals is None else mapped_tangents(normals)
+    if normals is None:
+        normals = mesh.facet_normal[mesh.interior]
+    return np.stack([-normals[:, 1], normals[:, 0]], axis=1)[:, :, None]
+
+
 def tangential_jump_residual(mesh, gradients):
     """Largest spectral norm of (G_a - G_b) T over interior facets."""
     interior = mesh.interior
@@ -123,8 +143,27 @@ def tangential_jump_residual(mesh, gradients):
     a = mesh.facet_cells[interior, 0]
     b = mesh.facet_cells[interior, 1]
     jumps = gradients[a] - gradients[b]
-    tangential = jumps @ mesh.facet_tangent[interior]
+    tangential = jumps @ facet_tangents(mesh)
     return float(np.linalg.svd(tangential, compute_uv=False)[:, 0].max())
+
+
+def stored_tangent_residual(mesh, gradients):
+    """The continuity residual of a (..., C, n, n) stack with a stored
+    tangent basis T: for n = 2 (G_a - G_b) t entry by entry on strided
+    views and the length of that column, for n = 3 the batched matmul and
+    its largest singular value."""
+    interior = mesh.interior
+    if len(interior) == 0:
+        return np.zeros(gradients.shape[:-3])
+    a, b = np.take(mesh.facet_cells, interior, axis=0).T
+    jumps = np.take(gradients, a, axis=-3) - np.take(gradients, b, axis=-3)
+    tangents = facet_tangents(mesh)
+    if mesh.dim == 2:
+        t0, t1 = tangents[:, 0, 0], tangents[:, 1, 0]
+        row0 = jumps[..., 0, 0] * t0 + jumps[..., 0, 1] * t1
+        row1 = jumps[..., 1, 0] * t0 + jumps[..., 1, 1] * t1
+        return np.hypot(row0, row1).max(axis=-1)
+    return np.linalg.svd(jumps @ tangents, compute_uv=False)[..., 0].max(axis=-1)
 
 
 def mapped_tangents(mapped_normals):
@@ -132,3 +171,27 @@ def mapped_tangents(mapped_normals):
     from the SVD of each normal as a 1 x n matrix."""
     _, _, vt = np.linalg.svd(mapped_normals[:, None, :])
     return np.swapaxes(vt[:, 1:, :], 1, 2)
+
+
+def mapped_geometry(mesh, u):
+    """(areas, unit normals) of the interior facets mapped by u: normal
+    U^-T nu normalized, area s * det(U) * |U^-T nu|."""
+    ids = mesh.interior
+    conormals = mesh.facet_normal[ids] @ np.linalg.inv(u)
+    stretch = np.linalg.norm(conormals, axis=1)
+    return mesh.facet_area[ids] * abs(float(np.linalg.det(u))) * stretch, conormals / stretch[:, None]
+
+
+def matmul_facet_masses(field):
+    """(full, tangential) per-facet masses, area * |jump|_F, of an
+    IncompatibleField over the interior facets: areas and normals from
+    mapped_geometry when the field has a map, jumps V_b - V_a, and the
+    tangential part as one batched matmul with facet_tangents."""
+    mesh = field.mesh
+    areas, normals = mesh.facet_area[mesh.interior], None
+    if field.map_matrix is not None:
+        areas, normals = mapped_geometry(mesh, field.map_matrix)
+    a, b = mesh.facet_cells[mesh.interior].T
+    jumps = field.values[b] - field.values[a]
+    tangential = jumps @ facet_tangents(mesh, normals)
+    return areas * np.linalg.norm(jumps, axis=(1, 2)), areas * np.linalg.norm(tangential, axis=(1, 2))

@@ -14,8 +14,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wellspin import wells
+from wellspin.fields import tangential_jump_residual
 from wellspin.mesh import build_kuhn_mesh, find_admissible_rotation
 from wellspin.numerics import golden_min
+from wellspin.rigidity import IncompatibleField, bv_structure_check
 from wellspin.wells import (
     WellSet,
     WellSetError,
@@ -145,7 +147,8 @@ class TestTwinFree:
 
 
 class TestSvdFree:
-    """The planar mesh path and compute_dbar never call an SVD."""
+    """The planar mesh path, its facet-jump kernel and compute_dbar never
+    call an SVD."""
 
     @pytest.fixture
     def shipped(self):
@@ -163,7 +166,11 @@ class TestSvdFree:
         assert compute_dbar(ws, delta0) > 0
         rot = find_admissible_rotation(ws).rotation
         mesh = build_kuhn_mesh(2, 16, lattice_rotation=rot, jitter=0.1)
-        assert mesh.facet_tangent.shape == (len(mesh.facet_area), 2, 1)
+        # the facet-jump kernel, on the mesh's normals and on mapped ones
+        values = np.random.default_rng(0).normal(size=(3, mesh.n_cells, 2, 2))
+        assert tangential_jump_residual(mesh, values).shape == (3,)
+        field = IncompatibleField(mesh=mesh, values=values[0], map_matrix=np.diag([2.0, 0.5]))
+        assert bv_structure_check(field).curl_total > 0
 
     def test_dbar_allocates_under_one_mib(self, shipped):
         ws, delta0 = shipped

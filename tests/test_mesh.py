@@ -13,6 +13,7 @@ from kuhn_reference import (
 )
 from twin_reference import reference_admissible_rotation
 
+from wellspin.fields import facet_jumps
 from wellspin.mesh import (
     MeshError,
     MeshResourceError,
@@ -219,10 +220,15 @@ MESH_ARRAYS = (
     "facet_cells",
     "facet_area",
     "facet_normal",
-    "facet_tangent",
     "interior",
     "boundary",
 )
+
+
+def mesh_arrays(mesh):
+    """The arrays compared between builders: an n = 2 mesh stores no
+    facet tangent."""
+    return MESH_ARRAYS if mesh.dim == 2 else MESH_ARRAYS + ("facet_tangent",)
 
 
 @st.composite
@@ -254,16 +260,16 @@ def build_both(n, m, seed, kwargs):
 # the n = 2 facet frames are closed-form in wellspin and SVD-based in the
 # reference; they may differ by a few ulps (the tangent also by its sign),
 # and so may the normal directions taken from them
-CLOSED_FORM = ("facet_normal", "facet_tangent")
 FRAME_TOL = 4 * np.finfo(float).eps
 
 
 def assert_matches_reference(new, ref):
     assert isinstance(ref, ReferenceMesh) and type(new) is SimplicialMesh
-    for name in MESH_ARRAYS:
+    assert hasattr(new, "facet_tangent") == (new.dim == 3)
+    for name in mesh_arrays(new):
         a, b = getattr(new, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
-        if new.dim == 2 and name in CLOSED_FORM:
+        if new.dim == 2 and name == "facet_normal":
             continue
         assert a.tobytes() == b.tobytes(), name
     assert new.constants == ref.constants
@@ -273,8 +279,10 @@ def assert_matches_reference(new, ref):
         assert dirs.tobytes() == ref_dirs.tobytes()
         return
     assert np.abs(new.facet_normal - ref.facet_normal).max() <= FRAME_TOL
-    sign = np.sign(np.einsum("fik,fik->fk", new.facet_tangent, ref.facet_tangent))
-    drift = new.facet_tangent - sign[:, None, :] * ref.facet_tangent
+    # the tangent facet_jumps forms: the normal turned back, (-n1, n0)
+    turned = np.stack([-new.facet_normal[:, 1], new.facet_normal[:, 0]], axis=1)[:, :, None]
+    sign = np.sign(np.einsum("fik,fik->fk", turned, ref.facet_tangent))
+    drift = turned - sign[:, None, :] * ref.facet_tangent
     assert np.abs(drift).max() <= FRAME_TOL
     # the directions are facet normals, so they inherit the normals' drift
     assert np.abs(dirs - ref_dirs).max() <= FRAME_TOL
@@ -282,7 +290,7 @@ def assert_matches_reference(new, ref):
 
 class TestReferenceOracle:
     """The array builder against the loop builder it replaced: byte for
-    byte, but for the closed-form n = 2 facet frames."""
+    byte, but for the closed-form n = 2 facet normals and tangents."""
 
     @settings(max_examples=60, deadline=None)
     @given(mesh_inputs())
@@ -317,9 +325,20 @@ class TestReferenceOracle:
         assert got.tobytes() == want.tobytes()
 
     def test_closed_form_tangent_turns_normal_back(self):
+        # facet_jumps multiplies by the normal, the mesh's or a given one,
+        # turned back: (-n1, n0). With the value c I on cell c each jump
+        # is (a - b) I, so its tangential part is (a - b) times that
+        # tangent, exactly
         mesh = build_kuhn_mesh(2, 8, lattice_rotation=rotation_2d(0.3), jitter=0.1)
-        nrm, tan = mesh.facet_normal, mesh.facet_tangent[:, :, 0]
-        assert np.array_equal(tan, np.stack([-nrm[:, 1], nrm[:, 0]], axis=1))
+        values = np.arange(mesh.n_cells)[:, None, None] * np.eye(2)
+        a, b = mesh.facet_cells[mesh.interior].T
+        nrm = mesh.facet_normal[mesh.interior]
+        mapped = nrm @ np.diag([2.0, 0.5])
+        mapped /= np.linalg.norm(mapped, axis=1)[:, None]
+        for normals, given in ((nrm, None), (mapped, mapped)):
+            tangential = facet_jumps(mesh, values, given)[1][:, :, 0]
+            want = (a - b)[:, None] * np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+            assert np.array_equal(tangential, want)
 
     def test_resource_budget_matches(self):
         for build in (build_kuhn_mesh, reference_build_kuhn_mesh):
@@ -355,7 +374,8 @@ class TestClosedFormFacets:
         oracle = FirstVisitMesh(
             mesh.dim, mesh.m, mesh.lattice_rotation, mesh.vertices, mesh.cells
         )
-        for name in MESH_ARRAYS + ("inverse_edges",):
+        assert hasattr(oracle, "facet_tangent") == (mesh.dim == 3)
+        for name in mesh_arrays(mesh) + ("inverse_edges",):
             a, b = getattr(mesh, name), getattr(oracle, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name

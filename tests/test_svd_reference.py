@@ -1,21 +1,21 @@
 """The closed-form n = 2 kernels against the SVD code they replaced
-(tests/svd_reference.py), and the n = 3 paths, which still run the SVD,
-byte for byte against the same code."""
+(tests/svd_reference.py), the n = 3 paths, which still run the SVD,
+byte for byte against the same code, and the facet-jump kernel against
+the two passes it replaced."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import svd_reference as ref
 from kuhn_reference import FirstVisitMesh
-from wellspin.fields import PWAffineField, tangential_jump_residual
-from wellspin.mesh import build_kuhn_mesh
+from wellspin.fields import PWAffineField, facet_jumps, tangential_jump_residual
+from wellspin.mesh import MeshError, build_kuhn_mesh
 from wellspin.rigidity import (
     IncompatibleField,
     _facet_jumps,
     _measure,
-    _measure_geometry,
     bv_structure_check,
     curl_total_variation,
 )
@@ -203,10 +203,9 @@ class TestSvdPathsN3:
         grads = rng.normal(size=(mesh.n_cells, 3, 3))
         assert tangential_jump_residual(mesh, grads) == ref.tangential_jump_residual(mesh, grads)
         field = IncompatibleField(mesh=mesh, values=grads, map_matrix=spd(rng, 3))
-        _, _, tangents = _measure_geometry(field)
-        normals = mesh.facet_normal[mesh.interior] @ np.linalg.inv(field.map_matrix)
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
-        assert np.array_equal(tangents, ref.mapped_tangents(normals))
+        _, normals = ref.mapped_geometry(mesh, field.map_matrix)
+        jumps, tangential = facet_jumps(mesh, grads, normals)
+        assert np.array_equal(tangential, jumps @ ref.mapped_tangents(normals))
 
 
 class TestMeshKernelsN2:
@@ -237,13 +236,12 @@ class TestMeshKernelsN2:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(mesh.n_cells, 2, 2))
         field = IncompatibleField(mesh=mesh, values=values, map_matrix=spd(rng, 2))
-        ids, areas, tangents = _measure_geometry(field)
-        assert tangents.shape == (len(ids), 2, 1)
-        normals = mesh.facet_normal[ids] @ np.linalg.inv(field.map_matrix)
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        ids = mesh.interior
+        areas, normals = ref.mapped_geometry(mesh, field.map_matrix)
         old = ref.mapped_tangents(normals)
+        # the tangent that facet_jumps forms (test_mesh.py checks it) is
         # the same line, up to the sign the SVD happens to pick
-        t, o = tangents[:, :, 0], old[:, :, 0]
+        t, o = np.stack([-normals[:, 1], normals[:, 0]], axis=1), old[:, :, 0]
         assert np.abs(np.abs(np.einsum("fi,fi->f", t, o)) - 1.0).max() <= 4 * EPS
         assert np.abs(np.einsum("fi,fi->f", t, normals)).max() <= 4 * EPS
         curl = curl_total_variation(field)
@@ -263,7 +261,7 @@ class TestMeshKernelsN2:
 def full_jump_variation(field):
     """Discrete total variation |DA|, facet area times full jump norm, in
     a pass of its own."""
-    ids, areas, _, jumps = _facet_jumps(field)
+    ids, areas, jumps, _ = _facet_jumps(field)
     return _measure(ids, areas, jumps)
 
 
@@ -287,6 +285,63 @@ class TestOnePassBV:
         assert bv.per_facet_dv.tobytes() == dv.per_facet.tobytes()
         assert bv.per_facet_curl.tobytes() == curl.per_facet.tobytes()
         assert bv.ratio == dv.total / curl.total
+
+
+@st.composite
+def kernel_cases(draw):
+    """(mesh, values, map matrix or None, leading axes) for the facet-jump
+    kernel: a Kuhn mesh of n = 2 or 3, maybe rotated and jittered, and
+    normal values of one random scale."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 12) if n == 2 else st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kwargs = {"jitter": draw(st.sampled_from([0.0, 0.15]))}
+    if draw(st.booleans()):
+        kwargs["lattice_rotation"] = random_rotation(rng, n)
+    try:
+        mesh = build_kuhn_mesh(n, m, rng=rng, **kwargs)
+    except MeshError:
+        reject()  # a rotated lattice can leave no cell in the box
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    scale = draw(st.sampled_from([1e-9, 1.0, 1e3]))
+    values = scale * rng.normal(size=(*lead, mesh.n_cells, n, n))
+    return mesh, values, spd(rng, n) if draw(st.booleans()) else None
+
+
+class TestFacetJumpKernel:
+    """fields.facet_jumps against the two passes it replaced
+    (tests/svd_reference.py): the continuity residual with a stored
+    tangent byte for byte, and the batched-matmul facet masses byte for
+    byte for n = 3 and within a few ulps of each jump for n = 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_residual_byte_equal(self, case):
+        mesh, values, _ = case
+        got = tangential_jump_residual(mesh, values)
+        want = ref.stored_tangent_residual(mesh, values)
+        assert np.shape(got) == values.shape[:-3]
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_masses_against_matmul(self, case):
+        mesh, values, map_matrix = case
+        values = values.reshape(-1, *values.shape[-3:])[0]
+        field = IncompatibleField(mesh=mesh, values=values, map_matrix=map_matrix)
+        bv = bv_structure_check(field)
+        dv, curl = ref.matmul_facet_masses(field)
+        # V_a - V_b against V_b - V_a: an exact negation under every norm
+        assert bv.per_facet_dv.tobytes() == dv.tobytes()
+        assert bv.dv_total == float(dv.sum())
+        if mesh.dim == 3:
+            assert bv.per_facet_curl.tobytes() == curl.tobytes()
+            assert bv.curl_total == float(curl.sum())
+        else:
+            # entry by entry against the matmul: each tangential entry
+            # moves by at most a few ulps of the jump it came from
+            assert np.all(np.abs(bv.per_facet_curl - curl) <= 4 * EPS * dv)
+        assert curl_total_variation(field).total == bv.curl_total
 
 
 def pairwise_diameter(mesh):
