@@ -16,6 +16,7 @@ import math
 import os
 import traceback
 import zlib
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -190,16 +191,6 @@ class ScalingReport:
         return Gate(name, self.passed, f"slope {self.slope:+.3f}", bound)
 
 
-# -- config schema -----------------------------------------------------
-#
-# One table per scenario maps each allowed key to (default, check), or to
-# the nested table of an object-valued key. A check returns None for a
-# good value and the problem otherwise. validate_config walks the table;
-# run hands each runner the config with every default filled in, and with
-# "wells", where the scenario has it, replaced by the well set and lattice
-# rotation that validation built (see _check_wells).
-
-
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -259,62 +250,6 @@ _WELLS = {
 }
 
 
-SCHEMA = {
-    "wellset-analysis": {**_COMMON, **_WELLS},
-    "laminate-sweep": {
-        **_COMMON,
-        **_WELLS,
-        "m_list": ([8, 16, 32, 64], _scales(3)),
-        "c1": (1.0, _POSITIVE),
-        "slope_tolerance": (0.3, _POSITIVE),
-        "perimeter_tolerance": (0.15, _POSITIVE),
-        "laminate": {
-            "volume_fraction": (0.5, _FRACTION),
-            "connection": (0, _at_least(0)),
-            "period": (None, _POSITIVE),
-            "offset_frac": (0.0, _rule(_is_number, "a finite number")),
-            "ripple": (0.004, _rule(lambda v: _is_number(v) and v >= 0, "a number >= 0")),
-        },
-    },
-    "spin-lemma-suite": {
-        **_COMMON,
-        **_WELLS,
-        # a random laminate period needs two cells per layer
-        "m": (16, _at_least(math.ceil(2.0 / _SPIN_PERIODS[0]))),
-        "field_count": (1000, _at_least(1)),
-    },
-    "rigidity-family": {
-        **_COMMON,
-        "m_list": ([16, 32], _scales(1)),
-        "family_size": (200, _at_least(1)),
-        # rigidity_ratio needs p >= n/(n-1), which is 2 in the plane
-        "p": (2.0, _rule(lambda v: _is_number(v) and v >= 2, "a number >= n/(n-1) = 2")),
-        "block_grid": (4, _at_least(1)),
-        "eps_values": ([1e-3, 5e-4, 2.5e-4, 1e-4], _EPS_VALUES),
-    },
-    # each lattice scenario runs one model family; lattice.system names the
-    # model within it
-    "antiferro-sweep": {
-        **_COMMON,
-        "lattice": {
-            "system": ("antiferro-raw", _one_of("antiferro-raw", "antiferro-remapped")),
-            "interfaces": (3, _at_least(0)),
-            "m_list": ([64, 256, 1024], _scales(3)),
-            "energy_constant": (None, _POSITIVE),
-        },
-    },
-    "lattice-sweep": {
-        **_COMMON,
-        "lattice": {
-            "system": ("synthetic-twin", _one_of("synthetic-twin")),
-            "m_list": ([8, 12, 16], _scales(3)),
-            "energy_constant": (None, _POSITIVE),
-        },
-    },
-}
-SCENARIOS = tuple(SCHEMA)
-
-
 def _walk(table, given, prefix, problems):
     """Check one config object against its table, appending to problems;
     returns the object with defaults filled in."""
@@ -347,69 +282,81 @@ def load_config(source):
     return dict(source) if isinstance(source, dict) else source
 
 
-def _well_set(cfg):
-    """The configured WellSet: inline wells, or the document at wells_file,
-    whose delta0 defaults to DELTA0 as the inline one does."""
-    doc = cfg["wells"]
-    if cfg["wells_file"] is not None:
-        doc = json.loads(Path(cfg["wells_file"]).read_text(encoding="utf-8"))
-    return WellSet(doc["wells"], delta0=doc.get("delta0", DELTA0))
-
-
 def _check_wells(raw, cfg):
-    """(problems, (WellSet, AdmissibleRotation) or None): build the well
-    set, solve its twins and find its lattice rotation, so that a bad one
-    fails validation and not a run. delta0 must leave an admissible facet
-    normal, laminate-sweep needs its twin index in range and
-    spin-lemma-suite a twin to draw its laminates from. The runners take
-    the pair, so a wells_file is read once per run."""
+    """Build the well set (inline, or the document at wells_file, whose
+    delta0 defaults to DELTA0 as the inline one does), solve its twins and
+    find its lattice rotation, so that a bad one fails validation and not
+    a run; delta0 must leave an admissible facet normal. A good set
+    replaces cfg["wells"] with the (WellSet, AdmissibleRotation) pair that
+    the stages take, so a wells_file is read once per run."""
     name = "wells" if cfg["wells_file"] is None else "wells_file"
     if name == "wells_file" and raw.get("wells") is not None:
-        return ["wells: give either inline wells or wells_file, not both"], None
+        return ["wells: give either inline wells or wells_file, not both"]
     try:
-        ws = _well_set(cfg)
+        doc = cfg["wells"]
+        if name == "wells_file":
+            doc = json.loads(Path(cfg["wells_file"]).read_text(encoding="utf-8"))
+        ws = WellSet(doc["wells"], delta0=doc.get("delta0", DELTA0))
         if ws.dim != 2 or _FRACTION(ws.delta0):
-            return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"], None
+            return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"]
         twins = ws.twin_normals()
     except (OSError, ValueError, LookupError, TypeError) as err:
-        return [f"{name}: {err}"], None
+        return [f"{name}: {err}"]
     if not admissible_normal_intervals(twins, ws.delta0):
         bound = "|b . t| <= 1 - delta0 for every twin normal t"
-        return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"], None
-    if cfg["scenario"] == "laminate-sweep" and cfg["laminate"]["connection"] >= len(ws.connections):
-        return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"], None
-    if cfg["scenario"] == "spin-lemma-suite" and not ws.connections:
-        return [f"{name}: spin-lemma-suite laminates along twins, and these wells have none"], None
+        return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
     try:
         rot = find_admissible_rotation(ws)
     except MeshError as err:
-        return [f"{name}: {err}"], None
+        return [f"{name}: {err}"]
     ws.c0  # dbar, once, for every run's classification threshold
-    if cfg["scenario"] == "wellset-analysis":
-        return [], (ws, rot)
-    return _check_mesh_budget(cfg, rot.rotation), (ws, rot)
+    cfg["wells"] = ws, rot
+    return []
 
 
-def _check_period(cfg):
-    """build_laminate needs two cells per layer on the coarsest mesh."""
+def _first_problem(key, scales, problem):
+    """[key: problem(m)] for the first scale m that has a problem, or []."""
+    found = next(filter(None, map(problem, scales)), None)
+    return [f"{key}: {found}"] if found else []
+
+
+def _mesh_problem(m, rotation=None):
+    """Whether the mesh at m, as build_kuhn_mesh estimates it, has more
+    cells than its budget."""
+    # past the budget m alone rules the mesh out (it has over m^2 cells),
+    # and the float estimate would overflow for huge m
+    cells = None if m > MAX_CELLS else kuhn_cell_estimate(2, m, lattice_rotation=rotation)
+    if cells is None or cells > MAX_CELLS:
+        need = f"over {MAX_CELLS}" if cells is None else f"an estimated {cells}"
+        return f"the mesh at m = {m} needs {need} cells, the budget is {MAX_CELLS}"
+    return None
+
+
+def _check_laminate(raw, cfg):
+    """build_laminate needs two cells per layer on the coarsest mesh, and
+    the laminate a twin of the set."""
     period, m = cfg["laminate"]["period"], cfg["m_list"][0]
     if period is not None and period < 2.0 / m:
         return [f"laminate.period: must be at least 2 / m_list[0] = {2.0 / m:g}"]
-    return []
+    problems = _check_wells(raw, cfg)
+    if problems:
+        return problems
+    ws, rot = cfg["wells"]
+    if cfg["laminate"]["connection"] >= len(ws.connections):
+        return [f"laminate.connection: must be below {len(ws.connections)}, the twin count"]
+    return _first_problem("m_list", cfg["m_list"], lambda m: _mesh_problem(m, rot.rotation))
 
 
-def _check_mesh_budget(cfg, rotation=None):
-    """The first scale whose mesh, as build_kuhn_mesh estimates it, has
-    more cells than its budget."""
-    key = "m" if "m" in cfg else "m_list"
-    for m in [cfg[key]] if key == "m" else cfg[key]:
-        # past the budget m alone rules the mesh out (it has over m^2
-        # cells), and the float estimate would overflow for huge m
-        cells = None if m > MAX_CELLS else kuhn_cell_estimate(2, m, lattice_rotation=rotation)
-        if cells is None or cells > MAX_CELLS:
-            need = f"over {MAX_CELLS}" if cells is None else f"an estimated {cells}"
-            return [f"{key}: the mesh at m = {m} needs {need} cells, the budget is {MAX_CELLS}"]
-    return []
+def _check_spin_suite(raw, cfg):
+    """The suite draws its laminates along twins of the set."""
+    problems = _check_wells(raw, cfg)
+    if problems:
+        return problems
+    ws, rot = cfg["wells"]
+    if not ws.connections:
+        name = "wells" if cfg["wells_file"] is None else "wells_file"
+        return [f"{name}: spin-lemma-suite laminates along twins, and these wells have none"]
+    return _first_problem("m", [cfg["m"]], lambda m: _mesh_problem(m, rot.rotation))
 
 
 # The memory a lattice or rigidity-family run may ask for: above the peak of a
@@ -420,34 +367,28 @@ def _check_mesh_budget(cfg, rotation=None):
 # whole runs and rounded up: 98 per antiferro chain site (at 2^18 and 2^20
 # sites), 1,740 to 1,790 per twin lattice site (at m = 128 and 192, the
 # stacked patches of the rotation match), and 210 to 217 per rigidity block
-# (block_grid 512, 1 to 16 members; a member's values are drawn when it is
-# measured, and only the first one's stay alive).
+# (block_grid 512, 1 to 16 members; each stage redraws the family and holds
+# one member's values at a time, and finish redraws the first member).
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
 MAX_TWIN_SITES = MEMORY_BUDGET // 1_800
 MAX_BLOCKS = MEMORY_BUDGET // 224
 
 
-def _check_lattice_budget(cfg):
-    """The first scale whose lattice has more sites than its budget."""
-    twin = cfg["scenario"] == "lattice-sweep"
-    budget = MAX_TWIN_SITES if twin else MAX_CHAIN_SITES
-    for m in cfg["lattice"]["m_list"]:
-        # the twin lattice has (m + 1)^2 sites, a chain m
-        sites = (m + 1) ** 2 if twin else m
-        if sites > budget:
-            lattice = f"the lattice at m = {m} has {sites} sites"
-            return [f"lattice.m_list: {lattice}, the budget is {budget}"]
-    return []
-
-
-def _check_block_budget(cfg):
+def _check_rigidity(raw, cfg):
     """rigidity-family draws block_grid^2 blocks for each family member."""
     grid, family = cfg["block_grid"], cfg["family_size"]
     if grid**2 > MAX_BLOCKS:
         blocks = f"{grid}^2 = {grid**2} blocks for each of {family} fields"
         return [f"block_grid: {blocks}, the budget is {MAX_BLOCKS}"]
-    return []
+    return _first_problem("m_list", cfg["m_list"], _mesh_problem)
+
+
+def _sites_problem(m, sites, budget):
+    """Whether the lattice at m has more sites than its budget."""
+    if sites > budget:
+        return f"the lattice at m = {m} has {sites} sites, the budget is {budget}"
+    return None
 
 
 def _interface_fractions(k):
@@ -455,18 +396,32 @@ def _interface_fractions(k):
     return [float(i + 1) / (k + 1) for i in range(k)]
 
 
-def _check_interfaces(cfg):
-    """An antiferro chain needs its interfaces on distinct sites at every
-    scale."""
-    k = cfg["lattice"]["interfaces"]
-    for m in cfg["lattice"]["m_list"]:
-        if k > m:  # checked first: k may be too large to list
-            return [f"lattice.interfaces: at m = {m}, {k} interfaces cannot take distinct sites"]
-        try:
-            slip_sites(m, _interface_fractions(k))
-        except LatticeError as err:
-            return [f"lattice.interfaces: at m = {m}, {err}"]
-    return []
+def _interfaces_problem(k, m):
+    """Whether k interfaces cannot take distinct sites of an m-site chain."""
+    if k > m:  # checked first: k may be too large to list
+        return f"at m = {m}, {k} interfaces cannot take distinct sites"
+    try:
+        slip_sites(m, _interface_fractions(k))
+    except LatticeError as err:
+        return f"at m = {m}, {err}"
+    return None
+
+
+def _check_antiferro(raw, cfg):
+    """A chain of m sites, with its interfaces on distinct sites."""
+    k, m_list = cfg["lattice"]["interfaces"], cfg["lattice"]["m_list"]
+    return _first_problem(
+        "lattice.m_list", m_list, lambda m: _sites_problem(m, m, MAX_CHAIN_SITES)
+    ) or _first_problem("lattice.interfaces", m_list, lambda m: _interfaces_problem(k, m))
+
+
+def _check_twin_lattice(raw, cfg):
+    """A twin lattice of (m + 1)^2 sites."""
+    return _first_problem(
+        "lattice.m_list",
+        cfg["lattice"]["m_list"],
+        lambda m: _sites_problem(m, (m + 1) ** 2, MAX_TWIN_SITES),
+    )
 
 
 def _resolve(source):
@@ -480,17 +435,8 @@ def _resolve(source):
     if not isinstance(scenario, str) or scenario not in SCHEMA:
         return [f"scenario: must be one of {', '.join(SCENARIOS)} in a JSON object"], None, raw
     problems = []
-    cfg = _walk(SCHEMA[scenario], raw, "", problems)
-    if not problems and scenario == "laminate-sweep":
-        problems = _check_period(cfg)
-    if not problems and "wells" in cfg:
-        problems, cfg["wells"] = _check_wells(raw, cfg)
-    if not problems and "lattice" in cfg:
-        problems = _check_lattice_budget(cfg)
-    if not problems and scenario == "antiferro-sweep":
-        problems = _check_interfaces(cfg)
-    if not problems and scenario == "rigidity-family":
-        problems = _check_block_budget(cfg) or _check_mesh_budget(cfg)
+    cfg = _walk(SCHEMA[scenario].schema, raw, "", problems)
+    problems = problems or SCHEMA[scenario].check(raw, cfg)
     return problems, None if problems else cfg, raw
 
 
@@ -508,18 +454,21 @@ class IncompatibleMeshError(Exception):
     is the IncompatibilityReport."""
 
 
-# -- scenarios ---------------------------------------------------------
-#
-# Each runner takes the config with defaults filled in and the --force flag
-# and returns (summary, {table name: (header, rows)}, [Gate]).
+def _config_only(cfg, force):
+    """The prepare of a scenario whose stages read only the config."""
+    return cfg
 
 
-def _run_wellset_analysis(cfg, force):
-    ws, rot = cfg["wells"]
-    rows = [
+def _stage_wellset(ctx, m):
+    ws, _ = ctx["wells"]
+    return [
         (c.i, c.j, *c.rotation.reshape(-1), *c.a, *c.b, c.residual(ws), c.multiplicity)
         for c in ws.connections
     ]
+
+
+def _finish_wellset(ctx, rows):
+    ws, rot = ctx["wells"]
     header = "i j q00 q01 q10 q11 a0 a1 b0 b1 residual multiplicity".split()
     admissible = {"angle": rot.angle, "margin": rot.margin}
     summary = {"wells": ws.to_json(), "admissible_rotation": admissible}
@@ -532,58 +481,65 @@ def _run_wellset_analysis(cfg, force):
     return summary, {"connections": (header, rows)}, gates
 
 
-def _run_laminate_sweep(cfg, force):
+def _prepare_laminate(cfg, force):
+    """The coarsest mesh, which must pass the twin-incompatibility check
+    unless forced, and the layout of the laminate."""
     ws, rot = cfg["wells"]
-    m_list, c1, lam = cfg["m_list"], cfg["c1"], cfg["laminate"]
-
-    mesh0 = build_kuhn_mesh(2, m_list[0], lattice_rotation=rot.rotation)
-    incompat = check_incompatibility(mesh0, ws, ws.delta0)
+    mesh = build_kuhn_mesh(2, cfg["m_list"][0], lattice_rotation=rot.rotation)
+    incompat = check_incompatibility(mesh, ws, ws.delta0)
     if not incompat.ok and not force:
         raise IncompatibleMeshError(incompat)
-
+    lam = cfg["laminate"]
     conn = ws.connections[lam["connection"]]
-    pair = (conn.i, conn.j)  # the two wells the laminate alternates
     proj = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]) @ conn.b
     # default: one full period across the domain span, i.e. two layers and
     # a single interior interface; coarse meshes resolve that fastest
     period = lam["period"] or (proj.max() - proj.min())
     offset = proj.min() + lam["offset_frac"] * period
+    return {**cfg, "mesh": mesh, "conn": conn, "period": period, "offset": offset}
+
+
+def _stage_laminate(ctx, m):
+    """The sweep row at m, and the count side of the Chebyshev identity."""
+    ws, rot = ctx["wells"]
+    mesh, conn, c1, lam = ctx["mesh"], ctx["conn"], ctx["c1"], ctx["laminate"]
+    if m != mesh.m:
+        mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
     vf, ripple = lam["volume_fraction"], lam["ripple"]
-    rows, chebyshev = [], []
-    for m in m_list:
-        mesh = mesh0 if m == mesh0.m else build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
-        fld = build_laminate(mesh, ws, conn, vf, period, offset=offset, ripple=ripple)
-        rep = evaluate_energy(fld, ws, c1=c1)
-        lab = classify(fld, ws)
-        part = extract_partition(fld, lab, ws)
-        macro = part.macroscopic(0.01 * mesh.effective_volume)
-        n_bad = count_bad_cells(lab)
-        lhs = n_bad * (ws.c0 / 100.0) ** 2 * c1 * float(mesh.volumes.min())
-        chebyshev.append((lhs, rep.total))
-        fitted = [c.residual for c in macro if c.residual is not None]
-        row = {
-            "m": m,
-            "energy": rep.total,
-            "bad_count": n_bad,
-            "bad_volume": lab.bad_volume,
-            "components": len(macro),
-            "max_residual": max(fitted, default=0.0),
-        }
-        for j in pair:
-            row[f"perimeter_w{j}"] = discrete_perimeter(lab, j)
-            row[f"perimeter_interior_w{j}"] = discrete_perimeter(
-                lab, j, include_boundary=False
-            )
-            reduced = build_reduced_field(fld, lab, j, ws)
-            bv = bv_structure_check(reduced)
-            row[f"curl_w{j}"] = bv.curl_total
-            row[f"dv_curl_ratio_w{j}"] = bv.ratio
-        rows.append(row)
+    fld = build_laminate(mesh, ws, conn, vf, ctx["period"], offset=ctx["offset"], ripple=ripple)
+    rep = evaluate_energy(fld, ws, c1=c1)
+    lab = classify(fld, ws)
+    part = extract_partition(fld, lab, ws)
+    macro = part.macroscopic(0.01 * mesh.effective_volume)
+    n_bad = count_bad_cells(lab)
+    lhs = n_bad * (ws.c0 / 100.0) ** 2 * c1 * float(mesh.volumes.min())
+    fitted = [c.residual for c in macro if c.residual is not None]
+    row = {
+        "m": m,
+        "energy": rep.total,
+        "bad_count": n_bad,
+        "bad_volume": lab.bad_volume,
+        "components": len(macro),
+        "max_residual": max(fitted, default=0.0),
+    }
+    for j in (conn.i, conn.j):  # the two wells the laminate alternates
+        row[f"perimeter_w{j}"] = discrete_perimeter(lab, j)
+        row[f"perimeter_interior_w{j}"] = discrete_perimeter(lab, j, include_boundary=False)
+        reduced = build_reduced_field(fld, lab, j, ws)
+        bv = bv_structure_check(reduced)
+        row[f"curl_w{j}"] = bv.curl_total
+        row[f"dv_curl_ratio_w{j}"] = bv.ratio
+    return [(lhs, row)]
+
+
+def _finish_laminate(ctx, staged):
+    m_list, pair = ctx["m_list"], (ctx["conn"].i, ctx["conn"].j)
+    rows = [row for _, row in staged]
 
     def column(key):
         return [r[key] for r in rows]
 
-    tol, perim_tol = cfg["slope_tolerance"], cfg["perimeter_tolerance"]
+    tol, perim_tol = ctx["slope_tolerance"], ctx["perimeter_tolerance"]
     reports = [
         ScalingReport.fit("energy", m_list, column("energy"), -1.0, tol),
         ScalingReport.fit("bad_cell_count", m_list, column("bad_count"), 1.0, tol),
@@ -595,8 +551,8 @@ def _run_laminate_sweep(cfg, force):
     curl_ratios = [ratio(r[f"curl_w{j}"], r[f"perimeter_w{j}"]) for r in rows for j in pair]
     dv_ratios = [r[f"dv_curl_ratio_w{j}"] for r in rows for j in pair]
     comps, residuals = column("components"), column("max_residual")
-    excess = max(lhs - energy for lhs, energy in chebyshev)
-    bounded = all(lhs <= energy for lhs, energy in chebyshev)
+    excess = max(lhs - row["energy"] for lhs, row in staged)
+    bounded = all(lhs <= row["energy"] for lhs, row in staged)
     curl_spread, dv_spread = _spread(curl_ratios), _spread(dv_ratios)
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     gates = [r.gate(f"scaling.{r.name}") for r in reports] + [
@@ -699,13 +655,15 @@ def _spin_suite_rows(mesh, ws, rng, count, threshold):
     return rows
 
 
-def _run_spin_lemma_suite(cfg, force):
-    ws, rot = cfg["wells"]
-    m = cfg["m"]
-    count = cfg["field_count"]
-    rng = substream(cfg["seed"], "spin-lemma-suite")
+def _stage_spin_suite(ctx, m):
+    ws, rot = ctx["wells"]
+    rng = substream(ctx["seed"], "spin-lemma-suite")
     mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
-    rows = _spin_suite_rows(mesh, ws, rng, count, ws.c0 / 100.0)
+    return _spin_suite_rows(mesh, ws, rng, ctx["field_count"], ws.c0 / 100.0)
+
+
+def _finish_spin_suite(ctx, rows):
+    ws, _ = ctx["wells"]
     total_violations = sum(row[5] for row in rows)
 
     # adversarial: twin normal aligned with the unrotated diagonal facets
@@ -719,8 +677,8 @@ def _run_spin_lemma_suite(cfg, force):
     adv_violations = verify_spin_lemma(adv, adv_lab, ws)
 
     summary = {
-        "field_count": count,
-        "m": m,
+        "field_count": ctx["field_count"],
+        "m": ctx["m"],
         "total_violations": total_violations,
         "aligned_violations": len(adv_violations),
     }
@@ -732,32 +690,41 @@ def _run_spin_lemma_suite(cfg, force):
     return summary, {"fields": (header, rows)}, gates
 
 
-def _run_rigidity_family(cfg, force):
-    m_list = cfg["m_list"]
-    size = cfg["family_size"]
-    p = cfg["p"]
-    rng = substream(cfg["seed"], "rigidity-family")
-    meshes = {m: build_kuhn_mesh(2, m) for m in m_list}
+def _prepare_rigidity(cfg, force):
+    """The coarsest mesh, on which finish also runs the eps sweep and the
+    weak surrogate."""
+    return {**cfg, "mesh": build_kuhn_mesh(2, cfg["m_list"][0])}
 
+
+def _stage_rigidity(ctx, m):
+    """The family's ratios at m. Each stage redraws the family, one member
+    at a time, from a fresh substream, so every stage measures the same
+    members."""
+    mesh = ctx["mesh"] if m == ctx["mesh"].m else build_kuhn_mesh(2, m)
+    rng = substream(ctx["seed"], "rigidity-family")
     rows = []
-    max_ratio = {m: 0.0 for m in m_list}
-    for fid in range(size):
-        blocks_values = random_block_values(rng, cfg["block_grid"])
-        if fid == 0:
-            first = blocks_values
-        for m in m_list:
-            rep = rigidity_ratio(field_from_blocks(meshes[m], blocks_values), p=p)
-            rows.append((fid, m, p, rep.lhs, rep.rhs, rep.ratio))
-            max_ratio[m] = max(max_ratio[m], rep.ratio)
+    for fid in range(ctx["family_size"]):
+        blocks = random_block_values(rng, ctx["block_grid"])
+        rep = rigidity_ratio(field_from_blocks(mesh, blocks), p=ctx["p"])
+        rows.append((fid, m, ctx["p"], rep.lhs, rep.rhs, rep.ratio))
+    return rows
+
+
+def _finish_rigidity(ctx, rows):
+    p, mesh = ctx["p"], ctx["mesh"]
+    # the stages ran in m order, so a stable sort gives (field_id, m) order
+    rows.sort(key=lambda row: row[0])
+    max_ratio = {}
+    for row in rows:
+        max_ratio[row[1]] = max(max_ratio.get(row[1], 0.0), row[-1])
 
     # epsilon sweep around a fixed rotation
-    mesh = meshes[m_list[0]]
-    noise_rng = substream(cfg["seed"], "rigidity-eps")
+    noise_rng = substream(ctx["seed"], "rigidity-eps")
     noise = noise_rng.uniform(-1.0, 1.0, (mesh.n_cells, 2, 2))
     noise /= np.linalg.norm(noise, axis=(1, 2), keepdims=True)
     r0 = random_rotation(noise_rng, 2)
     eps_rows = []
-    eps_values = cfg["eps_values"]
+    eps_values = ctx["eps_values"]
     lhs_values = []
     for eps in eps_values:
         fld = IncompatibleField(mesh=mesh, values=r0[None] + eps * noise)
@@ -766,7 +733,9 @@ def _run_rigidity_family(cfg, force):
         lhs_values.append(rep.lhs)
     eps_slope, _ = loglog_slope(eps_values, lhs_values)
 
-    # weak-norm surrogate refinement stability on the first family member
+    # weak-norm surrogate refinement stability on the first family member,
+    # redrawn as the stages draw it
+    first = random_block_values(substream(ctx["seed"], "rigidity-family"), ctx["block_grid"])
     fld0 = field_from_blocks(mesh, first)
     rot0 = fitted_rotation(fld0)
     mags = np.linalg.norm(fld0.values - rot0, axis=(1, 2))
@@ -774,7 +743,7 @@ def _run_rigidity_family(cfg, force):
     fine = weak_norm_surrogate(mags, fld0.cell_volumes(), 2, levels=256)
     weak = weak_rigidity_ratio(fld0)
 
-    ratios_sorted = [max_ratio[m] for m in m_list]
+    ratios_sorted = list(max_ratio.values())
     spread = max(ratios_sorted) / min(ratios_sorted)
     n_infinite = sum(not math.isfinite(row[-1]) for row in rows)
     # lhs ~ eps^p near a rotation; at p = 2 this is the [1.8, 2.2] gate
@@ -788,9 +757,9 @@ def _run_rigidity_family(cfg, force):
         Gate("weak_ratio_finite", math.isfinite(weak["ratio"]), weak["ratio"], "finite"),
     ]
     summary = {
-        "family_size": size,
+        "family_size": ctx["family_size"],
         "p": p,
-        "max_ratio": {str(m): max_ratio[m] for m in m_list},
+        "max_ratio": {str(m): r for m, r in max_ratio.items()},
         "eps_slope": eps_slope,
         "weak_ratio": weak["ratio"],
     }
@@ -801,95 +770,210 @@ def _run_rigidity_family(cfg, force):
     return summary, tables, gates
 
 
-def _run_lattice(cfg, force):
-    """antiferro-sweep (an antiferro chain, lattice.system picks its
-    variant) and lattice-sweep (the synthetic twin lattice)."""
+def _prepare_antiferro(cfg, force):
+    """The chain model (lattice.system picks its variant) and its
+    interfaces."""
     lat = cfg["lattice"]
-    twin = cfg["scenario"] == "lattice-sweep"
-    m_list = lat["m_list"]
+    system = antiferro_system(lat["system"].replace("antiferro-", ""))
+    fracs = _interface_fractions(lat["interfaces"])
     energy_constant = lat["energy_constant"]
-    if twin:
-        system = synthetic_twin_system()
-        angle = float(substream(cfg["seed"], "lattice-sweep").uniform(0.0, 2.0 * np.pi))
-        rot = rotation_2d(angle)
+    if energy_constant is None:
+        energy_constant = 2.0 * lat["interfaces"] + 2.0
+    return {
+        **cfg,
+        "system": system,
+        "sample": lambda m: antiferro_chain(system, m=m, interfaces=fracs),
+        "energy_constant": energy_constant,
+    }
 
-        def sample(m):
-            return ground_state_deformation(system, 0, (m + 1, m + 1), m=m, rotation=rot)
 
-        components, summary, gates = 1, {"system": system.name, "rotation_angle": angle}, []
-    else:
-        variant = lat["system"].replace("antiferro-", "")
-        system = antiferro_system(variant)
-        k = lat["interfaces"]
-        fracs = _interface_fractions(k)
-        if energy_constant is None:
-            energy_constant = 2.0 * k + 2.0
-        components = k + 1
-        ground = antiferro_chain(system, m=m_list[0])
-        ground_energy = evaluate_hamiltonian(ground, system).total
-        h2 = verify_h2(system)
-        single = antiferro_chain(system, m=m_list[0], interfaces=(0.5,))
-        defect_total = evaluate_hamiltonian(single, system).total
+def _prepare_twin_lattice(cfg, force):
+    """The synthetic twin lattice, turned by a random rotation."""
+    system = synthetic_twin_system()
+    angle = float(substream(cfg["seed"], "lattice-sweep").uniform(0.0, 2.0 * np.pi))
+    rot = rotation_2d(angle)
+    return {
+        **cfg,
+        "system": system,
+        "sample": lambda m: ground_state_deformation(system, 0, (m + 1, m + 1), m=m, rotation=rot),
+        "energy_constant": cfg["lattice"]["energy_constant"],
+        "angle": angle,
+    }
 
-        def sample(m):
-            return antiferro_chain(system, m=m, interfaces=fracs)
 
-        h2_keys = ("c", "p", "n_windows", "exhaustive", "violations")
-        summary = {
-            "variant": variant,
-            "interfaces": fracs,
-            "h2": {key: getattr(h2, key) for key in h2_keys},
-        }
-        h2_measured = f"c = {h2.c:.4f} over {h2.n_windows} windows (exhaustive={h2.exhaustive})"
-        gates = [
-            Gate("ground_energy_zero", ground_energy == 0.0, ground_energy, "== 0"),
-            Gate("h2_ok", h2.ok, h2_measured, "c > 0 and no violating window"),
-            Gate("single_defect_energy", defect_total == 2.0 / m_list[0], defect_total, "== 2/m"),
-        ]
+def _stage_lattice(ctx, m):
+    """The partition record at m; its deformation is built here and freed
+    with the stage."""
+    sample = [(m, ctx["sample"](m))]
+    system, energy_constant = ctx["system"], ctx["energy_constant"]
+    return lattice_partition_diagnostics(sample, system, energy_constant=energy_constant)
 
-    # each deformation is built when its scale is diagnosed, and freed after
-    samples = ((m, sample(m)) for m in m_list)
-    records = lattice_partition_diagnostics(samples, system, energy_constant=energy_constant)
+
+def _lattice_gates(records, name, components, tol):
+    """The boundary-volume fit and the gates of both lattice scenarios."""
     volumes = [r["boundary_volume"] for r in records]
-    tol = 0.3 if twin else 0.2
     boundary = ScalingReport.fit("boundary_volume", [r["m"] for r in records], volumes, -1.0, tol)
     counts = [r["n_components"] for r in records]
     adjacency = [len(r["adjacency_violations"]) for r in records]
-    no_adjacency = all(not r["adjacency_violations"] for r in records)
-    name = "single_component" if twin else "components_k_plus_1"
-    gates += [
+    gates = [
         Gate(name, all(c == components for c in counts), counts, f"{components} at every m"),
         boundary.gate("boundary_volume_slope"),
-        Gate("no_adjacency_violations", no_adjacency, adjacency, "0"),
+        Gate("no_adjacency_violations", not any(adjacency), adjacency, "0"),
     ]
-    if twin:
-        residuals = [
-            c.residual for r in records for c in r["components"] if c.rotation is not None
-        ]
-        grounded = not any(x > 1e-9 for x in residuals)
-        gates.append(Gate("ground_residual_zero", grounded, max(residuals, default=0.0), "<= 1e-9"))
+    return boundary.to_dict(), gates
 
-    # the 2-D twin sweep records no perimeter total
-    columns = ["m", "energy", "bad_volume", "boundary_volume", "components"]
-    columns += ["adjacency_violations"] if twin else ["perimeter_total", "adjacency_violations"]
+
+def _finish_antiferro(ctx, records):
+    system, lat = ctx["system"], ctx["lattice"]
+    k, m0 = lat["interfaces"], lat["m_list"][0]
+    ground_energy = evaluate_hamiltonian(antiferro_chain(system, m=m0), system).total
+    h2 = verify_h2(system)
+    single = antiferro_chain(system, m=m0, interfaces=(0.5,))
+    defect_total = evaluate_hamiltonian(single, system).total
+    h2_measured = f"c = {h2.c:.4f} over {h2.n_windows} windows (exhaustive={h2.exhaustive})"
+    boundary, gates = _lattice_gates(records, "components_k_plus_1", k + 1, 0.2)
+    gates = [
+        Gate("ground_energy_zero", ground_energy == 0.0, ground_energy, "== 0"),
+        Gate("h2_ok", h2.ok, h2_measured, "c > 0 and no violating window"),
+        Gate("single_defect_energy", defect_total == 2.0 / m0, defect_total, "== 2/m"),
+    ] + gates
+    h2_keys = ("c", "p", "n_windows", "exhaustive", "violations")
+    summary = {
+        "variant": lat["system"].replace("antiferro-", ""),
+        "interfaces": _interface_fractions(k),
+        "h2": {key: getattr(h2, key) for key in h2_keys},
+        "boundary_volume": boundary,
+    }
+    columns = ["m", "energy", "bad_volume", "boundary_volume", "components", "perimeter_total"]
     rows = [
         (r["m"], r["energy"], r["bad_volume"], r["boundary_volume"], r["n_components"])
-        + (() if twin else (sum(r["perimeters"].values()),))
+        + (sum(r["perimeters"].values()), len(r["adjacency_violations"]))
+        for r in records
+    ]
+    return summary, {"sweep": (columns + ["adjacency_violations"], rows)}, gates
+
+
+def _finish_twin_lattice(ctx, records):
+    boundary, gates = _lattice_gates(records, "single_component", 1, 0.3)
+    # the count, not the largest residual, which is round-off and would tie
+    # the digest to the last bits of the fit
+    residuals = [c.residual for r in records for c in r["components"] if c.rotation is not None]
+    over = sum(x > 1e-9 for x in residuals)
+    measured = f"{over} of {len(residuals)} fitted residuals above 1e-9"
+    gates.append(Gate("ground_residual_zero", over == 0, measured, "<= 1e-9"))
+    # the 2-D twin sweep records no perimeter total
+    columns = ["m", "energy", "bad_volume", "boundary_volume", "components", "adjacency_violations"]
+    rows = [
+        (r["m"], r["energy"], r["bad_volume"], r["boundary_volume"], r["n_components"])
         + (len(r["adjacency_violations"]),)
         for r in records
     ]
-    summary["boundary_volume"] = boundary.to_dict()
+    summary = {"system": ctx["system"].name, "rotation_angle": ctx["angle"]}
+    summary["boundary_volume"] = boundary
     return summary, {"sweep": (columns, rows)}, gates
 
 
-_RUNNERS = {
-    "wellset-analysis": _run_wellset_analysis,
-    "laminate-sweep": _run_laminate_sweep,
-    "spin-lemma-suite": _run_spin_lemma_suite,
-    "rigidity-family": _run_rigidity_family,
-    "antiferro-sweep": _run_lattice,
-    "lattice-sweep": _run_lattice,
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario of SCHEMA: its config keys and checks, and its run.
+
+    schema maps each allowed key to (default, check), or to the nested
+    table of an object-valued key; a key's check returns None for a good
+    value and the problem otherwise. After the walk of the schema,
+    check(config as read, config with defaults) returns the problems
+    across keys; it builds the well set, where there is one (_check_wells).
+    A run calls prepare(config, force) once for a context (the config and
+    what the scenario builds once), stage(context, m) for each m of
+    scales(config) in order, and finish(context, rows of all stages) for
+    (summary, {table name: (header, rows)}, [Gate]).
+    """
+
+    schema: dict
+    check: Callable
+    scales: Callable
+    prepare: Callable
+    stage: Callable
+    finish: Callable
+
+
+SCHEMA = {
+    "wellset-analysis": Scenario(
+        {**_COMMON, **_WELLS},
+        _check_wells, lambda cfg: [None],  # one stage, at no scale
+        _config_only, _stage_wellset, _finish_wellset,
+    ),
+    "laminate-sweep": Scenario(
+        {
+            **_COMMON,
+            **_WELLS,
+            "m_list": ([8, 16, 32, 64], _scales(3)),
+            "c1": (1.0, _POSITIVE),
+            "slope_tolerance": (0.3, _POSITIVE),
+            "perimeter_tolerance": (0.15, _POSITIVE),
+            "laminate": {
+                "volume_fraction": (0.5, _FRACTION),
+                "connection": (0, _at_least(0)),
+                "period": (None, _POSITIVE),
+                "offset_frac": (0.0, _rule(_is_number, "a finite number")),
+                "ripple": (0.004, _rule(lambda v: _is_number(v) and v >= 0, "a number >= 0")),
+            },
+        },
+        _check_laminate, lambda cfg: cfg["m_list"],
+        _prepare_laminate, _stage_laminate, _finish_laminate,
+    ),
+    "spin-lemma-suite": Scenario(
+        {
+            **_COMMON,
+            **_WELLS,
+            # a random laminate period needs two cells per layer
+            "m": (16, _at_least(math.ceil(2.0 / _SPIN_PERIODS[0]))),
+            "field_count": (1000, _at_least(1)),
+        },
+        _check_spin_suite, lambda cfg: [cfg["m"]],  # one stage
+        _config_only, _stage_spin_suite, _finish_spin_suite,
+    ),
+    "rigidity-family": Scenario(
+        {
+            **_COMMON,
+            "m_list": ([16, 32], _scales(1)),
+            "family_size": (200, _at_least(1)),
+            # rigidity_ratio needs p >= n/(n-1), which is 2 in the plane
+            "p": (2.0, _rule(lambda v: _is_number(v) and v >= 2, "a number >= n/(n-1) = 2")),
+            "block_grid": (4, _at_least(1)),
+            "eps_values": ([1e-3, 5e-4, 2.5e-4, 1e-4], _EPS_VALUES),
+        },
+        _check_rigidity, lambda cfg: cfg["m_list"],
+        _prepare_rigidity, _stage_rigidity, _finish_rigidity,
+    ),
+    # each lattice scenario runs one model family; lattice.system names the
+    # model within it
+    "antiferro-sweep": Scenario(
+        {
+            **_COMMON,
+            "lattice": {
+                "system": ("antiferro-raw", _one_of("antiferro-raw", "antiferro-remapped")),
+                "interfaces": (3, _at_least(0)),
+                "m_list": ([64, 256, 1024], _scales(3)),
+                "energy_constant": (None, _POSITIVE),
+            },
+        },
+        _check_antiferro, lambda cfg: cfg["lattice"]["m_list"],
+        _prepare_antiferro, _stage_lattice, _finish_antiferro,
+    ),
+    "lattice-sweep": Scenario(
+        {
+            **_COMMON,
+            "lattice": {
+                "system": ("synthetic-twin", _one_of("synthetic-twin")),
+                "m_list": ([8, 12, 16], _scales(3)),
+                "energy_constant": (None, _POSITIVE),
+            },
+        },
+        _check_twin_lattice, lambda cfg: cfg["lattice"]["m_list"],
+        _prepare_twin_lattice, _stage_lattice, _finish_twin_lattice,
+    ),
 }
+SCENARIOS = tuple(SCHEMA)
 
 
 def _rejected_out(raw, out_dir):
@@ -945,11 +1029,15 @@ def _run_resolved(problems, cfg, raw, force, out_dir):
             summary = {"exit_code": EXIT_INTERNAL, "gates": {}, "problems": problems}
             _write_run(out, summary, {}, [f"CONFIG ERROR: {p}" for p in problems])
         return EXIT_INTERNAL
-    scenario = cfg["scenario"]
-    out = Path(out_dir or cfg["out"] or Path("runs") / scenario)
+    scenario = SCHEMA[cfg["scenario"]]
+    out = Path(out_dir or cfg["out"] or Path("runs") / cfg["scenario"])
     failure = None
     try:
-        summary, tables, gates = _RUNNERS[scenario](cfg, force)
+        ctx = scenario.prepare(cfg, force)
+        rows = []
+        for m in scenario.scales(cfg):
+            rows += scenario.stage(ctx, m)
+        summary, tables, gates = scenario.finish(ctx, rows)
         code = EXIT_OK if all(g.passed for g in gates) else EXIT_GATE_FAILED
     except IncompatibleMeshError as err:
         rep, code, tables = err.args[0], EXIT_INCOMPATIBLE_MESH, {}
@@ -971,7 +1059,7 @@ def _run_resolved(problems, cfg, raw, force, out_dir):
     for g in gates:
         key = g.name.partition(".")[0]
         verdicts[key] = verdicts.get(key, True) and g.passed
-    summary.update(scenario=scenario, seed=cfg["seed"], exit_code=code, gates=verdicts)
+    summary.update(scenario=cfg["scenario"], seed=cfg["seed"], exit_code=code, gates=verdicts)
     digest = [f"INTERNAL ERROR: {summary['error']}"] if failure else [g.line() for g in gates]
     _write_run(out, summary, tables, digest, failure)
     return code

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: configs, scenarios, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidity_reference
 from wellspin import harness
 from wellspin.fields import build_laminate
 from wellspin.harness import (
@@ -30,6 +32,7 @@ from wellspin.harness import (
     validate_config,
     write_csv,
 )
+from wellspin.mesh import build_kuhn_mesh
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -45,7 +48,7 @@ def schema_keys(table):
     return keys
 
 
-ALL_KEYS = sorted(set().union(*(schema_keys(t) for t in SCHEMA.values())))
+ALL_KEYS = sorted(set().union(*(schema_keys(s.schema) for s in SCHEMA.values())))
 # config keys: the schema's own, so that nested tables get walked, or typos
 KEYS = st.sampled_from(ALL_KEYS) | st.text(max_size=6)
 JSON_VALUES = st.recursive(
@@ -478,7 +481,7 @@ class TestRun:
         assert (tmp_path / "digest.txt").read_text().startswith(f"CONFIG ERROR: {key}: ")
         assert not (tmp_path / "error.txt").exists()
 
-    def test_incompatible_mesh_exit_code(self, tmp_path):
+    def test_incompatible_mesh_exit_code(self, tmp_path, monkeypatch):
         # delta0 = 0.09 exceeds the best achievable margin (~0.076) for the
         # canonical pair, so the rotated mesh still fails the check
         wells = small_wells()
@@ -489,15 +492,46 @@ class TestRun:
             "wells": wells,
             "m_list": [8, 16, 32],
         }
-        code = run(cfg, out_dir=tmp_path / "strict")
+        built, laminates = [], []
+
+        def recording_mesh(n, m, **kwargs):
+            built.append(m)
+            return build_kuhn_mesh(n, m, **kwargs)
+
+        def recording_laminate(*args, **kwargs):
+            laminates.append(1)
+            return build_laminate(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "build_kuhn_mesh", recording_mesh)
+            patch.setattr(harness, "build_laminate", recording_laminate)
+            code = run(cfg, out_dir=tmp_path / "strict")
         assert code == EXIT_INCOMPATIBLE_MESH
+        # the check runs on the coarsest mesh before any stage
+        assert built == [8] and not laminates
         summary = json.loads((tmp_path / "strict" / "summary.json").read_text())
         assert not summary["incompatibility"]["ok"]
         assert summary["incompatibility"]["offenders"]
+        assert not (tmp_path / "strict" / "tables").exists()
         # --force overrides the refusal and actually runs the sweep
         forced = run(cfg, force=True, out_dir=tmp_path / "forced")
         assert forced in (EXIT_OK, EXIT_GATE_FAILED)
         assert (tmp_path / "forced" / "tables" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("seed, p", [(1, 2.0), (7, 3.5)])
+    def test_rigidity_stages_match_member_loop(self, tmp_path, seed, p):
+        # the per-scale stages against the member-outer loop they replaced
+        m_list, family, grid = [8, 12, 16], 4, 3
+        cfg = {"scenario": "rigidity-family", "seed": seed, "m_list": m_list, "p": p}
+        cfg.update(family_size=family, block_grid=grid)
+        assert run(cfg, out_dir=tmp_path / "out") in (EXIT_OK, EXIT_GATE_FAILED)
+        rows, max_ratio = rigidity_reference.family_rows(seed, m_list, family, grid, p)
+        write_csv(tmp_path / "want.csv", ["field_id", "m", "p", "lhs", "rhs", "ratio"], rows)
+        got = (tmp_path / "out" / "tables" / "rigidity.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        want = {str(m): r for m, r in max_ratio.items()}
+        assert json.dumps(summary["max_ratio"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_energy_bound_exit_code(self, tmp_path):
         cfg = {
@@ -519,10 +553,11 @@ class TestRun:
         (tmp_path / "notes.txt").write_text("kept")
         assert run(cfg, out_dir=tmp_path) == EXIT_OK
 
-        def broken(cfg, force):
+        def broken(ctx, m):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(harness._RUNNERS, "antiferro-sweep", broken)
+        failing = dataclasses.replace(SCHEMA["antiferro-sweep"], stage=broken)
+        monkeypatch.setitem(SCHEMA, "antiferro-sweep", failing)
         assert run(cfg, out_dir=tmp_path) == EXIT_INTERNAL
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["exit_code"] == EXIT_INTERNAL
