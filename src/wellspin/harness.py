@@ -58,9 +58,7 @@ from .rigidity import (
     field_from_blocks,
     random_block_values,
     rigidity_ratio,
-    weak_norm_surrogate,
     weak_rigidity_ratio,
-    fitted_rotation,
 )
 from .spin import (
     BAD_LABEL,
@@ -692,7 +690,7 @@ def _finish_spin_suite(ctx, rows):
 
 def _prepare_rigidity(cfg, force):
     """The coarsest mesh, on which finish also runs the eps sweep and the
-    weak surrogate."""
+    weak-norm ratio."""
     return {**cfg, "mesh": build_kuhn_mesh(2, cfg["m_list"][0])}
 
 
@@ -733,27 +731,25 @@ def _finish_rigidity(ctx, rows):
         lhs_values.append(rep.lhs)
     eps_slope, _ = loglog_slope(eps_values, lhs_values)
 
-    # weak-norm surrogate refinement stability on the first family member,
-    # redrawn as the stages draw it
+    # the weak-norm ratio of the first family member, redrawn as the stages
+    # draw it
     first = random_block_values(substream(ctx["seed"], "rigidity-family"), ctx["block_grid"])
-    fld0 = field_from_blocks(mesh, first)
-    rot0 = fitted_rotation(fld0)
-    mags = np.linalg.norm(fld0.values - rot0, axis=(1, 2))
-    coarse = weak_norm_surrogate(mags, fld0.cell_volumes(), 2, levels=64)
-    fine = weak_norm_surrogate(mags, fld0.cell_volumes(), 2, levels=256)
-    weak = weak_rigidity_ratio(fld0)
+    weak = weak_rigidity_ratio(field_from_blocks(mesh, first))
+    # Chebyshev's inequality: the exact weak norm is at most the L^2 norm,
+    # up to the round-off of the volume sums; for a constant |A - R|, as at
+    # block_grid 1, the two are equal
+    below_strong = weak["lhs"] <= weak["strong"] * (1.0 + 1e-9)
 
     ratios_sorted = list(max_ratio.values())
     spread = max(ratios_sorted) / min(ratios_sorted)
     n_infinite = sum(not math.isfinite(row[-1]) for row in rows)
     # lhs ~ eps^p near a rotation; at p = 2 this is the [1.8, 2.2] gate
     power_p = abs(eps_slope - p) <= 0.1 * p
-    weak_stable = abs(fine - coarse) <= 0.05 * max(fine, 1e-300)
     gates = [
         Gate("ratios_finite", n_infinite == 0, f"{n_infinite} not finite", "0"),
         Gate("max_ratio_scale_stable", spread <= 2.0, ratios_sorted, "max/min <= 2"),
         Gate("eps_slope_power_p", power_p, eps_slope, f"{p:g} +- {0.1 * p:g}"),
-        Gate("weak_surrogate_stable", weak_stable, [coarse, fine], "64 -> 256 levels within 5%"),
+        Gate("weak_below_strong", below_strong, [weak["lhs"], weak["strong"]], "<= L^2 norm, rel 1e-9"),
         Gate("weak_ratio_finite", math.isfinite(weak["ratio"]), weak["ratio"], "finite"),
     ]
     summary = {
@@ -983,7 +979,8 @@ def _rejected_out(raw, out_dir):
         return Path(out_dir)
     if not isinstance(raw, dict):
         return None
-    if isinstance(raw.get("out"), str):
+    # an empty out is unset, as in a run
+    if isinstance(raw.get("out"), str) and raw["out"]:
         return Path(raw["out"])
     scenario = raw.get("scenario")
     return Path("runs") / scenario if isinstance(scenario, str) and scenario in SCHEMA else None

@@ -44,21 +44,6 @@ class MeshResourceError(MeshError):
 
 
 @dataclass
-class MeshConstants:
-    """Scale-free non-degeneracy constants of a mesh.
-
-    Volumes satisfy vol_lower * m^-n <= |T| <= vol_upper * m^-n, the
-    scaled inradius is at least inradius_lower and the scaled diameter at
-    most diameter_upper.
-    """
-
-    vol_lower: float
-    vol_upper: float
-    inradius_lower: float
-    diameter_upper: float
-
-
-@dataclass
 class IncompatibilityReport:
     ok: bool
     worst_alignment: float
@@ -139,7 +124,6 @@ class SimplicialMesh:
         self.interior = np.nonzero(facet_cells[:, 1] >= 0)[0]
         self.boundary = np.nonzero(facet_cells[:, 1] < 0)[0]
         self._compute_facet_geometry(omit, self._compute_cell_geometry())
-        self._constants = None
 
     # -- construction helpers -------------------------------------------
 
@@ -206,34 +190,6 @@ class SimplicialMesh:
     @property
     def effective_volume(self):
         return float(self.volumes.sum())
-
-    @property
-    def constants(self):
-        if self._constants is None:
-            n = self.dim
-            # the largest squared edge length over the n(n+1)/2 vertex
-            # pairs of each cell, one pair at a time to bound memory
-            d2 = np.zeros(self.n_cells)
-            for i, j in itertools.combinations(range(n + 1), 2):
-                edge = self.vertices[self.cells[:, i]] - self.vertices[self.cells[:, j]]
-                d2 = np.maximum(d2, (edge**2).sum(-1))
-            diam = np.sqrt(d2)
-            # each cell's n+1 facet areas, added in increasing facet id as a
-            # loop over facets adds them, which fixes the rounding
-            owner = np.concatenate([self.facet_cells[:, 0], self.facet_cells[self.interior, 1]])
-            fid = np.concatenate([np.arange(len(self.facet_area)), self.interior])
-            areas = self.facet_area[fid[np.lexsort((fid, owner))]].reshape(self.n_cells, n + 1)
-            surf = areas[:, 0].copy()
-            for k in range(1, n + 1):
-                surf += areas[:, k]
-            inradius = n * self.volumes / surf
-            self._constants = MeshConstants(
-                vol_lower=float(self.volumes.min() * self.m**n),
-                vol_upper=float(self.volumes.max() * self.m**n),
-                inradius_lower=float((inradius * self.m).min()),
-                diameter_upper=float((diam * self.m).max()),
-            )
-        return self._constants
 
     def normal_directions(self):
         """Distinct facet normal directions as unit vectors.

@@ -15,20 +15,65 @@ and the per-facet normal_directions loop back in. The array builder must
 reproduce every array byte for byte, except the n = 2 facet normals,
 which wellspin forms in closed form, and the n = 2 tangents, which it no
 longer stores: fields.facet_jumps turns the normal back by 90 degrees.
+
+mesh_constants holds the scale-free shape constants of any mesh, which no
+run reads; ReferenceMesh.constants computes them one facet at a time.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from wellspin.mesh import (
-    MeshConstants,
     MeshError,
     MeshResourceError,
     SimplicialMesh,
     _batched_det,
 )
+
+
+@dataclass
+class MeshConstants:
+    """Scale-free non-degeneracy constants of a mesh.
+
+    Volumes satisfy vol_lower * m^-n <= |T| <= vol_upper * m^-n, the
+    scaled inradius is at least inradius_lower and the scaled diameter at
+    most diameter_upper.
+    """
+
+    vol_lower: float
+    vol_upper: float
+    inradius_lower: float
+    diameter_upper: float
+
+
+def mesh_constants(mesh):
+    """MeshConstants of a mesh, with whole-array passes."""
+    n = mesh.dim
+    # the largest squared edge length over the n(n+1)/2 vertex pairs of
+    # each cell, one pair at a time to bound memory
+    d2 = np.zeros(mesh.n_cells)
+    for i, j in itertools.combinations(range(n + 1), 2):
+        edge = mesh.vertices[mesh.cells[:, i]] - mesh.vertices[mesh.cells[:, j]]
+        d2 = np.maximum(d2, (edge**2).sum(-1))
+    diam = np.sqrt(d2)
+    # each cell's n+1 facet areas, added in increasing facet id as a loop
+    # over facets adds them, which fixes the rounding
+    owner = np.concatenate([mesh.facet_cells[:, 0], mesh.facet_cells[mesh.interior, 1]])
+    fid = np.concatenate([np.arange(len(mesh.facet_area)), mesh.interior])
+    areas = mesh.facet_area[fid[np.lexsort((fid, owner))]].reshape(mesh.n_cells, n + 1)
+    surf = areas[:, 0].copy()
+    for k in range(1, n + 1):
+        surf += areas[:, k]
+    inradius = n * mesh.volumes / surf
+    return MeshConstants(
+        vol_lower=float(mesh.volumes.min() * mesh.m**n),
+        vol_upper=float(mesh.volumes.max() * mesh.m**n),
+        inradius_lower=float((inradius * mesh.m).min()),
+        diameter_upper=float((diam * mesh.m).max()),
+    )
 
 
 def _first_visit_groups(keys):
@@ -166,26 +211,24 @@ class ReferenceMesh(FirstVisitMesh):
 
     @property
     def constants(self):
-        if self._constants is None:
-            n = self.dim
-            verts = self.vertices[self.cells]
-            d2 = (
-                (verts[:, :, None, :] - verts[:, None, :, :]) ** 2
-            ).sum(-1)
-            diam = np.sqrt(d2.max(axis=(1, 2)))
-            surf = np.zeros(self.n_cells)
-            for fi in range(len(self.facet_area)):
-                surf[self.facet_cells[fi, 0]] += self.facet_area[fi]
-                if self.facet_cells[fi, 1] >= 0:
-                    surf[self.facet_cells[fi, 1]] += self.facet_area[fi]
-            inradius = n * self.volumes / surf
-            self._constants = MeshConstants(
-                vol_lower=float(self.volumes.min() * self.m**n),
-                vol_upper=float(self.volumes.max() * self.m**n),
-                inradius_lower=float((inradius * self.m).min()),
-                diameter_upper=float((diam * self.m).max()),
-            )
-        return self._constants
+        n = self.dim
+        verts = self.vertices[self.cells]
+        d2 = (
+            (verts[:, :, None, :] - verts[:, None, :, :]) ** 2
+        ).sum(-1)
+        diam = np.sqrt(d2.max(axis=(1, 2)))
+        surf = np.zeros(self.n_cells)
+        for fi in range(len(self.facet_area)):
+            surf[self.facet_cells[fi, 0]] += self.facet_area[fi]
+            if self.facet_cells[fi, 1] >= 0:
+                surf[self.facet_cells[fi, 1]] += self.facet_area[fi]
+        inradius = n * self.volumes / surf
+        return MeshConstants(
+            vol_lower=float(self.volumes.min() * self.m**n),
+            vol_upper=float(self.volumes.max() * self.m**n),
+            inradius_lower=float((inradius * self.m).min()),
+            diameter_upper=float((diam * self.m).max()),
+        )
 
     def normal_directions(self):
         return reference_normal_directions(self.facet_normal)

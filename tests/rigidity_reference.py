@@ -1,5 +1,6 @@
 """The rigidity-family loop that the per-scale stages of the harness
-replaced, kept as a test oracle.
+replaced, and the level-grid weak norm that rigidity.weak_norm replaced,
+kept as test oracles next to a brute-force weak norm.
 
 family_rows draws each family member once, from one substream, and
 measures it at every scale before drawing the next (members outside,
@@ -7,7 +8,13 @@ scales inside). Its rows come out in (field_id, m) order, and the largest
 ratio at each m starts from 0. The stages redraw the family at each scale
 and sort the rows afterwards; they must give the same rows in the same
 order and the same largest ratios.
+
+grid_weak_norm evaluates t * |{|A| > t}|^((n-1)/n) on a geometric t-grid,
+so it can only fall short of the supremum; brute_weak_norm takes the
+supremum over each distinct magnitude, one level set at a time.
 """
+
+import numpy as np
 
 from wellspin.harness import substream
 from wellspin.mesh import build_kuhn_mesh
@@ -27,3 +34,32 @@ def family_rows(seed, m_list, family_size, block_grid, p):
             rows.append((fid, m, p, rep.lhs, rep.rhs, rep.ratio))
             max_ratio[m] = max(max_ratio[m], rep.ratio)
     return rows, max_ratio
+
+
+def grid_weak_norm(magnitudes, volumes, dim, levels):
+    """sup over t of t * |{|A| > t}|^((n-1)/n) on a logarithmic t-grid
+    spanning [1e-6, max magnitude]."""
+    magnitudes = np.asarray(magnitudes, float)
+    top = float(magnitudes.max(initial=0.0))
+    if top <= 0.0:
+        return 0.0
+    lo = min(1e-6, top / 10.0)
+    ts = np.geomspace(lo, top, levels)
+    exponent = (dim - 1) / dim
+    best = 0.0
+    for t in ts:
+        vol = float(volumes[magnitudes > t].sum())
+        best = max(best, t * vol**exponent)
+    return best
+
+
+def brute_weak_norm(magnitudes, volumes, dim):
+    """The supremum as the largest a * |{|A| >= a}|^((n-1)/n) over the
+    distinct magnitudes a, the limits of t * |{|A| > t}|^((n-1)/n) as t
+    rises to each: O(N^2)."""
+    magnitudes, volumes = np.asarray(magnitudes, float), np.asarray(volumes, float)
+    best = 0.0
+    for a in np.unique(magnitudes):
+        vol = float(volumes[magnitudes >= a].sum())
+        best = max(best, float(a) * vol ** ((dim - 1) / dim))
+    return best

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import auto_laminate
+from kuhn_reference import mesh_constants
 from wellspin.fields import (
     FieldError,
     PWAffineField,
@@ -212,7 +213,7 @@ class TestLaminate:
         kink_dist = np.minimum.reduce(
             [frac, np.abs(frac - 0.5 * period), period - frac]
         )
-        diam = mesh.constants.diameter_upper / mesh.m
+        diam = mesh_constants(mesh).diameter_upper / mesh.m
         far = kink_dist > 2.0 * diam
         d, _ = dist_to_wells_batch(field.gradients[far], wells_std)
         assert np.all(d <= 1e-9)

@@ -598,6 +598,33 @@ class TestRun:
         # an unreadable config names no directory, so nothing is written
         assert run(tmp_path / "missing.json") == EXIT_INTERNAL
 
+    def test_rejected_config_with_empty_out(self, tmp_path, monkeypatch):
+        # an empty out is unset, as in a valid run: the rejected run writes
+        # to runs/<scenario>, and the working directory keeps its files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tables").mkdir()
+        (tmp_path / "tables" / "mine.csv").write_text("kept")
+        assert run({"scenario": "antiferro-sweep", "out": "", "m_lst": 1}) == EXIT_INTERNAL
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs", "tables"]
+        assert (tmp_path / "tables" / "mine.csv").read_text() == "kept"
+        summary = json.loads((tmp_path / "runs" / "antiferro-sweep" / "summary.json").read_text())
+        assert summary["problems"] == ["m_lst: unknown key"]
+
+    @pytest.mark.parametrize("seed", [1, 7331])
+    def test_shipped_rigidity_config_passes(self, seed, tmp_path):
+        # the level-grid weak norm failed its own refinement gate at both
+        cfg = json.loads((CONFIG_DIR / "rigidity.json").read_text())
+        assert run({**cfg, "seed": seed}, out_dir=tmp_path) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert len(summary["gates"]) == 5 and all(summary["gates"].values())
+
+    def test_constant_field_passes_weak_gate(self, tmp_path):
+        # at block_grid 1 |A - R| is constant, and the weak norm equals the
+        # L^2 norm up to round-off
+        for seed in range(12):
+            cfg = {"scenario": "rigidity-family", "seed": seed, "block_grid": 1, "family_size": 2}
+            assert run(cfg, out_dir=tmp_path) == EXIT_OK
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {
             "scenario": "rigidity-family",

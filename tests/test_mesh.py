@@ -8,6 +8,7 @@ from kuhn_reference import (
     FirstVisitMesh,
     ReferenceMesh,
     _facet_visits,
+    mesh_constants,
     reference_build_kuhn_mesh,
     reference_normal_directions,
 )
@@ -42,7 +43,7 @@ class TestBuild:
     def test_counts_m16(self):
         mesh = build_kuhn_mesh(2, 16)
         assert mesh.n_cells == 512
-        c = mesh.constants
+        c = mesh_constants(mesh)
         assert c.vol_lower == pytest.approx(0.5, abs=1e-14)
         assert c.vol_upper == pytest.approx(0.5, abs=1e-14)
 
@@ -89,8 +90,8 @@ class TestBuild:
         assert len(mesh.interior) == (slots - n_boundary) // 2
 
     def test_constants_scale_invariant_exact(self):
-        c8 = build_kuhn_mesh(2, 8).constants
-        c64 = build_kuhn_mesh(2, 64).constants
+        c8 = mesh_constants(build_kuhn_mesh(2, 8))
+        c64 = mesh_constants(build_kuhn_mesh(2, 64))
         assert c8.vol_lower == c64.vol_lower
         assert c8.vol_upper == c64.vol_upper
         assert c8.diameter_upper == c64.diameter_upper
@@ -99,13 +100,13 @@ class TestBuild:
         # rotated absolute coordinates carry ulp noise, so equality is
         # exact only up to round-off here
         rot = rotation_2d(np.pi / 7)
-        c8 = build_kuhn_mesh(2, 8, lattice_rotation=rot).constants
-        c64 = build_kuhn_mesh(2, 64, lattice_rotation=rot).constants
+        c8 = mesh_constants(build_kuhn_mesh(2, 8, lattice_rotation=rot))
+        c64 = mesh_constants(build_kuhn_mesh(2, 64, lattice_rotation=rot))
         assert c8.vol_lower == pytest.approx(c64.vol_lower, abs=1e-12)
         assert c8.diameter_upper == pytest.approx(c64.diameter_upper, abs=1e-12)
 
     def test_diameter_times_m_constant(self):
-        vals = [build_kuhn_mesh(2, m).constants.diameter_upper for m in (4, 8, 16)]
+        vals = [mesh_constants(build_kuhn_mesh(2, m)).diameter_upper for m in (4, 8, 16)]
         assert vals[0] == vals[1] == vals[2]
 
     def test_resource_budget(self):
@@ -272,7 +273,7 @@ def assert_matches_reference(new, ref):
         if new.dim == 2 and name == "facet_normal":
             continue
         assert a.tobytes() == b.tobytes(), name
-    assert new.constants == ref.constants
+    assert mesh_constants(new) == ref.constants
     dirs, ref_dirs = new.normal_directions(), ref.normal_directions()
     assert dirs.shape == ref_dirs.shape
     if new.dim == 3:

@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import svd_reference as ref
-from kuhn_reference import FirstVisitMesh
+from kuhn_reference import FirstVisitMesh, mesh_constants
 from wellspin.fields import PWAffineField, facet_jumps, tangential_jump_residual
 from wellspin.mesh import MeshError, build_kuhn_mesh
 from wellspin.rigidity import (
@@ -346,7 +346,7 @@ class TestFacetJumpKernel:
 
 def pairwise_diameter(mesh):
     """m times the largest cell diameter, from all pairwise vertex
-    differences at once, as SimplicialMesh.constants computed it before."""
+    differences at once, as the mesh constants were once computed."""
     verts = mesh.vertices[mesh.cells]
     d2 = ((verts[:, :, None, :] - verts[:, None, :, :]) ** 2).sum(-1)
     return float((np.sqrt(d2.max(axis=(1, 2))) * mesh.m).max())
@@ -377,7 +377,7 @@ class TestMeshCaches:
     def test_diameters_match_pairwise_array(self, n, m):
         rng = np.random.default_rng(n)
         mesh = build_kuhn_mesh(n, m, jitter=0.15, rng=rng)
-        assert mesh.constants.diameter_upper == pairwise_diameter(mesh)
+        assert mesh_constants(mesh).diameter_upper == pairwise_diameter(mesh)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", range(8))
@@ -386,4 +386,4 @@ class TestMeshCaches:
         vertices = np.random.default_rng(seed).normal(size=(n + 1, n))
         cells = np.arange(n + 1)[None]
         mesh = FirstVisitMesh(n, 1, np.eye(n), vertices, cells)
-        assert mesh.constants.diameter_upper == pairwise_diameter(mesh)
+        assert mesh_constants(mesh).diameter_upper == pairwise_diameter(mesh)
