@@ -362,14 +362,17 @@ def _check_spin_suite(raw, cfg):
 # m = 256 and m = 512 under tracemalloc, edge inverses included, 1.1 GB at
 # 4,000,000 cells). Each size budget below divides it by the peak bytes per
 # unit of the scenario's largest allocations, measured with tracemalloc on
-# whole runs and rounded up: 98 per antiferro chain site (at 2^18 and 2^20
-# sites), 1,740 to 1,790 per twin lattice site (at m = 128 and 192, the
-# stacked patches of the rotation match), and 210 to 217 per rigidity block
+# whole runs and rounded up: 84 per site of the largest antiferro chain (at
+# m_list [m/16, m/4, m] for m = 2^18 and 2^20, with 3 interfaces; the
+# component grouping; the divisor stays at 100), 400 to 603 per twin lattice site (at m = 192 and 128,
+# each in a fresh process; at m = 192 the window stacks of
+# evaluate_hamiltonian, at m = 128 classify_lattice, whose fixed-size chunks
+# weigh more on a small lattice), and 210 to 217 per rigidity block
 # (block_grid 512, 1 to 16 members; each stage redraws the family and holds
 # one member's values at a time, and finish redraws the first member).
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
-MAX_TWIN_SITES = MEMORY_BUDGET // 1_800
+MAX_TWIN_SITES = MEMORY_BUDGET // 610
 MAX_BLOCKS = MEMORY_BUDGET // 224
 
 

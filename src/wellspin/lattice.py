@@ -24,8 +24,14 @@ than a rounding margin has a computed distance above the threshold too,
 so it cannot be the first nearest state of a site within the threshold,
 and its distance is set to inf unmatched; the labels are the same as with
 every state matched. On a twin ground state only the site's own state is
-matched. NaN bounds compare false and are matched. verify_h2 needs the
-exact kappa of every window and keeps the unpruned match.
+matched. NaN bounds compare false and are matched. The sites go in chunks
+of rows, so the patch stacks, the bound and the match of one chunk have a
+fixed size whatever the lattice. verify_h2 needs the exact kappa of every
+window and keeps the unpruned match.
+
+Ground patterns are read on the box from the origin by tiling the period
+cell (GroundState.box), not by a modular gather per site; the chain of
+antiferro_chain is written one slice of that tile per interface.
 
 The one-dimensional anti-ferromagnetic pair Hamiltonian is built in, in
 its raw form (gradients in {0, +-1}, non-invertible averages) and in a
@@ -71,7 +77,8 @@ class GroundState:
     """A periodic gradient pattern.
 
     gradients has shape period + (n, n); the pattern value at an absolute
-    site is read off modulo the period in every axis.
+    site is read off modulo the period in every axis. box reads it on the
+    sites of a box from the origin, gradient_at at arbitrary sites.
     """
 
     gradients: np.ndarray
@@ -93,6 +100,14 @@ class GroundState:
             np.mod(sites[..., a], self.period[a]) for a in range(self.dim)
         )
         return self.gradients[idx]
+
+    def box(self, shape):
+        """Pattern values on the sites of the box shape from the origin,
+        shape (shape..., n, n): the pattern tiled past the box and cut to
+        it, a view of a fresh array."""
+        reps = tuple(-(-s // p) for s, p in zip(shape, self.period))
+        tiled = np.tile(self.gradients, reps + (1, 1))
+        return tiled[tuple(slice(0, s) for s in shape)]
 
     @property
     def period_length(self):
@@ -139,7 +154,8 @@ class LatticeSystem:
         their values over the q0 box."""
         if len(self.ground_states) == 1:
             return math.inf
-        values = [g.gradient_at(self.q0_offsets) for g in self.ground_states]
+        box = (self.L0 + 1,) * self.dim  # the q0 offsets, in C order
+        values = [g.box(box).reshape(-1, self.dim, self.dim) for g in self.ground_states]
         best = math.inf
         for a in range(len(values)):
             for b in range(a + 1, len(values)):
@@ -217,7 +233,7 @@ def ground_state_deformation(system, l, value_shape, m, rotation=None):
     """
     g = system.ground_states[l]
     rot = np.eye(system.dim) if rotation is None else np.asarray(rotation, float)
-    grads = rot @ g.gradient_at(np.moveaxis(np.indices(value_shape), 0, -1))
+    grads = rot @ g.box(value_shape)
     x = LatticeDeformation(_integrate(grads, value_shape), m)
     box = tuple(slice(0, s - 1) for s in value_shape)
     if not np.allclose(x.gradient(), grads[box], atol=1e-9):
@@ -442,6 +458,24 @@ def _rotation_match(patches, gpatches):
     return out.reshape(lead)
 
 
+def _pruned_match(patches, gpatches, threshold):
+    """_rotation_match of the patch stacks (..., Q, 2, 2), inf unmatched
+    where the lower bound shows a distance above threshold.
+
+    Each entry's own minimum over rotations, 2 (half_k - |(alpha_k,
+    beta_k)|), bounds the squared minimax from below; a state whose bound
+    clears threshold^2 cannot label the site, so it is not matched. NaN
+    bounds compare false and are matched.
+    """
+    alpha, beta, half = _sinusoids(patches, gpatches)
+    floor = (half - np.hypot(alpha, beta)).max(axis=-1)
+    live = ~(floor > 0.5 * threshold**2 + _BOUND_MARGIN * half.max(axis=-1))
+    del alpha, beta, half, floor
+    dist = np.full(live.shape, np.inf)
+    dist[live] = _rotation_match(patches[live], gpatches[live])
+    return dist
+
+
 # non-finite gradients give NaN or infinite distances, which label BAD
 @np.errstate(invalid="ignore", over="ignore")
 def classify_lattice(x, system):
@@ -461,36 +495,36 @@ def classify_lattice(x, system):
     labels = np.full(gshape, BOUNDARY_SITE, dtype=np.int64)
     hi = tuple(int(h) for h in np.array(gshape) - offsets.max(axis=0))
     if min(hi) > 0:
-        sites = np.moveaxis(np.indices(gshape), 0, -1)
-        if system.dim > 1:
-            patches = np.stack([_window(grad, off, hi) for off in offsets], axis=-3)
         # the labels of the sites with a full window, a view written in place
         nearest = labels[tuple(slice(0, h) for h in hi)]
         nearest[...] = 0
         best = np.full(hi, np.inf)
-        for l, g in enumerate(system.ground_states):
-            if system.dim == 1:
+        if system.dim == 1:
+            for l, g in enumerate(system.ground_states):
                 # one entry distance per site, then its sliding max
-                err = g.gradient_at(sites)[..., 0, 0]
+                err = g.box(gshape)[..., 0, 0]
                 np.abs(np.subtract(grad[..., 0, 0], err, out=err), out=err)
                 dist = np.zeros(hi)
                 for off in offsets:
                     np.maximum(dist, _window(err, off, hi), out=dist)
                 del err
-            else:
-                pattern = g.gradient_at(sites)
-                gpatches = np.stack([_window(pattern, off, hi) for off in offsets], axis=-3)
-                # each entry's own minimum over rotations, 2 (half_k - |(alpha_k,
-                # beta_k)|), bounds the squared minimax from below; a state whose
-                # bound clears threshold^2 cannot label the site, so it is not
-                # matched. NaN bounds compare false and are matched
-                alpha, beta, half = _sinusoids(patches, gpatches)
-                floor = (half - np.hypot(alpha, beta)).max(axis=-1)
-                live = ~(floor > 0.5 * threshold**2 + _BOUND_MARGIN * half.max(axis=-1))
-                dist = np.full(hi, np.inf)
-                dist[live] = _rotation_match(patches[live], gpatches[live])
-            nearest[dist < best] = l
-            np.minimum(best, dist, out=best)
+                nearest[dist < best] = l
+                np.minimum(best, dist, out=best)
+        else:
+            # chunks of rows: the patch stacks, the bound's temporaries and
+            # the live copies of a chunk, about eight arrays of (sites, Q, 2,
+            # 2), stay within _MATCH_BLOCK values
+            rows = max(1, _MATCH_BLOCK // (32 * len(offsets) * math.prod(hi[1:])))
+            patterns = [g.box(gshape) for g in system.ground_states]
+            for r in range(0, hi[0], rows):
+                box = (min(rows, hi[0] - r),) + hi[1:]
+                patches = np.stack([_window(grad[r:], o, box) for o in offsets], axis=-3)
+                near, low = nearest[r : r + rows], best[r : r + rows]
+                for l, pattern in enumerate(patterns):
+                    gpatches = np.stack([_window(pattern[r:], o, box) for o in offsets], axis=-3)
+                    dist = _pruned_match(patches, gpatches, threshold)
+                    near[dist < low] = l
+                    np.minimum(low, dist, out=low)
         nearest[~(best <= threshold)] = BAD_SITE  # NaN distances too
     return LatticeClassification(
         labels=labels, threshold=float(threshold), m=x.m, dim=system.dim
@@ -773,19 +807,19 @@ def antiferro_chain(system, m, interfaces=()):
     interfaces lists fractional positions in (0, 1), each on its own site
     (see slip_sites); at each one the previous gradient is repeated (the
     first site repeats the pattern at site 0), which flips the parity (an
-    antiphase boundary) and costs one defect window of energy.
+    antiphase boundary) and costs one defect window of energy. The chain is
+    written one segment per interface: the sites between two slips read the
+    pattern one site ahead when an odd number of slips lies before them.
     """
-    g0 = system.ground_states[0]
-    slip = np.zeros(m, dtype=bool)
-    slip[slip_sites(m, interfaces)] = True
-    index = np.arange(m)
-    # parity: the number of slips before a site, mod 2
-    parity = (np.cumsum(slip) - slip) % 2
-    pattern = g0.gradient_at((index + parity)[:, None])[:, 0, 0]
-    # a slip copies the last site before it that is no slip; a leading run
-    # of slips copies site 0, where the parity is still 0
-    last = np.maximum.accumulate(np.where(slip, -1, index))
-    return LatticeDeformation.from_gradient_sequence(pattern[np.maximum(last, 0)], m=m)
+    pattern = system.ground_states[0].box((m + 1,))[:, 0, 0]
+    grads = np.empty(m)
+    start = parity = 0
+    for site in slip_sites(m, interfaces):
+        grads[start:site] = pattern[start + parity : site + parity]
+        grads[site] = grads[site - 1] if site else pattern[0]
+        start, parity = site + 1, 1 - parity
+    grads[start:] = pattern[start + parity : m + parity]
+    return LatticeDeformation.from_gradient_sequence(grads, m=m)
 
 
 def synthetic_twin_system():

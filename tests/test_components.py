@@ -36,6 +36,22 @@ class TestLabelComponents:
         new = label_components(labs, *_axis_pairs(labs.shape))
         assert as_bytes(new) == as_bytes(ref.lattice_components(labs))
 
+    @settings(max_examples=150, deadline=None)
+    @given(label_grids(), st.integers(0, 2**32 - 1))
+    def test_pair_order_and_orientation(self, labs, seed):
+        # the run pass links (i, i + 1) given either way round, in any order
+        # and any number of times
+        rng = np.random.default_rng(seed)
+        a, b = _axis_pairs(labs.shape)
+        flip = rng.random(a.size) < 0.5
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        again = rng.integers(0, 3, size=a.size)
+        order = rng.permutation(int(again.sum()) + a.size)
+        a = np.concatenate([a, np.repeat(a, again)])[order]
+        b = np.concatenate([b, np.repeat(b, again)])[order]
+        new = label_components(labs, a, b)
+        assert as_bytes(new) == as_bytes(ref.lattice_components(labs))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(sorted(MESHES)),

@@ -356,6 +356,34 @@ class TestRun:
         assert summary["gates"]["components_k_plus_1"]
         assert summary["h2"]["c"] > 0
 
+    @pytest.mark.parametrize(
+        "scenario, m",
+        [
+            ("antiferro-sweep", 2**18),
+            ("antiferro-sweep", 2**20),
+            ("lattice-sweep", 128),
+            ("lattice-sweep", 192),
+        ],
+    )
+    def test_lattice_run_peak_within_site_budget(self, tmp_path, scenario, m):
+        # a run at the size limit fits the memory budget: the whole run, its
+        # smaller scales included, peaks at most at MEMORY_BUDGET / limit
+        # bytes per site of its largest lattice
+        if scenario == "antiferro-sweep":
+            lat = {"interfaces": 3, "m_list": [m // 16, m // 4, m]}
+            sites, limit = m, harness.MAX_CHAIN_SITES
+        else:
+            lat = {"m_list": [8, 16, m]}
+            sites, limit = (m + 1) ** 2, harness.MAX_TWIN_SITES
+        tracemalloc.start()
+        try:
+            code = run({"scenario": scenario, "lattice": lat}, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= sites * harness.MEMORY_BUDGET / limit
+
     def test_laminate_sweep_small(self, tmp_path):
         cfg = {
             "scenario": "laminate-sweep",

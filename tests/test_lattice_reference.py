@@ -1,6 +1,7 @@
 """The exact rotation match, the bound-pruned classifier, the array chain
 builder, the ground-state integrator and the sliding window views against
-the code they replaced (tests/lattice_reference.py)."""
+the code they replaced (tests/lattice_reference.py), and the tiled box read
+of a ground pattern against its modular gather."""
 
 import numpy as np
 import pytest
@@ -189,10 +190,13 @@ def twin_lattices(draw):
 
 class TestBoundPrune:
     @settings(max_examples=100, deadline=None)
-    @given(twin_lattices())
-    def test_labels_equal_unpruned(self, case):
+    @given(twin_lattices(), st.sampled_from([None, 1, 500, 5000]))
+    def test_labels_equal_unpruned(self, case, block):
         twin, x, plant, rng = case
         with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                # chunks of one row or a few: chunk edges change no label
+                mp.setattr(lattice, "_MATCH_BLOCK", block)
             if plant == "threshold":
                 # a site's computed distance to a state becomes the threshold
                 dists = ref.unpruned_distances(x, twin)
@@ -250,6 +254,23 @@ class TestWindowViews:
             new = averaged_gradient_field(x, system, l)
             avg = ref.averaged_gradients(x, system, l)
             assert new.shape == avg.shape and new.tobytes() == avg.tobytes()
+
+
+class TestGroundStateBox:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_box_equals_gradient_at(self, n, data):
+        period = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        # sides of 0 give empty boxes
+        shape = tuple(data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        g = GroundState(np.random.default_rng(seed).normal(size=period + (n, n)))
+        box = g.box(shape)
+        old = g.gradient_at(np.moveaxis(np.indices(shape), 0, -1))
+        assert box.shape == old.shape == shape + (n, n)
+        assert box.dtype == old.dtype and box.tobytes() == old.tobytes()
+        # a fresh array: writing into the box leaves the pattern alone
+        assert not np.shares_memory(box, g.gradients)
 
 
 class TestChainBuilder:
