@@ -32,13 +32,11 @@ from .fields import (
 )
 from .lattice import (
     EnergyBoundError,
-    LatticeError,
     antiferro_chain,
     antiferro_system,
     evaluate_hamiltonian,
     ground_state_deformation,
     lattice_partition_diagnostics,
-    slip_sites,
     synthetic_twin_system,
     verify_h2,
 )
@@ -398,18 +396,23 @@ def _interface_fractions(k):
 
 
 def _interfaces_problem(k, m):
-    """Whether k interfaces cannot take distinct sites of an m-site chain."""
-    if k > m:  # checked first: k may be too large to list
-        return f"at m = {m}, {k} interfaces cannot take distinct sites"
-    try:
-        slip_sites(m, _interface_fractions(k))
-    except LatticeError as err:
-        return f"at m = {m}, {err}"
+    """Whether k interfaces leave a stretch of an m-site chain without a
+    full ground window.
+
+    Each of the k + 1 segments between slips and chain ends must span
+    L0 + 1 = 3 sites (L0 = 2 is the period of both antiferro variants), or
+    all its sites are BAD. For evenly spaced interfaces that holds exactly
+    when 3 (k + 1) <= m: the positions (i + 1) m / (k + 1) are then at
+    least 3 apart, a spacing over 3 rounds to at least 3 sites and one of
+    exactly 3 puts every interface on a whole site.
+    """
+    if 3 * (k + 1) > m:
+        return f"at m = {m}, {k} interfaces need {3 * (k + 1)} sites, 3 for each of {k + 1} segments"
     return None
 
 
 def _check_antiferro(raw, cfg):
-    """A chain of m sites, with its interfaces on distinct sites."""
+    """A chain of m sites, with a full ground window between interfaces."""
     k, m_list = cfg["lattice"]["interfaces"], cfg["lattice"]["m_list"]
     return _first_problem(
         "lattice.m_list", m_list, lambda m: _sites_problem(m, m, MAX_CHAIN_SITES)

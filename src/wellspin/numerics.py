@@ -1,6 +1,6 @@
-"""Small shared numerical utilities: 1-D golden-section refinement,
-connected-component labelling of labelled items, log-log slope fits and
-ratios of measures that may vanish.
+"""Small shared numerical utilities: connected-component labelling of
+labelled items, log-log slope fits, ratios of measures that may vanish, and
+the 1-D golden-section refinement that the test oracles build on.
 
 Component labelling first contracts runs: every joining pair (i, i + 1),
 in either orientation, links i + 1 to i, and one running maximum points

@@ -3,9 +3,9 @@
 A well is the orbit SO(n)U of a symmetric positive definite matrix U under
 left multiplication by rotations. This module provides distances to single
 rotations and to unions of wells, the twin (rank-one connection) solver for
-n = 2, and the incompatibility constant that measures how far apart two
-wells stay when their difference is probed only along directions tangent to
-a facet whose normal avoids all twin normals.
+n = 2, and the incompatibility constant: how far apart two wells stay along
+the tangents of facets whose normals avoid all twin normals, a 1-D minimum
+taken exactly, at the roots of a trigonometric polynomial and the ends.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import golden_min
-
 SYMMETRY_TOL = 1e-12
 # the largest absolute entry of a well
 MAX_ENTRY = 1e150
 ROTATION_TOL = 1e-10
 RESIDUAL_RTOL = 1e-9
-# grid points per pi radians of admissible normal angle in compute_dbar
-DBAR_GRID = 4096
+# 8 samples of a degree-3 trigonometric polynomial onto its coefficients of
+# z^3, ..., z^-3: a DFT as one product (a lazy numpy.fft import costs more)
+_DFT_ANGLES = np.arange(8) * (np.pi / 4)
+_DFT = np.exp(-1j * np.outer(np.arange(3, -4, -1), _DFT_ANGLES)) / 8
 
 
 class WellSetError(ValueError):
@@ -462,8 +462,8 @@ def compute_dbar(wells, delta0):
     normal, the stretch |(U_i1 - Q U_i2) tau| along the facet tangent tau
     orthogonal to b. In the plane a rotation can turn U_i2 tau onto
     U_i1 tau, so the minimum over Q is | |U_i1 tau| - |U_i2 tau| | and a
-    1-D minimum over the admissible normal angles is left (see
-    _tangent_gap_min).
+    1-D minimum over the admissible normal angles is left, which
+    _tangent_gap_min takes exactly.
 
     A single well has nothing to separate: the result is +inf.
     """
@@ -479,10 +479,9 @@ def compute_dbar(wells, delta0):
             f"delta0={delta0} leaves no admissible facet normal directions"
         )
     return min(
-        _tangent_gap_min(wells.matrices[i1], wells.matrices[i2], lo, hi)
+        _tangent_gap_min(wells.matrices[i1], wells.matrices[i2], np.array(intervals))
         for i1 in range(wells.k)
         for i2 in range(i1 + 1, wells.k)
-        for lo, hi in intervals
     )
 
 
@@ -495,34 +494,35 @@ def _tangent_gap(u1, u2, phi):
     return np.abs(a - b)
 
 
-def _tangent_gap_min(u1, u2, lo, hi):
-    """Minimum of _tangent_gap over normal angles in [lo, hi].
-
-    |U1 tau|^2 - |U2 tau|^2 vanishes only at twin tangents, which the
-    admissible intervals exclude, so the gap is smooth on [lo, hi]. It is
-    scanned on about DBAR_GRID points per pi radians; every grid local
-    minimum is polished by golden-section search between its neighbours,
-    and both ends are candidates too. A local minimum whose neighbours
-    rise above it by no more than the rounding error of the gap lies on a
-    flat stretch (for U2 = 2 U1 the gap is constant), where polishing
-    could gain no more than that rounding: it is taken as it is.
+@np.errstate(divide="ignore", invalid="ignore")
+def _tangent_gap_min(u1, u2, intervals):
+    """Minimum of _tangent_gap over the [lo, hi] rows of intervals, which
+    hold no twin tangent: the gap is smooth there and least at an end or a
+    critical angle. With theta = 2 phi, S = U^T U, p = tr S / 2 and w =
+    (S11 - S00) / 2 - i S01, A = |U tau|^2 = p + Re(w e^(-i theta)) and A'
+    = Im(w e^(-i theta)). A critical angle zeroes F = A_1'^2 A_2 - A_2'^2
+    A_1, of degree 3: the angle of a root of z^3 F(z), sharpened by two
+    Newton steps on A_1' / sqrt(A_1) - A_2' / sqrt(A_2) (A'' = p - A; a nan
+    step lies in no interval). F is round-off where a well is isotropic or
+    dwarfed, so each A's own critical angles join. Powers of two bring the
+    entries near 1, lest F (degree 6 in them) overflow, then F, lest
+    np.roots divide by a subnormal; a spurious root is one more point.
     """
-    phis = np.linspace(lo, hi, max(8, math.ceil(DBAR_GRID * (hi - lo) / math.pi)) + 1)
-    vals = _tangent_gap(u1, u2, phis)
-    # strict on the left so a plateau is polished once
-    padded = np.concatenate([[math.inf], vals, [math.inf]])
-    local = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
-    # |U tau| <= |U|_F, so the gap is off by a few ulps of that at most
-    noise = 4.0 * np.finfo(float).eps * (np.linalg.norm(u1) + np.linalg.norm(u2))
-    # each end of the interval stands in for its missing outer neighbour
-    edged = np.concatenate([vals[:1], vals, vals[-1:]])
-    flat = np.maximum(edged[local], edged[local + 2]) - vals[local] <= noise
-    best = min(vals[0], vals[-1], vals[local[flat]].min(initial=math.inf))
-    for k in local[~flat]:
-        _, val = golden_min(
-            lambda p: _tangent_gap(u1, u2, p),
-            phis[max(k - 1, 0)],
-            phis[min(k + 1, len(phis) - 1)],
-        )
-        best = min(best, val)
-    return float(best)
+    u = np.array([u1, u2])
+    u = u * 2.0 ** -math.frexp(np.abs(u).max())[1]
+    s = np.swapaxes(u, 1, 2) @ u
+    s00, s01, s11 = s[:, 0, 0, None], s[:, 0, 1, None], s[:, 1, 1, None]
+    p, w = 0.5 * (s00 + s11), 0.5 * (s11 - s00) - 1j * s01
+    e = w * np.exp(-1j * _DFT_ANGLES)
+    a, d = p + e.real, e.imag
+    f = d[0] ** 2 * a[1] - d[1] ** 2 * a[0]
+    theta = np.angle(np.roots(_DFT @ np.ldexp(f, -math.frexp(abs(f).max())[1])))
+    for _ in range(2):
+        e = w * np.exp(-1j * theta)
+        a, d = p + e.real, e.imag
+        g, dg = d / np.sqrt(a), (p - a - 0.5 * d * d / a) / np.sqrt(a)
+        theta = theta - (g[0] - g[1]) / (dg[0] - dg[1])
+    crit = np.angle(w).ravel()
+    phis = np.concatenate([theta, crit, crit + np.pi]) / 2 % np.pi
+    inside = ((intervals[:, :1] <= phis) & (phis <= intervals[:, 1:])).any(axis=0)
+    return float(_tangent_gap(u1, u2, np.append(intervals, phis[inside])).min())

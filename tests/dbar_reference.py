@@ -1,9 +1,13 @@
-"""The two-dimensional search that wellspin.wells.compute_dbar replaced.
+"""The two searches that wellspin.wells.compute_dbar replaced.
 
-Kept as a test oracle: it scans rotations Q and admissible facet normals
-on a grid and polishes the best pair by alternating golden-section
-refinements. The closed-form reduction in wellspin must never lie above
-it by more than round-off, and must match it where twins exist.
+Kept as test oracles. reference_compute_dbar scans rotations Q and
+admissible facet normals on a grid and polishes the best pair by
+alternating golden-section refinements; the closed-form reduction in
+wellspin must never lie above it by more than round-off, and must match it
+where twins exist. grid_tangent_gap_min is the 1-D kernel that came after
+it: a scan of the tangent gap with its local minima polished, which the
+exact minimum over critical angles must never lie above by more than the
+rounding of the gap.
 """
 
 import math
@@ -11,7 +15,10 @@ import math
 import numpy as np
 
 from wellspin.numerics import golden_min
-from wellspin.wells import WellSetError, admissible_normal_intervals, rotation_2d
+from wellspin.wells import WellSetError, _tangent_gap, admissible_normal_intervals, rotation_2d
+
+# grid points per pi radians of admissible normal angle in grid_tangent_gap_min
+DBAR_GRID = 4096
 
 
 def reference_compute_dbar(wells, delta0, q_grid=8192):
@@ -113,3 +120,36 @@ def _enclosing_interval(intervals, phi):
             return lo, hi
     # fall back to the nearest interval
     return min(intervals, key=lambda iv: min(abs(phi - iv[0]), abs(phi - iv[1])))
+
+
+def grid_tangent_gap_min(u1, u2, lo, hi):
+    """Minimum of _tangent_gap over normal angles in [lo, hi].
+
+    |U1 tau|^2 - |U2 tau|^2 vanishes only at twin tangents, which the
+    admissible intervals exclude, so the gap is smooth on [lo, hi]. It is
+    scanned on about DBAR_GRID points per pi radians; every grid local
+    minimum is polished by golden-section search between its neighbours,
+    and both ends are candidates too. A local minimum whose neighbours
+    rise above it by no more than the rounding error of the gap lies on a
+    flat stretch (for U2 = 2 U1 the gap is constant), where polishing
+    could gain no more than that rounding: it is taken as it is.
+    """
+    phis = np.linspace(lo, hi, max(8, math.ceil(DBAR_GRID * (hi - lo) / math.pi)) + 1)
+    vals = _tangent_gap(u1, u2, phis)
+    # strict on the left so a plateau is polished once
+    padded = np.concatenate([[math.inf], vals, [math.inf]])
+    local = np.flatnonzero((vals < padded[:-2]) & (vals <= padded[2:]))
+    # |U tau| <= |U|_F, so the gap is off by a few ulps of that at most
+    noise = 4.0 * np.finfo(float).eps * (np.linalg.norm(u1) + np.linalg.norm(u2))
+    # each end of the interval stands in for its missing outer neighbour
+    edged = np.concatenate([vals[:1], vals, vals[-1:]])
+    flat = np.maximum(edged[local], edged[local + 2]) - vals[local] <= noise
+    best = min(vals[0], vals[-1], vals[local[flat]].min(initial=math.inf))
+    for k in local[~flat]:
+        _, val = golden_min(
+            lambda p: _tangent_gap(u1, u2, p),
+            phis[max(k - 1, 0)],
+            phis[min(k + 1, len(phis) - 1)],
+        )
+        best = min(best, val)
+    return float(best)

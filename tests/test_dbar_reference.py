@@ -1,6 +1,7 @@
-"""compute_dbar's 1-D reduction against the 2-D search it replaced and
-against dense 1-D grids, and the SVD-free planar geometry of the mesh
-path."""
+"""compute_dbar's 1-D reduction against the 2-D search it replaced, its
+exact minimum over critical angles against the scan-and-polish kernel
+that came between (dbar_reference.grid_tangent_gap_min) and against dense
+1-D grids, and the SVD-free planar geometry of the mesh path."""
 
 import json
 import math
@@ -9,22 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dbar_reference import reference_compute_dbar
+from dbar_reference import grid_tangent_gap_min, reference_compute_dbar
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wellspin import wells
 from wellspin.fields import tangential_jump_residual
 from wellspin.mesh import build_kuhn_mesh, find_admissible_rotation
-from wellspin.numerics import golden_min
 from wellspin.rigidity import IncompatibleField, bv_structure_check
 from wellspin.wells import (
     WellSet,
     WellSetError,
     _tangent_gap,
+    _tangent_gap_min,
     admissible_normal_intervals,
     compute_dbar,
     rotation_2d,
+    twin_solve,
 )
 
 SHIPPED_WELLS = Path(__file__).resolve().parent.parent / "configs" / "wellset.json"
@@ -125,25 +126,83 @@ class TestTwinFree:
         assert val <= grid and grid - val <= 1e-10 * grid
         assert reference_compute_dbar(ws, 0.05) > 1.003 * val
 
-    def test_constant_gap_is_not_polished(self, monkeypatch):
-        # for I and 2 I the gap is 1 at every tangent, and its rounding
-        # noise makes dozens of grid points local minima
-        flat = WellSet([np.eye(2), 2.0 * np.eye(2)])
-        shipped = WellSet([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
-        calls = []
+    def test_constant_gap_is_exact(self):
+        # for I and 2 I the gap is 1 at every tangent
+        assert compute_dbar(WellSet([np.eye(2), 2.0 * np.eye(2)]), 0.05) == 1.0
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return golden_min(*args, **kwargs)
 
-        monkeypatch.setattr(wells, "golden_min", counting)
-        val = compute_dbar(flat, 0.05)
-        assert len(calls) <= 2
-        assert abs(val - 1.0) <= 4 * np.finfo(float).eps
-        # the shipped wells still polish their genuine minima
-        calls.clear()
-        compute_dbar(shipped, 0.05)
-        assert len(calls) >= 1
+def spd_well(draw):
+    """An SPD well, isotropic one time in three."""
+    lam = draw(st.floats(0.4, 2.5))
+    if draw(st.integers(0, 2)) == 0:
+        return lam * np.eye(2)
+    rot = rotation_2d(draw(st.floats(0.0, math.pi)))
+    return rot @ np.diag([lam, draw(st.floats(0.4, 2.5))]) @ rot.T
+
+
+@st.composite
+def gap_cases(draw):
+    """Two wells, the second one a near twin of the first half of the time,
+    and one of their admissible intervals at delta0, whole or cut at one
+    end, so that many intervals still touch 0 or pi."""
+    u1 = spd_well(draw)
+    if draw(st.booleans()):
+        u2 = u1 + 10.0 ** draw(st.floats(-8.0, -1.0)) * spd_well(draw)
+    else:
+        u2 = spd_well(draw)
+    try:
+        normals = [c.b for c in twin_solve(u1, u2).connections]
+    except WellSetError:
+        assume(False)
+    intervals = admissible_normal_intervals(normals, draw(st.floats(1e-3, 0.3)))
+    assume(intervals)
+    lo, hi = intervals[draw(st.integers(0, len(intervals) - 1))]
+    cut = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    lo, hi = draw(st.sampled_from([(lo, hi), (lo, cut), (cut, hi)]))
+    assume(hi - lo > 1e-9)
+    return u1, u2, lo, hi
+
+
+class TestExactMinimum:
+    """The minimum over interval ends and critical angles against the
+    scan-and-polish kernel it replaced and a dense grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_cases())
+    # the isotropic well leaves only round-off in the cubic terms of F, and
+    # the roots of np.roots alone land 1.4e-10 above the oracle
+    @example((np.eye(2), np.diag([1.5, 2.0]), 0.0, math.pi))
+    # condition numbers near 1e3 and 1e4 leave np.roots 2e4 times the noise
+    # bound above the oracle without the Newton steps
+    @example(
+        (
+            np.array([[1.13690598, 0.13653631], [0.13653631, 0.01963281]]),
+            np.array([[466.322486, 57.134644], [57.134644, 7.638115]]),
+            0.0,
+            math.pi,
+        )
+    )
+    # F underflows whole (1e-100) or to subnormal coefficients (1e-80) when
+    # one well dwarfs the other; the larger well's own critical angles serve
+    @example((1e-100 * np.diag([1.0, 3.0]), 1e100 * np.diag([1.0, 2.0]), 0.3, math.pi))
+    @example((1e-80 * np.diag([1.0, 3.0]), 1e80 * np.diag([1.0, 2.0]), 0.3, math.pi))
+    def test_never_above_scan_or_grid(self, case):
+        u1, u2, lo, hi = case
+        val = _tangent_gap_min(u1, u2, np.array([[lo, hi]]))
+        # |U tau| <= |U|_F, so the gap is off by a few ulps of that at most
+        noise = 4.0 * np.finfo(float).eps * (np.linalg.norm(u1) + np.linalg.norm(u2))
+        assert val <= grid_tangent_gap_min(u1, u2, lo, hi) + noise
+        assert val <= _tangent_gap(u1, u2, np.linspace(lo, hi, 20001)).min() + noise
+
+    @settings(max_examples=60, deadline=None)
+    @given(spd_well_sets(), st.integers(-60, 60))
+    def test_power_of_two_scale_is_exact(self, mats, j):
+        try:
+            val = compute_dbar(WellSet(mats), 0.05)
+        except WellSetError:
+            assume(False)
+        scaled = WellSet([np.ldexp(m, j) for m in mats])
+        assert compute_dbar(scaled, 0.05) == np.ldexp(val, j)
 
 
 class TestSvdFree:

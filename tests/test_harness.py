@@ -32,6 +32,12 @@ from wellspin.harness import (
     validate_config,
     write_csv,
 )
+from wellspin.lattice import (
+    LatticeError,
+    antiferro_chain,
+    antiferro_system,
+    lattice_partition_diagnostics,
+)
 from wellspin.mesh import build_kuhn_mesh
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,15 +200,46 @@ class TestValidate:
         problems = validate_config(cfg)
         assert len(problems) == 1
         assert problems[0].startswith("lattice.interfaces: at m = 3,")
-        assert "repeated [2]" in problems[0]
-        cfg["lattice"]["m_list"] = [4, 8, 16]
+        assert "3 interfaces need 12 sites" in problems[0]
+        cfg["lattice"]["m_list"] = [12, 16, 32]
         assert validate_config(cfg) == []
         # 7 interfaces at m = 4 land on sites 0, 1, 2, 2, 2, 3, 4
+        cfg["lattice"]["m_list"] = [4, 8, 16]
         cfg["lattice"]["interfaces"] = 7
         problems = validate_config(cfg)
         assert len(problems) == 1 and problems[0].startswith("lattice.interfaces: at m = 4,")
         cfg["lattice"]["interfaces"] = 10**12
         assert validate_config(cfg)[0].startswith("lattice.interfaces: at m = 4,")
+
+    def test_interfaces_without_full_ground_windows_rejected(self):
+        # distinct sites 2, 4, ..., 14 at m = 16 leave 2-site segments, all
+        # of whose sites are BAD: the run would fail components_k_plus_1
+        lattice = {"interfaces": 7, "m_list": [16, 1000, 1048576]}
+        problems = validate_config({"scenario": "antiferro-sweep", "lattice": lattice})
+        assert len(problems) == 1
+        assert problems[0].startswith("lattice.interfaces: at m = 16,")
+
+    def test_interfaces_accepted_exactly_when_the_chain_splits(self):
+        # validation accepts k interfaces at m exactly when the chain has
+        # k + 1 components and no adjacency violation, in both variants
+        for variant in ("raw", "remapped"):
+            system = antiferro_system(variant)
+            for k in range(9):
+                for m in range(2, 100):
+                    lattice = {
+                        "system": f"antiferro-{variant}",
+                        "interfaces": k,
+                        "m_list": [m, 1000, 2000],
+                    }
+                    valid = not validate_config({"scenario": "antiferro-sweep", "lattice": lattice})
+                    try:
+                        x = antiferro_chain(system, m, harness._interface_fractions(k))
+                    except LatticeError:
+                        assert not valid, (variant, k, m)
+                        continue
+                    rec = lattice_partition_diagnostics([(m, x)], system)[0]
+                    splits = rec["n_components"] == k + 1 and not rec["adjacency_violations"]
+                    assert valid == splits, (variant, k, m)
 
     @pytest.mark.parametrize(
         "cfg, key",
@@ -258,7 +295,8 @@ class TestValidate:
         assert peak < 2**20
 
     def test_lattice_and_block_budget_edges(self):
-        chain = {"scenario": "antiferro-sweep", "lattice": {"m_list": [8, 16, harness.MAX_CHAIN_SITES]}}
+        # 3 interfaces need m >= 12
+        chain = {"scenario": "antiferro-sweep", "lattice": {"m_list": [12, 16, harness.MAX_CHAIN_SITES]}}
         assert validate_config(chain) == []
         chain["lattice"]["m_list"][-1] += 1
         assert validate_config(chain)[0].startswith("lattice.m_list: ")
