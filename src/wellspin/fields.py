@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import entry_planes, from_planes
 from .wells import dist_table
 
 
@@ -27,24 +28,40 @@ def facet_jumps(mesh, values, normals=None):
 
     T is an orthonormal basis of each facet's tangent space: for n = 2 the
     unit normal turned back by 90 degrees, (-n1, n0), multiplied entry by
-    entry; for n = 3 the mesh's stored basis, or one from the SVD of the
-    given normals. normals (F, n) replace the mesh's, as on a mapped domain.
+    entry, and both results are plane-backed (numerics.from_planes); for
+    n = 3 the mesh's stored basis, or one from the SVD of the given
+    normals. normals (F, n) replace the mesh's, as on a mapped domain.
     """
-    a, b = np.take(mesh.facet_cells, mesh.interior, axis=0).T
-    jumps = np.take(values, a, axis=-3)
-    jumps -= np.take(values, b, axis=-3)
+    cells = np.take(mesh.facet_cells, mesh.interior, axis=0).T  # (a, b)
     if mesh.dim == 2:
         if normals is None:
             normals = np.take(mesh.facet_normal, mesh.interior, axis=0)
         n0, n1 = normals.T
-        tangential = np.empty((*jumps.shape[:-1], 1))
+        jumps = np.empty((2, 2, *values.shape[:-3], len(mesh.interior)))
+        tangential = np.empty((2, 1, *jumps.shape[2:]))
         for i in range(2):  # row i of the jump times (-n1, n0)
-            np.subtract(jumps[..., i, 1] * n0, jumps[..., i, 0] * n1, out=tangential[..., i, 0])
-        return jumps, tangential
+            j0, j1 = _jump_row(values, i, cells, jumps[i])
+            np.subtract(j1 * n0, j0 * n1, out=tangential[i, 0])
+        return from_planes(jumps), from_planes(tangential)
+    a, b = cells
+    jumps = np.take(values, a, axis=-3)
+    jumps -= np.take(values, b, axis=-3)
     if normals is None:
         return jumps, jumps @ np.take(mesh.facet_tangent, mesh.interior, axis=0)
     _, _, vt = np.linalg.svd(normals[:, None, :])
     return jumps, jumps @ np.swapaxes(vt[:, 1:, :], 1, 2)
+
+
+def _jump_row(values, i, cells, out):
+    """Row i of the n = 2 jumps V_a - V_b across the interior facets, for
+    (a, b) = cells, written into the two (..., F) planes of out."""
+    a, b = cells
+    for k, jump in enumerate(out):
+        plane = np.ascontiguousarray(values[..., i, k])  # a copy unless plane-backed
+        # in-range ids: "clip" takes straight into out, with no buffer
+        np.take(plane, a, axis=-1, out=jump, mode="clip")
+        jump -= np.take(plane, b, axis=-1)
+    return out
 
 
 def tangential_jump_residual(mesh, gradients):
@@ -53,14 +70,21 @@ def tangential_jump_residual(mesh, gradients):
     spectral norm of the tangential parts from facet_jumps, which vanish
     exactly when the per-cell gradients come from one continuous
     piecewise-affine deformation. For n = 2 that norm is the length of
-    the single tangent column.
+    the single tangent column, formed row by row in three (..., F) planes.
     """
     if len(mesh.interior) == 0:
         return np.zeros(gradients.shape[:-3])[()]
-    tangential = facet_jumps(mesh, gradients)[1]
-    if mesh.dim == 2:
-        return np.hypot(tangential[..., 0, 0], tangential[..., 1, 0]).max(axis=-1)
-    return np.linalg.svd(tangential, compute_uv=False)[..., 0].max(axis=-1)
+    if mesh.dim != 2:
+        tangential = facet_jumps(mesh, gradients)[1]
+        return np.linalg.svd(tangential, compute_uv=False)[..., 0].max(axis=-1)
+    cells = np.take(mesh.facet_cells, mesh.interior, axis=0).T
+    n0, n1 = np.take(mesh.facet_normal, mesh.interior, axis=0).T
+    j0, t0, t1 = np.empty((3, *gradients.shape[:-3], len(mesh.interior)))
+    for i, t in enumerate((t0, t1)):  # row i's jumps, turned in place
+        _jump_row(gradients, i, cells, (j0, t))
+        t *= n0
+        t -= np.multiply(j0, n1, out=j0)
+    return np.hypot(t0, t1, out=t1).max(axis=-1)
 
 
 def vertex_gradients(mesh, values):
@@ -68,18 +92,26 @@ def vertex_gradients(mesh, values):
     interpolant of vertex values (..., V, n): each cell's differences
     v_k - v_0 times mesh.inverse_edges. For n = 2 that product is formed
     entry by entry (d1 i00 + d2 i10, ...) on contiguous (..., C) planes
-    gathered from the x and y planes of the values."""
+    gathered from the x and y planes of the values, and the gradients are
+    plane-backed (numerics.from_planes), the layout the n = 2 kernels
+    read."""
     if mesh.dim != 2:
         cell_vals = np.take(values, mesh.cells, axis=-2)  # (..., C, n+1, n)
         du = np.swapaxes(cell_vals[..., 1:, :] - cell_vals[..., :1, :], -1, -2)
         return du @ mesh.inverse_edges
-    i00, i01, i10, i11 = np.ascontiguousarray(mesh.inverse_edges.reshape(-1, 4).T)
-    entries = []
-    for plane in np.ascontiguousarray(np.moveaxis(values, -1, 0)):  # x, then y: (..., V)
-        x0, x1, x2 = (np.take(plane, v, axis=-1) for v in np.ascontiguousarray(mesh.cells.T))
-        d1, d2 = x1 - x0, x2 - x0
-        entries += [d1 * i00 + d2 * i10, d1 * i01 + d2 * i11]
-    return np.stack(entries, axis=-1).reshape(*values.shape[:-2], -1, 2, 2)
+    inverse = entry_planes(mesh.inverse_edges)
+    out = np.empty((2, 2, *values.shape[:-2], mesh.n_cells))
+    x0, d1, d2 = np.empty((3, *out.shape[2:]))
+    # x, then y: (..., V) planes of the values, into gradient rows 0 and 1
+    for plane, row in zip(np.ascontiguousarray(np.moveaxis(values, -1, 0)), out):
+        for v, x in zip(np.ascontiguousarray(mesh.cells.T), (x0, d1, d2)):
+            np.take(plane, v, axis=-1, out=x, mode="clip")  # in-range ids: unbuffered
+        d1 -= x0
+        d2 -= x0
+        for g, i0k, i1k in zip(row, inverse[:2], inverse[2:]):  # d1 i0k + d2 i1k
+            np.multiply(d1, i0k, out=g)
+            g += np.multiply(d2, i1k, out=x0)
+    return from_planes(out)
 
 
 def check_gradients(mesh, gradients, validate=True, ids=None):
@@ -90,17 +122,20 @@ def check_gradients(mesh, gradients, validate=True, ids=None):
     its residual exceeds 1e-9 times its largest gradient norm: it is then
     not the gradient of a continuous field. The first failing field
     raises FieldError; for a stack the message names it by its entry in
-    ids (default: its index).
+    ids (default: its index). Each test reads the entry planes, so a
+    plane-backed stack is read plane by plane.
     """
     stack = gradients.reshape(-1, *gradients.shape[-3:])
-    finite = np.isfinite(stack).all(axis=(1, 2, 3))
+    entries = entry_planes(stack)
+    finite = np.logical_and.reduce([np.isfinite(p).all(axis=-1) for p in entries])
     # only the fields before the first non-finite one are measured
     n_ok = len(stack) if finite.all() else int(np.argmin(finite))
     residual = tangential_jump_residual(mesh, stack[:n_ok])
     problem = None if n_ok == len(stack) else (n_ok, "gradient array has non-finite entries")
     if validate:
-        scale = np.maximum(np.linalg.norm(stack[:n_ok], axis=(2, 3)).max(axis=1), 1e-30)
-        jumps = np.flatnonzero(residual > 1e-9 * scale)
+        # the largest norm: the root of the largest square sum, in the norm's order
+        scale = np.sqrt(sum(p[:n_ok] ** 2 for p in entries).max(axis=1))
+        jumps = np.flatnonzero(residual > 1e-9 * np.maximum(scale, 1e-30))
         if len(jumps):
             k = jumps[0]
             problem = (

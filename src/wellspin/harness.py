@@ -90,9 +90,9 @@ DELTA0 = 0.05
 # range, so a mesh needs m >= 2 / _SPIN_PERIODS[0] for two cells per layer
 _SPIN_PERIODS = (0.3, 0.8)
 _SPIN_KINDS = ("laminate", "rotated-laminate", "perturbed-laminate")
-# cells in one block of spin-lemma fields; the suite's peak RSS grows by
-# about 300 bytes per cell of the block (at m = 16, 9 fields per block)
-_SPIN_BLOCK_CELLS = 2**12
+# cells in one block of spin-lemma fields (36 fields at m = 16); the block
+# pass peaks at about 85 bytes per block cell, and 2^14 ran fastest of 2^12-2^16
+_SPIN_BLOCK_CELLS = 2**14
 
 
 def substream(seed, label):
@@ -356,18 +356,13 @@ def _check_spin_suite(raw, cfg):
 
 
 # The memory a lattice or rigidity-family run may ask for: above the peak of a
-# mesh at the MAX_CELLS budget (build_kuhn_mesh peaks at 280 bytes per cell at
-# m = 256 and m = 512 under tracemalloc, edge inverses included, 1.1 GB at
-# 4,000,000 cells). Each size budget below divides it by the peak bytes per
-# unit of the scenario's largest allocations, measured with tracemalloc on
-# whole runs and rounded up: 84 per site of the largest antiferro chain (at
-# m_list [m/16, m/4, m] for m = 2^18 and 2^20, with 3 interfaces; the
-# component grouping; the divisor stays at 100), 400 to 603 per twin lattice site (at m = 192 and 128,
-# each in a fresh process; at m = 192 the window stacks of
-# evaluate_hamiltonian, at m = 128 classify_lattice, whose fixed-size chunks
-# weigh more on a small lattice), and 210 to 217 per rigidity block
-# (block_grid 512, 1 to 16 members; each stage redraws the family and holds
-# one member's values at a time, and finish redraws the first member).
+# mesh at the MAX_CELLS budget (build_kuhn_mesh peaks at 268 bytes per cell
+# under tracemalloc at m = 256 and 512, edge inverses included: 1.1 GB at
+# 4,000,000 cells). Each size budget divides it by the tracemalloc peak bytes
+# per unit of whole runs at the scenario's largest sizes, rounded up: 84 per
+# chain site (the divisor stays at 100), 400 to 603 per twin lattice site and
+# 210 to 217 per rigidity block; CHANGES.md has the runs, and
+# test_lattice_run_peak_within_site_budget pins the two lattice divisors.
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
 MAX_TWIN_SITES = MEMORY_BUDGET // 610
@@ -591,23 +586,23 @@ def _draw_spin_fields(ws, rng, count):
     """Parameters of the next count random spin fields, in stream order:
     per field the twin, volume fraction, period, offset, kind, a standard
     normal 2x2 for the rotation, and the wave numbers of the perturbed
-    kind."""
-    draws = []
+    kind. One random(3) gives the three uniforms, each low + (high - low)
+    u, as rng.uniform forms them from the same doubles."""
+    (lo, hi), draws = _SPIN_PERIODS, []
     for _ in range(count):
         conn = ws.connections[int(rng.integers(0, len(ws.connections)))]
-        vf = float(rng.uniform(0.25, 0.75))
-        period = float(rng.uniform(*_SPIN_PERIODS))
-        offset = float(rng.uniform(0.0, period))
+        u_vf, u_period, u_offset = rng.random(3).tolist()
+        period = lo + (hi - lo) * u_period
         kind = int(rng.integers(0, 3))
         # every kind draws the rotation, so the stream does not depend on kind
         normal = rng.standard_normal((2, 2))
-        waves = rng.uniform(1.0, 3.0, 2) if kind == 2 else None
-        draws.append((conn, vf, period, offset, kind, normal, waves))
+        waves = 1.0 + 2.0 * rng.random(2) if kind == 2 else None
+        draws.append((conn, 0.25 + 0.5 * u_vf, period, period * u_offset, kind, normal, waves))
     return draws
 
 
 def _spin_gradients(mesh, ws, draws, ids):
-    """(B, C, 2, 2) gradients of a block of random spin fields, checked.
+    """(B, C, 2, 2) plane-backed gradients of a block of spin fields, checked.
 
     Each field is the laminate of its twin (laminate_values, as in
     build_laminate without ripple); the rotated kind composes it with its
@@ -631,6 +626,7 @@ def _spin_gradients(mesh, ws, draws, ids):
         wave = np.stack([np.sin(kx * np.pi * x[:, 0]), np.cos(ky * np.pi * x[:, 1])], -1)
         values[wavy] = values[wavy] @ np.swapaxes(rot[wavy], -1, -2) + ws.c0 / 1000.0 * wave
     grads = vertex_gradients(mesh, values)
+    del values  # before the check's peak
     turned = kind == 1
     grads[turned] = rot[turned, None] @ grads[turned]
     check_gradients(mesh, grads, ids=ids)
@@ -648,10 +644,11 @@ def _spin_suite_rows(mesh, ws, rng, count, threshold):
         draws = _draw_spin_fields(ws, rng, min(per_block, count - start))
         grads = _spin_gradients(mesh, ws, draws, range(start, start + len(draws)))
         table = dist_table(grads, ws.matrices)
-        _, labels = cell_labels(table, threshold)
-        scan = spin_hits(mesh, table, labels, threshold)
-        violations = sum(hits.sum(axis=-1) for *_, hits in scan)
+        del grads  # the gradient planes go once the table is filled
+        labels = cell_labels(table, threshold)[1]
+        violations = sum(hits.sum(axis=-1) for *_, hits in spin_hits(mesh, table, labels, threshold))
         bad = (labels == BAD_LABEL).sum(axis=-1)
+        del table, labels  # before the next block's arrays come
         for k, (_, vf, period, offset, kind, _, _) in enumerate(draws):
             rows.append(
                 (start + k, _SPIN_KINDS[kind], vf, period, offset, int(violations[k]), int(bad[k]))

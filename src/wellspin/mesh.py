@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import from_planes
 from .wells import rotation_2d
 
 
@@ -97,7 +98,8 @@ class SimplicialMesh:
       barycenters   (C, n) float
       inverse_edges (C, n, n) float inverses of the edge matrices with
                     columns v_k - v_0, k = 1..n; a vertex field's
-                    differences times these give its cell gradients
+                    differences times these give its cell gradients;
+                    plane-backed for n = 2 (numerics.from_planes)
       facet_vertices (F, n) int, increasing
       facet_area    (F,) float
       facet_normal  (F, n) float, oriented away from facet_cells[:, 0]; for
@@ -146,8 +148,9 @@ class SimplicialMesh:
         # inverses of the edge matrices with columns v_k - v_0, the
         # transposes of edges; their determinants are dets, byte for byte
         if n == 2:
-            adj = np.stack([edges[:, 1, 1], -edges[:, 1, 0], -edges[:, 0, 1], edges[:, 0, 0]], axis=1)
-            self.inverse_edges = adj.reshape(-1, 2, 2) / dets[:, None, None]
+            adj = np.stack([edges[:, 1, 1], -edges[:, 1, 0], -edges[:, 0, 1], edges[:, 0, 0]])
+            adj /= dets
+            self.inverse_edges = from_planes(adj.reshape(2, 2, -1))
         else:
             self.inverse_edges = np.linalg.inv(np.swapaxes(edges, 1, 2))
         return dets

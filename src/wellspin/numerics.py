@@ -1,6 +1,7 @@
 """Small shared numerical utilities: connected-component labelling of
-labelled items, log-log slope fits, ratios of measures that may vanish, and
-the 1-D golden-section refinement that the test oracles build on.
+labelled items, log-log slope fits, ratios of measures that may vanish, the
+1-D golden-section refinement that the test oracles build on, and the
+entry-plane layout of the n = 2 matrix kernels.
 
 Component labelling first contracts runs: every joining pair (i, i + 1),
 in either orientation, links i + 1 to i, and one running maximum points
@@ -127,6 +128,17 @@ def loglog_slope(x, y):
         raise ValueError("log-log fit requires strictly positive data")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(intercept)
+
+
+def entry_planes(stack):
+    """The (..., N) entries stack[..., i, j] of an (..., N, n, n) stack, row
+    by row: contiguous planes when the stack is plane-backed (from_planes)."""
+    return [stack[..., i, j] for i in range(stack.shape[-1]) for j in range(stack.shape[-1])]
+
+
+def from_planes(planes):
+    """The plane-backed (..., N, n, m) view of an (n, m, ..., N) array."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
 
 
 def ratio(a, b):

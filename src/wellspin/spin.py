@@ -13,7 +13,8 @@ per well set (PWAffineField.well_distances), and the energy, the labels
 and the scan all share it. The label rule (cell_labels) and the scan
 (spin_hits) also take stacks of tables, so that a suite of fields can be
 labelled and scanned in blocks. For n = 2 the table is built from one
-contiguous plane per matrix entry (wells.dist_table).
+contiguous plane per matrix entry and holds one contiguous plane per well
+(wells.dist_table).
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def spin_hits(mesh, table, labels, threshold):
     # x.T[cells].T gathers cells along the last axis of x, of any rank
     good = (labels >= 0).T
     labelled = (good[a] & good[b]).T
-    n_cells, k = table.shape[-2:]
-    flat = table.reshape(-1)
-    # where each field's own table starts in flat
-    first = np.arange(0, flat.size, n_cells * k).reshape(*labels.shape[:-1], 1)
+    # the tables well by well, a view for dist_table's plane-backed ones
+    flat = np.moveaxis(table, -1, 0).reshape(-1)
+    # where each field's own cells start in a well's plane
+    first = np.arange(0, labels.size, labels.shape[-1]).reshape(*labels.shape[:-1], 1)
     out = []
     for anchor, other in ((a, b), (b, a)):
         anchor_well = np.maximum(labels.T[anchor].T, 0)
-        d = flat[first + other * k + anchor_well]
+        d = flat[anchor_well * labels.size + first + other]
         out.append((anchor, other, d, labelled & (d > threshold)))
     return out
 

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import entry_planes
+
 SYMMETRY_TOL = 1e-12
 # the largest absolute entry of a well
 MAX_ENTRY = 1e150
@@ -120,9 +122,11 @@ def dist_table(fs, mats):
     """(..., k) table of min over rotations R of |F - R U_j|_F, for every
     matrix F of fs (..., n, n) and every well U_j of mats (k, n, n).
 
-    For n = 2 each matrix entry is copied into one contiguous plane, and
-    _dist_2x2 fills the table a well at a time, the well's entries as
-    floats; larger n takes the SVD rotation of every (F, U_j) pair.
+    For n = 2 _dist_2x2 fills the table a well at a time, the well's
+    entries as floats, from the entry planes of fs: a plane-backed stack's
+    (numerics.from_planes) as they are, any other layout's copied into
+    contiguous planes. The table is plane-backed too, a contiguous plane
+    per well. Larger n takes the SVD rotation of every (F, U_j) pair.
     """
     fs = np.asarray(fs, dtype=float)
     mats = np.asarray(mats, dtype=float)
@@ -131,11 +135,11 @@ def dist_table(fs, mats):
     if fs.shape[-1] != 2:
         # every matrix as a (..., 1) column against the (k,) wells
         return dist_to_single_well_batch(fs[..., None, :, :], mats)
-    planes = np.ascontiguousarray(fs.reshape(-1, 4).T)
-    table = np.empty((planes.shape[1], len(mats)))
+    planes = [np.ascontiguousarray(p) for p in entry_planes(fs.reshape(-1, 2, 2))]
+    table = np.empty((len(mats), len(planes[0])))
     for j, u in enumerate(mats.reshape(-1, 4).tolist()):
-        table[:, j] = _dist_2x2(*planes, *u)
-    return table.reshape(*fs.shape[:-2], len(mats))
+        _dist_2x2(*planes, *u, out=table[j])
+    return table.T.reshape(*fs.shape[:-2], len(mats))
 
 
 def dist_to_single_well_batch(fs, u):
@@ -158,10 +162,11 @@ def dist_to_single_well_batch(fs, u):
     return np.linalg.norm(fs - rot @ u, axis=(-2, -1))[..., 0]
 
 
-def _dist_2x2(f00, f01, f10, f11, u00, u01, u10, u11):
+def _dist_2x2(f00, f01, f10, f11, u00, u01, u10, u11, out=None):
     """min over rotations R of |F - R U|_F for 2x2 matrices given entry by
     entry, each entry a plane (array or float) broadcast against the
-    others, at least one of them an array; the n = 2 kernel.
+    others, at least one of them an array; the n = 2 kernel. out, when
+    given, receives the result.
 
     With M = F U^T the nearest rotation has (cos, sin) proportional to
     (M00 + M11, M10 - M01), the identity when both vanish (see
@@ -169,25 +174,27 @@ def _dist_2x2(f00, f01, f10, f11, u00, u01, u10, u11):
     directly; the expanded form |F|^2 + |U|^2 - 2 tr cancels
     catastrophically when the distance is tiny.
     """
-    # the in-place steps keep the arithmetic and bound the temporaries
-    a = f00 * u00 + f01 * u01  # M00 + M11
-    a += f10 * u10 + f11 * u11
-    b = f10 * u00 + f11 * u01  # M10 - M01
-    b -= f00 * u10 + f01 * u11
-    r = np.hypot(a, b)
+    # every step rounds as the plain expression does, but writes into one
+    # of the planes a, b, t, w or the result, so that nothing else is made
+    a, t, w = f00 * u00, f01 * u01, f10 * u10
+    a += t  # M00 + M11 = (f00 u00 + f01 u01) + (f10 u10 + f11 u11)
+    a += np.add(w, np.multiply(f11, u11, out=t), out=w)
+    b = f10 * u00  # M10 - M01 = (f10 u00 + f11 u01) - (f00 u10 + f01 u11)
+    b += np.multiply(f11, u01, out=t)
+    b -= np.add(np.multiply(f00, u10, out=w), np.multiply(f01, u11, out=t), out=w)
+    r = np.hypot(a, b, out=w)
     tie = r == 0.0
     r[tie] = 1.0
     c = np.divide(a, r, out=a)
     c[tie] = 1.0
     s = np.divide(b, r, out=b)
-    d2 = f00 - (c * u00 - s * u10)
-    d2 *= d2
-    e = f01 - (c * u01 - s * u11)
-    d2 += e * e
-    e = f10 - (s * u00 + c * u10)
-    d2 += e * e
-    e = f11 - (s * u01 + c * u11)
-    d2 += e * e
+    d2 = np.empty_like(a) if out is None else out
+    d2.fill(0.0)  # 0 + x is x: the squares add up in their own order
+    # F - R U entry by entry: f - (x p -+ y q), squared
+    for f, x, p, y, q, op in ((f00, c, u00, s, u10, np.subtract), (f01, c, u01, s, u11, np.subtract),
+                              (f10, s, u00, c, u10, np.add), (f11, s, u01, c, u11, np.add)):
+        e = np.subtract(f, op(np.multiply(x, p, out=t), np.multiply(y, q, out=w), out=t), out=t)
+        d2 += np.multiply(e, e, out=e)
     return np.sqrt(d2, out=d2)
 
 

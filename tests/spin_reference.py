@@ -7,6 +7,9 @@ Kept as test oracles:
   with the public builders, drawing from the stream in the suite's order;
   spin_suite_rows labels and scans the fields one at a time. The block
   pass must give the same rows.
+- draw_spin_fields is the parameter loop of the block pass with one
+  generator call per uniform. The draws from one random(3) per field must
+  be the same values, and leave the stream in the same state.
 - min_argmin_labels is the label rule that took the nearest well with
   min and argmin over the well axis. The column-by-column rule of
   wellspin.spin.cell_labels must return the same bytes.
@@ -52,6 +55,21 @@ def random_spin_field(mesh, ws, rng):
         PWAffineField.from_vertex_function(mesh, fn),
         ("perturbed-laminate", vf, period, offset),
     )
+
+
+def draw_spin_fields(ws, rng, count):
+    draws = []
+    for _ in range(count):
+        conn = ws.connections[int(rng.integers(0, len(ws.connections)))]
+        vf = float(rng.uniform(0.25, 0.75))
+        period = float(rng.uniform(0.3, 0.8))
+        offset = float(rng.uniform(0.0, period))
+        kind = int(rng.integers(0, 3))
+        # every kind draws the rotation, so the stream does not depend on kind
+        normal = rng.standard_normal((2, 2))
+        waves = rng.uniform(1.0, 3.0, 2) if kind == 2 else None
+        draws.append((conn, vf, period, offset, kind, normal, waves))
+    return draws
 
 
 def min_argmin_labels(table, threshold):

@@ -1,10 +1,16 @@
 """The block pass of the spin-lemma suite against the per-field oracle
 (tests/spin_reference.py): the same rows on the admissible and the
 unrotated mesh, whatever the block size, the same gradients and rotations
-bit for bit, and the same FieldError for a bad field inside a block."""
+bit for bit, the same draws as a loop of one generator call per uniform,
+and the same FieldError for a bad field inside a block. The pass's peak
+memory per cell of a block is pinned too."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spin_reference
 from wellspin import harness
@@ -141,3 +147,38 @@ def test_short_period_named(wells_std):
 def test_smallest_valid_mesh_runs(tmp_path):
     cfg = {"scenario": "spin-lemma-suite", "seed": 3, "m": 7, "field_count": 50}
     assert run(cfg, out_dir=tmp_path) == EXIT_OK
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(0, 40))
+def test_draws_equal_to_a_loop_of_uniforms(wells_std, seed, count):
+    # the same values of the same types, and the stream left in the same
+    # state
+    got_rng, want_rng = substream(seed, "spin-lemma-suite"), substream(seed, "spin-lemma-suite")
+    got = _draw_spin_fields(wells_std, got_rng, count)
+    want = spin_reference.draw_spin_fields(wells_std, want_rng, count)
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        assert g[0] is w[0] and g[1:5] == w[1:5]
+        assert [type(v) for v in g[1:5]] == [type(v) for v in w[1:5]]
+        assert g[5].tobytes() == w[5].tobytes()
+        assert (g[6] is None and w[6] is None) or g[6].tobytes() == w[6].tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+def test_block_peak_per_cell(wells_std, meshes):
+    # the block pass at the shipped block size holds at most 100 bytes per
+    # cell of a block above its entry (86 measured at m = 16: the gradient
+    # planes with the continuity check's or the distance kernel's planes;
+    # the C-order pass held 226)
+    mesh, thr = meshes["admissible"], wells_std.c0 / 100.0
+    per_block = harness._SPIN_BLOCK_CELLS // mesh.n_cells
+    # a first block caches the mesh's planes before the measurement
+    _spin_suite_rows(mesh, wells_std, substream(1, "spin"), per_block, thr)
+    tracemalloc.start()
+    try:
+        _spin_suite_rows(mesh, wells_std, substream(1, "spin"), 3 * per_block, thr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * per_block * mesh.n_cells
