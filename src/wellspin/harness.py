@@ -355,14 +355,10 @@ def _check_spin_suite(raw, cfg):
     return _first_problem("m", [cfg["m"]], lambda m: _mesh_problem(m, rot.rotation))
 
 
-# The memory a lattice or rigidity-family run may ask for: above the peak of a
-# mesh at the MAX_CELLS budget (build_kuhn_mesh peaks at 268 bytes per cell
-# under tracemalloc at m = 256 and 512, edge inverses included: 1.1 GB at
-# 4,000,000 cells). Each size budget divides it by the tracemalloc peak bytes
-# per unit of whole runs at the scenario's largest sizes, rounded up: 84 per
-# chain site (the divisor stays at 100), 400 to 603 per twin lattice site and
-# 210 to 217 per rigidity block; CHANGES.md has the runs, and
-# test_lattice_run_peak_within_site_budget pins the two lattice divisors.
+# The memory a lattice or rigidity-family run may ask for, above the peak of a
+# mesh at the MAX_CELLS budget. Each divisor bounds a whole run's peak bytes
+# per unit of its largest size (docs/formats.md); test_run_peak_within_budget
+# pins all three.
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
 MAX_TWIN_SITES = MEMORY_BUDGET // 610

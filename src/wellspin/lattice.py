@@ -26,8 +26,8 @@ and its distance is set to inf unmatched; the labels are the same as with
 every state matched. On a twin ground state only the site's own state is
 matched. NaN bounds compare false and are matched. The sites go in chunks
 of rows, so the patch stacks, the bound and the match of one chunk have a
-fixed size whatever the lattice. verify_h2 needs the exact kappa of every
-window and keeps the unpruned match.
+fixed size whatever the lattice. verify_h2 takes no rotations: it
+enumerates every window of a one-dimensional system's finite alphabet.
 
 Ground patterns are read on the box from the origin by tiling the period
 cell (GroundState.box), not by a modular gather per site; the chain of
@@ -390,10 +390,10 @@ def _sinusoids(p, g):
 def _rotation_match(patches, gpatches):
     """min over rotations R of max over k of |P_k - R G_k|_F, for n = 2.
 
-    patches and gpatches have shape (..., Q, 2, 2) and broadcast over the
-    leading axes; the result has the broadcast leading shape. Each squared
-    entry residual is a sinusoid in the angle, so the minimum of their
-    maximum lies at some entry's own minimiser or where two entries cross.
+    patches and gpatches have one shape (..., Q, 2, 2); the result has
+    their leading shape. Each squared entry residual is a sinusoid in the
+    angle, so the minimum of their maximum lies at some entry's own
+    minimiser or where two entries cross.
     These candidates are found in a frame turned by a reference angle, the
     own minimiser atan2(beta_K, alpha_K) of the entry K with the largest
     |(alpha_K, beta_K)| (see _sinusoids): with H_k = R(ref) G_k,
@@ -413,19 +413,15 @@ def _rotation_match(patches, gpatches):
     * 4 values, stays within _MATCH_BLOCK.
     """
     patches = np.asarray(patches, dtype=float)
-    gpatches = np.asarray(gpatches, dtype=float)
-    lead = np.broadcast_shapes(patches.shape[:-3], gpatches.shape[:-3])
-    shape = lead or (1,)
-    q = patches.shape[-3]
-    p_all = np.broadcast_to(patches, shape + patches.shape[-3:])
-    g_all = np.broadcast_to(gpatches, shape + gpatches.shape[-3:])
+    lead, q = patches.shape[:-3], patches.shape[-3]
+    p_all = patches.reshape(-1, q, 2, 2)
+    g_all = np.asarray(gpatches, dtype=float).reshape(-1, q, 2, 2)
     j, k = np.triu_indices(q, 1)
-    out = np.empty(math.prod(lead))
+    out = np.empty(len(p_all))
     chunk = max(1, _MATCH_BLOCK // (4 * q**3))
     for start in range(0, out.size, chunk):
         stop = min(start + chunk, out.size)
-        idx = np.unravel_index(np.arange(start, stop), shape)
-        p, g = p_all[idx], g_all[idx]  # (chunk, Q, 2, 2)
+        p, g = p_all[start:stop], g_all[start:stop]  # (chunk, Q, 2, 2)
         alpha, beta, _ = _sinusoids(p, g)
         pick = (np.arange(stop - start), np.hypot(alpha, beta).argmax(axis=1))
         ref = np.arctan2(beta[pick], alpha[pick])[:, None, None]
@@ -557,65 +553,34 @@ def _ground_patch_bank(system, offsets):
     return np.unique(np.array(bank), axis=0)
 
 
-def verify_h2(system, sample_budget=500_000, rng=None, sampler=None):
+def verify_h2(system):
     """Check the growth condition: windows off every ground-state orbit by
     kappa must carry local energy at least c * kappa^p.
 
-    With a finite one-dimensional alphabet the check enumerates every
-    gradient window over the enlarged box exhaustively (up to the budget);
-    otherwise `sampler(rng, count)` must supply window gradients. Reports
-    the fitted constant c and any outright violations (kappa > 0 with zero
-    energy)."""
+    The check enumerates every gradient window over the enlarged box, so
+    it takes one-dimensional systems with a finite alphabet and raises
+    LatticeError on any other. Reports the fitted constant c and any
+    outright violations (kappa > 0 with zero energy)."""
+    if system.dim != 1 or system.alphabet is None:
+        raise LatticeError("verify_h2 enumerates one-dimensional systems with a finite alphabet")
     offsets = system.window_tilde
     t_len = len(offsets)
-    if system.dim != 1 and sampler is None:
-        raise LatticeError("continuous systems need a window sampler")
-    if system.dim == 1 and system.alphabet is not None:
-        total = len(system.alphabet) ** t_len
-        exhaustive = total <= sample_budget
-        if exhaustive:
-            windows = np.array(
-                list(itertools.product(system.alphabet, repeat=t_len))
-            )[..., None, None]
-        else:
-            rng = rng or np.random.default_rng(0)
-            windows = rng.choice(system.alphabet, size=(sample_budget, t_len))[
-                ..., None, None
-            ]
-    else:
-        rng = rng or np.random.default_rng(0)
-        windows = np.asarray(sampler(rng, sample_budget))
-        exhaustive = False
-
+    windows = np.array(list(itertools.product(system.alphabet, repeat=t_len)))[..., None, None]
     bank = _ground_patch_bank(system, offsets)
-    if system.dim == 1:
-        diffs = np.abs(
-            windows[:, None, :, 0, 0] - bank[None, :, :, 0, 0]
-        ).max(axis=-1)
-        kappas = diffs.min(axis=1)
-    else:
-        kappas = _rotation_match(windows[:, None], bank[None]).min(axis=1)
+    diffs = np.abs(windows[:, None, :, 0, 0] - bank[None, :, :, 0, 0]).max(axis=-1)
+    kappas = diffs.min(axis=1)
 
-    # local energy: sum of density over every interaction window inside
-    inner = []
-    off_arr = system.window
-    lo = offsets.min(axis=0)
-    hi = offsets.max(axis=0)
-    index_of = {tuple(o): k for k, o in enumerate(offsets)}
-    for j in itertools.product(*[range(lo[a], hi[a] + 1) for a in range(system.dim)]):
-        j = np.asarray(j, int)
-        cells = [tuple(j + o) for o in off_arr]
-        if all(c in index_of for c in cells):
-            inner.append([index_of[c] for c in cells])
-    inner = np.asarray(inner, dtype=int)
+    # local energy: sum of density over every interaction window inside the
+    # box, windows[:, j + w] for the box sites j whose window fits in it
+    w = system.window[:, 0]
     energies = np.zeros(len(windows))
-    for idx in inner:
-        energies += np.asarray(system.density(windows[:, idx]), dtype=float)
+    for j in range(max(-w.min(), 0), min(t_len, t_len - w.max())):
+        energies += np.asarray(system.density(windows[:, j + w]), dtype=float)
 
     live = kappas > 1e-12
     violations = [
         {
-            "window": windows[i, :, 0, 0].tolist() if system.dim == 1 else windows[i].tolist(),
+            "window": windows[i, :, 0, 0].tolist(),
             "kappa": float(kappas[i]),
             "energy": float(energies[i]),
         }
@@ -632,7 +597,7 @@ def verify_h2(system, sample_budget=500_000, rng=None, sampler=None):
         c=0.0 if violations else c,
         p=system.p,
         n_windows=len(windows),
-        exhaustive=exhaustive,
+        exhaustive=True,
         worst_window=None if worst_idx is None else windows[worst_idx],
         worst_kappa=float(kappas[worst_idx]) if worst_idx is not None else 0.0,
         violations=violations,
@@ -693,27 +658,21 @@ def _partition_record(m, x, system, energy_constant):
     for label, members in label_components(cls.labels, *cls.pairs):
         g = system.ground_states[label]
         vol = len(members) * float(m) ** (-system.dim)
-        if abs(np.linalg.det(g.averaged)) < 1e-12:
-            # the averaged gradient is singular (raw anti-ferromagnetic
-            # chains): no rotation fit, and no averaged field is built
-            comps.append(LatticeComponent(label, members, vol, None, None))
-            continue
-        avg = averaged_gradient_field(x, system, label)
-        coords = np.array(np.unravel_index(members, cls.labels.shape)).T  # (k, n)
-        avg_shape = np.array(avg.shape[: system.dim])
-        inside = np.all(coords < avg_shape, axis=1)
-        if not np.any(inside):
-            comps.append(LatticeComponent(label, members, vol, None, None))
-            continue
-        local = avg[tuple(coords[inside].T)]
-        uinv = np.linalg.inv(g.averaged)
-        mean = (local @ uinv).mean(axis=0)
-        if abs(np.linalg.det(mean)) < 1e-12:
-            comps.append(LatticeComponent(label, members, vol, None, None))
-            continue
-        rot = polar_rotation(mean)
-        res2 = ((local - rot @ g.averaged) ** 2).sum() * float(m) ** (-system.dim)
-        comps.append(LatticeComponent(label, members, vol, rot, float(math.sqrt(max(res2, 0.0)))))
+        rot = residual = None
+        # no rotation fit where the averaged gradient is singular (raw
+        # anti-ferromagnetic chains; no averaged field is built), where no
+        # site has a full period box, or where the fitted mean is singular
+        if abs(np.linalg.det(g.averaged)) >= 1e-12:
+            avg = averaged_gradient_field(x, system, label)
+            coords = np.array(np.unravel_index(members, cls.labels.shape)).T  # (k, n)
+            local = avg[tuple(coords[np.all(coords < avg.shape[: system.dim], axis=1)].T)]
+            if len(local):
+                mean = (local @ np.linalg.inv(g.averaged)).mean(axis=0)
+                if abs(np.linalg.det(mean)) >= 1e-12:
+                    rot = polar_rotation(mean)
+                    res2 = ((local - rot @ g.averaged) ** 2).sum() * float(m) ** (-system.dim)
+                    residual = float(math.sqrt(max(res2, 0.0)))
+        comps.append(LatticeComponent(label, members, vol, rot, residual))
     return {
         "m": m,
         "energy": ham.total,
@@ -729,55 +688,49 @@ def _partition_record(m, x, system, energy_constant):
 # -- built-in systems --------------------------------------------------
 
 
+# per variant of the anti-ferromagnetic chain: the gradient alphabet, the
+# named ground patterns and the spin of a gradient
+_ANTIFERRO = {
+    "raw": (
+        (-1.0, 0.0, 1.0),
+        {"alternating+": (1.0, -1.0), "alternating-": (-1.0, 1.0)},
+        lambda g: g,
+    ),
+    "remapped": (
+        (1.0, 1.5, 2.0),
+        {"updown": (1.0, 2.0), "downup": (2.0, 1.0)},
+        lambda g: 2.0 * g - 3.0,
+    ),
+}
+
+
 def antiferro_system(variant="raw"):
     """The one-dimensional anti-ferromagnetic pair Hamiltonian.
 
     raw: gradients in {0, +-1}, density g0*g1 + 1, ground states the two
     alternating spin chains; their averaged gradients vanish, so the
     invertibility condition fails (by design). remapped: the same model
-    conjugated onto the alphabet {1, 3/2, 2}, density
+    conjugated onto the alphabet {1, 3/2, 2} by the spin 2g - 3, density
     (2 g0 - 3)(2 g1 - 3) + 1, ground patterns (1,2)/(2,1) with invertible
     averaged gradient 3/2.
     """
-    if variant == "raw":
+    if variant not in _ANTIFERRO:
+        raise LatticeError(f"unknown antiferro variant {variant!r}")
+    alphabet, patterns, spin = _ANTIFERRO[variant]
 
-        def density(patches):
-            g = patches[..., 0, 0]
-            return g[..., 0] * g[..., 1] + 1.0
+    def density(patches):
+        s = spin(patches[..., 0, 0])
+        return s[..., 0] * s[..., 1] + 1.0
 
-        grounds = [
-            GroundState(np.array([1.0, -1.0])[:, None, None], name="alternating+"),
-            GroundState(np.array([-1.0, 1.0])[:, None, None], name="alternating-"),
-        ]
-        return LatticeSystem(
-            dim=1,
-            window=[(0,), (1,)],
-            density=density,
-            ground_states=grounds,
-            p=2.0,
-            alphabet=(-1.0, 0.0, 1.0),
-            name="antiferro-raw",
-        )
-    if variant == "remapped":
-
-        def density(patches):
-            g = patches[..., 0, 0]
-            return (2.0 * g[..., 0] - 3.0) * (2.0 * g[..., 1] - 3.0) + 1.0
-
-        grounds = [
-            GroundState(np.array([1.0, 2.0])[:, None, None], name="updown"),
-            GroundState(np.array([2.0, 1.0])[:, None, None], name="downup"),
-        ]
-        return LatticeSystem(
-            dim=1,
-            window=[(0,), (1,)],
-            density=density,
-            ground_states=grounds,
-            p=2.0,
-            alphabet=(1.0, 1.5, 2.0),
-            name="antiferro-remapped",
-        )
-    raise LatticeError(f"unknown antiferro variant {variant!r}")
+    return LatticeSystem(
+        dim=1,
+        window=[(0,), (1,)],
+        density=density,
+        ground_states=[GroundState(np.array(v)[:, None, None], name=k) for k, v in patterns.items()],
+        p=2.0,
+        alphabet=alphabet,
+        name=f"antiferro-{variant}",
+    )
 
 
 def slip_sites(length, interfaces):

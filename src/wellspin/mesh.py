@@ -210,7 +210,7 @@ class SimplicialMesh:
         return canon[idx]
 
 
-# default cell budget of build_kuhn_mesh
+# cell budget of build_kuhn_mesh
 MAX_CELLS = 4_000_000
 
 
@@ -233,14 +233,15 @@ def kuhn_cell_estimate(n, m, lattice_rotation=None):
     return _lattice_box(m, rot)[2]
 
 
-def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells=MAX_CELLS):
+def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None):
     """Build the Kuhn mesh of the unit box [0, 1]^n at scale 1/m.
 
     The reference lattice is rotated by lattice_rotation (an element of
     SO(n)) before clipping: cells with any vertex outside the closed box
     are dropped. jitter, in units of 1/m and at most 0.2, displaces
     interior vertices uniformly; the mesh stays conforming because cells
-    share the moved vertices.
+    share the moved vertices. A box of more than MAX_CELLS estimated cells
+    raises MeshResourceError.
     """
     if m < 2:
         raise MeshError("need m >= 2")
@@ -254,9 +255,9 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None, max_cells
         raise MeshError("jitter must lie in [0, 0.2] (units of 1/m)")
 
     lat_lo, lat_hi, est_cells = _lattice_box(m, rot)
-    if est_cells > max_cells:
+    if est_cells > MAX_CELLS:
         raise MeshResourceError(
-            f"estimated {est_cells} cells exceeds budget {max_cells}"
+            f"estimated {est_cells} cells exceeds budget {MAX_CELLS}"
         )
 
     # a lattice point is one int64 in mixed radix over the keys lat_lo ..

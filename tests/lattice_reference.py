@@ -18,7 +18,9 @@ classify_lattice that matched every site against every ground state: the
 bound-pruned labels must agree byte for byte. deformation_from_gradient_function
 is the row-by-row integrator that called its gradient function once per
 row and again on every site: ground_state_deformation must give the same
-values, byte for byte.
+values, byte for byte. hand_written_antiferro_system is antiferro_system
+with one hand-written branch per variant: the table-built model must give
+the same densities, byte for byte, and the same ground states and fields.
 """
 
 import itertools
@@ -29,8 +31,10 @@ import numpy as np
 from wellspin.lattice import (
     BAD_SITE,
     BOUNDARY_SITE,
+    GroundState,
     LatticeDeformation,
     LatticeError,
+    LatticeSystem,
     _rotation_match,
     _sinusoids,
     _window,
@@ -258,3 +262,46 @@ def deformation_from_gradient_function(fn, value_shape, m):
     if not np.allclose(grads, expected, atol=1e-9):
         raise LatticeError("gradient pattern is not integrable")
     return x
+
+
+def hand_written_antiferro_system(variant="raw"):
+    """The anti-ferromagnetic pair Hamiltonian with one branch per variant."""
+    if variant == "raw":
+
+        def density(patches):
+            g = patches[..., 0, 0]
+            return g[..., 0] * g[..., 1] + 1.0
+
+        grounds = [
+            GroundState(np.array([1.0, -1.0])[:, None, None], name="alternating+"),
+            GroundState(np.array([-1.0, 1.0])[:, None, None], name="alternating-"),
+        ]
+        return LatticeSystem(
+            dim=1,
+            window=[(0,), (1,)],
+            density=density,
+            ground_states=grounds,
+            p=2.0,
+            alphabet=(-1.0, 0.0, 1.0),
+            name="antiferro-raw",
+        )
+    if variant == "remapped":
+
+        def density(patches):
+            g = patches[..., 0, 0]
+            return (2.0 * g[..., 0] - 3.0) * (2.0 * g[..., 1] - 3.0) + 1.0
+
+        grounds = [
+            GroundState(np.array([1.0, 2.0])[:, None, None], name="updown"),
+            GroundState(np.array([2.0, 1.0])[:, None, None], name="downup"),
+        ]
+        return LatticeSystem(
+            dim=1,
+            window=[(0,), (1,)],
+            density=density,
+            ground_states=grounds,
+            p=2.0,
+            alphabet=(1.0, 1.5, 2.0),
+            name="antiferro-remapped",
+        )
+    raise LatticeError(f"unknown antiferro variant {variant!r}")

@@ -401,26 +401,31 @@ class TestRun:
             ("antiferro-sweep", 2**20),
             ("lattice-sweep", 128),
             ("lattice-sweep", 192),
+            ("rigidity-family", 512),
         ],
     )
-    def test_lattice_run_peak_within_site_budget(self, tmp_path, scenario, m):
+    def test_run_peak_within_budget(self, tmp_path, scenario, m):
         # a run at the size limit fits the memory budget: the whole run, its
         # smaller scales included, peaks at most at MEMORY_BUDGET / limit
-        # bytes per site of its largest lattice
+        # bytes per unit of its largest size (a lattice site, or a block of
+        # the rigidity family's block_grid^2)
         if scenario == "antiferro-sweep":
-            lat = {"interfaces": 3, "m_list": [m // 16, m // 4, m]}
-            sites, limit = m, harness.MAX_CHAIN_SITES
+            cfg = {"lattice": {"interfaces": 3, "m_list": [m // 16, m // 4, m]}}
+            units, limit = m, harness.MAX_CHAIN_SITES
+        elif scenario == "lattice-sweep":
+            cfg = {"lattice": {"m_list": [8, 16, m]}}
+            units, limit = (m + 1) ** 2, harness.MAX_TWIN_SITES
         else:
-            lat = {"m_list": [8, 16, m]}
-            sites, limit = (m + 1) ** 2, harness.MAX_TWIN_SITES
+            cfg = {"m_list": [16], "family_size": 1, "block_grid": m}
+            units, limit = m**2, harness.MAX_BLOCKS
         tracemalloc.start()
         try:
-            code = run({"scenario": scenario, "lattice": lat}, out_dir=tmp_path)
+            code = run({"scenario": scenario, **cfg}, out_dir=tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert peak <= sites * harness.MEMORY_BUDGET / limit
+        assert peak <= units * harness.MEMORY_BUDGET / limit
 
     def test_laminate_sweep_small(self, tmp_path):
         cfg = {

@@ -1,7 +1,10 @@
 """The exact rotation match, the bound-pruned classifier, the array chain
-builder, the ground-state integrator and the sliding window views against
-the code they replaced (tests/lattice_reference.py), and the tiled box read
-of a ground pattern against its modular gather."""
+builder, the ground-state integrator, the sliding window views and the
+table-built antiferro model against the code they replaced
+(tests/lattice_reference.py), and the tiled box read of a ground pattern
+against its modular gather."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from wellspin.lattice import (
     LatticeDeformation,
     LatticeError,
     LatticeSystem,
-    _ground_patch_bank,
     _rotation_match,
     antiferro_chain,
     antiferro_system,
@@ -124,10 +126,14 @@ class TestRotationMatch:
             assert batch[i] <= ref._rotation_grid_match(p[i], g[i]) + 1e-12
 
     def test_broadcast_over_leading_axes(self):
+        # stacks of one shape: any leading axes, matched pair by pair
         rng = np.random.default_rng(3)
         windows = rng.normal(size=(5, 6, 2, 2))
         bank = rng.normal(size=(3, 6, 2, 2))
-        table = _rotation_match(windows[:, None], bank[None])
+        p = np.repeat(windows[:, None], 3, axis=1)
+        g = np.repeat(bank[None], 5, axis=0)
+        assert p.shape == g.shape == (5, 3, 6, 2, 2)
+        table = _rotation_match(p, g)
         assert table.shape == (5, 3)
         for i in range(5):
             for b in range(3):
@@ -315,27 +321,33 @@ class TestChainBuilder:
             antiferro_chain(system, 4, fracs)
 
 
-class TestVerifyH2Planar:
-    def test_twin_sampler(self):
-        twin = synthetic_twin_system()
-        bank = _ground_patch_bank(twin, twin.window_tilde)
+class TestVerifyH2Domain:
+    def test_planar_system_rejected(self):
+        with pytest.raises(LatticeError, match="one-dimensional systems with a finite alphabet"):
+            verify_h2(synthetic_twin_system())
 
-        def sampler(rng, count):
-            picks = bank[rng.integers(0, len(bank), count)]
-            rots = rotation_2d(rng.uniform(0.0, 2.0 * np.pi, count))[:, None]
-            scale = np.where(np.arange(count) % 3 == 0, 0.0, rng.uniform(0.01, 0.5, count))
-            noise = scale[:, None, None, None] * rng.normal(size=picks.shape)
-            return rots @ picks + noise
 
-        rep = verify_h2(twin, sample_budget=24, rng=np.random.default_rng(4), sampler=sampler)
-        assert rep.n_windows == 24 and not rep.exhaustive
-        assert rep.ok and rep.c > 0.0 and rep.violations == []
-        # the exact match puts the rotated ground windows on their orbit
-        # (kappa <= 1e-12), so the worst ratio comes from a perturbed one
-        assert rep.worst_kappa > 1e-3
-        oracle = min(ref._rotation_grid_match(rep.worst_window, gp) for gp in bank)
-        assert rep.worst_kappa <= oracle + 1e-12
-        assert oracle - rep.worst_kappa <= 1e-5
+class TestAntiferroTable:
+    @pytest.mark.parametrize("variant", ["raw", "remapped"])
+    def test_matches_hand_written_variants(self, variant):
+        new, old = antiferro_system(variant), ref.hand_written_antiferro_system(variant)
+        assert new.alphabet.tobytes() == old.alphabet.tobytes()
+        assert (new.p, new.name) == (old.p, old.name)
+        assert new.window.tobytes() == old.window.tobytes()
+        assert [g.name for g in new.ground_states] == [g.name for g in old.ground_states]
+        for a, b in zip(new.ground_states, old.ground_states):
+            assert a.gradients.shape == b.gradients.shape
+            assert a.gradients.tobytes() == b.gradients.tobytes()
+        # every window of the enlarged box, each read as its sliding pairs
+        t_len = len(new.window_tilde)
+        windows = np.array(list(itertools.product(new.alphabet, repeat=t_len)))
+        assert windows.shape == (3**6, 6)
+        pairs = windows[:, np.arange(t_len - 1)[:, None] + [0, 1], None, None]
+        assert new.density(pairs).tobytes() == old.density(pairs).tobytes()
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(LatticeError, match="unknown antiferro variant 'flat'"):
+            antiferro_system("flat")
 
 
 class TestGroundStateIntegrator:

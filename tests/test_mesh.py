@@ -109,9 +109,10 @@ class TestBuild:
         vals = [mesh_constants(build_kuhn_mesh(2, m)).diameter_upper for m in (4, 8, 16)]
         assert vals[0] == vals[1] == vals[2]
 
-    def test_resource_budget(self):
+    def test_resource_budget(self, monkeypatch):
+        monkeypatch.setattr("wellspin.mesh.MAX_CELLS", 100_000)
         with pytest.raises(MeshResourceError) as err:
-            build_kuhn_mesh(2, 4096, max_cells=100_000)
+            build_kuhn_mesh(2, 4096)
         assert "cells" in str(err.value)
 
     def test_small_m_rejected(self):
@@ -341,10 +342,13 @@ class TestReferenceOracle:
             want = (a - b)[:, None] * np.stack([-normals[:, 1], normals[:, 0]], axis=1)
             assert np.array_equal(tangential, want)
 
-    def test_resource_budget_matches(self):
-        for build in (build_kuhn_mesh, reference_build_kuhn_mesh):
-            with pytest.raises(MeshResourceError, match="exceeds budget 1000"):
-                build(3, 200, max_cells=1000)
+    def test_resource_budget_matches(self, monkeypatch):
+        # the budget is read at call time; the oracle takes it as a parameter
+        monkeypatch.setattr("wellspin.mesh.MAX_CELLS", 1000)
+        with pytest.raises(MeshResourceError, match="exceeds budget 1000"):
+            build_kuhn_mesh(3, 200)
+        with pytest.raises(MeshResourceError, match="exceeds budget 1000"):
+            reference_build_kuhn_mesh(3, 200, max_cells=1000)
 
     def test_no_cells_inside_domain(self):
         # at m = 2 this rotation leaves no whole cell inside the unit cube
