@@ -356,12 +356,12 @@ def _check_spin_suite(raw, cfg):
 
 
 # The memory a lattice or rigidity-family run may ask for, above the peak of a
-# mesh at the MAX_CELLS budget. Each divisor bounds a whole run's peak bytes
-# per unit of its largest size (docs/formats.md); test_run_peak_within_budget
-# pins all three.
+# mesh at the MAX_CELLS budget. Each divisor bounds a whole run's tracemalloc
+# peak bytes per unit of its largest size, as measured and rounded up
+# (docs/formats.md); test_run_peak_within_budget pins all three.
 MEMORY_BUDGET = 2_000_000_000
 MAX_CHAIN_SITES = MEMORY_BUDGET // 100
-MAX_TWIN_SITES = MEMORY_BUDGET // 610
+MAX_TWIN_SITES = MEMORY_BUDGET // 270
 MAX_BLOCKS = MEMORY_BUDGET // 224
 
 

@@ -16,18 +16,16 @@ so the minimum of their maximum lies at some entry's own minimiser or
 where two entries cross; _rotation_match evaluates those closed-form
 candidate angles for all sites at once, in chunks of bounded size.
 
-classify_lattice runs that match only where a ground state can still be
-within the threshold. Each entry's own minimum over rotations is a lower
-bound on the squared minimax, and so is the largest of them, which costs
-O(Q) per site and state. A state whose bound exceeds threshold^2 by more
-than a rounding margin has a computed distance above the threshold too,
-so it cannot be the first nearest state of a site within the threshold,
-and its distance is set to inf unmatched; the labels are the same as with
-every state matched. On a twin ground state only the site's own state is
-matched. NaN bounds compare false and are matched. The sites go in chunks
-of rows, so the patch stacks, the bound and the match of one chunk have a
-fixed size whatever the lattice. verify_h2 takes no rotations: it
-enumerates every window of a one-dimensional system's finite alphabet.
+classify_lattice settles most labels with a floor and a ceiling of the
+squared minimax that cost O(Q) per site and state (_match_bounds). A
+state whose floor exceeds threshold^2 cannot label the site; the state of
+the lowest ceiling labels it when that ceiling is within threshold^2 and
+below every other state's floor. Only the sites that neither rule settles
+are matched exactly, so the labels are those of matching every state, and
+no site of a twin ground state is matched. The sites go in chunks of
+rows of a fixed size whatever the lattice, and the synthetic twin density
+takes its windows in blocks. verify_h2 takes no rotations: it enumerates
+every window of a one-dimensional system's finite alphabet.
 
 Ground patterns are read on the box from the origin by tiling the period
 cell (GroundState.box), not by a modular gather per site; the chain of
@@ -109,10 +107,6 @@ class GroundState:
         tiled = np.tile(self.gradients, reps + (1, 1))
         return tiled[tuple(slice(0, s) for s in shape)]
 
-    @property
-    def period_length(self):
-        return max(self.period)
-
 
 class LatticeSystem:
     """Interaction window, density and ground states of one Hamiltonian."""
@@ -136,7 +130,7 @@ class LatticeSystem:
         self.name = name
         if not self.ground_states:
             raise LatticeError("need at least one ground state")
-        self.L0 = max(g.period_length for g in self.ground_states)
+        self.L0 = max(max(g.period) for g in self.ground_states)
         # enlarged comparison box: smallest box holding the window and twice
         # the ground period box, plus a one-site margin to contain it strictly
         hi = int(max(self.window.max(), 2 * self.L0)) + 1
@@ -368,23 +362,24 @@ def _axis_pairs(shape):
     return a, b
 
 
-# float64 elements in one candidate residual block of _rotation_match
+# float64 elements in one block of _rotation_match, classify_lattice and the twin density
 _MATCH_BLOCK = 2**18
-# rounding margin of the prune in classify_lattice, relative to the largest
+# rounding slack of the bounds of _match_bounds, relative to the largest
 # entry scale half_k of a site: about 4,500 ulps, far above the few ulps by
-# which the bound and the exact match can each be off
+# which the bounds and the exact match can each be off
 _BOUND_MARGIN = 1e-12
 
 
 def _sinusoids(p, g):
-    """alpha_k, beta_k and half_k = (|P_k|^2 + |G_k|^2) / 2 of the entry
-    residuals |P_k - R(t) G_k|^2 = 2 (half_k - alpha_k cos t - beta_k sin t),
-    for p and g of shape (..., Q, 2, 2)."""
-    mm = p @ np.swapaxes(g, -1, -2)
-    alpha = mm[..., 0, 0] + mm[..., 1, 1]
-    beta = mm[..., 1, 0] - mm[..., 0, 1]
-    half = 0.5 * ((p**2).sum(axis=(-2, -1)) + (g**2).sum(axis=(-2, -1)))
-    return alpha, beta, half
+    """alpha_k = <P_k, G_k> and beta_k = <P_k, J G_k>, J the quarter turn,
+    of the entry residuals |P_k - R(t) G_k|^2 = |P_k|^2 + |G_k|^2 - 2
+    (alpha_k cos t + beta_k sin t), for p and g of shape (..., Q, 2, 2),
+    from their entry planes."""
+    (p00, p01), (p10, p11) = np.moveaxis(p, (-2, -1), (0, 1))
+    (g00, g01), (g10, g11) = np.moveaxis(g, (-2, -1), (0, 1))
+    alpha = (p00 * g00 + p01 * g01) + (p10 * g10 + p11 * g11)
+    beta = (p10 * g00 + p11 * g01) - (p00 * g10 + p01 * g11)
+    return alpha, beta
 
 
 def _rotation_match(patches, gpatches):
@@ -422,7 +417,7 @@ def _rotation_match(patches, gpatches):
     for start in range(0, out.size, chunk):
         stop = min(start + chunk, out.size)
         p, g = p_all[start:stop], g_all[start:stop]  # (chunk, Q, 2, 2)
-        alpha, beta, _ = _sinusoids(p, g)
+        alpha, beta = _sinusoids(p, g)
         pick = (np.arange(stop - start), np.hypot(alpha, beta).argmax(axis=1))
         ref = np.arctan2(beta[pick], alpha[pick])[:, None, None]
         # entries flattened to 4 values; R(t) G = cos t G + sin t J G
@@ -439,7 +434,7 @@ def _rotation_match(patches, gpatches):
         disc = qb**2 - 4.0 * qa * de
         # the stable pair of roots; u = +-inf is the crossing at s = pi
         root = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = np.concatenate([root / qa, de / root], axis=1)
         s = np.concatenate([np.arctan2(b, a), 2.0 * np.arctan(u)], axis=1)
         crosses = np.tile(disc >= 0.0, 2) & ~np.isnan(u)
@@ -454,22 +449,29 @@ def _rotation_match(patches, gpatches):
     return out.reshape(lead)
 
 
-def _pruned_match(patches, gpatches, threshold):
-    """_rotation_match of the patch stacks (..., Q, 2, 2), inf unmatched
-    where the lower bound shows a distance above threshold.
+def _match_bounds(patches, gpatches):
+    """Bounds (low, high) on the squared _rotation_match of the patch
+    stacks (..., Q, 2, 2), each widened by the rounding slack.
 
-    Each entry's own minimum over rotations, 2 (half_k - |(alpha_k,
-    beta_k)|), bounds the squared minimax from below; a state whose bound
-    clears threshold^2 cannot label the site, so it is not matched. NaN
-    bounds compare false and are matched.
+    With half_k = (|P_k|^2 + |G_k|^2) / 2, entry k's squared residual is
+    2 (half_k - alpha_k cos t - beta_k sin t) (see _sinusoids), at least
+    2 (half_k - |(alpha_k, beta_k)|) at every angle t, so the largest of
+    these own minima is a floor of the squared minimax. The largest squared
+    residual at any one angle is a ceiling; here at _rotation_match's
+    reference angle, one of its candidates. Both cost O(Q) per site. NaN
+    or infinite patches give NaN bounds.
     """
-    alpha, beta, half = _sinusoids(patches, gpatches)
-    floor = (half - np.hypot(alpha, beta)).max(axis=-1)
-    live = ~(floor > 0.5 * threshold**2 + _BOUND_MARGIN * half.max(axis=-1))
-    del alpha, beta, half, floor
-    dist = np.full(live.shape, np.inf)
-    dist[live] = _rotation_match(patches[live], gpatches[live])
-    return dist
+    alpha, beta = _sinusoids(patches, gpatches)
+    sq = "...ij,...ij->..."
+    half = 0.5 * (np.einsum(sq, patches, patches) + np.einsum(sq, gpatches, gpatches))
+    radius = np.hypot(alpha, beta)
+    ref = radius.argmax(axis=-1)[..., None]
+    scale = np.take_along_axis(radius, ref, axis=-1)
+    cos, sin = (np.take_along_axis(v, ref, axis=-1) / scale for v in (alpha, beta))
+    slack = _BOUND_MARGIN * half.max(axis=-1)
+    low = 2.0 * ((half - radius).max(axis=-1) - slack)
+    high = 2.0 * ((half - alpha * cos - beta * sin).max(axis=-1) + slack)
+    return low, high
 
 
 # non-finite gradients give NaN or infinite distances, which label BAD
@@ -494,8 +496,8 @@ def classify_lattice(x, system):
         # the labels of the sites with a full window, a view written in place
         nearest = labels[tuple(slice(0, h) for h in hi)]
         nearest[...] = 0
-        best = np.full(hi, np.inf)
         if system.dim == 1:
+            best = np.full(hi, np.inf)
             for l, g in enumerate(system.ground_states):
                 # one entry distance per site, then its sliding max
                 err = g.box(gshape)[..., 0, 0]
@@ -506,22 +508,43 @@ def classify_lattice(x, system):
                 del err
                 nearest[dist < best] = l
                 np.minimum(best, dist, out=best)
+            nearest[~(best <= threshold)] = BAD_SITE  # NaN distances too
         else:
-            # chunks of rows: the patch stacks, the bound's temporaries and
+            # chunks of rows: the patch stacks, the bounds' temporaries and
             # the live copies of a chunk, about eight arrays of (sites, Q, 2,
             # 2), stay within _MATCH_BLOCK values
-            rows = max(1, _MATCH_BLOCK // (32 * len(offsets) * math.prod(hi[1:])))
-            patterns = [g.box(gshape) for g in system.ground_states]
+            rows = min(hi[0], max(1, _MATCH_BLOCK // (32 * len(offsets) * math.prod(hi[1:]))))
+            # each pattern on a chunk's rows, its windows' reach and a period
+            # more: the chunk at row r reads it from r modulo the period
+            patterns = [g.box((rows + 2 * system.L0,) + gshape[1:]) for g in system.ground_states]
+            states = np.arange(len(patterns))[:, None, None]
+
+            def windows(values, box):
+                return np.stack([_window(values, o, box) for o in offsets], axis=-3)
+
             for r in range(0, hi[0], rows):
                 box = (min(rows, hi[0] - r),) + hi[1:]
-                patches = np.stack([_window(grad[r:], o, box) for o in offsets], axis=-3)
-                near, low = nearest[r : r + rows], best[r : r + rows]
-                for l, pattern in enumerate(patterns):
-                    gpatches = np.stack([_window(pattern[r:], o, box) for o in offsets], axis=-3)
-                    dist = _pruned_match(patches, gpatches, threshold)
-                    near[dist < low] = l
-                    np.minimum(low, dist, out=low)
-        nearest[~(best <= threshold)] = BAD_SITE  # NaN distances too
+                patches = windows(grad[r:], box)
+                tiles = [p[r % g.period[0] :] for g, p in zip(system.ground_states, patterns)]
+                bounds = [_match_bounds(patches, windows(t, box)) for t in tiles]
+                low, high = (np.stack(b) for b in zip(*bounds))
+                # the lowest ceiling's state labels a site if that ceiling is
+                # within the threshold and below every other floor, no state
+                # whose floor clears the threshold can; the match does the rest
+                own, ceiling = high.argmin(axis=0), high.min(axis=0)
+                rival = np.where(states == own, np.inf, low).min(axis=0)
+                settled = (ceiling <= threshold**2) & (ceiling < rival)
+                live = ~settled & ~(low > threshold**2)
+                near, best = nearest[r : r + rows], np.full(box, np.inf)
+                for l, tile in enumerate(tiles):
+                    if live[l].any():
+                        dist = np.full(box, np.inf)
+                        gpatches = windows(tile, box)[live[l]]
+                        dist[live[l]] = _rotation_match(patches[live[l]], gpatches)
+                        near[dist < best] = l
+                        np.minimum(best, dist, out=best)
+                near[~(best <= threshold)] = BAD_SITE  # NaN distances too
+                near[settled] = own[settled]
     return LatticeClassification(
         labels=labels, threshold=float(threshold), m=x.m, dim=system.dim
     )
@@ -533,7 +556,6 @@ class H2Report:
     p: float
     n_windows: int
     exhaustive: bool
-    worst_window: object
     worst_kappa: float
     violations: list = field(default_factory=list)
 
@@ -598,7 +620,6 @@ def verify_h2(system):
         p=system.p,
         n_windows=len(windows),
         exhaustive=True,
-        worst_window=None if worst_idx is None else windows[worst_idx],
         worst_kappa=float(kappas[worst_idx]) if worst_idx is not None else 0.0,
         violations=violations,
     )
@@ -805,12 +826,16 @@ def synthetic_twin_system():
         lead = patches.shape[:-3]
         flat = patches.reshape((-1,) + patches.shape[-3:])
         best = np.full(len(flat), np.inf)
-        for gp in bank:
-            m = np.einsum("ktij,tlj->kil", flat, gp)
-            rot = _procrustes_rotation_batch(m)
-            resid = flat - rot[:, None] @ gp[None]
-            val = (resid**2).sum(axis=(-3, -2, -1))
-            best = np.minimum(best, val)
+        # windows in blocks, so that the temporaries of the states, about
+        # 40 values per window, stay within _MATCH_BLOCK values
+        step = max(1, _MATCH_BLOCK // 64)
+        for s in range(0, len(flat), step):
+            part, low = flat[s : s + step], best[s : s + step]
+            for gp in bank:
+                m = np.einsum("ktij,tlj->kil", part, gp)
+                rot = _procrustes_rotation_batch(m)
+                resid = part - rot[:, None] @ gp[None]
+                np.minimum(low, (resid**2).sum(axis=(-3, -2, -1)), out=low)
         return best.reshape(lead)
 
     return LatticeSystem(

@@ -13,9 +13,14 @@ stacks of evaluate_hamiltonian and averaged_gradient_field: the sliding
 window views must give the same bytes. expanded_rotation_match is the
 exact match with its candidate angles taken from the unturned expansion,
 whose crossings drown in rounding near a match: the turned frame must
-never lie above it (beyond round-off). unpruned_labels is the 2-D
+never lie above it (beyond round-off); its coefficients come from the
+products P_k G_k^T (matmul_sinusoids), which the entry-plane ones must
+match within a few roundings. unpruned_labels is the 2-D
 classify_lattice that matched every site against every ground state: the
-bound-pruned labels must agree byte for byte. deformation_from_gradient_function
+labels settled by the two-sided bound must agree byte for byte.
+ceiling_distances evaluates directly, at the reference angle of the exact
+match, the ceiling that the bound takes from the expanded residuals; the
+tests set the threshold to it. deformation_from_gradient_function
 is the row-by-row integrator that called its gradient function once per
 row and again on every site: ground_state_deformation must give the same
 values, byte for byte. hand_written_antiferro_system is antiferro_system
@@ -36,7 +41,6 @@ from wellspin.lattice import (
     LatticeError,
     LatticeSystem,
     _rotation_match,
-    _sinusoids,
     _window,
 )
 from wellspin.numerics import golden_min
@@ -163,6 +167,17 @@ def averaged_gradients(x, system, l):
     return acc.reshape(tuple(out_shape) + grad.shape[-2:])
 
 
+def matmul_sinusoids(p, g):
+    """alpha_k, beta_k and half_k = (|P_k|^2 + |G_k|^2) / 2 of the entry
+    residuals |P_k - R(t) G_k|^2 = 2 (half_k - alpha_k cos t - beta_k sin t),
+    for p and g of shape (..., Q, 2, 2), from the products P_k G_k^T."""
+    mm = p @ np.swapaxes(g, -1, -2)
+    alpha = mm[..., 0, 0] + mm[..., 1, 1]
+    beta = mm[..., 1, 0] - mm[..., 0, 1]
+    half = 0.5 * ((p**2).sum(axis=(-2, -1)) + (g**2).sum(axis=(-2, -1)))
+    return alpha, beta, half
+
+
 def expanded_rotation_match(patches, gpatches):
     """_rotation_match for (S, Q, 2, 2) arrays, with the candidates from
     |P_k - R(t) G_k|^2 = 2 (half_k - alpha_k cos t - beta_k sin t): the
@@ -171,7 +186,7 @@ def expanded_rotation_match(patches, gpatches):
     p, g = np.asarray(patches, float), np.asarray(gpatches, float)
     q = p.shape[-3]
     j, k = np.triu_indices(q, 1)
-    alpha, beta, half = _sinusoids(p, g)
+    alpha, beta, half = matmul_sinusoids(p, g)
     da, db, dh = alpha[:, j] - alpha[:, k], beta[:, j] - beta[:, k], half[:, j] - half[:, k]
     r = np.hypot(da, db)
     crosses = (r > 0.0) & (np.abs(dh) <= r)
@@ -192,21 +207,41 @@ def _full_window_box(x, system):
     return tuple(int(h) for h in np.array(gshape) - system.q0_offsets.max(axis=0))
 
 
-def unpruned_distances(x, system):
-    """The exact match of every full-window site against every ground
-    state, shape (sites..., states), for a two-dimensional system whose
-    window fits somewhere."""
+def _patch_pairs(x, system):
+    """The patch stack of every full-window site and, per ground state,
+    its ground patch stack, each of shape (sites..., Q, 2, 2), for a
+    two-dimensional system whose window fits somewhere."""
     grad = x.gradient()
     hi = _full_window_box(x, system)
     sites = np.moveaxis(np.indices(grad.shape[:2]), 0, -1)
     offsets = system.q0_offsets
     patches = np.stack([_window(grad, off, hi) for off in offsets], axis=-3)
-    dists = []
     for g in system.ground_states:
         pattern = g.gradient_at(sites)
-        gpatches = np.stack([_window(pattern, off, hi) for off in offsets], axis=-3)
-        dists.append(_rotation_match(patches, gpatches))
-    return np.stack(dists, axis=-1)
+        yield patches, np.stack([_window(pattern, off, hi) for off in offsets], axis=-3)
+
+
+def unpruned_distances(x, system):
+    """The exact match of every full-window site against every ground
+    state, shape (sites..., states), for a two-dimensional system whose
+    window fits somewhere."""
+    return np.stack([_rotation_match(p, g) for p, g in _patch_pairs(x, system)], axis=-1)
+
+
+def ceiling_distances(x, system):
+    """max over k of |P_k - R(t) G_k|_F at the reference angle t of
+    _rotation_match, the own minimiser atan2(beta_K, alpha_K) of the entry
+    K with the largest |(alpha_K, beta_K)|, for every full-window site and
+    ground state, shape (sites..., states); the residuals are evaluated
+    directly, not from the expansion in alpha and beta."""
+    out = []
+    for p, g in _patch_pairs(x, system):
+        alpha, beta, _ = matmul_sinusoids(p, g)
+        own = np.hypot(alpha, beta).argmax(axis=-1)[..., None]
+        t = np.arctan2(np.take_along_axis(beta, own, -1), np.take_along_axis(alpha, own, -1))
+        resid = p - rotation_2d(t) @ g
+        out.append(np.sqrt((resid**2).sum(axis=(-2, -1)).max(axis=-1)))
+    return np.stack(out, axis=-1)
 
 
 @np.errstate(invalid="ignore", over="ignore")

@@ -1,6 +1,7 @@
-"""The exact rotation match, the bound-pruned classifier, the array chain
-builder, the ground-state integrator, the sliding window views and the
-table-built antiferro model against the code they replaced
+"""The exact rotation match and its entry-plane coefficients, the
+classifier settled by two-sided bounds, the array chain builder, the
+ground-state integrator, the sliding window views, the blocked twin density
+and the table-built antiferro model against the code they replaced
 (tests/lattice_reference.py), and the tiled box read of a ground pattern
 against its modular gather."""
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import lattice_reference as ref
 from wellspin import lattice
 from wellspin.lattice import (
+    BAD_SITE,
     BOUNDARY_SITE,
     GroundState,
     LatticeDeformation,
@@ -93,6 +95,17 @@ class TestRotationMatch:
         exact = float(_rotation_match(p, g))
         assert exact <= ref.expanded_rotation_match(p[None], g[None])[0] + 1e-12
         assert exact <= dense_scan(p, g) + 1e-12
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_plane_sinusoids_match_products(self, kind, q, seed):
+        # the entry-plane coefficients against those of P_k G_k^T, within a
+        # few roundings of the entry products
+        p, g = make_pair(kind, q, seed)
+        norms = np.linalg.norm(p, axis=(-2, -1)) * np.linalg.norm(g, axis=(-2, -1))
+        tol = 4.0 * np.finfo(float).eps * norms
+        for new, old in zip(lattice._sinusoids(p, g), ref.matmul_sinusoids(p, g)):
+            assert new.shape == old.shape and np.all(np.abs(new - old) <= tol)
 
     def test_rotated_ground_patch_is_zero(self):
         p, g = make_pair("random", 9, 5)
@@ -174,51 +187,78 @@ class TestClassifyLabels:
         assert set(np.unique(labels)) == {-2, -1, state}
 
 
-@st.composite
-def twin_lattices(draw):
+def twin_case(state, angle, m, noise, seed, plant):
     """A noisy rotated twin ground state (any of the four), its m, and
-    what to plant in it: nothing, a NaN or an infinite value, or a site
-    at exactly the threshold distance of some state."""
-    state = draw(st.integers(0, 3))
-    angle = draw(st.floats(0.0, 2.0 * np.pi))
-    m = draw(st.integers(3, 9))
-    # value noise in units of the threshold, 0.6 / 100
-    noise = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0])) * 0.006
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    plant = draw(st.sampled_from(["none", "threshold", "nan", "inf", "-inf"]))
+    what to plant in it: nothing, a NaN or an infinite value, a site at
+    exactly the threshold distance or ceiling of some state (the test sets
+    the threshold), or a seam: the rows from m // 2 on come from the
+    state's parity partner. Noise is in units of the threshold, 0.6 / 100."""
     twin = synthetic_twin_system()
-    x = ground_state_deformation(twin, state, (m + 1, m + 1), m=m, rotation=rotation_2d(angle))
-    values = x.values + noise * rng.normal(size=x.values.shape)
+    shape = (m + 1, m + 1)
+    rot = rotation_2d(angle)
+    grads = rot @ twin.ground_states[state].box(shape)
+    if plant == "seam":
+        grads[m // 2 :] = (rot @ twin.ground_states[state ^ 1].box(shape))[m // 2 :]
+    rng = np.random.default_rng(seed)
+    values = lattice._integrate(grads, shape) + noise * 0.006 * rng.normal(size=shape + (2,))
     if plant in ("nan", "inf", "-inf"):
         values[tuple(rng.integers(0, m + 1, 2))] = float(plant)
     return twin, LatticeDeformation(values, m), plant, rng
 
 
+@st.composite
+def twin_lattices(draw):
+    return twin_case(
+        draw(st.integers(0, 3)),
+        draw(st.floats(0.0, 2.0 * np.pi)),
+        draw(st.integers(3, 9)),
+        draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(["none", "threshold", "ceiling", "seam", "nan", "inf", "-inf"])),
+    )
+
+
+def set_threshold(mp, twin, d):
+    """Patch twin's separation so that its hundredth, the threshold, is d."""
+    sep = 100.0 * d
+    for _ in range(4):
+        if sep / 100.0 == d:
+            break
+        sep = np.nextafter(sep, np.inf if sep / 100.0 < d else -np.inf)
+    mp.setattr(twin, "separation_d", sep)
+
+
 class TestBoundPrune:
     @settings(max_examples=100, deadline=None)
     @given(twin_lattices(), st.sampled_from([None, 1, 500, 5000]))
+    # both parity states at the same distance on the seam, all matched
+    @example(twin_case(0, 1.0, 9, 0.0, 3, "seam"), None)
+    # the own state's ceiling at one site is the threshold
+    @example(twin_case(1, 1.3, 7, 0.3, 1, "ceiling"), 1)
     def test_labels_equal_unpruned(self, case, block):
         twin, x, plant, rng = case
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 # chunks of one row or a few: chunk edges change no label
                 mp.setattr(lattice, "_MATCH_BLOCK", block)
-            if plant == "threshold":
-                # a site's computed distance to a state becomes the threshold
-                dists = ref.unpruned_distances(x, twin)
-                d = float(dists.reshape(-1)[rng.integers(dists.size)])
-                sep = 100.0 * d
-                for _ in range(4):  # the separation whose hundredth is d
-                    if sep / 100.0 == d:
-                        break
-                    sep = np.nextafter(sep, np.inf if sep / 100.0 < d else -np.inf)
-                mp.setattr(twin, "separation_d", sep)
+            if plant in ("threshold", "ceiling"):
+                # a site's computed distance to a state, or the ceiling of
+                # that distance, becomes the threshold
+                bound = ref.ceiling_distances if plant == "ceiling" else ref.unpruned_distances
+                dists = bound(x, twin)
+                set_threshold(mp, twin, float(dists.reshape(-1)[rng.integers(dists.size)]))
+            elif plant == "seam":
+                # half again the largest distance of a site to its nearest
+                # state: every site is labelled, and the seam sites, at
+                # about the same distance from both halves' states, have
+                # both within the threshold
+                nearest = ref.unpruned_distances(x, twin).min(axis=-1)
+                set_threshold(mp, twin, 1.5 * float(nearest.max()))
             labels = classify_lattice(x, twin).labels
             assert labels.tobytes() == ref.unpruned_labels(x, twin).tobytes()
 
-    def test_only_the_own_state_is_matched(self, monkeypatch):
-        twin = synthetic_twin_system()
-        x = ground_state_deformation(twin, 2, (13, 13), m=12, rotation=rotation_2d(2.2))
+    def counted_labels(self, monkeypatch, x, twin):
+        """The labels of x and the site counts of the exact match calls."""
         calls = []
 
         def counted(patches, gpatches):
@@ -226,10 +266,36 @@ class TestBoundPrune:
             return _rotation_match(patches, gpatches)
 
         monkeypatch.setattr(lattice, "_rotation_match", counted)
-        labels = classify_lattice(x, twin).labels
-        assert calls == [0, 0, 100, 0]
+        return classify_lattice(x, twin).labels, calls
+
+    def test_only_the_own_state_is_matched(self, monkeypatch):
+        # the own state's ceiling settles every site of a twin ground
+        # state, so no site reaches the exact match
+        twin = synthetic_twin_system()
+        x = ground_state_deformation(twin, 2, (13, 13), m=12, rotation=rotation_2d(2.2))
+        labels, calls = self.counted_labels(monkeypatch, x, twin)
+        assert calls == []
         assert labels.tobytes() == ref.unpruned_labels(x, twin).tobytes()
         assert set(np.unique(labels)) == {BOUNDARY_SITE, 2}
+
+    def test_site_near_threshold_is_matched(self, monkeypatch):
+        # one value moved by the threshold: the sites around it have a
+        # ceiling above the threshold and a floor below it, so the exact
+        # match decides them, and some land just within the threshold
+        twin = synthetic_twin_system()
+        x = ground_state_deformation(twin, 2, (13, 13), m=12, rotation=rotation_2d(2.2))
+        values = x.values.copy()
+        values[6, 6, 0] += twin.separation_d / 100.0
+        x = LatticeDeformation(values, 12)
+        labels, calls = self.counted_labels(monkeypatch, x, twin)
+        assert calls and all(calls)
+        assert labels.tobytes() == ref.unpruned_labels(x, twin).tobytes()
+        dists = ref.unpruned_distances(x, twin)[..., 2]
+        ceilings = ref.ceiling_distances(x, twin)[..., 2]
+        threshold = twin.separation_d / 100.0
+        matched = (ceilings > threshold) & (dists <= threshold)
+        assert matched.any() and np.all(labels[: dists.shape[0], : dists.shape[1]][matched] == 2)
+        assert set(np.unique(labels)) == {BOUNDARY_SITE, BAD_SITE, 2}
 
 
 class TestWindowViews:
@@ -238,8 +304,9 @@ class TestWindowViews:
         st.sampled_from(["raw", "remapped", "twin"]),
         st.integers(0, 12),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1, 1000]),
     )
-    def test_energies_and_averages_match_gathers(self, kind, size, seed):
+    def test_energies_and_averages_match_gathers(self, kind, size, seed, block):
         rng = np.random.default_rng(seed)
         if kind == "twin":
             system = synthetic_twin_system()
@@ -249,7 +316,11 @@ class TestWindowViews:
             size *= 8
             shape = (size + 1, 1)
         x = LatticeDeformation(rng.normal(size=shape), m=max(size, 1))
-        rep = evaluate_hamiltonian(x, system)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                # the twin density in blocks of one window or a few
+                mp.setattr(lattice, "_MATCH_BLOCK", block)
+            rep = evaluate_hamiltonian(x, system)
         old = ref.hamiltonian_per_site(x, system)
         if old is None:
             assert rep.empty and rep.per_site.size == 0
