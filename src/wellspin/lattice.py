@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import label_components
+from .numerics import half_angle_roots, label_components
 from .wells import _procrustes_rotation_batch, dist_to_single_well_batch, polar_rotation
 
 BAD_SITE = -1
@@ -400,12 +400,13 @@ def _rotation_match(patches, gpatches):
     they would be rounding noise of the O(1) coefficients, and crossings
     within that noise of a tangency would be lost. Entry k's minimiser is
     s = atan2(b_k, a_k); entries j and k cross where u = tan(s/2) solves
-    (dE + 4 da) u^2 - 4 db u + dE = 0, with d the difference j - k (no
-    real root, or 0/0 when the entries agree: no crossing). Every
-    candidate is evaluated with the direct residual E_k - (R(s) - I) H_k,
-    not the expanded form, which cancels near zero. Sites are taken in
-    chunks so that the residual block, chunk * Q^2 candidates * Q entries
-    * 4 values, stays within _MATCH_BLOCK.
+    (dE + 4 da) u^2 - 4 db u + dE = 0, with d the difference j - k
+    (half_angle_roots; a NaN angle, no real root or 0/0 when the entries
+    agree, is no crossing). Every candidate is evaluated with the direct
+    residual E_k - (R(s) - I) H_k, not the expanded form, which cancels
+    near zero. Sites are taken in chunks so that the residual block,
+    chunk * Q^2 candidates * Q entries * 4 values, stays within
+    _MATCH_BLOCK.
     """
     patches = np.asarray(patches, dtype=float)
     lead, q = patches.shape[:-3], patches.shape[-3]
@@ -430,15 +431,9 @@ def _rotation_match(patches, gpatches):
         a = np.einsum("...i,...i->...", p.reshape(e.shape), h)
         b = np.einsum("...i,...i->...", e, jh)
         de, da, db = ee[:, j] - ee[:, k], a[:, j] - a[:, k], b[:, j] - b[:, k]
-        qa, qb = de + 4.0 * da, -4.0 * db
-        disc = qb**2 - 4.0 * qa * de
-        # the stable pair of roots; u = +-inf is the crossing at s = pi
-        root = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = np.concatenate([root / qa, de / root], axis=1)
-        s = np.concatenate([np.arctan2(b, a), 2.0 * np.arctan(u)], axis=1)
-        crosses = np.tile(disc >= 0.0, 2) & ~np.isnan(u)
-        live = np.concatenate([np.ones(a.shape, bool), crosses], axis=1)
+        crossings = np.concatenate(half_angle_roots(de + 4.0 * da, -4.0 * db, de)[0], axis=1)
+        s = np.concatenate([np.arctan2(b, a), crossings], axis=1)
+        live = np.concatenate([np.ones(a.shape, bool), ~np.isnan(crossings)], axis=1)
         # E - (R(s) - I) H with cos s - 1 = -2 sin^2(s/2); the residual
         # block has shape (chunk, Q^2, Q, 4)
         resid = (-2.0 * np.sin(0.5 * s) ** 2)[..., None, None] * h[:, None]
@@ -556,7 +551,6 @@ class H2Report:
     p: float
     n_windows: int
     exhaustive: bool
-    worst_kappa: float
     violations: list = field(default_factory=list)
 
     @property
@@ -608,19 +602,12 @@ def verify_h2(system):
         }
         for i in np.nonzero(live & (energies <= 0.0))[0]
     ]
-    if np.any(live):
-        ratios = energies[live] / kappas[live] ** system.p
-        worst = int(np.argmin(ratios))
-        worst_idx = np.nonzero(live)[0][worst]
-        c = float(ratios[worst])
-    else:
-        c, worst_idx = math.inf, None
+    c = float((energies[live] / kappas[live] ** system.p).min(initial=math.inf))
     return H2Report(
         c=0.0 if violations else c,
         p=system.p,
         n_windows=len(windows),
         exhaustive=True,
-        worst_kappa=float(kappas[worst_idx]) if worst_idx is not None else 0.0,
         violations=violations,
     )
 

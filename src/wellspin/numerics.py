@@ -1,7 +1,7 @@
 """Small shared numerical utilities: connected-component labelling of
 labelled items, log-log slope fits, ratios of measures that may vanish, the
-1-D golden-section refinement that the test oracles build on, and the
-entry-plane layout of the n = 2 matrix kernels.
+1-D golden-section refinement that the test oracles build on, half-angle
+roots of quadratics and the entry-plane layout of the n = 2 matrix kernels.
 
 Component labelling first contracts runs: every joining pair (i, i + 1),
 in either orientation, links i + 1 to i, and one running maximum points
@@ -128,6 +128,18 @@ def loglog_slope(x, y):
         raise ValueError("log-log fit requires strictly positive data")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(intercept)
+
+
+def half_angle_roots(qa, qb, qc):
+    """The angles 2 atan(u), shape (2, ...), of the roots u of qa u^2 + qb u
+    + qc = 0 as the cancellation-free pair, and the discriminant. u = +-inf
+    is the root at pi; an angle is NaN where the discriminant is negative
+    or its root is 0/0."""
+    disc = qb**2 - 4.0 * qa * qc
+    root = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.stack([root / qa, qc / root])
+    return 2.0 * np.arctan(np.where(disc >= 0.0, u, np.nan)), disc
 
 
 def entry_planes(stack):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import entry_planes
+from .numerics import entry_planes, half_angle_roots
 
 SYMMETRY_TOL = 1e-12
 # the largest absolute entry of a well
@@ -365,35 +365,34 @@ def solve_rank_one(wells, i, j):
 def twin_solve(ui, uj):
     """Find all twins between two matrices: U_i - Q U_j = a (x) b.
 
-    For 2x2 matrices det(U_i - Q(t) U_j) = alpha - rho cos(t - psi), with
-    alpha = det U_i + det U_j and, for N = U_j adj(U_i), rho and psi the
-    polar form of (N00 + N11, N01 - N10). Its roots are psi +- acos(alpha /
-    rho) when |alpha| < rho and none when |alpha| > rho; when |alpha - rho|
-    is within 1e-10 |U_i| |U_j| the determinant only touches zero, at the
-    double root psi (multiplicity 2). For positive definite wells alpha > 0,
-    so only its minimum can touch zero. Roots come out in ascending angle
-    in [0, 2 pi). The rank-one difference is factored from its largest row:
-    b = row / |row| and a = (U_i - Q U_j) b. Roots where the difference
-    vanishes entirely (identical wells up to rotation) are reported as
-    trivial rotations, not connections.
+    For 2x2 matrices, with u = tan(t/2), J the quarter turn, S = U_i + U_j
+    and D = U_i - U_j, det(U_i - Q(t) U_j) (1 + u^2) is qa u^2 + qb u + qc
+    for qa = det S, qb = -tr(adj(D) J S) and qc = det D, which keep their
+    digits when the wells nearly coincide. A discriminant within round-off
+    of its own terms is a tangency, one double root (multiplicity 2); for
+    positive definite wells qa > 0, so t = pi is never a root. Roots come
+    out in ascending angle in [0, 2 pi). The rank-one difference is
+    factored from its largest row: b = row / |row| and a = (U_i - Q U_j) b.
+    Roots where the difference vanishes entirely (identical wells up to
+    rotation) are reported as trivial rotations, not connections.
     """
     ui = np.asarray(ui, dtype=float)
     uj = np.asarray(uj, dtype=float)
     if ui.shape != (2, 2) or uj.shape != (2, 2):
         raise WellSetError("twin solver implemented for n = 2 only")
     scale = np.linalg.norm(ui)
-    n = uj @ np.array([[ui[1, 1], -ui[0, 1]], [-ui[1, 0], ui[0, 0]]])
-    alpha = ui[0, 0] * ui[1, 1] - ui[0, 1] * ui[1, 0]
-    alpha += uj[0, 0] * uj[1, 1] - uj[0, 1] * uj[1, 0]
-    rho = math.hypot(n[0, 0] + n[1, 1], n[0, 1] - n[1, 0])
-    psi = math.atan2(n[0, 1] - n[1, 0], n[0, 0] + n[1, 1])
-    if abs(alpha - rho) <= 1e-10 * scale * np.linalg.norm(uj):
-        roots = [(psi, 2)]
-    elif abs(alpha) < rho:
-        half = math.acos(alpha / rho)
-        roots = [(psi - half, 1), (psi + half, 1)]
+    # one power of two brings the largest entry near 1, so that the
+    # discriminant, quartic in the entries, stays in range
+    pow2 = 2.0 ** -math.frexp(max(np.abs(ui).max(), np.abs(uj).max()))[1]
+    (s00, s01), (s10, s11) = (ui + uj) * pow2
+    (d00, d01), (d10, d11) = (ui - uj) * pow2
+    qa, qc = s00 * s11 - s01 * s10, d00 * d11 - d01 * d10
+    qb = (d11 * s10 - d10 * s11) + (d01 * s00 - d00 * s01)
+    angles, disc = half_angle_roots(qa, qb, qc)
+    if abs(disc) <= 64.0 * np.finfo(float).eps * (qb**2 + 4.0 * abs(qa * qc)):
+        roots = [(2.0 * math.atan2(-qb, 2.0 * qa), 2)]
     else:
-        roots = []
+        roots = [(float(t), 1) for t in angles if not math.isnan(t)]
 
     out = RankOneSolution()
     for theta, mult in sorted((t % (2.0 * math.pi), mult) for t, mult in roots):

@@ -20,12 +20,16 @@ classify_lattice that matched every site against every ground state: the
 labels settled by the two-sided bound must agree byte for byte.
 ceiling_distances evaluates directly, at the reference angle of the exact
 match, the ceiling that the bound takes from the expanded residuals; the
-tests set the threshold to it. deformation_from_gradient_function
-is the row-by-row integrator that called its gradient function once per
-row and again on every site: ground_state_deformation must give the same
-values, byte for byte. hand_written_antiferro_system is antiferro_system
-with one hand-written branch per variant: the table-built model must give
-the same densities, byte for byte, and the same ground states and fields.
+tests set the threshold to it. inline_crossings is the quadratic formula
+that _rotation_match solved for its crossing angles before
+numerics.half_angle_roots: the kernel must give the same angles and
+discriminant signs, byte for byte, and NaN exactly where a crossing was
+not live. deformation_from_gradient_function is the row-by-row integrator
+that called its gradient function once per row and again on every site:
+ground_state_deformation must give the same values, byte for byte.
+hand_written_antiferro_system is antiferro_system with one hand-written
+branch per variant: the table-built model must give the same densities,
+byte for byte, and the same ground states and fields.
 """
 
 import itertools
@@ -200,6 +204,19 @@ def expanded_rotation_match(patches, gpatches):
     np.subtract(p.reshape(-1, 1, q, 4), resid, out=resid)
     worst2 = np.einsum("...i,...i->...", resid, resid).max(axis=-1)
     return np.sqrt(np.where(live, worst2, np.inf).min(axis=1))
+
+
+def inline_crossings(qa, qb, qc):
+    """The crossing angles of the old _rotation_match, shape (S, 2 P) for
+    coefficient arrays of shape (S, P), whether each is live, and the
+    discriminant: the stable pair of roots u of qa u^2 + qb u + qc = 0
+    side by side, u = +-inf being the crossing at pi."""
+    disc = qb**2 - 4.0 * qa * qc
+    root = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.concatenate([root / qa, qc / root], axis=1)
+    crosses = np.tile(disc >= 0.0, 2) & ~np.isnan(u)
+    return 2.0 * np.arctan(u), crosses, disc
 
 
 def _full_window_box(x, system):

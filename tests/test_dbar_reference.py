@@ -106,6 +106,17 @@ class TestAgainstTwoDimensionalSearch:
         assert val <= grid and grid - val <= 1e-10 * grid
         assert reference_compute_dbar(ws, 0.05) > val * (1 + 1e-5)
 
+    def test_near_twin_pair(self):
+        # a pair 1e-6 apart, whose twins the polar form refused: the gap
+        # is smallest at an admissible interval end, a grid point, and the
+        # 2-D search stops at about twice it
+        ws = WellSet([np.diag([2.0, 0.5]), np.array([[2.000001, 0.0], [0.0, 0.499999]])])
+        assert len(ws.connections) == 2
+        val = compute_dbar(ws, 0.05)
+        assert val == gap_at_interval_ends(ws, 0.05)
+        assert abs(val - grid_min(ws, 0.05, 20001)) <= 1e-9 * val
+        assert val <= reference_compute_dbar(ws, 0.05)
+
 
 class TestTwinFree:
     def test_identity_against_diagonal(self):
@@ -150,10 +161,7 @@ def gap_cases(draw):
         u2 = u1 + 10.0 ** draw(st.floats(-8.0, -1.0)) * spd_well(draw)
     else:
         u2 = spd_well(draw)
-    try:
-        normals = [c.b for c in twin_solve(u1, u2).connections]
-    except WellSetError:
-        assume(False)
+    normals = [c.b for c in twin_solve(u1, u2).connections]
     intervals = admissible_normal_intervals(normals, draw(st.floats(1e-3, 0.3)))
     assume(intervals)
     lo, hi = intervals[draw(st.integers(0, len(intervals) - 1))]

@@ -1,9 +1,9 @@
-"""The exact rotation match and its entry-plane coefficients, the
-classifier settled by two-sided bounds, the array chain builder, the
-ground-state integrator, the sliding window views, the blocked twin density
-and the table-built antiferro model against the code they replaced
-(tests/lattice_reference.py), and the tiled box read of a ground pattern
-against its modular gather."""
+"""The exact rotation match, its entry-plane coefficients and its
+half-angle crossings, the classifier settled by two-sided bounds, the
+array chain builder, the ground-state integrator, the sliding window
+views, the blocked twin density and the table-built antiferro model
+against the code they replaced (tests/lattice_reference.py), and the tiled
+box read of a ground pattern against its modular gather."""
 
 import itertools
 
@@ -31,6 +31,7 @@ from wellspin.lattice import (
     synthetic_twin_system,
     verify_h2,
 )
+from wellspin.numerics import half_angle_roots
 from wellspin.wells import rotation_2d
 
 SCAN = rotation_2d(np.linspace(0.0, 2.0 * np.pi, 2**16, endpoint=False))
@@ -151,6 +152,34 @@ class TestRotationMatch:
         for i in range(5):
             for b in range(3):
                 assert table[i, b] == _rotation_match(windows[i], bank[b])
+
+
+class TestHalfAngleRoots:
+    """numerics.half_angle_roots against the quadratic formula that was
+    inline in _rotation_match (lattice_reference.inline_crossings)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-300, 300))
+    def test_same_angles_as_inline_roots(self, seed, exp):
+        rng = np.random.default_rng(seed)
+        qa, qb, qc = np.ldexp(rng.normal(size=(3, 8, 16)), exp)
+        qa[0] = 0.0  # a root at +-pi
+        qc[1] = 0.0  # a root at 0
+        qa[2], qb[2], qc[2] = np.abs(qa[2]), 0.0, np.abs(qc[2])  # no real root
+        qa[3], qb[3], qc[3] = 0.0, 0.0, 0.0  # 0/0
+        qb[4], qc[4] = 0.0, 0.0  # a double root at 0 and a 0/0
+        angles, disc = half_angle_roots(qa, qb, qc)
+        old, crosses, old_disc = ref.inline_crossings(qa, qb, qc)
+        new = np.concatenate(angles, axis=1)
+        assert np.array_equal(np.sign(disc), np.sign(old_disc))
+        assert np.array_equal(~np.isnan(new), crosses)
+        assert np.array_equal(new[crosses], old[crosses])
+        assert np.all(np.isnan(new[2:4])) and np.all(crosses[:2]) and np.all(new[4, :16] == 0.0)
+        # (qa u^2 + qb u + qc) / (1 + u^2) at u = tan(t/2), to round-off
+        qa, qb, qc = (np.tile(c, 2)[crosses] for c in (qa, qb, qc))
+        t = new[crosses]
+        resid = qc + (qa - qc) * np.sin(0.5 * t) ** 2 + 0.5 * qb * np.sin(t)
+        assert np.all(np.abs(resid) <= 8.0 * np.finfo(float).eps * (abs(qa) + abs(qb) + abs(qc)))
 
 
 class TestClassifyLabels:

@@ -1,14 +1,20 @@
 """The closed-form planar twins and admissible rotation against the grid
-scans they replaced (tests/twin_reference.py)."""
+scans they replaced, and the half-angle twins against the polar form that
+came between (tests/twin_reference.py)."""
 
 import json
 import math
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from twin_reference import TWIN_GRID, reference_admissible_rotation, reference_twin_solve
+from twin_reference import (
+    TWIN_GRID,
+    polar_twin_solve,
+    reference_admissible_rotation,
+    reference_twin_solve,
+)
 
 from wellspin.mesh import find_admissible_rotation, kuhn_reference_normals
 from wellspin.wells import (
@@ -46,6 +52,38 @@ def twin_form(ui, uj):
 
 def angle_of(q):
     return math.atan2(q[1, 0], q[0, 0])
+
+
+def turn_between(t0, t1):
+    return abs((t0 - t1 + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+@st.composite
+def twin_pairs(draw):
+    """A distinct SPD pair, both wells scaled by 2^j, |j| <= 480, and j: a
+    near twin U_1 + 10^-k M (M symmetric of unit norm, k in [1, 12]), a
+    tangency (U_2 scaled so that det(U_1 - Q(t) U_2) only touches zero, as
+    in test_wells' test_tangent_pair_double_root_off_grid) or an unrelated
+    pair."""
+    ui, kind = draw(spd()), draw(st.sampled_from(["near", "tangent", "apart"]))
+    if kind == "near":
+        x, y, z = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+        m = np.array([[x, y], [y, z]])
+        assume(np.linalg.norm(m) > 0.1)
+        uj = ui + 10.0 ** -draw(st.floats(1.0, 12.0)) * m / np.linalg.norm(m)
+    elif kind == "tangent":
+        # det(U_1 - Q(t) s U_2) = det U_1 + s^2 det U_2 - s rho cos(t - psi)
+        # touches zero where det U_1 + s^2 det U_2 = s rho
+        u2 = draw(spd())
+        adj = np.array([[ui[1, 1], -ui[0, 1]], [-ui[1, 0], ui[0, 0]]])
+        rho = math.hypot(np.trace(adj @ u2), np.trace(adj @ rotation_2d(math.pi / 2) @ u2))
+        det1, det2 = np.linalg.det(ui), np.linalg.det(u2)
+        uj = u2 * (rho - math.sqrt(max(rho**2 - 4.0 * det1 * det2, 0.0))) / (2.0 * det2)
+    else:
+        uj = draw(spd())
+    assume(not np.array_equal(ui, uj))
+    j = draw(st.integers(-480, 480))
+    return np.ldexp(ui, j), np.ldexp(uj, j), j
 
 
 class TestTwinsAgainstGrid:
@@ -87,6 +125,51 @@ class TestTwinsAgainstGrid:
         assert len(sol.trivial_rotations) == len(ref.trivial_rotations) == 1
         assert sol.connections == ref.connections == []
         assert abs(angle_of(sol.trivial_rotations[0]) + 0.7) <= 1e-12
+
+
+class TestNearTwins:
+    """The half-angle quadratic of the well sum and difference against the
+    polar form alpha - rho cos(t - psi), whose alpha - rho cancels and
+    whose 1e-10 tangency swallows the roots of near twins."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(twin_pairs())
+    # the polar form refuses this pair: "rank-one factorization residual
+    # too large"
+    @example((np.diag([2.0, 0.5]), np.array([[2.000001, 0.0], [0.0, 0.499999]]), 0))
+    # a rank-one difference: the root at 0 sorts first here and last in
+    # the polar form, at 2 pi less a rounding
+    @example((np.array([[0.5, 0.3], [0.3, 0.8]]), np.array([[0.5, 0.3], [0.3, 1.0]]), 0))
+    def test_accepted_and_as_polar_form(self, case):
+        ui, uj, j = case
+        sol = twin_solve(ui, uj)  # never raises WellSetError
+        for conn in sol.connections:
+            diff = ui - conn.rotation @ uj - np.outer(conn.a, conn.b)
+            assert np.linalg.norm(diff) <= RESIDUAL_RTOL * np.linalg.norm(ui)
+        # one power of two scales both wells to the same coefficients
+        unscaled = twin_solve(np.ldexp(ui, -j), np.ldexp(uj, -j))
+        for conn, ref in zip(sol.connections, unscaled.connections, strict=True):
+            assert np.array_equal(conn.rotation, ref.rotation)
+        try:
+            old = polar_twin_solve(ui, uj)
+        except WellSetError:
+            return
+        # compare where the polar roots are simple and lie 16 grid steps
+        # apart, as against the grid scan: both forms lose digits to the
+        # conditioning of the roots, and at 1e-3 apart they differed by
+        # up to 2e-12
+        if old.trivial_rotations or any(c.multiplicity == 2 for c in old.connections):
+            return
+        angles = [angle_of(c.rotation) for c in old.connections]
+        if len(angles) == 2 and turn_between(*angles) < 16 * 2.0 * math.pi / TWIN_GRID:
+            return
+        assert len(sol.trivial_rotations) == 0
+        assert len(sol.connections) == len(old.connections)
+        # matched by angle: a root at 0 may sort first in one and last in
+        # the other
+        for conn in sol.connections:
+            assert conn.multiplicity == 1
+            assert min(turn_between(angle_of(conn.rotation), a) for a in angles) <= 1e-12
 
 
 class TestRotationAgainstGrid:

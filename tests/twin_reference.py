@@ -1,5 +1,5 @@
 """The grid scans that wellspin's closed-form planar twins and admissible
-rotation replaced.
+rotation replaced, and the polar form of the twins that came between.
 
 Kept as test oracles: reference_twin_solve brackets the roots of
 det(U_i - Q(t) U_j) by sign changes on TWIN_GRID angles, bisects them,
@@ -7,7 +7,13 @@ polishes tangencies by golden-section search and factors each twin with
 an SVD; reference_admissible_rotation scans lattice rotations in
 [0, pi/2) and polishes the best one by golden-section search. The closed
 forms must find the same twins and never a smaller margin.
+polar_twin_solve writes the determinant as alpha - rho cos(t - psi) and
+takes a tangency within 1e-10 |U_i| |U_j|; alpha - rho cancels when the
+wells nearly coincide, so it refuses near twins. The half-angle form must
+accept them, and find the same twins wherever the polar roots lie apart.
 """
+
+import math
 
 import numpy as np
 
@@ -109,6 +115,56 @@ def reference_twin_solve(ui, uj):
         a = sv[0] * u_svd[:, 0]
         b = vt[0]
         a, b = _canonical_sign(a, b)
+        conn = RankOneConnection(i=0, j=1, rotation=q, a=a, b=b, multiplicity=mult)
+        # post-conditions of the factorization
+        if np.linalg.norm(q.T @ q - np.eye(2)) > ROTATION_TOL:
+            raise WellSetError("twin rotation drifted off SO(2)")
+        if np.linalg.norm(c - np.outer(a, b)) > RESIDUAL_RTOL * scale:
+            raise WellSetError("rank-one factorization residual too large")
+        out.connections.append(conn)
+    return out
+
+
+def polar_twin_solve(ui, uj):
+    """Find all twins between two matrices: U_i - Q U_j = a (x) b.
+
+    For 2x2 matrices det(U_i - Q(t) U_j) = alpha - rho cos(t - psi), with
+    alpha = det U_i + det U_j and, for N = U_j adj(U_i), rho and psi the
+    polar form of (N00 + N11, N01 - N10). Its roots are psi +- acos(alpha /
+    rho) when |alpha| < rho and none when |alpha| > rho; when |alpha - rho|
+    is within 1e-10 |U_i| |U_j| the determinant only touches zero, at the
+    double root psi (multiplicity 2). The twins are factored as in
+    wellspin.wells.twin_solve.
+    """
+    ui = np.asarray(ui, dtype=float)
+    uj = np.asarray(uj, dtype=float)
+    if ui.shape != (2, 2) or uj.shape != (2, 2):
+        raise WellSetError("twin solver implemented for n = 2 only")
+    scale = np.linalg.norm(ui)
+    n = uj @ np.array([[ui[1, 1], -ui[0, 1]], [-ui[1, 0], ui[0, 0]]])
+    alpha = ui[0, 0] * ui[1, 1] - ui[0, 1] * ui[1, 0]
+    alpha += uj[0, 0] * uj[1, 1] - uj[0, 1] * uj[1, 0]
+    rho = math.hypot(n[0, 0] + n[1, 1], n[0, 1] - n[1, 0])
+    psi = math.atan2(n[0, 1] - n[1, 0], n[0, 0] + n[1, 1])
+    if abs(alpha - rho) <= 1e-10 * scale * np.linalg.norm(uj):
+        roots = [(psi, 2)]
+    elif abs(alpha) < rho:
+        half = math.acos(alpha / rho)
+        roots = [(psi - half, 1), (psi + half, 1)]
+    else:
+        roots = []
+
+    out = RankOneSolution()
+    for theta, mult in sorted((t % (2.0 * math.pi), mult) for t, mult in roots):
+        q = rotation_2d(theta)
+        c = ui - q @ uj
+        # a rank-one c has |c|_F equal to its one singular value
+        if np.linalg.norm(c) <= RESIDUAL_RTOL * scale:
+            out.trivial_rotations.append(q)
+            continue
+        rows = np.hypot(c[:, 0], c[:, 1])
+        b = c[np.argmax(rows)] / rows.max()
+        a, b = _canonical_sign(c @ b, b)
         conn = RankOneConnection(i=0, j=1, rotation=q, a=a, b=b, multiplicity=mult)
         # post-conditions of the factorization
         if np.linalg.norm(q.T @ q - np.eye(2)) > ROTATION_TOL:
