@@ -42,7 +42,6 @@ from .lattice import (
 )
 from .mesh import (
     MAX_CELLS,
-    MeshError,
     build_kuhn_mesh,
     check_incompatibility,
     find_admissible_rotation,
@@ -279,12 +278,12 @@ def load_config(source):
 
 
 def _check_wells(raw, cfg):
-    """Build the well set (inline, or the document at wells_file, whose
-    delta0 defaults to DELTA0 as the inline one does), solve its twins and
-    find its lattice rotation, so that a bad one fails validation and not
-    a run; delta0 must leave an admissible facet normal. A good set
-    replaces cfg["wells"] with the (WellSet, AdmissibleRotation) pair that
-    the stages take, so a wells_file is read once per run."""
+    """Build the well set, inline or from the document at wells_file (which
+    the inline table checks, but for the derived block of a wellset-analysis
+    summary), solve its twins and find its lattice rotation, so that a bad
+    one fails validation and not a run. A good set replaces cfg["wells"]
+    with the (WellSet, AdmissibleRotation) pair that the stages take, so a
+    wells_file is read once per run."""
     name = "wells" if cfg["wells_file"] is None else "wells_file"
     if name == "wells_file" and raw.get("wells") is not None:
         return ["wells: give either inline wells or wells_file, not both"]
@@ -292,18 +291,19 @@ def _check_wells(raw, cfg):
         doc = cfg["wells"]
         if name == "wells_file":
             doc = json.loads(Path(cfg["wells_file"]).read_text(encoding="utf-8"))
-        ws = WellSet(doc["wells"], delta0=doc.get("delta0", DELTA0))
-        if ws.dim != 2 or _FRACTION(ws.delta0):
-            return [f"{name}: must hold 2x2 wells and a delta0 in (0, 1)"]
-        twins = ws.twin_normals()
-    except (OSError, ValueError, LookupError, TypeError) as err:
-        return [f"{name}: {err}"]
-    if not admissible_normal_intervals(twins, ws.delta0):
-        bound = "|b . t| <= 1 - delta0 for every twin normal t"
-        return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
-    try:
+            if not isinstance(doc, dict) or "wells" not in doc:
+                return ["wells_file: must hold an object with a wells entry"]
+            doc.pop("derived", None)
+            doc = _walk(_WELLS["wells"], doc, "wells_file.", problems := [])
+            if problems:
+                return problems
+        # the twin solver refuses 3x3 wells; the MeshErrors are ValueErrors
+        ws = WellSet(doc["wells"], delta0=doc["delta0"])
+        if not admissible_normal_intervals(ws.twin_normals(), ws.delta0):
+            bound = "|b . t| <= 1 - delta0 for every twin normal t"
+            return [f"delta0: {ws.delta0} leaves no facet normal b with {bound}"]
         rot = find_admissible_rotation(ws)
-    except MeshError as err:
+    except (OSError, ValueError, LookupError, TypeError) as err:
         return [f"{name}: {err}"]
     ws.c0  # dbar, once, for every run's classification threshold
     cfg["wells"] = ws, rot

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import half_angle_roots, label_components
-from .wells import _procrustes_rotation_batch, dist_to_single_well_batch, polar_rotation
+from .wells import _procrustes_rotation_batch, dist_to_single_well_batch, fit_rotation
 
 BAD_SITE = -1
 BOUNDARY_SITE = -2
@@ -667,19 +667,17 @@ def _partition_record(m, x, system, energy_constant):
         g = system.ground_states[label]
         vol = len(members) * float(m) ** (-system.dim)
         rot = residual = None
-        # no rotation fit where the averaged gradient is singular (raw
-        # anti-ferromagnetic chains; no averaged field is built), where no
-        # site has a full period box, or where the fitted mean is singular
+        # no rotation fit where the averaged gradient cannot be inverted
+        # (raw anti-ferromagnetic chains; no averaged field is built), where
+        # no site has a full period box, or where fit_rotation finds none
         if abs(np.linalg.det(g.averaged)) >= 1e-12:
             avg = averaged_gradient_field(x, system, label)
             coords = np.array(np.unravel_index(members, cls.labels.shape)).T  # (k, n)
             local = avg[tuple(coords[np.all(coords < avg.shape[: system.dim], axis=1)].T)]
+            del avg, coords  # before the fit's temporaries, at a twin run's peak
             if len(local):
-                mean = (local @ np.linalg.inv(g.averaged)).mean(axis=0)
-                if abs(np.linalg.det(mean)) >= 1e-12:
-                    rot = polar_rotation(mean)
-                    res2 = ((local - rot @ g.averaged) ** 2).sum() * float(m) ** (-system.dim)
-                    residual = float(math.sqrt(max(res2, 0.0)))
+                weights = np.full(len(local), float(m) ** (-system.dim))
+                rot, residual = fit_rotation(local, weights, g.averaged)
         comps.append(LatticeComponent(label, members, vol, rot, residual))
     return {
         "m": m,

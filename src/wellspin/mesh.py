@@ -5,8 +5,7 @@ main diagonal (Kuhn subdivision), so the facet normal directions form a
 fixed finite set and all shape constants are exact and independent of m.
 The reference lattice may be rotated before clipping to the domain; cells
 that straddle the boundary are dropped, so the effective domain is the
-union of kept cells. Optional vertex jitter (interior vertices only)
-exercises non-uniform but still conforming meshes.
+union of kept cells.
 
 Order contract (every CSV derived from a mesh depends on it): lattice cubes
 are visited in row-major index order (last axis fastest), and within each
@@ -194,21 +193,6 @@ class SimplicialMesh:
     def effective_volume(self):
         return float(self.volumes.sum())
 
-    def normal_directions(self):
-        """Distinct facet normal directions as unit vectors.
-
-        Signs are canonical (first sizable component positive); vectors are
-        deduplicated on 10 decimals but returned unrounded (the first facet's
-        vector of each key), sorted by the rounded key for determinism.
-        """
-        v = self.facet_normal
-        sizable = np.abs(v) > 1e-9
-        lead = v[np.arange(len(v)), np.argmax(sizable, axis=1)]
-        canon = np.where(((lead < 0) & sizable.any(axis=1))[:, None], -v, v)
-        # -0.0 and 0.0 make one key, as they do in a dict of tuples
-        _, idx = np.unique(np.round(canon, 10) + 0.0, axis=0, return_index=True)
-        return canon[idx]
-
 
 # cell budget of build_kuhn_mesh
 MAX_CELLS = 4_000_000
@@ -233,15 +217,13 @@ def kuhn_cell_estimate(n, m, lattice_rotation=None):
     return _lattice_box(m, rot)[2]
 
 
-def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None):
+def build_kuhn_mesh(n, m, lattice_rotation=None):
     """Build the Kuhn mesh of the unit box [0, 1]^n at scale 1/m.
 
     The reference lattice is rotated by lattice_rotation (an element of
     SO(n)) before clipping: cells with any vertex outside the closed box
-    are dropped. jitter, in units of 1/m and at most 0.2, displaces
-    interior vertices uniformly; the mesh stays conforming because cells
-    share the moved vertices. A box of more than MAX_CELLS estimated cells
-    raises MeshResourceError.
+    are dropped. A box of more than MAX_CELLS estimated cells raises
+    MeshResourceError.
     """
     if m < 2:
         raise MeshError("need m >= 2")
@@ -251,8 +233,6 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None):
         rot = np.asarray(lattice_rotation, dtype=float)
         if np.linalg.norm(rot.T @ rot - np.eye(n)) > 1e-10 or np.linalg.det(rot) < 0:
             raise MeshError("lattice_rotation must be a rotation")
-    if jitter < 0 or jitter > 0.2:
-        raise MeshError("jitter must lie in [0, 0.2] (units of 1/m)")
 
     lat_lo, lat_hi, est_cells = _lattice_box(m, rot)
     if est_cells > MAX_CELLS:
@@ -293,18 +273,8 @@ def build_kuhn_mesh(n, m, lattice_rotation=None, jitter=0.0, rng=None):
     vertices = np.compress(used, points, axis=0)
     cells = (np.cumsum(used) - 1)[cells]
     del points, inside, used
-    facet_vertices, facet_cells, omit = _kuhn_facets(perms, size - 1, kept, cells)
-
-    if jitter > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        # the vertices of boundary facets stay where they are
-        mask = np.ones(len(vertices), dtype=bool)
-        mask[facet_vertices[facet_cells[:, 1] < 0]] = False
-        disp = rng.uniform(-jitter / m, jitter / m, size=vertices.shape)
-        vertices = vertices + disp * mask[:, None]
-
-    return SimplicialMesh(n, m, rot, vertices, cells, facet_vertices, facet_cells, omit)
+    facets = _kuhn_facets(perms, size - 1, kept, cells)
+    return SimplicialMesh(n, m, rot, vertices, cells, *facets)
 
 
 def _kuhn_facets(perms, cubes, kept, cells):
@@ -347,12 +317,20 @@ def check_incompatibility(mesh, wells, delta0):
     """Report whether every facet normal keeps the margin delta0 from
     every twin normal of the well set: |b_facet . b_twin| <= 1 - delta0.
 
-    A pure report; experiment drivers decide whether to refuse to run.
+    Every facet normal of a Kuhn mesh is +- a reference normal turned by
+    the mesh's lattice rotation, so those are the normals checked (all of
+    them, even where a small clipped mesh lacks one), each signed with its
+    first entry above 1e-9 in magnitude positive and sorted
+    lexicographically. A pure report; experiment drivers decide whether to
+    refuse to run.
     """
     twins = wells.twin_normals()
     if not twins:
         return IncompatibilityReport(ok=True, worst_alignment=0.0, delta0=delta0)
-    normals = mesh.normal_directions()
+    normals = kuhn_reference_normals(mesh.dim) @ mesh.lattice_rotation.T
+    lead = normals[np.arange(len(normals)), np.argmax(np.abs(normals) > 1e-9, axis=1)]
+    normals = np.where((lead < 0)[:, None], -normals, normals)
+    normals = normals[np.lexsort(normals.T[::-1])]
     twins = np.array(twins)
     align = np.minimum(np.abs(normals @ twins.T), 1.0)
     worst = float(align.max())

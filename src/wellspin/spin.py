@@ -19,13 +19,12 @@ contiguous plane per matrix entry and holds one contiguous plane per well
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import label_components
-from .wells import polar_rotation
+from .wells import fit_rotation
 
 BAD_LABEL = -1
 
@@ -203,41 +202,17 @@ def extract_partition(field, labeling, wells):
     """Facet-connected components of each well label with fitted rotations.
 
     Connectivity is through shared facets only; sets touching at corners
-    stay separate. The rotation of a component is the polar projection of
-    the volume-weighted mean of grad . U_j^{-1}; components whose mean has
-    nonpositive determinant are flagged degenerate and left unfitted.
+    stay separate. Each component's rotation is wells.fit_rotation's, with
+    the cell volumes as weights; components it leaves unfitted (a mean of
+    nonpositive determinant) are flagged degenerate.
     """
     mesh = labeling.mesh
     components = []
     for well, cells in label_components(labeling.labels, *mesh.facet_cells[mesh.interior].T):
         vols = mesh.volumes[cells]
-        volume = float(vols.sum())
-        uinv = np.linalg.inv(wells.matrices[well])
-        local = field.gradients[cells] @ uinv
-        mean = (local * vols[:, None, None]).sum(axis=0) / volume
-        if np.linalg.det(mean) <= 0:
-            components.append(
-                PartitionComponent(
-                    well=well,
-                    cells=cells,
-                    volume=volume,
-                    rotation=None,
-                    residual=None,
-                    degenerate=True,
-                )
-            )
-            continue
-        rot = polar_rotation(mean)
-        target = rot @ wells.matrices[well]
-        res2 = ((field.gradients[cells] - target) ** 2).sum(axis=(1, 2)) @ vols
+        rot, residual = fit_rotation(field.gradients[cells], vols, wells.matrices[well])
         components.append(
-            PartitionComponent(
-                well=well,
-                cells=cells,
-                volume=volume,
-                rotation=rot,
-                residual=float(math.sqrt(max(res2, 0.0))),
-            )
+            PartitionComponent(well, cells, float(vols.sum()), rot, residual, rot is None)
         )
     components.sort(key=lambda c: (c.well, -c.volume))
     return CaccioppoliPartition(components=components, bad_volume=labeling.bad_volume)

@@ -67,6 +67,23 @@ def polar_rotation(m):
     return _procrustes_rotation_batch(np.asarray(m, dtype=float)[None])[0]
 
 
+def fit_rotation(values, weights, well):
+    """The rotation R fitted to the matrices values (k, n, n) of one phase
+    of the well SO(n) U, the polar rotation of the weighted mean of
+    F_k U^-1, and the residual sqrt(sum_k w_k |F_k - R U|^2); (None, None)
+    where that mean has nonpositive determinant and no rotation is near."""
+    local = values @ np.linalg.inv(well)
+    local *= weights[:, None, None]
+    mean = local.sum(axis=0) / float(weights.sum())
+    if np.linalg.det(mean) <= 0:
+        return None, None
+    rot = polar_rotation(mean)
+    # the squared residual F_k - R U in the buffer of the mean's terms
+    np.subtract(values, rot @ well, out=local)
+    res2 = np.square(local, out=local).sum(axis=(1, 2)) @ weights
+    return rot, float(math.sqrt(max(res2, 0.0)))
+
+
 def _check_finite(f):
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
@@ -398,8 +415,8 @@ def twin_solve(ui, uj):
     for theta, mult in sorted((t % (2.0 * math.pi), mult) for t, mult in roots):
         q = rotation_2d(theta)
         c = ui - q @ uj
-        # a rank-one c has |c|_F equal to its one singular value
-        if np.linalg.norm(c) <= RESIDUAL_RTOL * scale:
+        # a trivial rotation leaves only round-off: U_i = Q U_j
+        if np.linalg.norm(c) <= 64.0 * np.finfo(float).eps * scale:
             out.trivial_rotations.append(q)
             continue
         rows = np.hypot(c[:, 0], c[:, 1])

@@ -5,10 +5,16 @@ Kept as a test oracle, with the per-axis slicing written once in
 _halves: the kernel must return the same labels and the same member
 arrays, byte for byte, in the same order. The slicing versions of
 LatticeClassification.label_perimeter and adjacency_violations are kept
-here for the same reason.
+here for the same reason, and so are the two inline rotation fits that
+wellspin.wells.fit_rotation replaced: extract_partition's, which it must
+match byte for byte, and _partition_record's.
 """
 
+import math
+
 import numpy as np
+
+from wellspin.wells import polar_rotation
 
 
 class UnionFind:
@@ -104,3 +110,27 @@ def adjacency_violations(labs):
         for idx in np.argwhere(bad):
             out.append((axis, tuple(idx), int(a[tuple(idx)]), int(b[tuple(idx)])))
     return out
+
+
+def partition_fit(values, vols, well):
+    """extract_partition's inline fit of one component: (rotation,
+    residual), or (None, None) for a mean of nonpositive determinant."""
+    volume = float(vols.sum())
+    local = values @ np.linalg.inv(well)
+    mean = (local * vols[:, None, None]).sum(axis=0) / volume
+    if np.linalg.det(mean) <= 0:
+        return None, None
+    rot = polar_rotation(mean)
+    res2 = ((values - rot @ well) ** 2).sum(axis=(1, 2)) @ vols
+    return rot, float(math.sqrt(max(res2, 0.0)))
+
+
+def lattice_fit(local, weight, well):
+    """_partition_record's inline fit of one component with site weight
+    m^-n: (rotation, residual), or (None, None) for a singular mean."""
+    mean = (local @ np.linalg.inv(well)).mean(axis=0)
+    if abs(np.linalg.det(mean)) < 1e-12:
+        return None, None
+    rot = polar_rotation(mean)
+    res2 = ((local - rot @ well) ** 2).sum() * weight
+    return rot, float(math.sqrt(max(res2, 0.0)))

@@ -10,14 +10,19 @@ byte for byte, and tests that hand-build meshes use it.
 
 ReferenceMesh and reference_build_kuhn_mesh are the loop-based builder,
 kept verbatim: ReferenceMesh swaps the dict-based facet construction, the
-SVD facet frames with their orientation loop, the per-facet surface loop
-and the per-facet normal_directions loop back in. The array builder must
+SVD facet frames with their orientation loop and the per-facet surface
+loop back in; reference_normal_directions is the per-facet loop that read
+the normal set off the facets. The array builder must
 reproduce every array byte for byte, except the n = 2 facet normals,
 which wellspin forms in closed form, and the n = 2 tangents, which it no
 longer stores: fields.facet_jumps turns the normal back by 90 degrees.
 
 mesh_constants holds the scale-free shape constants of any mesh, which no
 run reads; ReferenceMesh.constants computes them one facet at a time.
+
+jitter_vertices gives tests the general geometry that a Kuhn mesh lacks,
+and facet_check_incompatibility is check_incompatibility as it read the
+normal set off the facets.
 """
 
 import itertools
@@ -230,9 +235,6 @@ class ReferenceMesh(FirstVisitMesh):
             diameter_upper=float((diam * self.m).max()),
         )
 
-    def normal_directions(self):
-        return reference_normal_directions(self.facet_normal)
-
 
 def reference_normal_directions(facet_normal):
     """Distinct facet normal directions, one facet at a time."""
@@ -242,6 +244,44 @@ def reference_normal_directions(facet_normal):
         vec = -v if len(nz) and v[nz[0]] < 0 else v
         reps.setdefault(tuple(np.round(vec, 10)), vec)
     return np.array([reps[k] for k in sorted(reps)])
+
+
+def jitter_vertices(mesh, jitter, rng):
+    """The mesh with its interior vertices moved, as a wellspin
+    SimplicialMesh: each coordinate by a uniform draw from rng within
+    +-jitter / m. The vertices of boundary facets stay and the cells share
+    the moved vertices, so the mesh stays conforming and covers the same
+    union of cells, for jitter up to 0.2; its facet normals leave the
+    Kuhn set. The draws are reference_build_kuhn_mesh's jitter draws, so
+    the two builders' jittered meshes compare byte for byte."""
+    moved = np.ones(len(mesh.vertices), dtype=bool)
+    moved[mesh.facet_vertices[mesh.boundary]] = False
+    disp = rng.uniform(-jitter / mesh.m, jitter / mesh.m, size=mesh.vertices.shape)
+    # omit[f] is where facet f's left-out vertex sits in its first cell
+    first = mesh.cells[mesh.facet_cells[:, 0]]
+    omit = np.argmin((first[:, :, None] == mesh.facet_vertices[:, None, :]).any(axis=2), axis=1)
+    return SimplicialMesh(
+        mesh.dim,
+        mesh.m,
+        mesh.lattice_rotation,
+        mesh.vertices + disp * moved[:, None],
+        mesh.cells,
+        mesh.facet_vertices,
+        mesh.facet_cells,
+        omit,
+    )
+
+
+def facet_check_incompatibility(mesh, twins, delta0):
+    """(ok, worst alignment, offenders) of check_incompatibility with the
+    normal set read off the facets (reference_normal_directions), for twin
+    normals twins (k, n); offenders as (facet normal, twin normal,
+    alignment) in check_incompatibility's order."""
+    normals = reference_normal_directions(mesh.facet_normal)
+    align = np.minimum(np.abs(normals @ twins.T), 1.0)
+    worst = float(align.max())
+    pairs = np.argwhere(align > 1.0 - delta0)
+    return worst <= 1.0 - delta0, worst, [(normals[f], twins[t], align[f, t]) for f, t in pairs]
 
 
 def reference_build_kuhn_mesh(

@@ -1,8 +1,11 @@
 """label_components and the lattice pair helper against the union-find
-loops they replaced (tests/component_reference.py), byte for byte."""
+loops they replaced, and fit_rotation against the two inline fits it
+replaced (tests/component_reference.py)."""
+
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import component_reference as ref
@@ -11,7 +14,7 @@ from wellspin.lattice import LatticeClassification, _axis_pairs
 from wellspin.mesh import build_kuhn_mesh
 from wellspin.numerics import label_components
 from wellspin.spin import PhaseLabeling, classify, extract_partition
-from wellspin.wells import rotation_2d
+from wellspin.wells import fit_rotation, random_rotation, rotation_2d
 
 MESHES = {(n, m): build_kuhn_mesh(n, m) for n, m in [(2, 2), (2, 5), (2, 9), (3, 2), (3, 3)]}
 
@@ -130,3 +133,65 @@ class TestRotation2d:
     def test_scalar(self):
         c, s = np.cos(0.7), np.sin(0.7)
         assert rotation_2d(0.7).tobytes() == np.array([[c, -s], [s, c]]).tobytes()
+
+
+@st.composite
+def fit_cases(draw):
+    """(values (k, n, n), weights (k,), well) for a component fit: values
+    near a rotated well, near a reflected one (a mean of negative
+    determinant), zero (a singular mean) or random, at one random scale."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["rotated", "reflected", "zero", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n))
+    well = g @ g.T + 0.5 * np.eye(n)
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    values = rng.standard_normal((k, n, n))
+    if kind != "random":
+        flip = np.diag([-1.0] + [1.0] * (n - 1)) if kind == "reflected" else np.eye(n)
+        near = random_rotation(rng, n) @ flip @ well
+        values = 0.0 * values if kind == "zero" else near + 0.05 * values
+    weights = rng.uniform(0.1, 1.0, k) ** draw(st.sampled_from([0, 1]))
+    return scale * values, weights, well
+
+
+class TestFitRotation:
+    @settings(max_examples=200, deadline=None)
+    @given(fit_cases())
+    def test_matches_partition_fit_bytes(self, case):
+        rot, residual = fit_rotation(*case)
+        want_rot, want_residual = ref.partition_fit(*case)
+        assert (rot is None) == (want_rot is None)
+        if rot is not None:
+            assert rot.tobytes() == want_rot.tobytes()
+        assert residual == want_residual
+
+    @settings(max_examples=200, deadline=None)
+    @given(fit_cases(), st.integers(2, 64))
+    def test_agrees_with_lattice_fit(self, case, m):
+        values, _, well = case
+        n = well.shape[0]
+        weight = float(m) ** -n
+        rot, residual = fit_rotation(values, np.full(len(values), weight), well)
+        want_rot, want_residual = ref.lattice_fit(values, weight, well)
+        mean = (values @ np.linalg.inv(well)).mean(axis=0)
+        # clearly nonzero: well above the round-off of its terms and the
+        # lattice form's absolute 1e-12; the sign then decides, and no
+        # rotation fits a negative one
+        det = np.linalg.det(mean)
+        clear = max(1e-2 * np.linalg.norm(mean) ** n, 1e-11)
+        if det > clear:
+            assert want_rot is not None and rot is not None
+            # the polar rotation magnifies the means' round-off by about
+            # the condition number, which is near 1 for a component near
+            # its well; the n = 3 SVD adds its own (at most 2 and 7.5 eps
+            # seen for n = 2 and 3 over 20,000 such draws)
+            if np.linalg.cond(mean) <= 2.0:
+                assert np.abs(rot - want_rot).max() <= (4 if n == 2 else 16) * np.finfo(float).eps
+            slack = 64 * np.finfo(float).eps * np.linalg.norm(values) * math.sqrt(weight)
+            assert abs(residual - want_residual) <= 1e-12 * want_residual + slack
+        elif det < -clear:
+            assert rot is None and residual is None and want_rot is not None
+        elif det == 0.0:
+            assert rot is None and want_rot is None

@@ -13,6 +13,7 @@ import pytest
 from dbar_reference import grid_tangent_gap_min, reference_compute_dbar
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from kuhn_reference import jitter_vertices
 
 from wellspin.fields import tangential_jump_residual
 from wellspin.mesh import build_kuhn_mesh, find_admissible_rotation
@@ -232,7 +233,7 @@ class TestSvdFree:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         assert compute_dbar(ws, delta0) > 0
         rot = find_admissible_rotation(ws).rotation
-        mesh = build_kuhn_mesh(2, 16, lattice_rotation=rot, jitter=0.1)
+        mesh = jitter_vertices(build_kuhn_mesh(2, 16, lattice_rotation=rot), 0.1, np.random.default_rng(0))
         # the facet-jump kernel, on the mesh's normals and on mapped ones
         values = np.random.default_rng(0).normal(size=(3, mesh.n_cells, 2, 2))
         assert tangential_jump_residual(mesh, values).shape == (3,)

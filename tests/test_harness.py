@@ -812,6 +812,39 @@ class TestCli:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["wells"]["wells"] == small_wells()["wells"]
 
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            # a typo of delta0 must not run at the default 0.05
+            ({"wells": [[[2, 0], [0, 0.5]], [[0.5, 0], [0, 2]]], "delta": 0.3}, "wells_file.delta: unknown key"),
+            ({"dim": 3, "wells": [[[2, 0], [0, 0.5]], [[0.5, 0], [0, 2]]]}, "wells_file.dim: must be 2"),
+            ({"wells": [[[2, 0], [0, 0.5]]], "delta0": 1.5}, "wells_file.delta0: must be a number in (0, 1)"),
+            ({"delta0": 0.1}, "wells_file: must hold an object with a wells entry"),
+            ([1, 2], "wells_file: must hold an object with a wells entry"),
+        ],
+    )
+    def test_wells_file_checked_as_inline_wells(self, tmp_path, doc, problem):
+        path = tmp_path / "wells.json"
+        path.write_text(json.dumps(doc))
+        problems = validate_config({"scenario": "wellset-analysis", "wells_file": str(path)})
+        assert problems and problems[0].startswith(problem)
+        if isinstance(doc, dict) and "wells" in doc:
+            inline = validate_config({"scenario": "wellset-analysis", "wells": doc})
+            assert problems == ["wells_file." + p.removeprefix("wells.") for p in inline]
+
+    def test_wells_file_from_a_summary(self, tmp_path):
+        # the well set a wellset-analysis summary holds, derived block and
+        # all, serves as a wells_file and gives the same summary
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = {"scenario": "wellset-analysis", "wells": {**small_wells(), "delta0": 0.1}}
+        assert run(cfg, out_dir=first) == EXIT_OK
+        wells = json.loads((first / "summary.json").read_text())["wells"]
+        assert "derived" in wells
+        path = tmp_path / "wells.json"
+        path.write_text(json.dumps(wells))
+        assert run({"scenario": "wellset-analysis", "wells_file": str(path)}, out_dir=second) == EXIT_OK
+        assert (first / "summary.json").read_text() == (second / "summary.json").read_text()
+
     def test_usage_error_exit_4(self):
         from wellspin.cli import main
 

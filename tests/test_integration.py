@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from wellspin import harness, wells
 from wellspin.fields import PWAffineField, evaluate_energy
-from wellspin.mesh import build_kuhn_mesh, check_incompatibility
+from wellspin.mesh import build_kuhn_mesh
 from wellspin.rigidity import IncompatibleField, curl_total_variation, rigidity_ratio
 from wellspin.spin import classify, count_bad_cells, extract_partition, verify_spin_lemma
 from wellspin.wells import WellSet, compute_dbar, random_rotation, solve_all_connections
 from conftest import auto_laminate
+from kuhn_reference import facet_check_incompatibility, jitter_vertices, reference_normal_directions
 
 
 class TestThreeDimensional:
@@ -33,7 +34,8 @@ class TestThreeDimensional:
 
     def test_mesh_normals_and_tiling(self, mesh3):
         assert abs(mesh3.effective_volume - 1.0) < 1e-9
-        assert len(mesh3.normal_directions()) == 6  # n(n+1)/2 for n = 3
+        # n(n+1)/2 for n = 3
+        assert len(reference_normal_directions(mesh3.facet_normal)) == 6
         norms = np.linalg.norm(mesh3.facet_normal, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -94,15 +96,10 @@ class TestJitteredMesh:
         # small jitter keeps every facet normal inside the margin; the
         # forbidden-contact property must survive on non-uniform meshes
         rng = np.random.default_rng(41)
-        mesh = build_kuhn_mesh(
-            2,
-            16,
-            lattice_rotation=admissible_rotation.rotation,
-            jitter=0.05,
-            rng=rng,
-        )
-        rep = check_incompatibility(mesh, wells_std, 0.02)
-        assert rep.ok, "jitter ate the incompatibility margin"
+        mesh = build_kuhn_mesh(2, 16, lattice_rotation=admissible_rotation.rotation)
+        mesh = jitter_vertices(mesh, 0.05, rng)
+        twins = np.array(wells_std.twin_normals())
+        assert facet_check_incompatibility(mesh, twins, 0.02)[0], "jitter ate the incompatibility margin"
         for offset_frac in (0.0, 0.3, 0.6):
             field = auto_laminate(mesh, wells_std, offset_frac=offset_frac)
             lab = classify(field, wells_std)
@@ -111,13 +108,7 @@ class TestJitteredMesh:
     def test_energy_comparable_to_uniform(self, wells_std, admissible_rotation):
         rng = np.random.default_rng(43)
         uniform = build_kuhn_mesh(2, 16, lattice_rotation=admissible_rotation.rotation)
-        jittered = build_kuhn_mesh(
-            2,
-            16,
-            lattice_rotation=admissible_rotation.rotation,
-            jitter=0.05,
-            rng=rng,
-        )
+        jittered = jitter_vertices(uniform, 0.05, rng)
         e_u = evaluate_energy(auto_laminate(uniform, wells_std), wells_std).total
         e_j = evaluate_energy(auto_laminate(jittered, wells_std), wells_std).total
         assert 0.25 <= e_j / e_u <= 4.0

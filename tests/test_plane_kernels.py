@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import plane_reference
 import svd_reference as ref
+from kuhn_reference import jitter_vertices
 from spin_reference import min_argmin_labels
 from test_svd_reference import KINDS, make_batch, spd
 from wellspin.fields import facet_jumps, tangential_jump_residual, vertex_gradients
@@ -48,7 +49,7 @@ def is_plane_backed(stack):
 def jittered_mesh(m, rng):
     """A rotated, jittered mesh: edge inverses and normals with no exact
     zeros."""
-    return build_kuhn_mesh(2, m, lattice_rotation=random_rotation(rng, 2), jitter=0.2, rng=rng)
+    return jitter_vertices(build_kuhn_mesh(2, m, lattice_rotation=random_rotation(rng, 2)), 0.2, rng)
 
 
 def tie_batch(u0, u1):
@@ -178,7 +179,9 @@ class TestVertexGradients:
         # a rotated lattice and jittered vertices give edge inverses with
         # no exact zeros
         rot = random_rotation(rng, 2) if rotated else None
-        mesh = build_kuhn_mesh(2, m, lattice_rotation=rot, jitter=0.2 * rotated, rng=rng)
+        mesh = build_kuhn_mesh(2, m, lattice_rotation=rot)
+        if rotated:
+            mesh = jitter_vertices(mesh, 0.2, rng)
         values = scale * rng.normal(size=(*lead, len(mesh.vertices), 2))
         got = vertex_gradients(mesh, values)
         want = ref.matmul_vertex_gradients(mesh, values)

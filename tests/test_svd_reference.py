@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import svd_reference as ref
-from kuhn_reference import FirstVisitMesh, mesh_constants
+from kuhn_reference import FirstVisitMesh, jitter_vertices, mesh_constants
 from wellspin.fields import PWAffineField, facet_jumps, tangential_jump_residual
 from wellspin.mesh import MeshError, build_kuhn_mesh
 from wellspin.rigidity import (
@@ -295,13 +295,14 @@ def kernel_cases(draw):
     n = draw(st.sampled_from([2, 3]))
     m = draw(st.integers(2, 12) if n == 2 else st.integers(3, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kwargs = {"jitter": draw(st.sampled_from([0.0, 0.15]))}
-    if draw(st.booleans()):
-        kwargs["lattice_rotation"] = random_rotation(rng, n)
+    jitter = draw(st.sampled_from([0.0, 0.15]))
+    rotation = random_rotation(rng, n) if draw(st.booleans()) else None
     try:
-        mesh = build_kuhn_mesh(n, m, rng=rng, **kwargs)
+        mesh = build_kuhn_mesh(n, m, lattice_rotation=rotation)
     except MeshError:
         reject()  # a rotated lattice can leave no cell in the box
+    if jitter:
+        mesh = jitter_vertices(mesh, jitter, rng)
     lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
     scale = draw(st.sampled_from([1e-9, 1.0, 1e3]))
     values = scale * rng.normal(size=(*lead, mesh.n_cells, n, n))
@@ -364,7 +365,9 @@ class TestMeshCaches:
         # still runs LAPACK, bit for bit
         rot = admissible_meshes[8].lattice_rotation
         for m, jitter in [(6, 0.0), (16, 0.0), (9, 0.15)]:
-            mesh = build_kuhn_mesh(2, m, lattice_rotation=rot, jitter=jitter)
+            mesh = build_kuhn_mesh(2, m, lattice_rotation=rot)
+            if jitter:
+                mesh = jitter_vertices(mesh, jitter, np.random.default_rng(0))
             first = mesh.inverse_edges
             assert mesh.inverse_edges is first
             want = np.linalg.inv(edge_matrices(mesh))
@@ -376,7 +379,7 @@ class TestMeshCaches:
     @pytest.mark.parametrize("n, m", [(2, 9), (3, 3)])
     def test_diameters_match_pairwise_array(self, n, m):
         rng = np.random.default_rng(n)
-        mesh = build_kuhn_mesh(n, m, jitter=0.15, rng=rng)
+        mesh = jitter_vertices(build_kuhn_mesh(n, m), 0.15, rng)
         assert mesh_constants(mesh).diameter_upper == pairwise_diameter(mesh)
 
     @pytest.mark.parametrize("n", [2, 3])

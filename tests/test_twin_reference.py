@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from twin_reference import (
@@ -140,9 +141,16 @@ class TestNearTwins:
     # a rank-one difference: the root at 0 sorts first here and last in
     # the polar form, at 2 pi less a rounding
     @example((np.array([[0.5, 0.3], [0.3, 0.8]]), np.array([[0.5, 0.3], [0.3, 1.0]]), 0))
+    # wells 1e-10 apart: both twins went to trivial_rotations at a
+    # tolerance of RESIDUAL_RTOL
+    @example((np.diag([2.0, 0.5]), np.array([[2.0000000001, 0.0], [0.0, 0.4999999999]]), 0))
     def test_accepted_and_as_polar_form(self, case):
         ui, uj, j = case
         sol = twin_solve(ui, uj)  # never raises WellSetError
+        # a trivial rotation is U_i = Q U_j up to round-off, which no pair
+        # at least 1e-12 apart (relative to U_i) is
+        if np.linalg.norm(ui - uj) >= 1e-12 * np.linalg.norm(ui):
+            assert sol.trivial_rotations == []
         for conn in sol.connections:
             diff = ui - conn.rotation @ uj - np.outer(conn.a, conn.b)
             assert np.linalg.norm(diff) <= RESIDUAL_RTOL * np.linalg.norm(ui)
@@ -170,6 +178,16 @@ class TestNearTwins:
         for conn in sol.connections:
             assert conn.multiplicity == 1
             assert min(turn_between(angle_of(conn.rotation), a) for a in angles) <= 1e-12
+
+    def test_wells_1e10_apart_keep_both_twins(self):
+        ws = WellSet([np.diag([2.0, 0.5]), np.diag([2.0000000001, 0.4999999999])], delta0=0.05)
+        assert len(ws.connections) == 2
+        assert ws.incompat_dbar == pytest.approx(5.09e-11, rel=1e-3)
+        # a rotated copy is still one trivial rotation and no twin
+        u = np.array([[1.5, 0.2], [0.2, 0.7]])
+        for uj in (u, rotation_2d(0.4) @ u):
+            sol = twin_solve(u, uj)
+            assert len(sol.trivial_rotations) == 1 and sol.connections == []
 
 
 class TestRotationAgainstGrid:
