@@ -153,11 +153,7 @@ class LatticeSystem:
         best = math.inf
         for a in range(len(values)):
             for b in range(a + 1, len(values)):
-                pa, pb = values[a], values[b]
-                if self.dim == 1:
-                    d = np.abs(pa[:, 0, 0] - pb[:, 0, 0])
-                else:
-                    d = dist_to_single_well_batch(pa, pb)
+                d = dist_to_single_well_batch(values[a], values[b])
                 best = min(best, float(d.max()))
         return best
 

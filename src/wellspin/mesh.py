@@ -319,18 +319,14 @@ def check_incompatibility(mesh, wells, delta0):
 
     Every facet normal of a Kuhn mesh is +- a reference normal turned by
     the mesh's lattice rotation, so those are the normals checked (all of
-    them, even where a small clipped mesh lacks one), each signed with its
-    first entry above 1e-9 in magnitude positive and sorted
-    lexicographically. A pure report; experiment drivers decide whether to
-    refuse to run.
+    them, even where a small clipped mesh lacks one), in the order and
+    with the signs of kuhn_reference_normals. A pure report; experiment
+    drivers decide whether to refuse to run.
     """
     twins = wells.twin_normals()
     if not twins:
         return IncompatibilityReport(ok=True, worst_alignment=0.0, delta0=delta0)
     normals = kuhn_reference_normals(mesh.dim) @ mesh.lattice_rotation.T
-    lead = normals[np.arange(len(normals)), np.argmax(np.abs(normals) > 1e-9, axis=1)]
-    normals = np.where((lead < 0)[:, None], -normals, normals)
-    normals = normals[np.lexsort(normals.T[::-1])]
     twins = np.array(twins)
     align = np.minimum(np.abs(normals @ twins.T), 1.0)
     worst = float(align.max())

@@ -22,7 +22,8 @@ run reads; ReferenceMesh.constants computes them one facet at a time.
 
 jitter_vertices gives tests the general geometry that a Kuhn mesh lacks,
 and facet_check_incompatibility is check_incompatibility as it read the
-normal set off the facets.
+normal set off the facets, put in the reference order that
+check_incompatibility reports.
 """
 
 import itertools
@@ -36,6 +37,7 @@ from wellspin.mesh import (
     MeshResourceError,
     SimplicialMesh,
     _batched_det,
+    kuhn_reference_normals,
 )
 
 
@@ -276,8 +278,15 @@ def facet_check_incompatibility(mesh, twins, delta0):
     """(ok, worst alignment, offenders) of check_incompatibility with the
     normal set read off the facets (reference_normal_directions), for twin
     normals twins (k, n); offenders as (facet normal, twin normal,
-    alignment) in check_incompatibility's order."""
+    alignment) in check_incompatibility's order. That is reference order:
+    each direction takes the place and the sign of the turned reference
+    normal (kuhn_reference_normals times the transposed lattice rotation)
+    it is most aligned with."""
     normals = reference_normal_directions(mesh.facet_normal)
+    dots = normals @ (kuhn_reference_normals(mesh.dim) @ mesh.lattice_rotation.T).T
+    slot = np.abs(dots).argmax(axis=1)
+    order = np.argsort(slot)
+    normals = normals[order] * np.sign(dots[order, slot[order]])[:, None]
     align = np.minimum(np.abs(normals @ twins.T), 1.0)
     worst = float(align.max())
     pairs = np.argwhere(align > 1.0 - delta0)

@@ -6,7 +6,12 @@ Kept as test oracles:
 - random_spin_field builds one random spin-suite field as a PWAffineField
   with the public builders, drawing from the stream in the suite's order;
   spin_suite_rows labels and scans the fields one at a time. The block
-  pass must give the same rows.
+  pass must give the same rows. With turn_gradients the rotated kind
+  composes its laminate with the rotation through PWAffineField.rotated,
+  a product per cell of the gradients, as the block pass did before it
+  turned the vertex values: the rows must still be the same, and the
+  gradients equal within a few ulps of the field's largest gradient norm
+  times m.
 - draw_spin_fields is the parameter loop of the block pass with one
   generator call per uniform. The draws from one random(3) per field must
   be the same values, and leave the stream in the same state.
@@ -26,7 +31,11 @@ from wellspin.spin import BAD_LABEL, PhaseLabeling, SpinViolation
 from wellspin.wells import dist_to_single_well_batch, dist_to_wells_batch, random_rotation
 
 
-def random_spin_field(mesh, ws, rng):
+def random_spin_field(mesh, ws, rng, turn_gradients=False):
+    """One random spin-suite field and its row metadata. The rotated kind
+    turns its laminate's vertex values before differentiating, as the
+    block pass does; with turn_gradients it turns the laminate's gradients
+    instead (PWAffineField.rotated), the rule the block pass had before."""
     conn = ws.connections[int(rng.integers(0, len(ws.connections)))]
     vf = float(rng.uniform(0.25, 0.75))
     period = float(rng.uniform(0.3, 0.8))
@@ -34,27 +43,26 @@ def random_spin_field(mesh, ws, rng):
     kind = int(rng.integers(0, 3))
     # every kind draws the rotation, so the stream does not depend on kind
     rot = random_rotation(rng, 2)
-    if kind < 2:
+    meta = (("laminate", "rotated-laminate", "perturbed-laminate")[kind], vf, period, offset)
+    if kind == 0 or (kind == 1 and turn_gradients):
         base = build_laminate(mesh, ws, conn, vf, period, offset=offset)
-        if kind == 0:
-            return base, ("laminate", vf, period, offset)
-        return base.rotated(rot), ("rotated-laminate", vf, period, offset)
+        return (base if kind == 0 else base.rotated(rot)), meta
     amp = ws.c0 / 1000.0
-    kx, ky = rng.uniform(1.0, 3.0, 2)
+    waves = rng.uniform(1.0, 3.0, 2) if kind == 2 else None
     b, a_vec, ui = conn.b, conn.a, ws.matrices[conn.i]
 
     def fn(x):
         g = laminate_profile(x @ b, vf, period, offset)
         vals = x @ ui.T + np.outer(g, a_vec)
         vals = vals @ rot.T
+        if waves is None:
+            return vals
+        kx, ky = waves
         return vals + amp * np.stack(
             [np.sin(kx * np.pi * x[:, 0]), np.cos(ky * np.pi * x[:, 1])], 1
         )
 
-    return (
-        PWAffineField.from_vertex_function(mesh, fn),
-        ("perturbed-laminate", vf, period, offset),
-    )
+    return PWAffineField.from_vertex_function(mesh, fn), meta
 
 
 def draw_spin_fields(ws, rng, count):
@@ -85,12 +93,12 @@ def reference_labels(field, wells, threshold):
     return PhaseLabeling(field.mesh, np.where(d <= threshold, nearest, BAD_LABEL), d, threshold)
 
 
-def spin_suite_rows(mesh, ws, rng, count, threshold):
+def spin_suite_rows(mesh, ws, rng, count, threshold, turn_gradients=False):
     """(rows as the suite writes them, every violation found), one field
-    at a time."""
+    at a time; turn_gradients as in random_spin_field."""
     rows, found = [], []
     for fid in range(count):
-        field, meta = random_spin_field(mesh, ws, rng)
+        field, meta = random_spin_field(mesh, ws, rng, turn_gradients)
         lab = reference_labels(field, ws, threshold)
         violations = verify_spin_lemma(field, lab, ws)
         found += violations

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidity_reference
-from wellspin import harness
+from wellspin import harness, spin
 from wellspin.fields import build_laminate
 from wellspin.harness import (
     EXIT_ENERGY_BOUND,
@@ -528,9 +528,24 @@ class TestRun:
         lines = (tmp_path / "tables" / "fields.csv").read_text().splitlines()[1:]
         kinds = {line.split(",")[1] for line in lines}
         assert kinds == {"laminate", "rotated-laminate", "perturbed-laminate"}
-        # the random laminates are made in blocks of arrays: the one
-        # field built is the adversarial laminate
-        assert len(calls) == 1
+        # the random laminates and the aligned one are made in blocks of
+        # arrays: no field is built one at a time
+        assert calls == []
+
+    def test_spin_suite_scans_the_aligned_laminate_as_a_block(self, tmp_path, monkeypatch):
+        # the aligned control goes through the block scan whose zero on the
+        # admissible mesh it vouches for, not through the per-field path
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spin suite left the block scan")
+
+        for name in ("build_laminate", "classify"):
+            monkeypatch.setattr(harness, name, refuse)
+        for name in ("classify", "verify_spin_lemma"):
+            monkeypatch.setattr(spin, name, refuse)
+        assert not hasattr(harness, "verify_spin_lemma")
+        cfg = {"scenario": "spin-lemma-suite", "seed": 3, "m": 8, "field_count": 30}
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert json.loads((tmp_path / "summary.json").read_text())["aligned_violations"] >= 1
 
     def test_invalid_config_exit_code(self, tmp_path):
         assert run({"scenario": "nope"}, out_dir=tmp_path) == EXIT_INTERNAL

@@ -171,8 +171,9 @@ class TestIncompatibility:
     @given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 2**32 - 1), st.floats(0.01, 0.99))
     def test_closed_form_normals_match_facets(self, n, rotated, seed, delta0):
         # every facet normal is +- a reference normal turned by the lattice
-        # rotation, and check_incompatibility reads those in place of the
-        # facets' own; a small clipped mesh may lack some direction
+        # rotation, and check_incompatibility reads those, in reference
+        # order, in place of the facets' own; a small clipped mesh may lack
+        # some direction
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 11 if n == 2 else 5))
         try:

@@ -1,9 +1,11 @@
 """The block pass of the spin-lemma suite against the per-field oracle
 (tests/spin_reference.py): the same rows on the admissible and the
 unrotated mesh, whatever the block size, the same gradients and rotations
-bit for bit, the same draws as a loop of one generator call per uniform,
-and the same FieldError for a bad field inside a block. The pass's peak
-memory per cell of a block is pinned too."""
+bit for bit, the same rows as the rule that turned the rotated kind's
+gradients instead of its vertex values, the same draws as a loop of one
+generator call per uniform, and the same FieldError for a bad field
+inside a block. The pass's peak memory per cell of a block is pinned
+too."""
 
 import tracemalloc
 
@@ -83,6 +85,51 @@ class TestRowsMatchOracle:
             kinds.add(meta[0])
             assert np.array_equal(got, field.gradients)
         assert len(kinds) == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("which", ["admissible", "unrotated"])
+    def test_turned_values_match_turned_gradients(self, wells_std, meshes, seed, which):
+        # the rotated kind turns its vertex values before differentiating;
+        # the rule it replaced turned each cell's gradient. Both give the
+        # same rows, and gradients within a few ulps of the field's largest
+        # gradient norm times m: an edge about 1/m long divides the turned
+        # values' round-off by 1/m (at most 2.2 m ulps measured, m = 8-32)
+        mesh = meshes[which]
+        thr = 10.0 * wells_std.c0 / 100.0 if which == "unrotated" else wells_std.c0 / 100.0
+        got = _spin_suite_rows(mesh, wells_std, substream(seed, "spin"), COUNT, thr)
+        want, _ = spin_reference.spin_suite_rows(
+            mesh, wells_std, substream(seed, "spin"), COUNT, thr, turn_gradients=True
+        )
+        assert got == want
+        assert (sum(row[5] for row in got) > 0) == (which == "unrotated")
+        draws = _draw_spin_fields(wells_std, substream(seed, "spin"), COUNT)
+        grads = _spin_gradients(mesh, wells_std, draws, range(COUNT))
+        rng, turned = substream(seed, "spin"), 0
+        for got, draw in zip(grads, draws):
+            field, _ = spin_reference.random_spin_field(mesh, wells_std, rng, turn_gradients=True)
+            if draw[4] != 1:
+                continue
+            turned += 1
+            scale = np.linalg.norm(field.gradients, axis=(1, 2)).max()
+            assert np.abs(got - field.gradients).max() <= 4 * mesh.m * np.finfo(float).eps * scale
+        assert turned > 0
+
+
+def test_gradients_are_the_differentiated_values(monkeypatch, wells_std, meshes):
+    # every kind is composed at its vertex values, so a block's gradients
+    # leave vertex_gradients as they are returned: no product follows
+    made = []
+
+    def recording(mesh, values):
+        grads = vertex_gradients(mesh, values)
+        made.append(grads.copy())
+        return grads
+
+    monkeypatch.setattr(harness, "vertex_gradients", recording)
+    draws = _draw_spin_fields(wells_std, substream(9, "spin"), COUNT)
+    grads = _spin_gradients(meshes["admissible"], wells_std, draws, range(COUNT))
+    assert {draw[4] for draw in draws} == {0, 1, 2}
+    assert len(made) == 1 and np.array_equal(grads, made[0])
 
 
 @pytest.mark.parametrize("n", [2, 3])

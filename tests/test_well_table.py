@@ -244,9 +244,10 @@ class TestRunnersOneTablePerField:
             monkeypatch.setattr(harness, "_SPIN_BLOCK_CELLS", cells)
             seen, direct = self.kernel_calls(monkeypatch, tmp_path / str(cells), cfg)
             # the random fields are measured in blocks, one table each,
-            # and the aligned laminate through its field's memo
-            assert [shape[0] for shape in blocks] == [5 // n_blocks] * n_blocks
-            assert len(seen) == 1
+            # and the aligned laminate as one more block of one field
+            assert [shape[0] for shape in blocks] == [5 // n_blocks] * n_blocks + [1]
+            assert blocks[-1][1] == build_kuhn_mesh(2, 8).n_cells
+            assert seen == []
             assert direct == []
 
     def test_laminate_sweep(self, monkeypatch, tmp_path):
