@@ -186,9 +186,17 @@ class TestFitRotation:
             # the polar rotation magnifies the means' round-off by about
             # the condition number, which is near 1 for a component near
             # its well; the n = 3 SVD adds its own (at most 2 and 7.5 eps
-            # seen for n = 2 and 3 over 20,000 such draws)
+            # seen for n = 2 and 3 over 20,000 such draws). The two means
+            # sum in different orders, so their round-off is relative to
+            # the terms, not to the mean: a random component whose terms
+            # cancel 16-fold moved its rotation by 4.5 eps for n = 2. Over
+            # 400,000 draws the difference stayed within 2 and 7.9 eps
+            # times that cancellation (1 for a component near its well).
+            local = values @ np.linalg.inv(well)
+            cancel = np.linalg.norm(np.abs(local).sum(axis=0)) / np.linalg.norm(local.sum(axis=0))
             if np.linalg.cond(mean) <= 2.0:
-                assert np.abs(rot - want_rot).max() <= (4 if n == 2 else 16) * np.finfo(float).eps
+                bound = (4 if n == 2 else 16) * np.finfo(float).eps * cancel
+                assert np.abs(rot - want_rot).max() <= bound
             slack = 64 * np.finfo(float).eps * np.linalg.norm(values) * math.sqrt(weight)
             assert abs(residual - want_residual) <= 1e-12 * want_residual + slack
         elif det < -clear:
