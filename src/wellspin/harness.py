@@ -661,7 +661,7 @@ def _stage_spin_suite(ctx, m):
     ws, rot = ctx["wells"]
     rng = substream(ctx["seed"], "spin-lemma-suite")
     mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
-    return _spin_suite_rows(mesh, ws, rng, ctx["field_count"], ws.c0 / 100.0)
+    return _spin_suite_rows(mesh, ws, rng, ctx["field_count"], ctx["threshold"])
 
 
 def _finish_spin_suite(ctx, rows):
@@ -674,9 +674,10 @@ def _finish_spin_suite(ctx, rows):
     conn = max(ws.connections, key=lambda c: abs(c.b @ diag))
     spacing = 1.0 / (np.sqrt(2.0) * aligned_mesh.m)
     offset = float((aligned_mesh.vertices @ conn.b).min())
-    # a one-field block of the unturned kind, scanned as the random fields are
+    # one field scanned as the random ones are, drawn in _draw_spin_fields'
+    # order: twin, fraction, period, offset, kind 0 (unturned), normal, waves
     draw = (conn, 0.5, 4 * spacing, offset, 0, np.eye(2), None)
-    aligned = int(_scan_block(aligned_mesh, ws, [draw], [0], ws.c0 / 100.0)[0][0])
+    aligned = int(_scan_block(aligned_mesh, ws, [draw], ["aligned"], ctx["threshold"])[0][0])
 
     summary = {
         "field_count": ctx["field_count"],
@@ -930,7 +931,8 @@ SCHEMA = {
             "field_count": (1000, _at_least(1)),
         },
         _check_spin_suite, lambda cfg: [cfg["m"]],  # one stage
-        _config_only, _stage_spin_suite, _finish_spin_suite,
+        lambda cfg, force: {**cfg, "threshold": cfg["wells"][0].c0 / 100.0},  # both scans'
+        _stage_spin_suite, _finish_spin_suite,
     ),
     "rigidity-family": Scenario(
         {
