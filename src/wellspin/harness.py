@@ -803,11 +803,9 @@ def _prepare_twin_lattice(cfg, force):
 
 
 def _stage_lattice(ctx, m):
-    """The partition record at m; its deformation is built here and freed
-    with the stage."""
-    sample = [(m, ctx["sample"](m))]
-    system, energy_constant = ctx["system"], ctx["energy_constant"]
-    return lattice_partition_diagnostics(sample, system, energy_constant=energy_constant)
+    """The partition record at m, of a deformation built for it alone."""
+    x = ctx["sample"](m)
+    return [lattice_partition_diagnostics(m, x, ctx["system"], ctx["energy_constant"])]
 
 
 def _lattice_gates(records, name, components, tol):

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import half_angle_roots, label_components
-from .wells import _procrustes_rotation_batch, dist_to_single_well_batch, fit_rotation
+from .wells import dist_to_single_well_batch, fit_rotation, polar_rotation
 
 BAD_SITE = -1
 BOUNDARY_SITE = -2
@@ -634,26 +634,13 @@ class LatticeComponent:
     residual: float | None
 
 
-def lattice_partition_diagnostics(deformations, system, energy_constant=None):
-    """Sweep diagnostics: volumes, perimeters and components with fitted
-    rotations against the averaged gradients, one record per scale m.
-
-    deformations gives (m, LatticeDeformation) pairs, one record each in
-    the order given; a generator builds each deformation only when its
-    record is due, and it is freed before the next one is built. With
-    energy_constant C the surface-energy bound total <= C/m is enforced
-    and its violation raises EnergyBoundError (carrying the measured
-    value).
+def lattice_partition_diagnostics(m, x, system, energy_constant=None):
+    """The diagnostics record of the deformation x at scale m: volumes,
+    perimeters and components with fitted rotations against the averaged
+    gradients. With energy_constant C the surface-energy bound
+    total <= C/m is enforced and its violation raises EnergyBoundError
+    (carrying the measured value).
     """
-    records = []
-    for m, x in deformations:
-        records.append(_partition_record(m, x, system, energy_constant))
-        del x
-    return records
-
-
-def _partition_record(m, x, system, energy_constant):
-    """The diagnostics record of one scale."""
     ham = evaluate_hamiltonian(x, system)
     if energy_constant is not None and ham.total > energy_constant / m:
         raise EnergyBoundError(m, ham.total, energy_constant / m)
@@ -814,7 +801,7 @@ def synthetic_twin_system():
             part, low = flat[s : s + step], best[s : s + step]
             for gp in bank:
                 m = np.einsum("ktij,tlj->kil", part, gp)
-                rot = _procrustes_rotation_batch(m)
+                rot = polar_rotation(m)
                 resid = part - rot[:, None] @ gp[None]
                 np.minimum(low, (resid**2).sum(axis=(-3, -2, -1)), out=low)
         return best.reshape(lead)

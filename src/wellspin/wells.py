@@ -56,15 +56,32 @@ def rotations_from_normals(g):
     return q
 
 
-def polar_rotation(m):
-    """Frobenius-nearest rotation to a square matrix (special orthogonal).
+def polar_rotation(ms):
+    """Frobenius-nearest rotation to each matrix of ms (..., n, n): argmax
+    over Q in SO(n) of tr(Q^T M), always of determinant +1.
 
-    The single-matrix case of _procrustes_rotation_batch: for n = 2 the
-    closed form (cos, sin) proportional to (m00 + m11, m10 - m01), for
-    larger n the SVD with its smallest singular direction flipped when
-    needed. The result always has determinant +1.
+    For n = 1 it is 1, the one element of SO(1). For n = 2,
+    tr(Q(theta)^T M) = cos(theta) (M00 + M11) + sin(theta) (M10 - M01),
+    so the maximiser has (cos, sin) proportional to (M00 + M11, M10 - M01),
+    whatever the sign of det M; when both vanish every rotation ties and
+    the identity is returned. For larger n it is U V^T from the SVD
+    M = U S V^T, with the last column of U flipped when det(U V^T) < 0.
     """
-    return _procrustes_rotation_batch(np.asarray(m, dtype=float)[None])[0]
+    if ms.shape[-1] == 1:
+        return np.ones_like(ms)
+    if ms.shape[-1] == 2:
+        a = ms[..., 0, 0] + ms[..., 1, 1]
+        b = ms[..., 1, 0] - ms[..., 0, 1]
+        r = np.hypot(a, b)
+        tie = r == 0.0
+        r = np.where(tie, 1.0, r)
+        c = np.where(tie, 1.0, a / r)
+        s = b / r
+        return np.stack([c, -s, s, c], axis=-1).reshape(ms.shape)
+    u, _, vt = np.linalg.svd(ms)
+    flip = np.linalg.det(u @ vt) < 0
+    u[flip, :, -1] = -u[flip, :, -1]
+    return u @ vt
 
 
 def fit_rotation(values, weights, well):
@@ -84,13 +101,6 @@ def fit_rotation(values, weights, well):
     return rot, float(math.sqrt(max(res2, 0.0)))
 
 
-def _check_finite(f):
-    f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise WellSetError("matrix has non-finite entries")
-    return f
-
-
 def dist_to_son_batch(fs):
     """Frobenius distance of each matrix of fs (..., n, n) to SO(n): the
     identity's well for n = 2, else from the singular values."""
@@ -102,37 +112,6 @@ def dist_to_son_batch(fs):
     # svd returns singular values in descending order; flip the smallest
     sigma[neg, -1] = -sigma[neg, -1]
     return np.linalg.norm(sigma - 1.0, axis=-1)
-
-
-def _procrustes_rotation_batch(ms):
-    """argmax over Q in SO(n) of tr(Q^T M), batched over (..., n, n).
-
-    For n = 2, tr(Q(theta)^T M) = cos(theta) (M00 + M11) + sin(theta)
-    (M10 - M01), so the maximiser has (cos, sin) proportional to
-    (M00 + M11, M10 - M01), whatever the sign of det M; when both vanish
-    every rotation ties and the identity is returned. For larger n it is
-    U V^T from the SVD M = U S V^T, with the last column of U flipped when
-    det(U V^T) < 0.
-    """
-    if ms.shape[-1] == 2:
-        a = ms[..., 0, 0] + ms[..., 1, 1]
-        b = ms[..., 1, 0] - ms[..., 0, 1]
-        r = np.hypot(a, b)
-        tie = r == 0.0
-        r = np.where(tie, 1.0, r)
-        c = np.where(tie, 1.0, a / r)
-        s = b / r
-        return np.stack([c, -s, s, c], axis=-1).reshape(ms.shape)
-    u, _, vt = np.linalg.svd(ms)
-    flip = np.linalg.det(u @ vt) < 0
-    u[flip, :, -1] = -u[flip, :, -1]
-    return u @ vt
-
-
-def dist_to_single_well(f, u):
-    """min over rotations R of |f - R u|_F for a single well matrix u."""
-    f = _check_finite(f)
-    return float(dist_to_single_well_batch(f[None], u)[0])
 
 
 def dist_table(fs, mats):
@@ -175,7 +154,7 @@ def dist_to_single_well_batch(fs, u):
     fs, u = fs[..., None, :, :], u[..., None, :, :]
     if fs.shape[-1] == 2:
         return _dist_2x2(*[m[..., i, j] for m in (fs, u) for i in (0, 1) for j in (0, 1)])[..., 0]
-    rot = _procrustes_rotation_batch(fs @ np.swapaxes(u, -1, -2))
+    rot = polar_rotation(fs @ np.swapaxes(u, -1, -2))
     return np.linalg.norm(fs - rot @ u, axis=(-2, -1))[..., 0]
 
 
@@ -187,7 +166,7 @@ def _dist_2x2(f00, f01, f10, f11, u00, u01, u10, u11, out=None):
 
     With M = F U^T the nearest rotation has (cos, sin) proportional to
     (M00 + M11, M10 - M01), the identity when both vanish (see
-    _procrustes_rotation_batch), and the residual F - R U is measured
+    polar_rotation), and the residual F - R U is measured
     directly; the expanded form |F|^2 + |U|^2 - 2 tr cancels
     catastrophically when the distance is tiny.
     """
@@ -226,7 +205,7 @@ def well_distance(wells, i, j):
     """min over rotations Q of |U_i - Q U_j|_F (distance between two wells)."""
     if i == j:
         raise WellSetError("well_distance requires two distinct wells")
-    return dist_to_single_well(wells.matrices[i], wells.matrices[j])
+    return float(dist_to_single_well_batch(wells.matrices[i], wells.matrices[j]))
 
 
 @dataclass
@@ -311,7 +290,7 @@ class WellSet:
             self.separation_d = math.inf
         else:
             self.separation_d = min(
-                dist_to_single_well(mats[a], mats[b])
+                float(dist_to_single_well_batch(mats[a], mats[b]))
                 for a in range(len(mats))
                 for b in range(a + 1, len(mats))
             )

@@ -7,7 +7,7 @@ arrays, byte for byte, in the same order. The slicing versions of
 LatticeClassification.label_perimeter and adjacency_violations are kept
 here for the same reason, and so are the two inline rotation fits that
 wellspin.wells.fit_rotation replaced: extract_partition's, which it must
-match byte for byte, and _partition_record's.
+match byte for byte, and lattice_partition_diagnostics'.
 """
 
 import math
@@ -112,12 +112,17 @@ def adjacency_violations(labs):
     return out
 
 
+def partition_mean(values, vols, well):
+    """The volume-weighted mean of F U^-1 that partition_fit takes the polar
+    rotation of."""
+    local = values @ np.linalg.inv(well)
+    return (local * vols[:, None, None]).sum(axis=0) / float(vols.sum())
+
+
 def partition_fit(values, vols, well):
     """extract_partition's inline fit of one component: (rotation,
     residual), or (None, None) for a mean of nonpositive determinant."""
-    volume = float(vols.sum())
-    local = values @ np.linalg.inv(well)
-    mean = (local * vols[:, None, None]).sum(axis=0) / volume
+    mean = partition_mean(values, vols, well)
     if np.linalg.det(mean) <= 0:
         return None, None
     rot = polar_rotation(mean)
@@ -126,8 +131,9 @@ def partition_fit(values, vols, well):
 
 
 def lattice_fit(local, weight, well):
-    """_partition_record's inline fit of one component with site weight
-    m^-n: (rotation, residual), or (None, None) for a singular mean."""
+    """lattice_partition_diagnostics' inline fit of one component with
+    site weight m^-n: (rotation, residual), or (None, None) for a singular
+    mean."""
     mean = (local @ np.linalg.inv(well)).mean(axis=0)
     if abs(np.linalg.det(mean)) < 1e-12:
         return None, None

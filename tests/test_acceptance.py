@@ -258,9 +258,10 @@ def test_criterion_8_lattice_antiferro():
             mm: antiferro_chain(system, m=mm, interfaces=fracs)
             for mm in (64, 256, 1024)
         }
-        records = lattice_partition_diagnostics(
-            chains.items(), system, energy_constant=2.0 * k + 2.0
-        )
+        records = [
+            lattice_partition_diagnostics(mm, x, system, energy_constant=2.0 * k + 2.0)
+            for mm, x in chains.items()
+        ]
         for rec in records:
             assert rec["n_components"] == k + 1
         slope, _ = loglog_slope(

@@ -237,7 +237,7 @@ class TestValidate:
                     except LatticeError:
                         assert not valid, (variant, k, m)
                         continue
-                    rec = lattice_partition_diagnostics([(m, x)], system)[0]
+                    rec = lattice_partition_diagnostics(m, x, system)
                     splits = rec["n_components"] == k + 1 and not rec["adjacency_violations"]
                     assert valid == splits, (variant, k, m)
 

@@ -23,7 +23,7 @@ from wellspin.lattice import (
     verify_h2,
 )
 from wellspin.numerics import loglog_slope
-from wellspin.wells import dist_to_single_well, rotation_2d
+from wellspin.wells import dist_to_single_well_batch, rotation_2d
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ class TestSystems:
                     if system.dim == 1:
                         d = abs(float(pa[0, 0] - pb[0, 0]))
                     else:
-                        d = dist_to_single_well(pa, pb)
+                        d = float(dist_to_single_well_batch(pa, pb))
                     worst = max(worst, d)
                 best = min(best, worst)
         assert len(states) > 1
@@ -291,13 +291,17 @@ class TestAveraging:
 
 
 class TestDiagnostics:
-    def sweep(self, system, interfaces, ms=(64, 256, 1024)):
-        return [(m, antiferro_chain(system, m=m, interfaces=interfaces)) for m in ms]
+    def sweep(self, system, interfaces, energy_constant, ms=(64, 256, 1024)):
+        """The diagnostics records of planted chains, one per scale."""
+        return [
+            lattice_partition_diagnostics(
+                m, antiferro_chain(system, m=m, interfaces=interfaces), system, energy_constant
+            )
+            for m in ms
+        ]
 
     def test_ground_sweep(self, raw):
-        records = lattice_partition_diagnostics(
-            self.sweep(raw, ()), raw, energy_constant=1.0
-        )
+        records = self.sweep(raw, (), 1.0)
         for rec in records:
             assert rec["energy"] == 0.0
             assert rec["n_components"] == 1
@@ -310,9 +314,7 @@ class TestDiagnostics:
         assert abs(slopes[0] + 1.0) <= 0.2
 
     def test_three_interface_sweep(self, raw):
-        records = lattice_partition_diagnostics(
-            self.sweep(raw, (0.25, 0.5, 0.75)), raw, energy_constant=8.0
-        )
+        records = self.sweep(raw, (0.25, 0.5, 0.75), 8.0)
         perims = []
         for rec in records:
             assert rec["n_components"] == 4
@@ -327,9 +329,7 @@ class TestDiagnostics:
         assert abs(slope + 1.0) <= 0.3
 
     def test_interface_positions_stable(self, raw):
-        records = lattice_partition_diagnostics(
-            self.sweep(raw, (0.5,), ms=(64, 256, 1024)), raw, energy_constant=4.0
-        )
+        records = self.sweep(raw, (0.5,), 4.0, ms=(64, 256, 1024))
         fractions = []
         for rec in records:
             comps = sorted(rec["components"], key=lambda c: c.sites.min())
@@ -340,9 +340,9 @@ class TestDiagnostics:
         assert abs(fractions[0][0] - fractions[-1][0]) < 0.05
 
     def test_energy_bound_enforced(self, raw):
-        bad_chain = [(16, LatticeDeformation.from_gradient_sequence([1.0] * 16, m=16))]
+        bad_chain = LatticeDeformation.from_gradient_sequence([1.0] * 16, m=16)
         with pytest.raises(EnergyBoundError) as err:
-            lattice_partition_diagnostics(bad_chain, raw, energy_constant=1.0)
+            lattice_partition_diagnostics(16, bad_chain, raw, energy_constant=1.0)
         assert err.value.m == 16
         assert err.value.total > err.value.allowed
 
@@ -353,19 +353,15 @@ class TestDiagnostics:
             raise AssertionError("averaged field built for a raw chain")
 
         monkeypatch.setattr(lattice, "averaged_gradient_field", forbidden)
-        sweep = self.sweep(raw, (0.25, 0.5, 0.75), ms=(64, 256))
-        records = lattice_partition_diagnostics(sweep, raw, energy_constant=8.0)
+        records = self.sweep(raw, (0.25, 0.5, 0.75), 8.0, ms=(64, 256))
         assert [r["n_components"] for r in records] == [4, 4]
         assert all(c.rotation is None for r in records for c in r["components"])
         monkeypatch.undo()
-        sweep = self.sweep(remapped, (0.5,), ms=(64, 128))
-        records = lattice_partition_diagnostics(sweep, remapped, energy_constant=4.0)
+        records = self.sweep(remapped, (0.5,), 4.0, ms=(64, 128))
         assert all(c.rotation is not None for r in records for c in r["components"])
 
     def test_remapped_components_have_rotation_one(self, remapped):
-        records = lattice_partition_diagnostics(
-            self.sweep(remapped, (0.5,), ms=(64, 128)), remapped, energy_constant=4.0
-        )
+        records = self.sweep(remapped, (0.5,), 4.0, ms=(64, 128))
         for rec in records:
             for comp in rec["components"]:
                 if comp.rotation is not None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import svd_reference as ref
 from kuhn_reference import FirstVisitMesh, jitter_vertices, mesh_constants
 from wellspin.fields import PWAffineField, facet_jumps, tangential_jump_residual
+from wellspin.lattice import antiferro_system
 from wellspin.mesh import MeshError, build_kuhn_mesh
 from wellspin.rigidity import (
     IncompatibleField,
@@ -20,7 +21,6 @@ from wellspin.rigidity import (
     curl_total_variation,
 )
 from wellspin.wells import (
-    _procrustes_rotation_batch,
     dist_to_single_well_batch,
     dist_to_son_batch,
     polar_rotation,
@@ -89,7 +89,7 @@ class TestClosedFormN2:
     @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_procrustes_rotation(self, kind, count, seed):
         ms, _ = make_batch(kind, 2, count, seed)
-        rot = _procrustes_rotation_batch(ms)
+        rot = polar_rotation(ms)
         assert rot.shape == ms.shape
         assert is_rotation(rot)
         best = np.hypot(ms[:, 0, 0] + ms[:, 1, 1], ms[:, 1, 0] - ms[:, 0, 1])
@@ -100,7 +100,7 @@ class TestClosedFormN2:
         assert np.all(objective(ref.procrustes_rotation_batch(ms), ms) <= best + 8 * EPS * scale)
 
     def test_zero_gives_identity(self):
-        rot = _procrustes_rotation_batch(np.zeros((3, 2, 2)))
+        rot = polar_rotation(np.zeros((3, 2, 2)))
         assert np.array_equal(rot, np.broadcast_to(np.eye(2), (3, 2, 2)))
         assert np.array_equal(polar_rotation(np.zeros((2, 2))), np.eye(2))
 
@@ -113,7 +113,7 @@ class TestClosedFormN2:
     def test_exact_rotation_recovered(self):
         thetas = np.linspace(-3.0, 3.0, 13)
         rots = rotation_2d(thetas)
-        assert np.abs(_procrustes_rotation_batch(3.0 * rots) - rots).max() <= 2 * EPS
+        assert np.abs(polar_rotation(3.0 * rots) - rots).max() <= 2 * EPS
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2**32 - 1))
@@ -153,10 +153,39 @@ class TestClosedFormN2:
     def test_polar_rotation(self, kind, seed):
         ms, _ = make_batch(kind, 2, 1, seed)
         r = polar_rotation(ms[0])
-        assert np.array_equal(r, _procrustes_rotation_batch(ms)[0])
         assert is_rotation(r)
         scale = np.linalg.norm(ms[0])
         assert objective(ref.polar_rotation(ms[0]), ms[0]) <= objective(r, ms[0]) + 8 * EPS * scale
+
+
+class TestOneRule:
+    """polar_rotation is one rule over (..., n, n): a stack's rotations are
+    its matrices' own, byte for byte, and SO(1) = {1} takes no SVD."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 3)),
+        st.sampled_from(KINDS),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_each_matrix(self, n, kind, count, seed):
+        ms, u = make_batch(kind, n, count, seed)
+        rot = polar_rotation(ms)
+        assert rot.shape == ms.shape
+        for m, r in zip(ms, rot):
+            assert polar_rotation(m).tobytes() == r.tobytes()
+        if n == 1:
+            assert np.all(rot == 1.0)
+            d = dist_to_single_well_batch(ms, u)
+            assert d.tobytes() == np.abs(ms - u)[:, 0, 0].tobytes()
+
+    def test_chain_separation_takes_no_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SVD taken for a 1 x 1 rotation")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        assert antiferro_system("remapped").separation_d == 1.0
 
 
 class TestSvdPathsN3:
@@ -175,7 +204,7 @@ class TestSvdPathsN3:
         assert np.array_equal(d, ref.dist_to_single_well_batch(fs, u))
         assert np.array_equal(dist_to_son_batch(fs), ref.dist_to_son_batch(fs))
         assert np.array_equal(
-            _procrustes_rotation_batch(fs @ u.T), ref.procrustes_rotation_batch(fs @ u.T)
+            polar_rotation(fs @ u.T), ref.procrustes_rotation_batch(fs @ u.T)
         )
         assert np.array_equal(polar_rotation(fs[0]), ref.polar_rotation(fs[0]))
 
@@ -187,7 +216,7 @@ class TestSvdPathsN3:
     )
     def test_singular_input_stays_special_orthogonal(self, kind, count, seed):
         fs, u = make_batch(kind, 3, count, seed)
-        assert is_rotation(_procrustes_rotation_batch(fs))
+        assert is_rotation(polar_rotation(fs))
         assert is_rotation(polar_rotation(fs[0]))
         # the old batched kernel took the flip from det M, which can come
         # out with the wrong sign here and leave a reflection; the polar

@@ -9,9 +9,9 @@ from dbar_reference import reference_compute_dbar
 from wellspin.wells import (
     WellSet,
     WellSetError,
-    _check_finite,
     admissible_normal_intervals,
     compute_dbar,
+    dist_to_single_well_batch,
     dist_to_son_batch,
     dist_to_wells_batch,
     polar_rotation,
@@ -30,9 +30,8 @@ def standard_pair():
 
 
 def dist_to_son(f):
-    """The distance of one matrix to SO(n), through the batched kernel,
-    after the finiteness check of the single-matrix distances."""
-    return float(dist_to_son_batch(_check_finite(f)[None])[0])
+    """The distance of one matrix to SO(n), through the batched kernel."""
+    return float(dist_to_son_batch(f))
 
 
 def brute_force_dist_to_so2(f, n_angles=10**6):
@@ -105,8 +104,10 @@ class TestDistToSon:
             assert abs(dist_to_son(f @ r) - d) < 1e-9
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(WellSetError):
-            dist_to_son(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # the distances take no finiteness check of their own: a well's
+        # entries are checked once, by WellSet
+        with pytest.raises(WellSetError, match="not finite"):
+            WellSet([U1, np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
 
 class TestDistToWells:
@@ -141,9 +142,7 @@ class TestWellDistance:
     def test_rotated_copy_same_well_distance_zero(self):
         # the un-symmetrized rotated copy lives on the same orbit
         rotated = rotation_2d(0.4) @ U1
-        from wellspin.wells import dist_to_single_well
-
-        assert dist_to_single_well(U1, rotated) < 1e-12
+        assert dist_to_single_well_batch(U1, rotated) < 1e-12
 
     def test_standard_pair_value(self):
         ws = standard_pair()
