@@ -476,11 +476,10 @@ def _finish_wellset(ctx, rows):
 
 
 def _prepare_laminate(cfg, force):
-    """The coarsest mesh, which must pass the twin-incompatibility check
-    unless forced, and the layout of the laminate."""
+    """The twin-incompatibility check of the lattice rotation, which must
+    pass unless forced, and the layout of the laminate."""
     ws, rot = cfg["wells"]
-    mesh = build_kuhn_mesh(2, cfg["m_list"][0], lattice_rotation=rot.rotation)
-    incompat = check_incompatibility(mesh, ws, ws.delta0)
+    incompat = check_incompatibility(rot.rotation, ws, ws.delta0)
     if not incompat.ok and not force:
         raise IncompatibleMeshError(incompat)
     lam = cfg["laminate"]
@@ -490,15 +489,14 @@ def _prepare_laminate(cfg, force):
     # a single interior interface; coarse meshes resolve that fastest
     period = lam["period"] or (proj.max() - proj.min())
     offset = proj.min() + lam["offset_frac"] * period
-    return {**cfg, "mesh": mesh, "conn": conn, "period": period, "offset": offset}
+    return {**cfg, "conn": conn, "period": period, "offset": offset}
 
 
 def _stage_laminate(ctx, m):
     """The sweep row at m, and the count side of the Chebyshev identity."""
     ws, rot = ctx["wells"]
-    mesh, conn, c1, lam = ctx["mesh"], ctx["conn"], ctx["c1"], ctx["laminate"]
-    if m != mesh.m:
-        mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
+    conn, c1, lam = ctx["conn"], ctx["c1"], ctx["laminate"]
+    mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
     vf, ripple = lam["volume_fraction"], lam["ripple"]
     fld = build_laminate(mesh, ws, conn, vf, ctx["period"], offset=ctx["offset"], ripple=ripple)
     rep = evaluate_energy(fld, ws, c1=c1)
@@ -506,7 +504,7 @@ def _stage_laminate(ctx, m):
     part = extract_partition(fld, lab, ws)
     macro = part.macroscopic(0.01 * mesh.effective_volume)
     n_bad = count_bad_cells(lab)
-    lhs = n_bad * (ws.c0 / 100.0) ** 2 * c1 * float(mesh.volumes.min())
+    lhs = n_bad * lab.threshold**2 * c1 * float(mesh.volumes.min())
     fitted = [c.residual for c in macro if c.residual is not None]
     row = {
         "m": m,
@@ -521,7 +519,7 @@ def _stage_laminate(ctx, m):
         row[f"perimeter_interior_w{j}"] = discrete_perimeter(lab, j, include_boundary=False)
         reduced = build_reduced_field(fld, lab, j, ws)
         bv = bv_structure_check(reduced)
-        row[f"curl_w{j}"] = bv.curl_total
+        row[f"curl_w{j}"] = bv.curl.total
         row[f"dv_curl_ratio_w{j}"] = bv.ratio
     return [(lhs, row)]
 

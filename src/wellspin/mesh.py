@@ -313,20 +313,20 @@ def _kuhn_facets(perms, cubes, kept, cells):
     return facet_vertices, facet_cells, omit
 
 
-def check_incompatibility(mesh, wells, delta0):
+def check_incompatibility(rotation, wells, delta0):
     """Report whether every facet normal keeps the margin delta0 from
     every twin normal of the well set: |b_facet . b_twin| <= 1 - delta0.
 
     Every facet normal of a Kuhn mesh is +- a reference normal turned by
-    the mesh's lattice rotation, so those are the normals checked (all of
-    them, even where a small clipped mesh lacks one), in the order and
-    with the signs of kuhn_reference_normals. A pure report; experiment
-    drivers decide whether to refuse to run.
+    the lattice rotation (an (n, n) array), so those are the normals
+    checked, with no mesh (all of them, even where a small clipped mesh
+    lacks one), in the order and with the signs of kuhn_reference_normals.
+    A pure report; experiment drivers decide whether to refuse to run.
     """
     twins = wells.twin_normals()
     if not twins:
         return IncompatibilityReport(ok=True, worst_alignment=0.0, delta0=delta0)
-    normals = kuhn_reference_normals(mesh.dim) @ mesh.lattice_rotation.T
+    normals = kuhn_reference_normals(len(rotation)) @ rotation.T
     twins = np.array(twins)
     align = np.minimum(np.abs(normals @ twins.T), 1.0)
     worst = float(align.max())

@@ -56,7 +56,9 @@ class IncompatibleField:
 
 @dataclass
 class CurlMeasure:
-    facet_ids: np.ndarray
+    """A facet measure: per_facet holds the mass of each interior facet,
+    in mesh.interior order, and total their sum."""
+
     per_facet: np.ndarray
     total: float
 
@@ -69,9 +71,9 @@ def _as_field(field):
 
 
 def _facet_jumps(field):
-    """Interior facet ids and areas, and the field's jumps and tangential
-    jumps across them (fields.facet_jumps), on the domain mapped by the
-    field's map when present.
+    """Interior facet areas, and the field's jumps and tangential jumps
+    across them (fields.facet_jumps), in mesh.interior order, on the
+    domain mapped by the field's map when present.
 
     A hyperplane element with unit normal nu and area s maps to one with
     normal U^-T nu (normalized) and area s * det(U) * |U^-T nu|.
@@ -86,13 +88,13 @@ def _facet_jumps(field):
         normals /= stretch[:, None]
         areas = areas * abs(float(np.linalg.det(u))) * stretch
         del stretch  # free it before the kernel's peak
-    return ids, areas, *facet_jumps(mesh, field.values, normals)
+    return areas, *facet_jumps(mesh, field.values, normals)
 
 
-def _measure(ids, areas, jumps):
+def _measure(areas, jumps):
     """Facet masses area * |jump|_F as a facet measure."""
     masses = areas * np.linalg.norm(jumps, axis=(1, 2))
-    return CurlMeasure(facet_ids=ids, per_facet=masses, total=float(masses.sum()))
+    return CurlMeasure(per_facet=masses, total=float(masses.sum()))
 
 
 def curl_total_variation(field):
@@ -102,8 +104,8 @@ def curl_total_variation(field):
     tangent space|_F; gradients of continuous piecewise-affine deformations
     have zero total mass.
     """
-    ids, areas, _, tangential = _facet_jumps(field)
-    return _measure(ids, areas, tangential)
+    areas, _, tangential = _facet_jumps(field)
+    return _measure(areas, tangential)
 
 
 def build_reduced_field(field, labeling, well_index, wells):
@@ -120,11 +122,13 @@ def build_reduced_field(field, labeling, well_index, wells):
     return IncompatibleField(mesh=field.mesh, values=values, map_matrix=uj)
 
 
-def fitted_rotation(field):
-    """Polar projection of the volume-weighted mean of the field."""
+def _fit(field):
+    """The polar rotation R of the field's volume-weighted mean, the cell
+    volumes and |A - R| per cell."""
     vols = field.cell_volumes()
     mean = (field.values * vols[:, None, None]).sum(axis=0) / vols.sum()
-    return polar_rotation(mean)
+    rot = polar_rotation(mean)
+    return rot, vols, np.linalg.norm(field.values - rot, axis=(1, 2))
 
 
 @dataclass
@@ -150,9 +154,7 @@ def rigidity_ratio(field, p):
     # reference family runs exactly at p = 2
     if p < n / (n - 1):
         raise RigidityError(f"need p >= n/(n-1) = {n / (n - 1):.4f}, got {p}")
-    rot = fitted_rotation(field)
-    vols = field.cell_volumes()
-    diff = np.linalg.norm(field.values - rot, axis=(1, 2))
+    rot, vols, diff = _fit(field)
     lhs = float((diff**p) @ vols)
     dist_term = float((dist_to_son_batch(field.values) ** p) @ vols)
     curl_term = float(curl_total_variation(field).total ** (n / (n - 1)))
@@ -162,12 +164,9 @@ def rigidity_ratio(field, p):
 
 @dataclass
 class BVReport:
-    dv_total: float
-    curl_total: float
+    dv: CurlMeasure
+    curl: CurlMeasure
     ratio: float
-    facet_ids: np.ndarray
-    per_facet_dv: np.ndarray
-    per_facet_curl: np.ndarray
 
 
 def bv_structure_check(field):
@@ -175,19 +174,11 @@ def bv_structure_check(field):
 
     For piecewise-constant fields with rotation-valued jumps the tangential
     jump can never vanish while the full jump does not, so the ratio stays
-    finite; it is reported per facet for setwise checks.
+    finite; both measures are kept per facet for setwise checks.
     """
-    ids, areas, jumps, tangential = _facet_jumps(field)
-    dv = _measure(ids, areas, jumps)
-    curl = _measure(ids, areas, tangential)
-    return BVReport(
-        dv_total=dv.total,
-        curl_total=curl.total,
-        ratio=ratio(dv.total, curl.total),
-        facet_ids=dv.facet_ids,
-        per_facet_dv=dv.per_facet,
-        per_facet_curl=curl.per_facet,
-    )
+    areas, jumps, tangential = _facet_jumps(field)
+    dv, curl = _measure(areas, jumps), _measure(areas, tangential)
+    return BVReport(dv=dv, curl=curl, ratio=ratio(dv.total, curl.total))
 
 
 def weak_norm(magnitudes, volumes, dim):
@@ -213,9 +204,7 @@ def weak_rigidity_ratio(field):
     """
     field = _as_field(field)
     n = field.mesh.dim
-    rot = fitted_rotation(field)
-    vols = field.cell_volumes()
-    diff = np.linalg.norm(field.values - rot, axis=(1, 2))
+    rot, vols, diff = _fit(field)
     lhs = weak_norm(diff, vols, n)
     strong = float((diff ** (n / (n - 1))) @ vols) ** ((n - 1) / n)
     dist = dist_to_son_batch(field.values)

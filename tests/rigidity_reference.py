@@ -12,6 +12,15 @@ order and the same largest ratios.
 grid_weak_norm evaluates t * |{|A| > t}|^((n-1)/n) on a geometric t-grid,
 so it can only fall short of the supremum; brute_weak_norm takes the
 supremum over each distinct magnitude, one level set at a time.
+
+block_closed_form is rigidity_ratio of a family member in closed form,
+on the unrotated Kuhn mesh of any m that the block count B divides. Then
+every block holds whole cells, of total volume B^-2, and every facet
+between two blocks lies on a block edge of length 1/B, while the facets
+inside a block carry no jump. So the mean is B^-2 sum A_b, the two
+integrals are B^-2 sums over the blocks, and the curl mass is B^-1 times
+the sum of |(A_b - A_b') tau| over adjacent blocks, tau along the edge
+they share: none of it depends on m.
 """
 
 import numpy as np
@@ -19,6 +28,7 @@ import numpy as np
 from wellspin.harness import substream
 from wellspin.mesh import build_kuhn_mesh
 from wellspin.rigidity import field_from_blocks, random_block_values, rigidity_ratio
+from wellspin.wells import dist_to_son_batch, polar_rotation
 
 
 def family_rows(seed, m_list, family_size, block_grid, p):
@@ -63,3 +73,20 @@ def brute_weak_norm(magnitudes, volumes, dim):
         vol = float(volumes[magnitudes >= a].sum())
         best = max(best, float(a) * vol ** ((dim - 1) / dim))
     return best
+
+
+def block_closed_form(block_values, p, rotation=None):
+    """(lhs, rhs, rotation) of rigidity_ratio for the (B, B, 2, 2) block
+    values on the unrotated Kuhn mesh, at any m that B divides; lhs is
+    taken at the given rotation in place of the fitted one when given."""
+    b = block_values.shape[0]
+    flat = block_values.reshape(-1, 2, 2)
+    rot = polar_rotation(flat.sum(axis=0) / b**2) if rotation is None else rotation
+    lhs = float((np.linalg.norm(flat - rot, axis=(1, 2)) ** p).sum()) / b**2
+    dist = float((dist_to_son_batch(flat) ** p).sum()) / b**2
+    # blocks adjacent along x share an edge along e_y, those along y one
+    # along e_x; the tangential jump is the column of the jump along tau
+    across_x = np.linalg.norm(np.diff(block_values, axis=0)[..., :, 1], axis=-1)
+    across_y = np.linalg.norm(np.diff(block_values, axis=1)[..., :, 0], axis=-1)
+    curl = float(across_x.sum() + across_y.sum()) / b
+    return lhs, dist + curl**2, rot

@@ -238,7 +238,7 @@ class TestSvdFree:
         values = np.random.default_rng(0).normal(size=(3, mesh.n_cells, 2, 2))
         assert tangential_jump_residual(mesh, values).shape == (3,)
         field = IncompatibleField(mesh=mesh, values=values[0], map_matrix=np.diag([2.0, 0.5]))
-        assert bv_structure_check(field).curl_total > 0
+        assert bv_structure_check(field).curl.total > 0
 
     def test_dbar_allocates_under_one_mib(self, shipped):
         ws, delta0 = shipped

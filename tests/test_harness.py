@@ -593,8 +593,9 @@ class TestRun:
             patch.setattr(harness, "build_laminate", recording_laminate)
             code = run(cfg, out_dir=tmp_path / "strict")
         assert code == EXIT_INCOMPATIBLE_MESH
-        # the check runs on the coarsest mesh before any stage
-        assert built == [8] and not laminates
+        # the check needs only the lattice rotation, so it runs before
+        # any stage builds a mesh
+        assert built == [] and not laminates
         summary = json.loads((tmp_path / "strict" / "summary.json").read_text())
         assert not summary["incompatibility"]["ok"]
         assert summary["incompatibility"]["offenders"]

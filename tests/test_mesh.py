@@ -138,7 +138,7 @@ class TestIncompatibility:
         ws = standard_wells()
         ws.connections[0].b = np.array([1.0, 0.0])
         mesh = build_kuhn_mesh(2, 4)
-        rep = check_incompatibility(mesh, ws, 0.1)
+        rep = check_incompatibility(mesh.lattice_rotation, ws, 0.1)
         assert not rep.ok
         assert rep.worst_alignment == pytest.approx(1.0, abs=1e-12)
 
@@ -147,23 +147,23 @@ class TestIncompatibility:
         ws.connections = [ws.connections[0]]
         ws.connections[0].b = np.array([1.0, 0.0])
         mesh = build_kuhn_mesh(2, 8, lattice_rotation=rotation_2d(np.radians(22.5)))
-        rep = check_incompatibility(mesh, ws, 0.05)
+        rep = check_incompatibility(mesh.lattice_rotation, ws, 0.05)
         assert rep.worst_alignment == pytest.approx(np.cos(np.radians(22.5)), abs=1e-9)
         assert rep.ok  # 0.9239 <= 1 - 0.05
-        rep2 = check_incompatibility(mesh, ws, 0.1)
+        rep2 = check_incompatibility(mesh.lattice_rotation, ws, 0.1)
         assert not rep2.ok
 
     def test_no_connections_vacuously_ok(self):
         ws = WellSet([U1])
         ws.connections = []
         mesh = build_kuhn_mesh(2, 4)
-        rep = check_incompatibility(mesh, ws, 0.3)
+        rep = check_incompatibility(mesh.lattice_rotation, ws, 0.3)
         assert rep.ok and rep.worst_alignment == 0.0
 
     def test_standard_pair_identity_mesh_is_aligned(self):
         # the diagonal Kuhn facets share the (1,-1)/sqrt(2) twin normal
         ws = standard_wells()
-        rep = check_incompatibility(build_kuhn_mesh(2, 8), ws, 0.05)
+        rep = check_incompatibility(build_kuhn_mesh(2, 8).lattice_rotation, ws, 0.05)
         assert not rep.ok
         assert rep.worst_alignment == pytest.approx(1.0, abs=1e-9)
 
@@ -191,7 +191,7 @@ class TestIncompatibility:
         # random twin normals, and one near each turned normal
         twins = np.vstack([rng.standard_normal((2, n)), turned + 0.1 * rng.standard_normal(turned.shape)])
         twins /= np.linalg.norm(twins, axis=1)[:, None]
-        rep = check_incompatibility(mesh, SimpleNamespace(twin_normals=lambda: list(twins)), delta0)
+        rep = check_incompatibility(mesh.lattice_rotation, SimpleNamespace(twin_normals=lambda: list(twins)), delta0)
         ok, worst, offenders = facet_check_incompatibility(mesh, twins, delta0)
         # no alignment within round-off of the bound, where the verdicts may part
         assume(np.all(np.abs(np.abs(turned @ twins.T) - (1.0 - delta0)) > tol))
@@ -235,7 +235,7 @@ class TestAdmissibleRotation:
         ws = standard_wells()
         res = find_admissible_rotation(ws)
         mesh = build_kuhn_mesh(2, 8, lattice_rotation=res.rotation)
-        rep = check_incompatibility(mesh, ws, 0.05)
+        rep = check_incompatibility(mesh.lattice_rotation, ws, 0.05)
         assert rep.ok
 
     def test_no_connections_identity(self):

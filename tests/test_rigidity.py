@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import auto_laminate
-from rigidity_reference import brute_weak_norm, grid_weak_norm
+from rigidity_reference import block_closed_form, brute_weak_norm, grid_weak_norm
 from wellspin.fields import PWAffineField
 from wellspin.mesh import build_kuhn_mesh
 from wellspin.rigidity import (
@@ -25,6 +25,8 @@ from wellspin.rigidity import (
 )
 from wellspin.spin import classify, discrete_perimeter
 from wellspin.wells import random_rotation, rotation_2d
+
+EPS = np.finfo(float).eps
 
 
 def two_rotation_interface(m=8, theta1=0.4, theta2=1.3):
@@ -108,12 +110,12 @@ class TestCurl:
         lab = classify(field, wells_std)
         reduced = build_reduced_field(field, lab, 0, wells_std)
         curl = curl_total_variation(reduced)
-        centers = mesh.vertices[mesh.facet_vertices[curl.facet_ids]].mean(axis=1)
+        centers = mesh.vertices[mesh.facet_vertices[mesh.interior]].mean(axis=1)
         labs = lab.labels
-        a = mesh.facet_cells[curl.facet_ids, 0]
-        b = mesh.facet_cells[curl.facet_ids, 1]
+        a = mesh.facet_cells[mesh.interior, 0]
+        b = mesh.facet_cells[mesh.interior, 1]
         boundary_of_0 = (labs[a] == 0) ^ (labs[b] == 0)
-        areas = mesh.facet_area[curl.facet_ids]
+        areas = mesh.facet_area[mesh.interior]
         # one constant must serve every subset: the largest per-facet
         # mass-to-area ratio on the phase boundary, which stays below the
         # crude cap sup|A| * (area stretch of the map)
@@ -188,6 +190,34 @@ class TestRigidityRatio:
         hi, lo = max(max_ratio.values()), min(max_ratio.values())
         assert hi / lo <= 2.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # B blocks a side and k with m = kB in [2, 48]
+        st.integers(1, 8).flatmap(
+            lambda b: st.tuples(st.just(b), st.integers(2 if b == 1 else 1, 48 // b))
+        ),
+        st.sampled_from([2.0, 2.5, 3.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_block_family_closed_form(self, blocks_and_k, p, seed):
+        # while the block count B divides m, a family member's ratio is a
+        # sum over its blocks that does not depend on m
+        b, k = blocks_and_k
+        mesh = build_kuhn_mesh(2, k * b)
+        blocks = random_block_values(np.random.default_rng(seed), b)
+        rep = rigidity_ratio(field_from_blocks(mesh, blocks), p=p)
+        _, rhs, rot = block_closed_form(blocks, p)
+        lhs = block_closed_form(blocks, p, rotation=rep.rotation)[0]
+        # the mesh sums its mean over the cells in sequence, which can put
+        # its rotation up to about n_cells eps off the closed form's (0.125
+        # n_cells measured), enough to move lhs for p > 2: so lhs is taken
+        # at the mesh's rotation and the gap is bounded on its own; the
+        # other sums over the cells err by about sqrt(n_cells) eps
+        assert np.abs(rep.rotation - rot).max() <= mesh.n_cells * EPS
+        scale = float((np.linalg.norm(blocks, axis=(2, 3)) ** p).sum()) / b**2
+        assert abs(rep.lhs - lhs) <= 16 * EPS * scale
+        assert abs(rep.rhs - rhs) <= (16 + mesh.n_cells**0.5) * EPS * rhs
+
 
 class TestBVStructure:
     def test_constant_field(self):
@@ -196,7 +226,7 @@ class TestBVStructure:
             mesh=mesh, values=np.broadcast_to(np.eye(2), (mesh.n_cells, 2, 2)).copy()
         )
         rep = bv_structure_check(field)
-        assert rep.dv_total == 0.0 and rep.curl_total == 0.0 and rep.ratio == 0.0
+        assert rep.dv.total == 0.0 and rep.curl.total == 0.0 and rep.ratio == 0.0
 
     def test_two_rotation_interface_ratio(self):
         mesh, field, r1, r2 = two_rotation_interface()
