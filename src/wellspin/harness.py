@@ -50,9 +50,8 @@ from .mesh import (
 from .numerics import loglog_slope, ratio
 from .rigidity import (
     IncompatibleField,
-    build_reduced_field,
-    bv_structure_check,
     field_from_blocks,
+    phase_boundary_measures,
     random_block_values,
     rigidity_ratio,
     weak_rigidity_ratio,
@@ -499,28 +498,26 @@ def _stage_laminate(ctx, m):
     mesh = build_kuhn_mesh(2, m, lattice_rotation=rot.rotation)
     vf, ripple = lam["volume_fraction"], lam["ripple"]
     fld = build_laminate(mesh, ws, conn, vf, ctx["period"], offset=ctx["offset"], ripple=ripple)
-    rep = evaluate_energy(fld, ws, c1=c1)
+    energy = evaluate_energy(fld, ws, c1=c1).total
     lab = classify(fld, ws)
-    part = extract_partition(fld, lab, ws)
-    macro = part.macroscopic(0.01 * mesh.effective_volume)
+    macro = extract_partition(fld, lab, ws).macroscopic(0.01 * mesh.effective_volume)
     n_bad = count_bad_cells(lab)
     lhs = n_bad * lab.threshold**2 * c1 * float(mesh.volumes.min())
-    fitted = [c.residual for c in macro if c.residual is not None]
     row = {
         "m": m,
-        "energy": rep.total,
+        "energy": energy,
         "bad_count": n_bad,
         "bad_volume": lab.bad_volume,
         "components": len(macro),
-        "max_residual": max(fitted, default=0.0),
+        "max_residual": max((c.residual for c in macro if c.residual is not None), default=0.0),
     }
-    for j in (conn.i, conn.j):  # the two wells the laminate alternates
+    del macro  # the last reference to the partition's cell lists
+    pair = (conn.i, conn.j)  # the two wells the laminate alternates
+    for j, (curl, dv) in zip(pair, phase_boundary_measures(fld, lab, ws, pair)):
         row[f"perimeter_w{j}"] = discrete_perimeter(lab, j)
         row[f"perimeter_interior_w{j}"] = discrete_perimeter(lab, j, include_boundary=False)
-        reduced = build_reduced_field(fld, lab, j, ws)
-        bv = bv_structure_check(reduced)
-        row[f"curl_w{j}"] = bv.curl.total
-        row[f"dv_curl_ratio_w{j}"] = bv.ratio
+        row[f"curl_w{j}"] = curl
+        row[f"dv_curl_ratio_w{j}"] = ratio(dv, curl)
     return [(lhs, row)]
 
 
@@ -691,17 +688,11 @@ def _finish_spin_suite(ctx, rows):
     return summary, {"fields": (header, rows)}, gates
 
 
-def _prepare_rigidity(cfg, force):
-    """The coarsest mesh, on which finish also runs the eps sweep and the
-    weak-norm ratio."""
-    return {**cfg, "mesh": build_kuhn_mesh(2, cfg["m_list"][0])}
-
-
 def _stage_rigidity(ctx, m):
     """The family's ratios at m. Each stage redraws the family, one member
     at a time, from a fresh substream, so every stage measures the same
     members."""
-    mesh = ctx["mesh"] if m == ctx["mesh"].m else build_kuhn_mesh(2, m)
+    mesh = build_kuhn_mesh(2, m)
     rng = substream(ctx["seed"], "rigidity-family")
     rows = []
     for fid in range(ctx["family_size"]):
@@ -712,7 +703,8 @@ def _stage_rigidity(ctx, m):
 
 
 def _finish_rigidity(ctx, rows):
-    p, mesh = ctx["p"], ctx["mesh"]
+    """The eps sweep and the weak-norm ratio run on the coarsest mesh."""
+    p, mesh = ctx["p"], build_kuhn_mesh(2, ctx["m_list"][0])
     # the stages ran in m order, so a stable sort gives (field_id, m) order
     rows.sort(key=lambda row: row[0])
     max_ratio = {}
@@ -941,7 +933,7 @@ SCHEMA = {
             "eps_values": ([1e-3, 5e-4, 2.5e-4, 1e-4], _EPS_VALUES),
         },
         _check_rigidity, lambda cfg: cfg["m_list"],
-        _prepare_rigidity, _stage_rigidity, _finish_rigidity,
+        _config_only, _stage_rigidity, _finish_rigidity,
     ),
     # each lattice scenario runs one model family; lattice.system names the
     # model within it

@@ -7,9 +7,11 @@ vanishing makes a deformation continuous: both come from one kernel,
 fields.facet_jumps. Restricting a classified deformation gradient to one
 phase and multiplying by the inverse well matrix produces exactly such a
 field: near a rotation inside the phase, zero outside, with curl
-controlled by the phase boundary. The empirical rigidity checks below
-compare the distance of a field to a single rotation against its
-distance to all rotations plus its curl mass.
+carried by the phase boundary. phase_boundary_measures reads the curl and
+full variation of every phase's reduced field in one facet pass, without
+building them; build_reduced_field and bv_structure_check are its oracle.
+The empirical rigidity checks below compare the distance of a field to a
+single rotation against its distance to all rotations plus its curl mass.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PWAffineField, facet_jumps
-from .numerics import ratio
+from .numerics import entry_planes, ratio
 from .wells import dist_to_son_batch, polar_rotation, rotation_2d
 
 
@@ -179,6 +181,69 @@ def bv_structure_check(field):
     areas, jumps, tangential = _facet_jumps(field)
     dv, curl = _measure(areas, jumps), _measure(areas, tangential)
     return BVReport(dv=dv, curl=curl, ratio=ratio(dv.total, curl.total))
+
+
+# interior facets per step of phase_boundary_measures, which bounds its
+# transient memory: every mesh of m <= 128 (48,017 facets) is one step
+_FACET_CHUNK = 2**16
+
+
+def phase_boundary_measures(field, labeling, wells, phases):
+    """(curl, dv) totals of each phase j's reduced field, those of
+    bv_structure_check(build_reduced_field(field, labeling, j, wells)),
+    read from one pass over the interior facets of an n = 2 field.
+
+    On the domain mapped by U = U_j a facet of area s and tangent
+    tau = (-n1, n0) has area s |U tau|, and the reduced field jumps by
+    X U^-1 across it, with X the jump of chi_j G; its tangential part is
+    X tau / |U tau|. So the curl mass is s |X tau|, which vanishes inside
+    the phase, where G is the gradient of a continuous deformation, and
+    is s |G_side tau| on the phase boundary, G_side the gradient on phase
+    j's side: the curl is summed over the boundary facets only. The full
+    variation sums s |U tau| |X U^-1|_F, entry by entry, over the boundary
+    (X = G_side) and the facets inside the phase (X = [G]). The facet
+    pairs, areas, normals and jumps [G] are gathered once for all phases,
+    _FACET_CHUNK facets at a time.
+    """
+    mesh = field.mesh
+    planes = [np.ascontiguousarray(p) for p in entry_planes(field.gradients)]
+    per_phase = [(labeling.labels == j, wells.matrices[j], [0.0, 0.0]) for j in phases]
+    for start in range(0, len(mesh.interior), _FACET_CHUNK):
+        ids = mesh.interior[start : start + _FACET_CHUNK]
+        a, b = (np.take(mesh.facet_cells[:, k], ids) for k in (0, 1))
+        areas = np.take(mesh.facet_area, ids)
+        n0, n1 = np.take(mesh.facet_normal, ids, axis=0).T
+        jumps = [np.take(p, a) - np.take(p, b) for p in planes]
+        for on, u, totals in per_phase:
+            in_a, in_b = np.take(on, a), np.take(on, b)
+            edge, inner = np.flatnonzero(in_a != in_b), np.flatnonzero(in_a & in_b)
+            sides = [np.take(p, np.where(in_a[edge], a[edge], b[edge])) for p in planes]
+            tau = (-n1[edge], n0[edge])
+            totals[0] += _total(areas[edge], _apply(sides, tau))
+            totals[1] += _variation(u, areas[edge], tau, sides) + _variation(
+                u, areas[inner], (-n1[inner], n0[inner]), [np.take(x, inner) for x in jumps]
+            )
+    return [tuple(totals) for _, _, totals in per_phase]
+
+
+def _apply(x, v):
+    """X v for a 2 x 2 matrix X and a vector v, both given entry by entry."""
+    x00, x01, x10, x11 = x
+    return x00 * v[0] + x01 * v[1], x10 * v[0] + x11 * v[1]
+
+
+def _total(areas, entries):
+    """sum of area * |entries| over facets: numpy's sum, not a BLAS dot,
+    which may start threads on long vectors."""
+    return float((areas * np.sqrt(sum(e * e for e in entries))).sum())
+
+
+def _variation(u, areas, tau, x):
+    """sum of area |U tau| |X U^-1|_F over facets with tangents tau and
+    values X, given entry by entry; X U^-1 is formed column by column."""
+    w = np.linalg.inv(u)
+    stretch = np.sqrt(sum(e * e for e in _apply(u.ravel(), tau)))
+    return _total(areas * stretch, _apply(x, w[:, 0]) + _apply(x, w[:, 1]))
 
 
 def weak_norm(magnitudes, volumes, dim):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import auto_laminate
 from rigidity_reference import block_closed_form, brute_weak_norm, grid_weak_norm
-from wellspin.fields import PWAffineField
+from wellspin.fields import PWAffineField, build_laminate
 from wellspin.mesh import build_kuhn_mesh
 from wellspin.rigidity import (
     IncompatibleField,
@@ -18,12 +18,14 @@ from wellspin.rigidity import (
     bv_structure_check,
     curl_total_variation,
     field_from_blocks,
+    phase_boundary_measures,
     random_block_values,
     rigidity_ratio,
     weak_norm,
     weak_rigidity_ratio,
 )
-from wellspin.spin import classify, discrete_perimeter
+from wellspin.numerics import ratio
+from wellspin.spin import BAD_LABEL, PhaseLabeling, classify, discrete_perimeter
 from wellspin.wells import random_rotation, rotation_2d
 
 EPS = np.finfo(float).eps
@@ -256,6 +258,55 @@ class TestBVStructure:
             assert math.isfinite(rep.ratio) and rep.ratio > 0
             ratios.append(rep.ratio)
         assert max(ratios) / min(ratios) <= 2.0
+
+
+class TestPhaseBoundaryMeasures:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(8, 64),
+        st.floats(0.0, 2.0 * math.pi),
+        st.sampled_from(["classified", "random", "empty", "full"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reduced_fields(self, wells_std, m, angle, relabel, seed):
+        # the one facet pass against bv_structure_check on each phase's
+        # reduced field, on a random laminate and labeling: "empty" leaves
+        # phase 0 without cells, "full" gives it every cell
+        rng = np.random.default_rng(seed)
+        mesh = build_kuhn_mesh(2, m, lattice_rotation=rotation_2d(angle))
+        conn = wells_std.connections[int(rng.integers(len(wells_std.connections)))]
+        field = build_laminate(
+            mesh, wells_std, conn, rng.uniform(0.2, 0.8), rng.uniform(2.0 / m, 1.0),
+            offset=rng.uniform(0.0, 1.0), ripple=float(rng.choice([0.0, 0.004, 0.05])),
+        )
+        lab = classify(field, wells_std)
+        labels = {
+            "classified": lab.labels,
+            "random": rng.integers(BAD_LABEL, 2, mesh.n_cells),
+            "empty": np.where(lab.labels == 0, BAD_LABEL, lab.labels),
+            "full": np.zeros(mesh.n_cells, np.int64),
+        }[relabel]
+        lab = PhaseLabeling(mesh, labels, lab.distances, lab.threshold)
+        a, b = mesh.facet_cells[mesh.interior].T
+        areas = mesh.facet_area[mesh.interior]
+        scale = np.linalg.norm(field.gradients, axis=(1, 2)).max()
+        for j, (curl, dv) in zip((0, 1), phase_boundary_measures(field, lab, wells_std, (0, 1))):
+            bv = bv_structure_check(build_reduced_field(field, lab, j, wells_std))
+            in_a, in_b = labels[a] == j, labels[b] == j
+            edge = in_a != in_b
+            want = float(bv.curl.per_facet[edge].sum())
+            assert abs(dv - bv.dv.total) <= 1e-13 * bv.dv.total
+            assert abs(curl - want) <= 1e-13 * want
+            # what the boundary sum leaves out is the round-off of [G] tau
+            # on the facets inside the phase; elsewhere the masses are 0
+            cond = np.linalg.cond(wells_std.matrices[j])
+            rest = float(bv.curl.per_facet[~edge].sum())
+            bound = field.continuity_residual + 4 * EPS * scale * cond
+            assert rest <= float(areas[in_a & in_b].sum()) * bound
+            if relabel == "empty" and j == 0:
+                assert (curl, dv) == (0.0, 0.0) and ratio(dv, curl) == 0.0
+            if relabel == "full" and j == 0:
+                assert curl == 0.0 and ratio(dv, curl) == (math.inf if dv else 0.0)
 
 
 # magnitudes often drawn from a few values, so that ties and zeros are
