@@ -11,6 +11,8 @@ scenario never perturbs another one's draws.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import json
 import math
 import os
@@ -999,6 +1001,22 @@ def _write_run(out, summary, tables, digest, failure=None):
     (out / "digest.txt").write_text("\n".join(digest) + "\n", encoding="utf-8")
 
 
+@functools.cache
+def _pin_heap():
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    the largest values its dynamic rule reaches on 64-bit, so that freed
+    numpy temporaries stay in the heap and repeated runs reuse resident
+    pages, whatever the allocation history. Once per process, from run();
+    False, with nothing changed, where there is no glibc mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1; mallopt returns 1 when set
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+
+
 def run(source, force=False, out_dir=None):
     """Execute a scenario config and write its artifacts.
 
@@ -1020,6 +1038,7 @@ def _run_resolved(problems, cfg, raw, force, out_dir):
             summary = {"exit_code": EXIT_INTERNAL, "gates": {}, "problems": problems}
             _write_run(out, summary, {}, [f"CONFIG ERROR: {p}" for p in problems])
         return EXIT_INTERNAL
+    _pin_heap()
     scenario = SCHEMA[cfg["scenario"]]
     out = Path(out_dir or cfg["out"] or Path("runs") / cfg["scenario"])
     failure = None

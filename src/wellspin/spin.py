@@ -42,12 +42,9 @@ class PhaseLabeling:
         self.distances = distances
         self.threshold = threshold
 
-    def volume_of(self, label):
-        return float(self.mesh.volumes[self.labels == label].sum())
-
     @property
     def bad_volume(self):
-        return self.volume_of(BAD_LABEL)
+        return float(self.mesh.volumes[self.labels == BAD_LABEL].sum())
 
 
 def classify(field, wells, threshold=None):

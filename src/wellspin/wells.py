@@ -95,9 +95,10 @@ def fit_rotation(values, weights, well):
     if np.linalg.det(mean) <= 0:
         return None, None
     rot = polar_rotation(mean)
-    # the squared residual F_k - R U in the buffer of the mean's terms
+    # the squared residual F_k - R U in the buffer of the mean's terms,
+    # weighted and summed by numpy: a BLAS dot may start threads on long vectors
     np.subtract(values, rot @ well, out=local)
-    res2 = np.square(local, out=local).sum(axis=(1, 2)) @ weights
+    res2 = (np.square(local, out=local).sum(axis=(1, 2)) * weights).sum()
     return rot, float(math.sqrt(max(res2, 0.0)))
 
 

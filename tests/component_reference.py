@@ -121,12 +121,14 @@ def partition_mean(values, vols, well):
 
 def partition_fit(values, vols, well):
     """extract_partition's inline fit of one component: (rotation,
-    residual), or (None, None) for a mean of nonpositive determinant."""
+    residual), or (None, None) for a mean of nonpositive determinant. The
+    residual's weighted sum is numpy's, as fit_rotation's is; the inline
+    fit took a BLAS dot, which may start threads on long vectors."""
     mean = partition_mean(values, vols, well)
     if np.linalg.det(mean) <= 0:
         return None, None
     rot = polar_rotation(mean)
-    res2 = ((values - rot @ well) ** 2).sum(axis=(1, 2)) @ vols
+    res2 = (((values - rot @ well) ** 2).sum(axis=(1, 2)) * vols).sum()
     return rot, float(math.sqrt(max(res2, 0.0)))
 
 

@@ -1,9 +1,11 @@
 """Tests for the experiment harness: configs, scenarios, determinism."""
 
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -737,6 +739,43 @@ class TestRun:
         a = (tmp_path / "a" / "tables" / "rigidity.csv").read_bytes()
         b = (tmp_path / "b" / "tables" / "rigidity.csv").read_bytes()
         assert a != b
+
+
+@pytest.fixture
+def fresh_heap_policy():
+    """Let the next run() apply the heap policy again, and the run after
+    the test too, whatever the test did to it."""
+    harness._pin_heap.cache_clear()
+    yield
+    harness._pin_heap.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_heap_policy")
+class TestHeapPolicy:
+    @pytest.mark.parametrize("cdll", ["raises", "no-mallopt"])
+    def test_no_op_without_mallopt(self, tmp_path, monkeypatch, cdll):
+        def raises(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", raises if cdll == "raises" else lambda name: object())
+        cfg = {"scenario": "wellset-analysis", "seed": 1, "wells": small_wells()}
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert harness._pin_heap() is False
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_repeated_run_reuses_resident_pages(self, tmp_path):
+        import resource
+
+        # at dynamic thresholds the third of these runs faults about 5,500
+        # fresh pages, which freed temporaries gave back to the kernel
+        lattice = {"system": "antiferro-raw", "interfaces": 3, "m_list": [2**14, 2**16, 2**18]}
+        cfg = {"scenario": "antiferro-sweep", "seed": 1, "lattice": lattice}
+        for _ in range(2):
+            assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run(cfg, out_dir=tmp_path) == EXIT_OK
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+        assert harness._pin_heap() is True
 
 
 class TestCsv:
