@@ -719,14 +719,13 @@ def _finish_rigidity(ctx, rows):
     noise /= np.linalg.norm(noise, axis=(1, 2), keepdims=True)
     r0 = random_rotation(noise_rng, 2)
     eps_rows = []
-    eps_values = ctx["eps_values"]
-    lhs_values = []
-    for eps in eps_values:
-        fld = IncompatibleField(mesh=mesh, values=r0[None] + eps * noise)
-        rep = rigidity_ratio(fld, p=p)
+    for eps in ctx["eps_values"]:
+        rep = rigidity_ratio(IncompatibleField(mesh=mesh, values=r0[None] + eps * noise), p=p)
         eps_rows.append((eps, rep.lhs, rep.rhs, rep.ratio))
-        lhs_values.append(rep.lhs)
-    eps_slope, _ = loglog_slope(eps_values, lhs_values)
+    # ScalingReport's rule: the fit's gate fails at the first lhs that is not
+    # positive, as where eps^p underflows
+    no_fit = [f"no log-log fit: {v:g} at eps = {e:g}" for e, v, *_ in eps_rows if not v > 0]
+    eps_slope = None if no_fit else loglog_slope(ctx["eps_values"], [r[1] for r in eps_rows])[0]
 
     # the weak-norm ratio of the first family member, redrawn as the stages
     # draw it
@@ -741,11 +740,11 @@ def _finish_rigidity(ctx, rows):
     spread = _spread(ratios_sorted)
     n_infinite = sum(not math.isfinite(row[-1]) for row in rows)
     # lhs ~ eps^p near a rotation; at p = 2 this is the [1.8, 2.2] gate
-    power_p = abs(eps_slope - p) <= 0.1 * p
+    power_p = not no_fit and abs(eps_slope - p) <= 0.1 * p
     gates = [
         Gate("ratios_finite", n_infinite == 0, f"{n_infinite} not finite", "0"),
         Gate("max_ratio_scale_stable", spread <= 2.0, ratios_sorted, "max/min <= 2"),
-        Gate("eps_slope_power_p", power_p, eps_slope, f"{p:g} +- {0.1 * p:g}"),
+        Gate("eps_slope_power_p", power_p, no_fit[0] if no_fit else eps_slope, f"{p:g} +- {0.1 * p:g}"),
         Gate("weak_below_strong", below_strong, [weak["lhs"], weak["strong"]], "<= L^2 norm, rel 1e-9"),
         Gate("weak_ratio_finite", math.isfinite(weak["ratio"]), weak["ratio"], "finite"),
     ]

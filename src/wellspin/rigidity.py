@@ -142,6 +142,9 @@ class RigidityReport:
     p: float
 
 
+# a p-th power past the float range is inf, which the rigidity-family gate
+# ratios_finite reports
+@np.errstate(over="ignore")
 def rigidity_ratio(field, p):
     """Empirical ratio for the one-rotation rigidity inequality.
 

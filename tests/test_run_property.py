@@ -6,7 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wellspin.harness import (
@@ -79,7 +79,8 @@ def configs(draw):
     elif scenario == "rigidity-family":
         cfg["m_list"] = draw(scales(2, 10, 1))
         cfg["family_size"] = draw(st.integers(1, 4))
-        cfg["p"] = draw(st.floats(2.0, 6.0))
+        # p near 2, or anywhere validation accepts it, where eps^p underflows
+        cfg["p"] = draw(st.floats(2.0, 6.0) | st.floats(2.0, 1e300, exclude_max=True))
         cfg["block_grid"] = draw(st.integers(1, 4))
         cfg["eps_values"] = draw(st.lists(st.floats(1e-4, 1e-2), min_size=2, max_size=4))
     else:
@@ -101,6 +102,7 @@ def configs(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 @given(configs())
+@example({"scenario": "rigidity-family", "seed": 0, "m_list": [2], "family_size": 1, "p": 120.0})
 def test_valid_configs_reach_a_gate_verdict(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -127,3 +129,15 @@ def test_eps_sweep_without_spread_is_a_config_error(tmp_path):
     assert not (tmp_path / "error.txt").exists()
     cfg["eps_values"] = [0.0078125, 0.015625]
     assert run(cfg, out_dir=tmp_path) in (EXIT_OK, EXIT_GATE_FAILED)
+
+
+def test_eps_sweep_underflow_fails_its_gate(tmp_path):
+    # at p = 120 every lhs ~ eps^p of the default eps sweep underflows to
+    # 0: the eps-slope gate fails at the first such eps, as a ScalingReport
+    # gate does, and the run reaches its verdict
+    cfg = {"scenario": "rigidity-family", "m_list": [2], "family_size": 1, "block_grid": 1, "p": 120}
+    assert run(cfg, out_dir=tmp_path) == EXIT_GATE_FAILED
+    digest = (tmp_path / "digest.txt").read_text()
+    assert "FAIL eps_slope_power_p: no log-log fit: 0 at eps = 0.001 (bound 120 +- 12)" in digest
+    assert json.loads((tmp_path / "summary.json").read_text())["eps_slope"] is None
+    assert not (tmp_path / "error.txt").exists()
